@@ -48,12 +48,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use zoom_graph::fxhash::FxHashMap;
 use zoom_model::UserView;
 use zoom_warehouse::wire::{self, BatchItem, Request, Response, ShardRouter};
-use zoom_warehouse::{codec, fxhash::FxHashMap};
 use zoom_warehouse::{
-    DurableOptions, Result as WhResult, ShardState, StorageIo, TenantQuotaTable, TenantQuotas,
-    ViewId, WarehouseError,
+    codec, DurableOptions, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
+    TenantQuotas, ViewId, WarehouseError,
 };
 
 /// How a [`Daemon`] is stood up.

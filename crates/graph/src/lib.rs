@@ -23,7 +23,9 @@
 //! * [`algo::cycles`] — back edges and elementary cycles (loop unrolling);
 //! * [`labels`] — interval sets + spanning-forest post-order, the raw
 //!   material of the warehouse's tree-cover reachability labels;
-//! * [`dot`] — GraphViz rendering.
+//! * [`dot`] — GraphViz rendering;
+//! * [`fxhash`] — the FxHash hasher behind the workspace's integer-keyed
+//!   hash maps.
 //!
 //! The crate is dependency-free apart from `serde` (graphs are persisted in
 //! the provenance warehouse's snapshots).
@@ -31,6 +33,7 @@
 pub mod bitset;
 pub mod digraph;
 pub mod dot;
+pub mod fxhash;
 pub mod labels;
 pub mod traversal;
 

@@ -24,12 +24,12 @@ use crate::ids::{CompositeId, DataId, StepId};
 use crate::run::{RunNode, WorkflowRun};
 use crate::spec::WorkflowSpec;
 use crate::view::UserView;
-use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use zoom_graph::fxhash::FxHashMap;
 use zoom_graph::{Digraph, NodeId};
 
 /// One (possibly virtual) execution of a composite module.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompositeExecution {
     /// The execution's step id — original for singleton groups of singleton
     /// composites, fresh ("virtual") otherwise.
@@ -43,7 +43,7 @@ pub struct CompositeExecution {
 }
 
 /// A node of a view-run graph.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ViewRunNode {
     /// Beginning of the execution.
     Input,
@@ -53,16 +53,26 @@ pub enum ViewRunNode {
     Exec(u32),
 }
 
+/// Marks "no composite / no execution" in the dense per-node arrays.
+const NONE: u32 = u32::MAX;
+
 /// A workflow run projected through a user view.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ViewRun {
     spec_name: String,
     view_name: String,
     execs: Vec<CompositeExecution>,
     graph: Digraph<ViewRunNode, Vec<DataId>>,
-    exec_of_step: HashMap<StepId, u32>,
+    /// Execution index of every run-graph node, indexed by run node
+    /// ([`NONE`] for the input and output nodes).
+    exec_of_node: Vec<u32>,
+    /// `(id, execution index)` sorted by id: one entry per member step,
+    /// then one per virtual execution (whose ids all follow the largest
+    /// step id). Answers both [`Self::exec_of_step`] and
+    /// [`Self::exec_index_by_id`] by binary search.
+    exec_of_id: Vec<(StepId, u32)>,
     /// Producing view-graph node for every *visible* data object.
-    producer: HashMap<DataId, NodeId>,
+    producer: FxHashMap<DataId, NodeId>,
 }
 
 impl ViewRun {
@@ -78,123 +88,164 @@ impl ViewRun {
             view.spec_name(),
             "run and view must be over the same specification"
         );
+        let composites = view.composites();
+        let multi_module = |c: u32| composites[c as usize].members.len() > 1;
 
-        // --- 1. Composite of every step node; union-find over step nodes.
+        // --- 1. Composite and step id of every step node, in dense arrays.
+        let module_span = composites
+            .iter()
+            .flat_map(|c| &c.members)
+            .map(|m| m.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut comp_of_module = vec![NONE; module_span];
+        for (c, comp) in composites.iter().enumerate() {
+            for m in &comp.members {
+                comp_of_module[m.index()] = c as u32;
+            }
+        }
         let rg = run.graph();
         let n = rg.node_count();
-        let mut comp_of_node: Vec<Option<CompositeId>> = vec![None; n];
-        for node in rg.node_ids() {
-            if let RunNode::Step { module, .. } = rg.node(node) {
-                comp_of_node[node.index()] = Some(view.composite_of(*module));
+        let mut comp_of_node = vec![NONE; n];
+        let mut step_of_node = vec![StepId(0); n];
+        let mut step_nodes: Vec<usize> = Vec::with_capacity(n);
+        for (node, weight) in rg.nodes() {
+            if let RunNode::Step { id, module } = weight {
+                let c = comp_of_module.get(module.index()).copied();
+                comp_of_node[node.index()] = c
+                    .filter(|&c| c != NONE)
+                    .expect("every module of the run belongs to a composite of the view");
+                step_of_node[node.index()] = *id;
+                step_nodes.push(node.index());
             }
         }
+
+        // --- 2. Union-find over step nodes. Steps group only within
+        // *composite* modules proper — a singleton composite is the module
+        // itself, so its steps (e.g. the unrolled iterations of a reflexive
+        // loop) stay separate. This keeps UAdmin ("no composite modules")
+        // the finest level: its view-run is exactly the run.
         let mut uf = UnionFind::new(n);
         for (_, s, t, _) in rg.edges() {
-            if let (Some(cs), Some(ct)) = (comp_of_node[s.index()], comp_of_node[t.index()]) {
-                // Steps group only within *composite* modules proper — a
-                // singleton composite is the module itself, so its steps
-                // (e.g. the unrolled iterations of a reflexive loop) stay
-                // separate. This keeps UAdmin ("no composite modules") the
-                // finest level: its view-run is exactly the run.
-                if cs == ct && view.members(cs).len() > 1 {
-                    uf.union(s.index(), t.index());
+            let (cs, ct) = (comp_of_node[s.index()], comp_of_node[t.index()]);
+            if cs != NONE && cs == ct && multi_module(cs) {
+                uf.union(s.index(), t.index());
+            }
+        }
+
+        // --- 3. Groups, numbered in order of smallest member step id:
+        // visiting steps by id, a group's index is fixed by its first
+        // member.
+        step_nodes.sort_unstable_by_key(|&i| step_of_node[i]);
+        let mut group_of_root = vec![NONE; n];
+        let mut exec_of_node = vec![NONE; n];
+        let mut first_node: Vec<usize> = Vec::new();
+        let mut sizes: Vec<u32> = Vec::new();
+        for &i in &step_nodes {
+            let root = uf.find(i);
+            if group_of_root[root] == NONE {
+                group_of_root[root] = first_node.len() as u32;
+                first_node.push(i);
+                sizes.push(0);
+            }
+            let g = group_of_root[root];
+            exec_of_node[i] = g;
+            sizes[g as usize] += 1;
+        }
+
+        // --- 4. Execution ids: original for a singleton group of a
+        // singleton composite, fresh after the largest step id otherwise.
+        let max_step = step_nodes.last().map_or(0, |&i| step_of_node[i].0);
+        let mut next_virtual = max_step + 1;
+        let mut execs: Vec<CompositeExecution> = first_node
+            .iter()
+            .zip(&sizes)
+            .map(|(&i, &size)| {
+                let composite = comp_of_node[i];
+                let is_virtual = size > 1 || multi_module(composite);
+                let id = if is_virtual {
+                    next_virtual += 1;
+                    StepId(next_virtual - 1)
+                } else {
+                    step_of_node[i]
+                };
+                CompositeExecution {
+                    id,
+                    composite: CompositeId(composite),
+                    members: Vec::with_capacity(size as usize),
+                    is_virtual,
                 }
-            }
+            })
+            .collect();
+        let virtuals = (next_virtual - max_step - 1) as usize;
+        let mut exec_of_id: Vec<(StepId, u32)> = Vec::with_capacity(step_nodes.len() + virtuals);
+        for &i in &step_nodes {
+            let g = exec_of_node[i];
+            execs[g as usize].members.push(step_of_node[i]);
+            exec_of_id.push((step_of_node[i], g));
         }
+        // Virtual ids all exceed the largest step id, and rise in execution
+        // order, so appending them keeps the table sorted.
+        exec_of_id.extend(
+            (0..execs.len() as u32)
+                .filter(|&g| execs[g as usize].is_virtual)
+                .map(|g| (execs[g as usize].id, g)),
+        );
 
-        // --- 2. Collect groups (sorted by smallest member step id).
-        let mut groups: HashMap<usize, Vec<NodeId>> = HashMap::new();
-        for node in rg.node_ids() {
-            if comp_of_node[node.index()].is_some() {
-                groups.entry(uf.find(node.index())).or_default().push(node);
-            }
-        }
-        let step_id = |node: NodeId| match rg.node(node) {
-            RunNode::Step { id, .. } => *id,
-            _ => unreachable!("groups contain only steps"),
-        };
-        let mut group_list: Vec<Vec<NodeId>> = groups.into_values().collect();
-        for g in &mut group_list {
-            g.sort_by_key(|&m| step_id(m));
-        }
-        group_list.sort_by_key(|g| step_id(g[0]));
-
-        // --- 3. Assign execution ids.
-        let mut next_virtual = run.max_step_id() + 1;
-        let mut execs = Vec::with_capacity(group_list.len());
-        let mut exec_of_step: HashMap<StepId, u32> = HashMap::new();
-        let mut exec_of_node: Vec<u32> = vec![u32::MAX; n];
-        for (i, g) in group_list.iter().enumerate() {
-            let composite = comp_of_node[g[0].index()].expect("groups contain only steps");
-            let singleton_composite = view.members(composite).len() == 1;
-            let (id, is_virtual) = if g.len() == 1 && singleton_composite {
-                (step_id(g[0]), false)
-            } else {
-                let id = StepId(next_virtual);
-                next_virtual += 1;
-                (id, true)
-            };
-            let members: Vec<StepId> = g.iter().map(|&m| step_id(m)).collect();
-            for &m in &members {
-                exec_of_step.insert(m, i as u32);
-            }
-            for &node in g {
-                exec_of_node[node.index()] = i as u32;
-            }
-            execs.push(CompositeExecution {
-                id,
-                composite,
-                members,
-                is_virtual,
-            });
-        }
-
-        // --- 4. Build the view graph with merged boundary edges.
+        // --- 5. Build the view graph with merged boundary edges.
         let mut graph: Digraph<ViewRunNode, Vec<DataId>> =
             Digraph::with_capacity(execs.len() + 2, rg.edge_count());
         let vin = graph.add_node(ViewRunNode::Input);
         let vout = graph.add_node(ViewRunNode::Output);
-        let mut node_of_exec = Vec::with_capacity(execs.len());
         for i in 0..execs.len() {
-            node_of_exec.push(graph.add_node(ViewRunNode::Exec(i as u32)));
+            graph.add_node(ViewRunNode::Exec(i as u32));
         }
         let map = |node: NodeId| -> NodeId {
-            match rg.node(node) {
-                RunNode::Input => vin,
-                RunNode::Output => vout,
-                RunNode::Step { .. } => node_of_exec[exec_of_node[node.index()] as usize],
+            match exec_of_node[node.index()] {
+                NONE if node == run.input() => vin,
+                NONE => vout,
+                i => NodeId::from_index(i as usize + 2),
             }
         };
-        let mut edge_data: HashMap<(NodeId, NodeId), Vec<DataId>> = HashMap::new();
-        let mut edge_order: Vec<(NodeId, NodeId)> = Vec::new();
-        for (e, s, t, _) in rg.edges() {
+        let mut slot_of_pair: FxHashMap<(NodeId, NodeId), u32> = FxHashMap::default();
+        slot_of_pair.reserve(rg.edge_count());
+        let mut merged: Vec<(NodeId, NodeId, Vec<DataId>)> = Vec::new();
+        let mut carried = 0;
+        for (_, s, t, data) in rg.edges() {
             let (vs, vt) = (map(s), map(t));
             if vs == vt {
                 continue; // internal to a composite execution: hidden
             }
-            let entry = edge_data.entry((vs, vt)).or_insert_with(|| {
-                edge_order.push((vs, vt));
-                Vec::new()
-            });
-            entry.extend(rg.edge(e).iter().copied());
+            carried += data.len();
+            match slot_of_pair.entry((vs, vt)) {
+                Entry::Occupied(slot) => merged[*slot.get() as usize].2.extend_from_slice(data),
+                Entry::Vacant(slot) => {
+                    slot.insert(merged.len() as u32);
+                    merged.push((vs, vt, data.clone()));
+                }
+            }
         }
-        let mut producer: HashMap<DataId, NodeId> = HashMap::new();
-        for key in edge_order {
-            let mut data = edge_data.remove(&key).expect("recorded above");
-            data.sort();
+        let mut producer: FxHashMap<DataId, NodeId> = FxHashMap::default();
+        producer.reserve(carried);
+        for (vs, vt, mut data) in merged {
+            data.sort_unstable();
             data.dedup();
             for &d in &data {
-                producer.insert(d, key.0);
+                producer.insert(d, vs);
             }
-            graph.add_edge(key.0, key.1, data);
+            graph.add_edge(vs, vt, data);
         }
+        // `carried` counts a datum once per consuming edge; keep only the
+        // table its distinct data need.
+        producer.shrink_to_fit();
 
         ViewRun {
             spec_name: run.spec_name().to_string(),
             view_name: view.name().to_string(),
             execs,
             graph,
-            exec_of_step,
+            exec_of_node,
+            exec_of_id,
             producer,
         }
     }
@@ -242,9 +293,30 @@ impl ViewRun {
         }
     }
 
+    /// The composite execution containing run-graph node `n` — the
+    /// dense form of [`Self::exec_of_step`] for callers walking the run
+    /// graph. `None` for the input/output nodes and for nodes the run this
+    /// view-run was built from does not have.
+    #[inline]
+    pub fn exec_at_run_node(&self, n: NodeId) -> Option<&CompositeExecution> {
+        let &i = self.exec_of_node.get(n.index())?;
+        self.execs.get(i as usize)
+    }
+
+    /// The `exec_of_id` entry for `id`, a step id or a virtual id.
+    fn exec_index_of(&self, id: StepId) -> Option<u32> {
+        let pos = self
+            .exec_of_id
+            .binary_search_by_key(&id, |&(k, _)| k)
+            .ok()?;
+        Some(self.exec_of_id[pos].1)
+    }
+
     /// The composite execution containing original step `s`.
     pub fn exec_of_step(&self, s: StepId) -> Option<&CompositeExecution> {
-        self.exec_of_step.get(&s).map(|&i| &self.execs[i as usize])
+        let e = &self.execs[self.exec_index_of(s)? as usize];
+        // A virtual id shares the table but names no member step.
+        (!e.is_virtual || e.id != s).then_some(e)
     }
 
     /// Finds an execution by its (possibly virtual) id.
@@ -253,9 +325,12 @@ impl ViewRun {
     }
 
     /// The position of the execution with (possibly virtual) id `id` — the
-    /// index [`Self::node_of_exec`] expects, found in one scan.
+    /// index [`Self::node_of_exec`] expects. A virtual id has its own table
+    /// entry; an original id `s` is its execution's single member, so it is
+    /// found through `s`'s entry.
     pub fn exec_index_by_id(&self, id: StepId) -> Option<u32> {
-        self.execs.iter().position(|e| e.id == id).map(|i| i as u32)
+        let i = self.exec_index_of(id)?;
+        (self.execs[i as usize].id == id).then_some(i)
     }
 
     /// The data input to execution `i`: union of its incoming edges, sorted.

@@ -516,7 +516,7 @@ impl WorkflowRun {
     /// The largest step id in the run (0 if there are none). Virtual
     /// composite executions are numbered after this.
     pub fn max_step_id(&self) -> u32 {
-        self.node_of_step.keys().map(|s| s.0).max().unwrap_or(0)
+        self.steps().map(|(s, _)| s.0).max().unwrap_or(0)
     }
 
     /// Renders the run as GraphViz DOT (steps labeled `S1:M3`, edges labeled

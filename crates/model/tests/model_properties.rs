@@ -1,12 +1,19 @@
-//! Property-based tests of the model builders and derived structures,
-//! using raw random inputs (not the workload generator, which lives
-//! upstream of this crate): whatever the builders *accept* must satisfy
-//! the structural invariants, and whatever violates them must be rejected.
+//! Property-based tests of the model builders and derived structures.
+//! The builder properties use raw random inputs: whatever the builders
+//! *accept* must satisfy the structural invariants, and whatever violates
+//! them must be rejected. The view-run property uses the workload
+//! generator's runs and checks [`ViewRun::new`] against a reference
+//! derived independently in this file.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
+use zoom_gen::{generate_run, generate_spec, RunGenConfig, RunKind, SpecGenConfig, WorkflowClass};
+use zoom_graph::NodeId;
 use zoom_model::{
-    induced_spec, CompositeModule, ModelError, RunBuilder, SpecBuilder, UserView, ViewRun,
-    WorkflowSpec,
+    induced_spec, CompositeId, CompositeModule, DataId, ModelError, RunBuilder, RunNode,
+    SpecBuilder, StepId, UserView, ViewRun, WorkflowRun, WorkflowSpec,
 };
 
 /// Random spec input: module count and raw edge commands.
@@ -182,5 +189,182 @@ proptest! {
         let vr = ViewRun::new(&run, &UserView::admin(&spec));
         prop_assert_eq!(vr.execs().len(), run.step_count());
         prop_assert_eq!(vr.visible_data().len(), run.data_count());
+    }
+
+    /// `ViewRun::new` on generated runs of every [`RunKind`] through a
+    /// random partition view agrees with [`reference_view_run`]: the
+    /// executions (ids, composites, members, virtuality, order), the
+    /// visible data, and every lookup.
+    #[test]
+    fn view_run_matches_reference(
+        seed in any::<u64>(),
+        kind in 0usize..3,
+        class in 0usize..3,
+        modules in 3usize..14,
+        blocks in 1u32..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let class = [WorkflowClass::Linear, WorkflowClass::Parallel, WorkflowClass::Loop][class];
+        let spec = generate_spec("vr", &SpecGenConfig::new(class, modules), &mut rng);
+        let mut cfg = RunGenConfig::for_kind(RunKind::ALL[kind]);
+        // Keep large runs quick to check; the shape, not the size, matters.
+        cfg.max_nodes = cfg.max_nodes.min(1_500);
+        cfg.max_edges = cfg.max_edges.min(1_500);
+        let run = generate_run(&spec, &cfg, &mut rng).expect("generated runs are valid");
+        let mut parts: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+        for m in spec.module_ids() {
+            parts.entry(rng.random_range(0..blocks)).or_default().push(m);
+        }
+        let composites = parts
+            .into_iter()
+            .map(|(b, ms)| CompositeModule::new(format!("B{b}"), ms))
+            .collect();
+        let view = UserView::new("random", &spec, composites).expect("a partition");
+
+        let vr = ViewRun::new(&run, &view);
+        let reference = reference_view_run(&run, &view);
+        prop_assert_eq!(vr.execs().len(), reference.execs.len());
+        for (i, (e, r)) in vr.execs().iter().zip(&reference.execs).enumerate() {
+            prop_assert_eq!((e.id, e.composite, e.members.clone(), e.is_virtual), r.clone(), "exec {}", i);
+            prop_assert_eq!(vr.exec_index_by_id(e.id), Some(i as u32));
+            prop_assert_eq!(vr.exec_by_id(e.id), Some(e));
+            prop_assert_eq!(vr.exec_at(vr.node_of_exec(i as u32)), Some(e));
+            prop_assert_eq!(vr.exec_of_step(e.id).is_some(), !e.is_virtual);
+            let (inputs, outputs) = &reference.io[i];
+            prop_assert_eq!(&vr.inputs_of(i as u32), inputs);
+            prop_assert_eq!(&vr.outputs_of(i as u32), outputs);
+        }
+        for (node, weight) in run.graph().nodes() {
+            let RunNode::Step { id, .. } = weight else {
+                prop_assert!(vr.exec_at_run_node(node).is_none());
+                continue;
+            };
+            let i = reference.exec_of_node[node.index()].expect("steps have executions");
+            let e = &vr.execs()[i];
+            prop_assert_eq!(vr.exec_at_run_node(node), Some(e));
+            prop_assert_eq!(vr.exec_of_step(*id), Some(e));
+            // A member of a virtual execution is not an execution id.
+            prop_assert_eq!(vr.exec_index_by_id(*id).is_some(), !e.is_virtual);
+        }
+        prop_assert_eq!(
+            vr.visible_data(),
+            reference.producer.keys().copied().collect::<Vec<_>>()
+        );
+        for d in run.all_data() {
+            let want = reference.producer.get(&d).map(|&p| match p {
+                None => vr.input(),
+                Some(i) => vr.node_of_exec(i as u32),
+            });
+            prop_assert_eq!(vr.producer_node(d), want);
+            prop_assert_eq!(vr.is_visible(d), want.is_some());
+        }
+    }
+}
+
+/// What [`reference_view_run`] derives: executions as
+/// `(id, composite, members, is_virtual)` in order, each one's
+/// `(inputs, outputs)`, the execution of every run node, and the producing
+/// execution of every visible datum (`None` = the input node).
+struct Reference {
+    execs: Vec<(StepId, CompositeId, Vec<StepId>, bool)>,
+    io: Vec<(Vec<DataId>, Vec<DataId>)>,
+    exec_of_node: Vec<Option<usize>>,
+    producer: BTreeMap<DataId, Option<usize>>,
+}
+
+/// The view-run of Section II computed the plain way: executions are the
+/// weakly connected components of each multi-module composite's steps
+/// (found by flood fill), singleton composites keep one execution per
+/// step, and the visible data are those on edges between different
+/// executions.
+fn reference_view_run(run: &WorkflowRun, view: &UserView) -> Reference {
+    let g = run.graph();
+    let n = g.node_count();
+    let comp = |node: NodeId| match g.node(node) {
+        RunNode::Step { module, .. } => Some(view.composite_of(*module)),
+        _ => None,
+    };
+    let step = |node: NodeId| run.step_at(node).map(|(s, _)| s);
+    let grouping = |node: NodeId| comp(node).filter(|&c| view.members(c).len() > 1);
+
+    // Flood-fill components, then order them by smallest member step.
+    let mut component: Vec<Option<usize>> = vec![None; n];
+    let mut groups: Vec<Vec<NodeId>> = Vec::new();
+    for start in g.node_ids() {
+        if comp(start).is_none() || component[start.index()].is_some() {
+            continue;
+        }
+        let mut members = vec![start];
+        component[start.index()] = Some(groups.len());
+        let mut stack = vec![start];
+        while let Some(x) = stack.pop() {
+            let Some(c) = grouping(x) else { continue };
+            for y in g.successors(x).chain(g.predecessors(x)) {
+                if grouping(y) == Some(c) && component[y.index()].is_none() {
+                    component[y.index()] = Some(groups.len());
+                    members.push(y);
+                    stack.push(y);
+                }
+            }
+        }
+        members.sort_by_key(|&m| step(m));
+        groups.push(members);
+    }
+    groups.sort_by_key(|g| step(g[0]));
+
+    let max_step = run.steps().map(|(s, _)| s.0).max().unwrap_or(0);
+    let mut next_virtual = max_step;
+    let mut exec_of_node: Vec<Option<usize>> = vec![None; n];
+    let mut execs = Vec::new();
+    for (i, members) in groups.iter().enumerate() {
+        let c = comp(members[0]).expect("steps");
+        let is_virtual = members.len() > 1 || view.members(c).len() > 1;
+        let id = if is_virtual {
+            next_virtual += 1;
+            StepId(next_virtual)
+        } else {
+            step(members[0]).expect("steps")
+        };
+        for m in members {
+            exec_of_node[m.index()] = Some(i);
+        }
+        let steps = members.iter().map(|&m| step(m).expect("steps")).collect();
+        execs.push((id, c, steps, is_virtual));
+    }
+
+    // Edges between different executions (input and output count as their
+    // own endpoints) carry the visible data.
+    let endpoint = |node: NodeId| match exec_of_node[node.index()] {
+        Some(i) => i as isize,
+        None if node == run.input() => -1,
+        None => -2,
+    };
+    let mut io = vec![(Vec::new(), Vec::new()); execs.len()];
+    let mut producer = BTreeMap::new();
+    for (e, s, t, _) in g.edges() {
+        if endpoint(s) == endpoint(t) {
+            continue;
+        }
+        for &d in g.edge(e) {
+            producer.insert(d, exec_of_node[s.index()]);
+            if let Some(i) = exec_of_node[s.index()] {
+                io[i].1.push(d);
+            }
+            if let Some(i) = exec_of_node[t.index()] {
+                io[i].0.push(d);
+            }
+        }
+    }
+    for (inputs, outputs) in &mut io {
+        for v in [inputs, outputs] {
+            v.sort();
+            v.dedup();
+        }
+    }
+    Reference {
+        execs,
+        io,
+        exec_of_node,
+        producer,
     }
 }

@@ -12,26 +12,59 @@
 //! The cache is bounded: long sessions touching many `(run, view)` pairs
 //! evict least-recently-used entries — whole runs first, since a run the
 //! user has navigated away from is unlikely to be revisited view-by-view —
-//! instead of growing without limit.
+//! instead of growing without limit. Entries are grouped by run
+//! (`RunId → { last_used, views }`), so choosing and dropping the victim is
+//! one allocation-free scan over the cached runs, and invalidating a run is
+//! a single removal.
 
-use crate::fxhash::FxHashMap;
 use crate::metrics::CacheMetrics;
 use crate::schema::{RunId, ViewId};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use zoom_graph::fxhash::FxHashMap;
 use zoom_model::ViewRun;
 
 /// Default entry cap (`(run, view)` pairs) before eviction kicks in.
 pub const DEFAULT_VIEW_RUN_CAPACITY: usize = 1024;
 
+/// One cached view of a run.
 #[derive(Debug)]
-struct CacheEntry {
+struct ViewEntry {
+    view: ViewId,
     vr: Arc<ViewRun>,
     /// Logical timestamp of the last hit (a global tick, not wall clock),
     /// updated under the read lock so hits never serialize.
     last_used: AtomicU64,
+}
+
+/// The cached views of one run. Never empty while in the map.
+#[derive(Debug)]
+struct RunEntry {
+    /// The newest `last_used` among `views` — raised with `fetch_max` on
+    /// every touch, recomputed when a view is dropped.
+    last_used: AtomicU64,
+    views: Vec<ViewEntry>,
+}
+
+impl RunEntry {
+    /// Re-derives `last_used` after views were dropped.
+    fn refresh_last_used(&mut self) {
+        let newest = self
+            .views
+            .iter()
+            .map(|e| e.last_used.load(Ordering::Relaxed))
+            .max();
+        *self.last_used.get_mut() = newest.unwrap_or(0);
+    }
+}
+
+/// The runs and the total `(run, view)` entry count, under one lock.
+#[derive(Debug, Default)]
+struct Entries {
+    runs: FxHashMap<RunId, RunEntry>,
+    len: usize,
 }
 
 /// A concurrent, bounded `(run, view) → ViewRun` cache.
@@ -46,7 +79,7 @@ struct CacheEntry {
 /// entries actually inserted.
 #[derive(Debug)]
 pub struct ViewRunCache {
-    map: RwLock<FxHashMap<(RunId, ViewId), CacheEntry>>,
+    map: RwLock<Entries>,
     hits: AtomicU64,
     misses: AtomicU64,
     race_lost_builds: AtomicU64,
@@ -59,7 +92,7 @@ pub struct ViewRunCache {
 impl Default for ViewRunCache {
     fn default() -> Self {
         ViewRunCache {
-            map: RwLock::new(FxHashMap::default()),
+            map: RwLock::new(Entries::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             race_lost_builds: AtomicU64::new(0),
@@ -96,9 +129,10 @@ impl ViewRunCache {
     }
 
     #[inline]
-    fn touch(&self, entry: &CacheEntry) {
+    fn touch(&self, run: &RunEntry, entry: &ViewEntry) {
         let t = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         entry.last_used.store(t, Ordering::Relaxed);
+        run.last_used.fetch_max(t, Ordering::Relaxed);
     }
 
     /// Returns the cached view-run, or materializes it with `build` and
@@ -108,10 +142,14 @@ impl ViewRunCache {
         key: (RunId, ViewId),
         build: impl FnOnce() -> ViewRun,
     ) -> Arc<ViewRun> {
-        if let Some(entry) = self.map.read().get(&key) {
-            self.touch(entry);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.vr.clone();
+        let (run_id, view_id) = key;
+        {
+            let map = self.map.read();
+            if let Some((run, entry)) = lookup(&map, key) {
+                self.touch(run, entry);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return entry.vr.clone();
+            }
         }
         // Build outside the lock; a racing builder costs duplicate work but
         // never blocks readers for the duration of materialization.
@@ -119,11 +157,11 @@ impl ViewRunCache {
         let vr = Arc::new(build());
         let nanos = start.elapsed().as_nanos() as u64;
         let mut map = self.map.write();
-        if let Some(existing) = map.get(&key) {
+        if let Some((run, existing)) = lookup(&map, key) {
             // Lost the insert race: the query is still answered from the
             // cache, so count it as a hit — not a second miss — keeping
             // hits + misses == queries.
-            self.touch(existing);
+            self.touch(run, existing);
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.race_lost_builds.fetch_add(1, Ordering::Relaxed);
             return existing.vr.clone();
@@ -131,67 +169,64 @@ impl ViewRunCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.build_nanos.fetch_add(nanos, Ordering::Relaxed);
         let cap = self.capacity.load(Ordering::Relaxed);
-        if cap > 0 && map.len() >= cap {
-            self.evict_locked(&mut map, key.0);
+        if cap > 0 && map.len >= cap {
+            self.evict_locked(&mut map, run_id);
         }
-        let entry = CacheEntry {
+        let run = map.runs.entry(run_id).or_insert_with(|| RunEntry {
+            last_used: AtomicU64::new(0),
+            views: Vec::new(),
+        });
+        run.views.push(ViewEntry {
+            view: view_id,
             vr: vr.clone(),
             last_used: AtomicU64::new(0),
-        };
-        self.touch(&entry);
-        map.insert(key, entry);
+        });
+        self.touch(run, run.views.last().expect("just pushed"));
+        map.len += 1;
         vr
     }
 
     /// Evicts the least-recently-used *run* (the run whose most recent hit
     /// is oldest), preferring a run other than `incoming` so an active
     /// run's view set is not cannibalized; when `incoming` is the only run
-    /// cached, evicts its single oldest entry instead.
-    fn evict_locked(&self, map: &mut FxHashMap<(RunId, ViewId), CacheEntry>, incoming: RunId) {
-        let mut victim: Option<(RunId, u64)> = None;
-        let mut last_used_of_run: FxHashMap<RunId, u64> = FxHashMap::default();
-        for (&(run, _), entry) in map.iter() {
-            let t = entry.last_used.load(Ordering::Relaxed);
-            let slot = last_used_of_run.entry(run).or_insert(0);
-            *slot = (*slot).max(t);
-        }
-        for (&run, &t) in &last_used_of_run {
-            if run == incoming && last_used_of_run.len() > 1 {
-                continue;
-            }
-            if victim.is_none_or(|(_, best)| t < best) {
-                victim = Some((run, t));
-            }
-        }
-        let Some((victim_run, _)) = victim else {
+    /// cached, evicts its single oldest view instead.
+    fn evict_locked(&self, map: &mut Entries, incoming: RunId) {
+        let only_run = map.runs.len() == 1;
+        let victim = map
+            .runs
+            .iter()
+            .filter(|&(&run, _)| only_run || run != incoming)
+            .min_by_key(|(_, r)| r.last_used.load(Ordering::Relaxed))
+            .map(|(&run, _)| run);
+        let Some(victim) = victim else {
             return;
         };
-        if victim_run == incoming {
+        let shed = if victim == incoming {
             // Only the incoming run is cached: shed its single oldest view.
-            if let Some(&oldest) = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k)
-            {
-                map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+            let run = map.runs.get_mut(&victim).expect("victim is cached");
+            let oldest = (0..run.views.len())
+                .min_by_key(|&i| run.views[i].last_used.load(Ordering::Relaxed))
+                .expect("cached runs hold at least one view");
+            run.views.swap_remove(oldest);
+            if run.views.is_empty() {
+                map.runs.remove(&victim);
             }
+            1
         } else {
-            let before = map.len();
-            map.retain(|&(r, _), _| r != victim_run);
-            self.evictions
-                .fetch_add((before - map.len()) as u64, Ordering::Relaxed);
-        }
+            map.runs.remove(&victim).map_or(0, |r| r.views.len())
+        };
+        map.len -= shed;
+        self.evictions.fetch_add(shed as u64, Ordering::Relaxed);
     }
 
     /// Current number of cached view-runs.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.map.read().len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.len() == 0
     }
 
     /// `(hits, misses)` counters.
@@ -217,25 +252,57 @@ impl ViewRunCache {
     /// Drops every cached entry (e.g. after bulk loads, or for benchmarks
     /// that must measure cold queries).
     pub fn clear(&self) {
-        self.map.write().clear();
+        *self.map.write() = Entries::default();
     }
 
     /// Drops the entries for one run.
     pub fn invalidate_run(&self, run: RunId) {
-        self.map.write().retain(|&(r, _), _| r != run);
+        let mut map = self.map.write();
+        if let Some(r) = map.runs.remove(&run) {
+            map.len -= r.views.len();
+        }
     }
 
     /// Drops the entries for one view.
     pub fn invalidate_view(&self, view: ViewId) {
-        self.map.write().retain(|&(_, v), _| v != view);
+        let mut map = self.map.write();
+        let mut dropped = 0;
+        map.runs.retain(|_, run| {
+            let before = run.views.len();
+            run.views.retain(|e| e.view != view);
+            if run.views.len() < before {
+                dropped += before - run.views.len();
+                run.refresh_last_used();
+            }
+            !run.views.is_empty()
+        });
+        map.len -= dropped;
     }
+}
+
+/// The cached entry for `key` and its run.
+fn lookup(map: &Entries, (run, view): (RunId, ViewId)) -> Option<(&RunEntry, &ViewEntry)> {
+    let r = map.runs.get(&run)?;
+    Some((r, r.views.iter().find(|e| e.view == view)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Barrier;
     use zoom_model::{RunBuilder, SpecBuilder, UserView};
+
+    /// The cached `(run, view)` keys.
+    fn cached_keys(cache: &ViewRunCache) -> BTreeSet<(RunId, ViewId)> {
+        let map = cache.map.read();
+        map.runs
+            .iter()
+            .flat_map(|(&r, run)| run.views.iter().map(move |e| (r, e.view)))
+            .collect()
+    }
 
     fn a_view_run() -> ViewRun {
         let mut b = SpecBuilder::new("c");
@@ -368,10 +435,10 @@ mod tests {
         let m = cache.metrics();
         assert_eq!(m.evictions, 2);
         assert_eq!(cache.len(), 3);
-        let map = cache.map.read();
-        assert!(map.keys().all(|&(r, _)| r != RunId(2)));
-        assert!(map.contains_key(&(RunId(1), ViewId(1))));
-        assert!(map.contains_key(&(RunId(3), ViewId(1))));
+        let map = cached_keys(&cache);
+        assert!(map.iter().all(|&(r, _)| r != RunId(2)));
+        assert!(map.contains(&(RunId(1), ViewId(1))));
+        assert!(map.contains(&(RunId(3), ViewId(1))));
     }
 
     /// When the incoming run is the only run cached, eviction sheds its
@@ -385,10 +452,10 @@ mod tests {
         cache.get_or_build((RunId(1), ViewId(3)), a_view_run);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.metrics().evictions, 1);
-        let map = cache.map.read();
-        assert!(!map.contains_key(&(RunId(1), ViewId(1))));
-        assert!(map.contains_key(&(RunId(1), ViewId(2))));
-        assert!(map.contains_key(&(RunId(1), ViewId(3))));
+        let map = cached_keys(&cache);
+        assert!(!map.contains(&(RunId(1), ViewId(1))));
+        assert!(map.contains(&(RunId(1), ViewId(2))));
+        assert!(map.contains(&(RunId(1), ViewId(3))));
     }
 
     #[test]
@@ -406,5 +473,97 @@ mod tests {
         cache.get_or_build((RunId(2), ViewId(1)), a_view_run);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.metrics().evictions, 100);
+    }
+
+    /// The LRU-run rule over a flat `(run, view) → last use` map: on a miss
+    /// at capacity, drop every view of the run whose newest use is oldest
+    /// (never the incoming run while another run is cached); if the
+    /// incoming run is the only one, drop its oldest view.
+    #[derive(Default)]
+    struct Model {
+        cap: usize,
+        tick: u64,
+        entries: BTreeMap<(RunId, ViewId), u64>,
+        evictions: u64,
+        single_run_sheds: u64,
+    }
+
+    impl Model {
+        fn get(&mut self, key: (RunId, ViewId)) {
+            self.tick += 1;
+            if let Some(t) = self.entries.get_mut(&key) {
+                *t = self.tick;
+                return;
+            }
+            if self.cap > 0 && self.entries.len() >= self.cap {
+                let mut newest: BTreeMap<RunId, u64> = BTreeMap::new();
+                for (&(r, _), &t) in &self.entries {
+                    let slot = newest.entry(r).or_insert(0);
+                    *slot = (*slot).max(t);
+                }
+                let only_run = newest.len() == 1;
+                let (&victim, _) = newest
+                    .iter()
+                    .filter(|&(&r, _)| only_run || r != key.0)
+                    .min_by_key(|&(_, &t)| t)
+                    .expect("a full cache holds a run");
+                let before = self.entries.len();
+                if victim == key.0 {
+                    let (&oldest, _) = self.entries.iter().min_by_key(|&(_, &t)| t).unwrap();
+                    self.entries.remove(&oldest);
+                    self.single_run_sheds += 1;
+                } else {
+                    self.entries.retain(|&(r, _), _| r != victim);
+                }
+                self.evictions += (before - self.entries.len()) as u64;
+            }
+            self.entries.insert(key, self.tick);
+        }
+    }
+
+    /// A seeded mix of lookups and invalidations across ~20 runs on a
+    /// capacity-8 cache agrees with [`Model`] after every call: same keys,
+    /// same eviction count, same length. Every fifth block of calls stays
+    /// on two runs, so the single-run branch of the rule is exercised too.
+    #[test]
+    fn eviction_matches_lru_run_model() {
+        let cache = ViewRunCache::with_capacity(8);
+        let mut model = Model {
+            cap: 8,
+            ..Model::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0x2008);
+        for step in 0..5000 {
+            let runs = if step / 200 % 5 == 4 { 2 } else { 20 };
+            let run = RunId(rng.random_range(0u32..runs));
+            let view = ViewId(rng.random_range(0u32..12));
+            match rng.random_range(0u32..100) {
+                0..=3 => {
+                    cache.invalidate_run(run);
+                    model.entries.retain(|&(r, _), _| r != run);
+                }
+                4..=5 => {
+                    cache.invalidate_view(view);
+                    model.entries.retain(|&(_, v), _| v != view);
+                }
+                _ => {
+                    cache.get_or_build((run, view), a_view_run);
+                    model.get((run, view));
+                }
+            }
+            let keys: BTreeSet<_> = model.entries.keys().copied().collect();
+            assert_eq!(cached_keys(&cache), keys, "keys diverge at step {step}");
+            assert_eq!(cache.len(), model.entries.len(), "len at step {step}");
+            assert_eq!(
+                cache.metrics().evictions,
+                model.evictions,
+                "evictions at step {step}"
+            );
+        }
+        assert!(model.evictions > model.single_run_sheds);
+        assert!(
+            model.single_run_sheds > 0,
+            "the single-run branch never ran"
+        );
     }
 }

@@ -23,7 +23,6 @@
 //!
 //! [`ViewRunCache`]: crate::cache::ViewRunCache
 
-use crate::fxhash::FxHashMap;
 use crate::resilience::{Deadline, Interrupt};
 use crate::schema::RunId;
 use parking_lot::RwLock;
@@ -32,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use zoom_graph::algo::topo::topological_sort;
+use zoom_graph::fxhash::FxHashMap;
 use zoom_graph::{BitSet, NodeId};
 use zoom_model::{ModelError, WorkflowRun};
 

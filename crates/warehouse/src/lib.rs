@@ -46,14 +46,12 @@
 //! * [`wire`] — the `zoomd` wire layer: capped checksummed frames over
 //!   the codec, request/response messages, the run-sharding router, and
 //!   the per-tenant quota table;
-//! * [`codec`] — the bincode-style serde format behind persistence;
-//! * [`fxhash`] — fast hashing for the integer-keyed indexes.
+//! * [`codec`] — the bincode-style serde format behind persistence.
 
 pub mod cache;
 pub mod chaos;
 pub mod codec;
 pub mod durable;
-pub mod fxhash;
 pub mod index;
 pub mod io;
 pub mod journal;

@@ -7,13 +7,13 @@
 //! rebuilt lazily after load.
 
 use crate::codec::{self, CodecError};
-use crate::fxhash::FxHashMap;
 use crate::io::{RealFs, StorageIo};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow};
 use crate::store::Warehouse;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
+use zoom_graph::fxhash::FxHashMap;
 use zoom_model::{ModelError, WorkflowSpec};
 
 /// Magic bytes identifying a warehouse snapshot.

@@ -198,6 +198,21 @@ pub fn immediate_provenance(
     }))
 }
 
+/// The (possibly virtual) execution id of run-graph node `node`: `None`
+/// for the input/output endpoints, an error for a step the view-run has no
+/// execution for (it was built from a different run). One dense array load
+/// on the answer path; the run is only consulted to name the orphan.
+#[inline]
+fn exec_id_at(run: &WorkflowRun, vr: &ViewRun, node: NodeId) -> Result<Option<StepId>, QueryError> {
+    if let Some(e) = vr.exec_at_run_node(node) {
+        return Ok(Some(e.id));
+    }
+    match run.step_at(node) {
+        Some((sid, _)) => Err(QueryError::StepWithoutExec { step: sid }),
+        None => Ok(None),
+    }
+}
+
 /// Projects a base backward closure (given as the visited-node set,
 /// including the producer of `d` itself) to the view level: visible closure
 /// data with their view-level producers, plus the composite executions the
@@ -226,33 +241,24 @@ fn project_deep_members(
     deadline: &mut Deadline,
 ) -> Result<ProvenanceResult, QueryFailure> {
     let g = run.graph();
-    let exec_id_of_run_node = |node: NodeId| -> Result<Option<StepId>, QueryError> {
-        let Some((sid, _)) = run.step_at(node) else {
-            return Ok(None);
-        };
-        match vr.exec_of_step(sid) {
-            Some(e) => Ok(Some(e.id)),
-            None => Err(QueryError::StepWithoutExec { step: sid }),
-        }
-    };
     let mut rows: Vec<ProvenanceRow> = Vec::new();
     let mut execs: Vec<StepId> = Vec::new();
     rows.push(ProvenanceRow {
         data: d,
         producer: match run.producer_node(d) {
-            Some(n) => exec_id_of_run_node(n)?,
+            Some(n) => exec_id_at(run, vr, n)?,
             None => None,
         },
     });
     for i in members {
         deadline.tick()?;
         let n = NodeId::from_index(i);
-        if let Some(e) = exec_id_of_run_node(n)? {
+        if let Some(e) = exec_id_at(run, vr, n)? {
             execs.push(e);
         }
         for edge in g.in_edges(n) {
             let src = g.source(edge);
-            let src_id = exec_id_of_run_node(src)?;
+            let src_id = exec_id_at(run, vr, src)?;
             for &x in g.edge(edge) {
                 if vr.is_visible(x) {
                     rows.push(ProvenanceRow {
@@ -407,31 +413,22 @@ pub fn deep_provenance_bfs(
         }
     }
 
-    let exec_id_of_run_node = |node: NodeId| -> Result<Option<StepId>, QueryError> {
-        let Some((sid, _)) = run.step_at(node) else {
-            return Ok(None);
-        };
-        match vr.exec_of_step(sid) {
-            Some(e) => Ok(Some(e.id)),
-            None => Err(QueryError::StepWithoutExec { step: sid }),
-        }
-    };
     let mut rows: Vec<ProvenanceRow> = Vec::new();
     let mut execs: Vec<StepId> = Vec::new();
     rows.push(ProvenanceRow {
         data: d,
-        producer: exec_id_of_run_node(start)?,
+        producer: exec_id_at(run, vr, start)?,
     });
     for n in g.node_ids() {
         if !visited.contains(n.index()) {
             continue;
         }
-        if let Some(e) = exec_id_of_run_node(n)? {
+        if let Some(e) = exec_id_at(run, vr, n)? {
             execs.push(e);
         }
         for edge in g.in_edges(n) {
             let src = g.source(edge);
-            let src_id = exec_id_of_run_node(src)?;
+            let src_id = exec_id_at(run, vr, src)?;
             for &x in g.edge(edge) {
                 if vr.is_visible(x) {
                     rows.push(ProvenanceRow {

@@ -9,7 +9,6 @@
 //! (materialize base structures once, reuse across view switches).
 
 use crate::cache::ViewRunCache;
-use crate::fxhash::FxHashMap;
 use crate::index::{IndexBuildError, ProvenanceIndex, ProvenanceIndexCache, RunKeyedCache};
 use crate::labels::LabelIndex;
 use crate::metrics::{IndexMetrics, MetricsRegistry, MetricsSnapshot, QueryKind, ViewClass};
@@ -23,6 +22,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use zoom_graph::fxhash::FxHashMap;
 use zoom_model::{
     DataId, EventLog, LogEvent, ModelError, UserInputMeta, UserView, ViewRun, WorkflowRun,
     WorkflowSpec,

@@ -23,8 +23,8 @@
 //! contract `LabelIndex::append_node` needs to extend the interval index
 //! without a rebuild.
 
-use crate::fxhash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
+use zoom_graph::fxhash::{FxHashMap, FxHashSet};
 use zoom_model::ids::{DataId, StepId, Timestamp};
 use zoom_model::{LogEvent, StepAppend, UserInputMeta, WorkflowRun, WorkflowSpec};
 

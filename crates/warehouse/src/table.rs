@@ -6,8 +6,8 @@
 //! never updated in place); the primary key maps to the row slot, and each
 //! secondary index maps an extracted key to the matching row slots.
 
-use crate::fxhash::FxHashMap;
 use std::hash::Hash;
+use zoom_graph::fxhash::FxHashMap;
 
 /// An append-only table of `Row`s with primary key `K`.
 #[derive(Clone, Debug)]

@@ -832,7 +832,7 @@ pub struct ShardRouter {
     /// failed load consumes no id (exactly like a single warehouse).
     alloc: Mutex<u32>,
     /// Global run id → (shard index, shard-local run id).
-    runs: RwLock<crate::fxhash::FxHashMap<u32, (usize, RunId)>>,
+    runs: RwLock<zoom_graph::fxhash::FxHashMap<u32, (usize, RunId)>>,
     /// Per-tenant visibility policies (DESIGN.md §16). Enforcement runs
     /// *before* dispatch — the daemon rewrites a restricted tenant's
     /// query to its effective view, so the shards never need to know
@@ -860,7 +860,7 @@ impl ShardRouter {
             registration: Mutex::new(()),
             alloc: Mutex::new(0),
             policies: crate::privacy::PolicyTable::new(),
-            runs: RwLock::new(crate::fxhash::FxHashMap::default()),
+            runs: RwLock::new(zoom_graph::fxhash::FxHashMap::default()),
         }
     }
 
@@ -945,7 +945,7 @@ impl ShardRouter {
             registration: Mutex::new(()),
             alloc: Mutex::new(0),
             policies: crate::privacy::PolicyTable::new(),
-            runs: RwLock::new(crate::fxhash::FxHashMap::default()),
+            runs: RwLock::new(zoom_graph::fxhash::FxHashMap::default()),
         };
         // Rebuild the global run map: global ids were handed out densely,
         // each one owned by `shard_of(id)`, and each shard assigned its
