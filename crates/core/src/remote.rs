@@ -1,8 +1,8 @@
 //! [`RemoteZoom`]: the client half of the `zoomd` wire protocol — the
 //! [`crate::Zoom`] facade surface over a TCP connection.
 //!
-//! A `RemoteZoom` is one socket carrying one logical session (opened at
-//! connect time); every facade call is one request/response round trip.
+//! A `RemoteZoom` is one socket billed to one tenant (named at connect
+//! time); every facade call is one request/response round trip.
 //! Because the daemon allocates spec/view/run ids in exactly the sequence
 //! a single in-process warehouse would, and renders errors with the same
 //! `Display` strings, a recorded trace replays against a fresh daemon
@@ -99,7 +99,7 @@ fn unexpected(resp: Response) -> RemoteError {
 #[derive(Clone, Copy, Debug)]
 pub struct RemoteRetry {
     /// TCP re-establish attempts after a broken connection (each re-sends
-    /// `Hello` with the original tenant and opens a fresh session).
+    /// `Hello` with the original tenant).
     pub max_reconnects: u32,
     /// First reconnect backoff; doubles per attempt.
     pub base_backoff: Duration,
@@ -150,7 +150,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn establish(addr: SocketAddr, tenant: &str) -> RemoteResult<(Conn, u64)> {
+    fn establish(addr: SocketAddr, tenant: &str) -> RemoteResult<Conn> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         let mut conn = Conn {
@@ -160,14 +160,9 @@ impl Conn {
         match conn.roundtrip(&Request::Hello {
             tenant: tenant.to_string(),
         })? {
-            Response::Ok => {}
-            other => return Err(unexpected(other)),
+            Response::Ok => Ok(conn),
+            other => Err(unexpected(other)),
         }
-        let session = match conn.roundtrip(&Request::OpenSession)? {
-            Response::Session { id } => id,
-            other => return Err(unexpected(other)),
-        };
-        Ok((conn, session))
     }
 
     fn roundtrip(&mut self, req: &Request) -> RemoteResult<Response> {
@@ -211,25 +206,22 @@ fn is_transport(e: &RemoteError) -> bool {
 ///   shard, so a refused mutation was never applied.
 /// * A broken connection (daemon restart, dropped socket) triggers
 ///   reconnection with exponential backoff, re-sending `Hello` with the
-///   original tenant and opening a fresh logical session. Idempotent
-///   requests are then transparently re-sent; non-idempotent ones
-///   (stream appends, id-allocating registrations) fail loudly with
-///   [`RemoteError::ConnectionLost`], because the daemon may have applied
-///   them before the connection died.
+///   original tenant. Idempotent requests are then transparently
+///   re-sent; non-idempotent ones (stream appends, id-allocating
+///   registrations) fail loudly with [`RemoteError::ConnectionLost`],
+///   because the daemon may have applied them before the connection died.
 pub struct RemoteZoom {
     addr: SocketAddr,
     tenant: String,
     retry: RemoteRetry,
     conn: Option<Conn>,
-    session: u64,
     /// Connections re-established since `connect` (observability for
     /// tests and the chaos harness).
     reconnects: u64,
 }
 
 impl RemoteZoom {
-    /// Connects, names the tenant, and opens this client's logical
-    /// session, with the default retry policy.
+    /// Connects and names the tenant, with the default retry policy.
     pub fn connect(addr: impl ToSocketAddrs, tenant: &str) -> RemoteResult<RemoteZoom> {
         Self::connect_with(addr, tenant, RemoteRetry::default())
     }
@@ -244,19 +236,18 @@ impl RemoteZoom {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| RemoteError::Protocol("address resolved to nothing".to_string()))?;
-        let (conn, session) = Conn::establish(addr, tenant)?;
+        let conn = Conn::establish(addr, tenant)?;
         Ok(RemoteZoom {
             addr,
             tenant: tenant.to_string(),
             retry,
             conn: Some(conn),
-            session,
             reconnects: 0,
         })
     }
 
     /// Re-establishes the connection with exponential backoff, re-sending
-    /// `Hello` (same tenant) and opening a fresh logical session.
+    /// `Hello` (same tenant).
     fn reconnect(&mut self) -> RemoteResult<()> {
         self.conn = None;
         let mut backoff = self.retry.base_backoff;
@@ -265,9 +256,8 @@ impl RemoteZoom {
             std::thread::sleep(backoff);
             backoff = (backoff * 2).min(self.retry.max_backoff);
             match Conn::establish(self.addr, &self.tenant) {
-                Ok((conn, session)) => {
+                Ok(conn) => {
                     self.conn = Some(conn);
-                    self.session = session;
                     self.reconnects += 1;
                     return Ok(());
                 }
@@ -360,42 +350,10 @@ impl RemoteZoom {
         self.reconnects
     }
 
-    /// This connection's primary logical session id.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
-
     /// Liveness probe.
     pub fn ping(&mut self) -> RemoteResult<()> {
         match self.call(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Opens an *additional* logical session on this connection (the
-    /// multiplexing primitive the session-soak paths use).
-    pub fn open_session(&mut self) -> RemoteResult<u64> {
-        match self.call(&Request::OpenSession)? {
-            Response::Session { id } => Ok(id),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Closes a logical session opened with [`Self::open_session`].
-    /// (Not re-sent across a reconnect: sessions are connection-scoped,
-    /// so the server released them when the old connection died.)
-    pub fn close_session(&mut self, session: u64) -> RemoteResult<()> {
-        match self.call_mut(&Request::CloseSession { session })? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Open logical sessions daemon-wide.
-    pub fn session_count(&mut self) -> RemoteResult<u64> {
-        match self.call(&Request::SessionCount)? {
-            Response::Count { n } => Ok(n),
             other => Err(unexpected(other)),
         }
     }
@@ -444,7 +402,6 @@ impl RemoteZoom {
     /// reconnect — a lost ack could otherwise double-load the run.
     pub fn load_log(&mut self, spec: SpecId, log: &EventLog) -> RemoteResult<RunId> {
         let req = Request::LoadLog {
-            session: self.session,
             spec,
             log: log.clone(),
         };
@@ -457,10 +414,7 @@ impl RemoteZoom {
     /// `Zoom::begin_stream` against the daemon. Allocates a run id, so it
     /// is not re-sent across a reconnect.
     pub fn begin_stream(&mut self, spec: SpecId) -> RemoteResult<RunId> {
-        let req = Request::BeginStream {
-            session: self.session,
-            spec,
-        };
+        let req = Request::BeginStream { spec };
         match self.call_mut(&req)? {
             Response::Run { id } => Ok(id),
             other => Err(unexpected(other)),
@@ -474,7 +428,6 @@ impl RemoteZoom {
     /// risk appending the event twice.
     pub fn stream_push(&mut self, run: RunId, event: &LogEvent) -> RemoteResult<PushOutcome> {
         let req = Request::StreamPush {
-            session: self.session,
             run,
             event: event.clone(),
         };
@@ -487,10 +440,7 @@ impl RemoteZoom {
     /// Seals an open stream. Not re-sent across a reconnect (see
     /// [`Self::stream_push`]).
     pub fn stream_seal(&mut self, run: RunId) -> RemoteResult<()> {
-        match self.call_mut(&Request::StreamSeal {
-            session: self.session,
-            run,
-        })? {
+        match self.call_mut(&Request::StreamSeal { run })? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -503,12 +453,7 @@ impl RemoteZoom {
         view: ViewId,
         data: DataId,
     ) -> RemoteResult<ProvenanceResult> {
-        let req = Request::DeepProvenance {
-            session: self.session,
-            run,
-            view,
-            data,
-        };
+        let req = Request::DeepProvenance { run, view, data };
         match self.call(&req)? {
             Response::Provenance { result } => Ok(result),
             other => Err(unexpected(other)),
@@ -521,7 +466,6 @@ impl RemoteZoom {
         queries: &[(RunId, ViewId, DataId)],
     ) -> RemoteResult<Vec<RemoteResult<ProvenanceResult>>> {
         let req = Request::QueryBatch {
-            session: self.session,
             queries: queries.to_vec(),
         };
         match self.call(&req)? {
@@ -543,12 +487,7 @@ impl RemoteZoom {
         view: ViewId,
         data: DataId,
     ) -> RemoteResult<ImmediateAnswer> {
-        let req = Request::ImmediateProvenance {
-            session: self.session,
-            run,
-            view,
-            data,
-        };
+        let req = Request::ImmediateProvenance { run, view, data };
         match self.call(&req)? {
             Response::Immediate { answer } => Ok(answer),
             other => Err(unexpected(other)),
@@ -562,12 +501,7 @@ impl RemoteZoom {
         view: ViewId,
         data: DataId,
     ) -> RemoteResult<Vec<DataId>> {
-        self.call_data(&Request::DependentsOf {
-            session: self.session,
-            run,
-            view,
-            data,
-        })
+        self.call_data(&Request::DependentsOf { run, view, data })
     }
 
     /// Data passed between two executions (`None` = input/output node).
@@ -579,7 +513,6 @@ impl RemoteZoom {
         to: Option<StepId>,
     ) -> RemoteResult<Vec<DataId>> {
         self.call_data(&Request::DataBetween {
-            session: self.session,
             run,
             view,
             from,
@@ -589,19 +522,12 @@ impl RemoteZoom {
 
     /// The run's final outputs.
     pub fn final_outputs(&mut self, run: RunId) -> RemoteResult<Vec<DataId>> {
-        self.call_data(&Request::FinalOutputs {
-            session: self.session,
-            run,
-        })
+        self.call_data(&Request::FinalOutputs { run })
     }
 
     /// Every data object visible at `view` over `run`.
     pub fn visible_data(&mut self, run: RunId, view: ViewId) -> RemoteResult<Vec<DataId>> {
-        self.call_data(&Request::VisibleData {
-            session: self.session,
-            run,
-            view,
-        })
+        self.call_data(&Request::VisibleData { run, view })
     }
 
     /// Per-shard table counters, shard order.

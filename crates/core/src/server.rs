@@ -3,33 +3,31 @@
 //!
 //! One [`Daemon`] owns a [`ShardRouter`] (runs hash-partitioned across N
 //! independent warehouse shards) and a TCP accept loop. Each connection
-//! gets its own handler thread, but connections are *multiplexed*: a
-//! client opens any number of logical sessions (`OpenSession`) and tags
-//! every request with a session id, so tens of thousands of concurrent
-//! sessions ride on a handful of sockets without an async runtime.
+//! gets its own handler thread and bills every request to the tenant it
+//! named in `Hello`.
 //!
 //! Isolation guarantees, in order of the blast radius they contain:
 //!
 //! * **Framing**: a connection that sends garbage (bad magic, bad CRC, a
 //!   hostile length prefix, a mid-frame hangup) gets one error reply at
-//!   most and is dropped. Its tenant's sessions are released; nobody
-//!   else notices.
+//!   most and is dropped; nobody else notices.
 //! * **Decoding**: a well-framed payload that fails to decode as a
 //!   [`Request`] answers an error on that frame only — the connection
 //!   survives, because frame boundaries are still trustworthy.
 //! * **Execution**: every shard-touching request runs under
 //!   `catch_unwind`. A panic answers an error on that request, aborts the
-//!   panicking session's in-flight stream (rolling its committed prefix
-//!   back out of memory shards), and leaves the shard lock poisoned —
+//!   panicking request's stream (rolling its committed prefix back out
+//!   of memory shards), and leaves the shard lock poisoned —
 //!   which the router's poison-tolerant locks then ignore, because shard
 //!   mutations validate before they mutate.
-//! * **Tenancy**: sessions and in-flight requests are capped per tenant
+//! * **Tenancy**: in-flight and queued requests are capped per tenant
 //!   ([`TenantQuotaTable`]) *before* per-shard admission control runs, so
-//!   a flooding tenant sheds its own traffic first. Sessions can only be
-//!   closed by the connection that opened them (ids are guessable), the
-//!   quota table itself is bounded against tenant-name churn, and
-//!   `Shutdown` is honoured only with the configured admin token (or,
-//!   tokenless, from loopback peers).
+//!   a flooding tenant sheds its own traffic first. The quota table itself
+//!   is bounded against tenant-name churn, and `Shutdown` is honoured only
+//!   with the configured admin token (or, tokenless, from loopback peers).
+//! * **Privacy**: every tenant-scoped request passes the tenant's
+//!   [`zoom_warehouse::Gate`] — the same enforcement the local facade's
+//!   `*_as` methods call — before it reaches a shard.
 //! * **Storage**: with supervision enabled
 //!   ([`DaemonConfig::supervise_interval`]), a shard whose breaker trips
 //!   is quarantined — out of the write path, still serving reads from
@@ -53,7 +51,7 @@ use zoom_model::UserView;
 use zoom_warehouse::wire::{self, BatchItem, Request, Response, ShardRouter};
 use zoom_warehouse::{
     codec, DurableOptions, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
-    TenantQuotas, ViewId, WarehouseError,
+    TenantQuotas, WarehouseError,
 };
 
 /// How a [`Daemon`] is stood up.
@@ -103,8 +101,8 @@ impl DaemonConfig {
 }
 
 /// See [`wire::lock`]-style rationale: a handler thread that panicked
-/// while holding the session table must not take the table down for every
-/// other connection. Insert/remove on a `FxHashMap` can't leave it
+/// while holding the connection table must not take the table down for
+/// every other connection. Insert/remove on a `FxHashMap` can't leave it
 /// half-mutated in a way later readers would misread.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -113,9 +111,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct ServerState {
     router: ShardRouter,
     quotas: TenantQuotaTable,
-    /// Logical session id → owning tenant.
-    sessions: Mutex<FxHashMap<u64, String>>,
-    next_session: AtomicU64,
     /// Live connection id → socket handle. Handler threads register on
     /// entry and deregister on exit; drain polls this to know when the
     /// daemon is idle, and force-closes the stragglers' sockets when the
@@ -128,25 +123,6 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn open_session(&self, tenant: &str) -> Option<u64> {
-        if !self.quotas.open_session(tenant) {
-            return None;
-        }
-        let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        lock(&self.sessions).insert(id, tenant.to_string());
-        Some(id)
-    }
-
-    fn drop_session(&self, id: u64) {
-        if let Some(tenant) = lock(&self.sessions).remove(&id) {
-            self.quotas.close_session(&tenant);
-        }
-    }
-
-    fn session_count(&self) -> u64 {
-        lock(&self.sessions).len() as u64
-    }
-
     fn begin_shutdown(&self) {
         self.stopping.store(true, Ordering::SeqCst);
         // Unblock the accept loop; the no-op connection is dropped there.
@@ -161,9 +137,6 @@ pub struct DrainReport {
     pub drained: bool,
     /// Connections force-closed at the deadline (0 when `drained`).
     pub conns_aborted: u64,
-    /// Logical sessions still registered when the drain finished —
-    /// their clients never said goodbye.
-    pub sessions_remaining: u64,
     /// Whether the final checkpoint of the healthy shards succeeded.
     pub checkpointed: bool,
     /// Wall-clock duration of the whole drain.
@@ -197,8 +170,6 @@ impl Daemon {
         let state = Arc::new(ServerState {
             router,
             quotas: TenantQuotaTable::new(config.quotas),
-            sessions: Mutex::new(FxHashMap::default()),
-            next_session: AtomicU64::new(1),
             conns: Mutex::new(FxHashMap::default()),
             next_conn: AtomicU64::new(1),
             stopping: AtomicBool::new(false),
@@ -246,11 +217,6 @@ impl Daemon {
     /// The shard count the daemon is serving with.
     pub fn shard_count(&self) -> usize {
         self.state.router.shard_count()
-    }
-
-    /// Open logical sessions across every tenant, right now.
-    pub fn session_count(&self) -> u64 {
-        self.state.session_count()
     }
 
     /// Whether the accept loop is still running (false once someone sent
@@ -301,10 +267,8 @@ impl Daemon {
     ///
     /// Connections that outlive `deadline` have their sockets
     /// force-closed (their handler threads notice the broken stream and
-    /// release their sessions on the way out); the report says how many
-    /// needed that, and whether logical sessions were still open when the
-    /// drain finished — a caller that wants "clean shutdown or a nonzero
-    /// exit" checks `drained && sessions_remaining == 0`.
+    /// exit); the report says how many needed that — a caller that wants
+    /// "clean shutdown or a nonzero exit" checks `drained`.
     pub fn drain(&mut self, deadline: Duration) -> DrainReport {
         let started = Instant::now();
         self.state.begin_shutdown();
@@ -326,22 +290,11 @@ impl Daemon {
                 let _ = sock.shutdown(Shutdown::Both);
                 conns_aborted += 1;
             }
-            // Give the evicted handler threads a beat to unwind and
-            // deregister, so the session count below reflects clients
-            // that genuinely never closed their sessions rather than
-            // threads we outran.
-            let grace = Instant::now();
-            while !lock(&self.state.conns).is_empty()
-                && grace.elapsed() < Duration::from_millis(250)
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
         }
         let checkpointed = self.state.router.checkpoint().is_ok();
         DrainReport {
             drained,
             conns_aborted,
-            sessions_remaining: self.state.session_count(),
             checkpointed,
             nanos: started.elapsed().as_nanos() as u64,
         }
@@ -410,12 +363,10 @@ impl Drop for Daemon {
     }
 }
 
-/// Connection-scoped state: the tenant it bills to, the sessions it
-/// opened (released on disconnect, however rude), and whether the peer
+/// Connection-scoped state: the tenant it bills to, and whether the peer
 /// is loopback (what tokenless `Shutdown` is gated on).
 struct ConnState {
     tenant: String,
-    sessions: Vec<u64>,
     is_local: bool,
 }
 
@@ -438,7 +389,6 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
     let mut writer = BufWriter::new(stream);
     let mut conn = ConnState {
         tenant: "anon".to_string(),
-        sessions: Vec::new(),
         is_local,
     };
     loop {
@@ -482,9 +432,6 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream) {
             break;
         }
     }
-    for sid in conn.sessions.drain(..) {
-        state.drop_session(sid);
-    }
     lock(&state.conns).remove(&conn_id);
 }
 
@@ -506,36 +453,6 @@ fn dispatch(state: &Arc<ServerState>, conn: &mut ConnState, req: &Request) -> Re
             }
             conn.tenant = tenant.clone();
             return Response::Ok;
-        }
-        Request::OpenSession => {
-            return match state.open_session(&conn.tenant) {
-                Some(id) => {
-                    conn.sessions.push(id);
-                    Response::Session { id }
-                }
-                None => Response::Error {
-                    message: format!("tenant `{}` is at its session cap", conn.tenant),
-                },
-            };
-        }
-        Request::CloseSession { session } => {
-            // Session ids are sequential and guessable: only sessions
-            // this connection opened may be closed, or any client could
-            // close other tenants' sessions and corrupt their quota
-            // accounting.
-            let Some(pos) = conn.sessions.iter().position(|s| s == session) else {
-                return Response::Error {
-                    message: format!("session {session} was not opened on this connection"),
-                };
-            };
-            conn.sessions.swap_remove(pos);
-            state.drop_session(*session);
-            return Response::Ok;
-        }
-        Request::SessionCount => {
-            return Response::Count {
-                n: state.session_count(),
-            };
         }
         Request::Shutdown { token } => {
             // Stopping the daemon stops every tenant: honour it only for
@@ -565,8 +482,8 @@ fn dispatch(state: &Arc<ServerState>, conn: &mut ConnState, req: &Request) -> Re
     };
 
     // A panic inside one request must answer *that* request with an
-    // error, not take the connection thread (and with it every other
-    // logical session multiplexed on it) down.
+    // error, not take the connection thread (and every later request on
+    // it) down.
     //
     // Tag the handler thread with the requesting tenant for the duration
     // of the request, so shard-side observability (the slow-query ring)
@@ -615,127 +532,6 @@ fn err(e: WarehouseError) -> Response {
     }
 }
 
-/// What visibility enforcement decided for one `(run, view)` query.
-enum Enforced {
-    /// Execute, against this (possibly substituted) view.
-    Allow(ViewId),
-    /// Refuse; the payload is byte-identical to the error the same
-    /// request would render if the run did not exist at all.
-    Deny(String),
-}
-
-/// Enforcement for a view-addressed query: resolves the run's spec, then
-/// asks the policy table for a decision. A run the router cannot resolve
-/// passes through so the natural `RunNotFound` path renders downstream;
-/// internal policy errors fail *closed* (deny as absence) — an error
-/// reply here would itself confirm the run exists.
-fn enforce_view(
-    state: &ServerState,
-    tenant: &str,
-    run: zoom_warehouse::RunId,
-    view: ViewId,
-) -> Enforced {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return Enforced::Allow(view);
-    }
-    let Ok(spec) = router.spec_of_run(run) else {
-        return Enforced::Allow(view);
-    };
-    let sink = router.policy_sink();
-    let absent = || WarehouseError::RunNotFound(run).to_string();
-    match policies.spec_denied(tenant, spec, router, &sink) {
-        Ok(true) | Err(_) => return Enforced::Deny(absent()),
-        Ok(false) => {}
-    }
-    match policies.view_decision(tenant, spec, view, router, &sink) {
-        Ok(zoom_warehouse::Decision::Pass) => Enforced::Allow(view),
-        Ok(zoom_warehouse::Decision::Substitute(v)) => Enforced::Allow(v),
-        Ok(zoom_warehouse::Decision::Deny) | Err(_) => Enforced::Deny(absent()),
-    }
-}
-
-/// Enforcement for a run-addressed (viewless) request: denied specs
-/// render as the run being absent.
-fn enforce_run(state: &ServerState, tenant: &str, run: zoom_warehouse::RunId) -> Option<String> {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return None;
-    }
-    let Ok(spec) = router.spec_of_run(run) else {
-        return None;
-    };
-    match policies.spec_denied(tenant, spec, router, &router.policy_sink()) {
-        Ok(false) => None,
-        Ok(true) | Err(_) => Some(WarehouseError::RunNotFound(run).to_string()),
-    }
-}
-
-/// Enforcement for a spec-addressed request (ingest, view building):
-/// denied specs render as the spec being absent.
-fn enforce_spec(state: &ServerState, tenant: &str, spec: zoom_warehouse::SpecId) -> Option<String> {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return None;
-    }
-    match policies.spec_denied(tenant, spec, router, &router.policy_sink()) {
-        Ok(false) => None,
-        Ok(true) | Err(_) => Some(WarehouseError::SpecNotFound(spec).to_string()),
-    }
-}
-
-/// Post-registration enforcement for requests that *return* a view id:
-/// a restricted tenant gets the effective (meet) id back, so the id it
-/// holds is already safe to query with, and never finer than its policy
-/// allows.
-fn effective_view_id(
-    state: &ServerState,
-    tenant: &str,
-    spec: zoom_warehouse::SpecId,
-    id: ViewId,
-) -> ViewId {
-    let router = &state.router;
-    let policies = router.policies();
-    if policies.is_empty() {
-        return id;
-    }
-    match policies.view_decision(tenant, spec, id, router, &router.policy_sink()) {
-        Ok(zoom_warehouse::Decision::Substitute(v)) => v,
-        _ => id,
-    }
-}
-
-/// Renders hidden-data answers as absence for restricted tenants
-/// (mirror of `Zoom::conceal_data_errors`): a `DataNotVisible` from a
-/// query run under a policy concealing modules in this workflow becomes
-/// `DataNotFound`, so a datum internal to a concealed composite is
-/// indistinguishable from one that never existed. Internal policy errors
-/// keep the laundered rendering (fail closed).
-fn conceal_data_errors<T>(
-    state: &ServerState,
-    tenant: &str,
-    run: zoom_warehouse::RunId,
-    res: WhResult<T>,
-) -> WhResult<T> {
-    let Err(WarehouseError::DataNotVisible { data, view }) = res else {
-        return res;
-    };
-    let router = &state.router;
-    let policies = router.policies();
-    if !policies.is_empty() {
-        if let Ok(spec) = router.spec_of_run(run) {
-            match policies.spec_restricted(tenant, spec, router, &router.policy_sink()) {
-                Ok(true) | Err(_) => return Err(WarehouseError::DataNotFound(data)),
-                Ok(false) => {}
-            }
-        }
-    }
-    Err(WarehouseError::DataNotVisible { data, view })
-}
-
 fn ok_or<T>(r: WhResult<T>, ok: impl FnOnce(T) -> Response) -> Response {
     match r {
         Ok(v) => ok(v),
@@ -743,181 +539,100 @@ fn ok_or<T>(r: WhResult<T>, ok: impl FnOnce(T) -> Response) -> Response {
     }
 }
 
-/// Registers `view` under `spec` unless a view of the same name already
-/// exists (mirrors `Zoom::build_view`'s idempotence). The find and the
-/// register happen atomically under the router's registration lock.
-fn register_named_view(
-    router: &ShardRouter,
-    spec: zoom_warehouse::SpecId,
-    view: UserView,
-) -> WhResult<ViewId> {
-    router.register_view_if_absent(spec, &view)
-}
-
 fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Response {
     let router = &state.router;
     let tenant = conn.tenant.as_str();
+    let gate = router.policies().gate(tenant, router, router);
+    let view_reply = |spec, id: WhResult<_>| {
+        ok_or(id, |id| Response::View {
+            id: gate.view_id(spec, id),
+        })
+    };
     match req {
         Request::RegisterSpec { spec } => {
             ok_or(router.register_spec(spec), |id| Response::Spec { id })
         }
-        Request::RegisterView { spec, view } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
-            }
-            ok_or(router.register_view(*spec, view), |id| Response::View {
-                id: effective_view_id(state, tenant, *spec, id),
-            })
-        }
-        Request::BuildView { spec, relevant } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
-            }
-            let built = (|| {
+        Request::RegisterView { spec, view: v } => view_reply(
+            *spec,
+            gate.spec(*spec)
+                .and_then(|()| router.register_view(*spec, v)),
+        ),
+        Request::BuildView { spec, relevant } => view_reply(
+            *spec,
+            gate.spec(*spec).and_then(|()| {
                 let ws = router.spec(*spec)?;
                 let nodes: Vec<_> = relevant
                     .iter()
                     .map(|l| ws.module(l))
                     .collect::<zoom_model::Result<_>>()?;
                 let built = zoom_views::relev_user_view_builder(&ws, &nodes)?;
-                register_named_view(router, *spec, built.view)
-            })();
-            ok_or(built, |id| Response::View {
-                id: effective_view_id(state, tenant, *spec, id),
-            })
-        }
-        Request::AdminView { spec } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
-            }
-            let built = router
-                .spec(*spec)
-                .and_then(|ws| register_named_view(router, *spec, UserView::admin(&ws)));
-            ok_or(built, |id| Response::View {
-                id: effective_view_id(state, tenant, *spec, id),
-            })
-        }
-        Request::LoadLog { spec, log, .. } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
-            }
-            ok_or(router.load_log(*spec, log), |id| Response::Run { id })
-        }
-        Request::BeginStream { spec, .. } => {
-            if let Some(msg) = enforce_spec(state, tenant, *spec) {
-                return Response::Error { message: msg };
-            }
-            ok_or(router.begin_stream(*spec), |id| Response::Run { id })
-        }
-        Request::StreamPush { run, event, .. } => {
-            if let Some(msg) = enforce_run(state, tenant, *run) {
-                return Response::Error { message: msg };
-            }
-            ok_or(router.stream_push(*run, event), |o| Response::Push {
-                outcome: o,
-            })
-        }
-        Request::StreamSeal { run, .. } => {
-            if let Some(msg) = enforce_run(state, tenant, *run) {
-                return Response::Error { message: msg };
-            }
-            ok_or(router.stream_seal(*run), |()| Response::Ok)
-        }
-        Request::DeepProvenance {
-            run, view, data, ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(
-                    state,
-                    tenant,
-                    *run,
-                    router.deep_provenance(*run, view, *data),
-                ),
-                |result| Response::Provenance { result },
-            ),
-        },
-        Request::QueryBatch { queries, .. } => {
-            // Per-triple enforcement: allowed queries keep their input
-            // slot and run through the batch path with their (possibly
-            // substituted) views; denied ones answer in place with the
-            // same bytes an absent run would.
-            let mut slots: Vec<Option<BatchItem>> = (0..queries.len()).map(|_| None).collect();
-            let mut routed: Vec<(usize, (zoom_warehouse::RunId, ViewId, zoom_model::DataId))> =
-                Vec::new();
-            for (i, &(run, view, data)) in queries.iter().enumerate() {
-                match enforce_view(state, tenant, run, view) {
-                    Enforced::Allow(v) => routed.push((i, (run, v, data))),
-                    Enforced::Deny(msg) => slots[i] = Some(BatchItem::Err(msg)),
-                }
-            }
-            let triples: Vec<_> = routed.iter().map(|&(_, t)| t).collect();
-            for ((i, (run, _, _)), ans) in routed.iter().zip(router.query_batch(&triples)) {
-                slots[*i] = Some(match conceal_data_errors(state, tenant, *run, ans) {
+                router.register_view_if_absent(*spec, &built.view)
+            }),
+        ),
+        Request::AdminView { spec } => view_reply(
+            *spec,
+            gate.spec(*spec).and_then(|()| {
+                let ws = router.spec(*spec)?;
+                router.register_view_if_absent(*spec, &UserView::admin(&ws))
+            }),
+        ),
+        Request::LoadLog { spec, log } => ok_or(
+            gate.spec(*spec).and_then(|()| router.load_log(*spec, log)),
+            |id| Response::Run { id },
+        ),
+        Request::BeginStream { spec } => ok_or(
+            gate.spec(*spec).and_then(|()| router.begin_stream(*spec)),
+            |id| Response::Run { id },
+        ),
+        Request::StreamPush { run, event } => ok_or(
+            gate.run(*run)
+                .and_then(|()| router.stream_push(*run, event)),
+            |outcome| Response::Push { outcome },
+        ),
+        Request::StreamSeal { run } => ok_or(
+            gate.run(*run).and_then(|()| router.stream_seal(*run)),
+            |()| Response::Ok,
+        ),
+        Request::DeepProvenance { run, view, data } => ok_or(
+            gate.query(*run, *view, |v| router.deep_provenance(*run, v, *data)),
+            |result| Response::Provenance { result },
+        ),
+        Request::QueryBatch { queries } => Response::Batch {
+            results: gate
+                .batch(queries, |q| router.query_batch(q))
+                .into_iter()
+                .map(|ans| match ans {
                     Ok(p) => BatchItem::Ok(p),
                     Err(e) => BatchItem::Err(e.to_string()),
-                });
-            }
-            Response::Batch {
-                results: slots
-                    .into_iter()
-                    .map(|s| s.expect("every batch slot answered"))
-                    .collect(),
-            }
-        }
-        Request::ImmediateProvenance {
-            run, view, data, ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(
-                    state,
-                    tenant,
-                    *run,
-                    router.immediate_provenance(*run, view, *data),
-                ),
-                |answer| Response::Immediate { answer },
-            ),
+                })
+                .collect(),
         },
-        Request::DependentsOf {
-            run, view, data, ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(state, tenant, *run, router.dependents_of(*run, view, *data)),
-                |ids| Response::Data { ids },
-            ),
-        },
+        Request::ImmediateProvenance { run, view, data } => ok_or(
+            gate.query(*run, *view, |v| router.immediate_provenance(*run, v, *data)),
+            |answer| Response::Immediate { answer },
+        ),
+        Request::DependentsOf { run, view, data } => ok_or(
+            gate.query(*run, *view, |v| router.dependents_of(*run, v, *data)),
+            |ids| Response::Data { ids },
+        ),
         Request::DataBetween {
             run,
             view,
             from,
             to,
-            ..
-        } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(
-                conceal_data_errors(
-                    state,
-                    tenant,
-                    *run,
-                    router.data_between(*run, view, *from, *to),
-                ),
-                |ids| Response::Data { ids },
-            ),
-        },
-        Request::FinalOutputs { run, .. } => {
-            if let Some(msg) = enforce_run(state, tenant, *run) {
-                return Response::Error { message: msg };
-            }
-            ok_or(router.final_outputs(*run), |ids| Response::Data { ids })
-        }
-        Request::VisibleData { run, view, .. } => match enforce_view(state, tenant, *run, *view) {
-            Enforced::Deny(message) => Response::Error { message },
-            Enforced::Allow(view) => ok_or(router.visible_data(*run, view), |ids| Response::Data {
-                ids,
-            }),
-        },
+        } => ok_or(
+            gate.query(*run, *view, |v| router.data_between(*run, v, *from, *to)),
+            |ids| Response::Data { ids },
+        ),
+        Request::FinalOutputs { run } => ok_or(
+            gate.run(*run).and_then(|()| router.final_outputs(*run)),
+            |ids| Response::Data { ids },
+        ),
+        Request::VisibleData { run, view } => ok_or(
+            gate.view(*run, *view)
+                .and_then(|v| router.visible_data(*run, v)),
+            |ids| Response::Data { ids },
+        ),
         Request::Stats => Response::StatsAll {
             shards: router.stats(),
         },
@@ -962,7 +677,7 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
             // the *same bytes* as one that does not exist — otherwise
             // `Resolve` is an existence oracle over hidden names.
             let spec = match router.spec_by_name(workflow) {
-                Some(s) if enforce_spec(state, tenant, s).is_none() => s,
+                Some(s) if gate.spec(s).is_ok() => s,
                 _ => {
                     return Response::Error {
                         message: format!("no workflow named `{workflow}`"),
@@ -972,7 +687,7 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
             let view_id = match view {
                 None => None,
                 Some(name) => match router.find_view(spec, name) {
-                    Some(v) => Some(effective_view_id(state, tenant, spec, v)),
+                    Some(v) => Some(gate.view_id(spec, v)),
                     None => {
                         return Response::Error {
                             message: format!("no view named `{name}` for this workflow"),
@@ -1001,7 +716,7 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
             ok_or(
                 router
                     .policies()
-                    .install(subject, policy.clone(), router, &router.policy_sink()),
+                    .install(subject, policy.clone(), router, router),
                 |()| Response::Ok,
             )
         }
@@ -1023,12 +738,7 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
         // Control-plane requests are answered in `dispatch` before
         // admission; reaching here would be a routing bug, not a client
         // error — answer it as one anyway rather than panicking.
-        Request::Ping
-        | Request::Hello { .. }
-        | Request::OpenSession
-        | Request::CloseSession { .. }
-        | Request::SessionCount
-        | Request::Shutdown { .. } => Response::Error {
+        Request::Ping | Request::Hello { .. } | Request::Shutdown { .. } => Response::Error {
             message: "control request routed to the data plane".to_string(),
         },
     }

@@ -8,12 +8,12 @@ use zoom_model::{DataId, EventLog, LogEvent, UserView, WorkflowRun, WorkflowSpec
 use zoom_views::relev_user_view_builder;
 use zoom_warehouse::metrics::MetricsRegistry;
 use zoom_warehouse::persist::PersistError;
-use zoom_warehouse::privacy::{Decision, PolicyMetricsSink, PolicyTable, ViewRegistry};
+use zoom_warehouse::privacy::{Gate, PolicyMetricsSink, PolicyTable, ViewRegistry};
 use zoom_warehouse::{
     DurableError, DurableOptions, DurableWarehouse, FsckReport, HealthReport, ImmediateAnswer,
-    IndexBackend, MetricsSnapshot, ProvenanceResult, PushOutcome, ReadRegistrar, Result, RunId,
-    SlowQuery, SpecId, StreamError, TraceOp, TraceTarget, ViewId, VisibilityPolicy, Warehouse,
-    WarehouseError, WarehouseStats,
+    IndexBackend, MetricsSnapshot, ProvenanceResult, PushOutcome, Result, RunId, SlowQuery, SpecId,
+    StreamError, TraceOp, TraceTarget, ViewId, VisibilityPolicy, Warehouse, WarehouseError,
+    WarehouseStats,
 };
 
 /// Maps a durable-store error back into the warehouse error space:
@@ -87,6 +87,9 @@ impl ViewRegistry for ZoomRegistrar<'_> {
     }
     fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId> {
         self.0.borrow().warehouse().views_of_spec(spec).to_vec()
+    }
+    fn run_spec(&self, run: RunId) -> Result<SpecId> {
+        self.0.borrow().warehouse().run_spec(run)
     }
 }
 
@@ -431,6 +434,13 @@ impl Zoom {
         result
     }
 
+    /// `tenant`'s enforcement [`Gate`] over this system's tables — the
+    /// same gate the daemon's request handler uses.
+    fn gate<'a>(&'a self, tenant: &'a str) -> Gate<'a, Warehouse> {
+        let wh = self.warehouse();
+        self.policies.gate(tenant, wh, wh.metrics_registry())
+    }
+
     /// The view a query by `tenant` against `(run, view)` actually
     /// executes with: unchanged for unrestricted tenants (one atomic load
     /// when no policies exist at all), the compiled privacy/meet view for
@@ -439,72 +449,7 @@ impl Zoom {
     /// outright. Internal policy errors fail *closed* for the same
     /// reason: a distinct error would confirm the run exists.
     pub fn effective_view(&self, tenant: &str, run: RunId, view: ViewId) -> Result<ViewId> {
-        if self.policies.is_empty() {
-            return Ok(view);
-        }
-        let wh = self.warehouse();
-        let Ok(spec) = wh.run_spec(run) else {
-            return Ok(view); // natural RunNotFound renders downstream
-        };
-        let reg = ReadRegistrar::new(wh);
-        let sink = wh.metrics_registry();
-        match self.policies.spec_denied(tenant, spec, &reg, sink) {
-            Ok(false) => {}
-            Ok(true) | Err(_) => return Err(WarehouseError::RunNotFound(run)),
-        }
-        match self.policies.view_decision(tenant, spec, view, &reg, sink) {
-            Ok(Decision::Pass) => Ok(view),
-            Ok(Decision::Substitute(v)) => Ok(v),
-            Ok(Decision::Deny) | Err(_) => Err(WarehouseError::RunNotFound(run)),
-        }
-    }
-
-    /// Renders hidden-data answers as absence for restricted tenants: a
-    /// [`WarehouseError::DataNotVisible`] from a query `tenant` ran under
-    /// a policy that conceals modules in `run`'s workflow becomes
-    /// [`WarehouseError::DataNotFound`]. Without this, probing a data id
-    /// internal to a concealed composite answers "exists but hidden" —
-    /// an existence oracle distinguishing two runs that differ only
-    /// inside hidden modules. Internal policy errors keep the laundered
-    /// rendering (fail closed).
-    fn conceal_data_errors<T>(&self, tenant: &str, run: RunId, res: Result<T>) -> Result<T> {
-        let Err(WarehouseError::DataNotVisible { data, view }) = res else {
-            return res;
-        };
-        if !self.policies.is_empty() {
-            let wh = self.warehouse();
-            if let Ok(spec) = wh.run_spec(run) {
-                let reg = ReadRegistrar::new(wh);
-                match self
-                    .policies
-                    .spec_restricted(tenant, spec, &reg, wh.metrics_registry())
-                {
-                    Ok(true) | Err(_) => return Err(WarehouseError::DataNotFound(data)),
-                    Ok(false) => {}
-                }
-            }
-        }
-        Err(WarehouseError::DataNotVisible { data, view })
-    }
-
-    /// Gate for run-addressed (viewless) tenant queries: `Err(RunNotFound)`
-    /// when `tenant`'s policy hides the run's workflow.
-    fn run_gate(&self, tenant: &str, run: RunId) -> Result<()> {
-        if self.policies.is_empty() {
-            return Ok(());
-        }
-        let wh = self.warehouse();
-        let Ok(spec) = wh.run_spec(run) else {
-            return Ok(());
-        };
-        let reg = ReadRegistrar::new(wh);
-        match self
-            .policies
-            .spec_denied(tenant, spec, &reg, wh.metrics_registry())
-        {
-            Ok(false) => Ok(()),
-            Ok(true) | Err(_) => Err(WarehouseError::RunNotFound(run)),
-        }
+        self.gate(tenant).view(run, view)
     }
 
     /// [`Zoom::deep_provenance`] as `tenant`, with the tenant's policy
@@ -517,9 +462,8 @@ impl Zoom {
         data: DataId,
     ) -> Result<ProvenanceResult> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().deep_provenance(run, view, data);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate(tenant)
+            .query(run, view, |v| self.deep_provenance(run, v, data))
     }
 
     /// [`Zoom::immediate_provenance`] as `tenant`.
@@ -531,9 +475,8 @@ impl Zoom {
         data: DataId,
     ) -> Result<ImmediateAnswer> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().immediate_provenance(run, view, data);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate(tenant)
+            .query(run, view, |v| self.immediate_provenance(run, v, data))
     }
 
     /// [`Zoom::dependents_of`] as `tenant`.
@@ -545,9 +488,8 @@ impl Zoom {
         data: DataId,
     ) -> Result<Vec<DataId>> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().dependents_of(run, view, data);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate(tenant)
+            .query(run, view, |v| self.dependents_of(run, v, data))
     }
 
     /// [`Zoom::data_between`] as `tenant`.
@@ -560,22 +502,21 @@ impl Zoom {
         to: Option<zoom_model::StepId>,
     ) -> Result<Vec<DataId>> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
-        let res = self.warehouse().data_between(run, view, from, to);
-        self.conceal_data_errors(tenant, run, res)
+        self.gate(tenant)
+            .query(run, view, |v| self.data_between(run, v, from, to))
     }
 
     /// [`Zoom::final_outputs`] as `tenant`.
     pub fn final_outputs_as(&self, tenant: &str, run: RunId) -> Result<Vec<DataId>> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        self.run_gate(tenant, run)?;
+        self.gate(tenant).run(run)?;
         self.final_outputs(run)
     }
 
     /// [`Zoom::visible_data`] as `tenant`.
     pub fn visible_data_as(&self, tenant: &str, run: RunId, view: ViewId) -> Result<Vec<DataId>> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        let view = self.effective_view(tenant, run, view)?;
+        let view = self.gate(tenant).view(run, view)?;
         self.visible_data(run, view)
     }
 
@@ -588,26 +529,7 @@ impl Zoom {
         queries: &[(RunId, ViewId, DataId)],
     ) -> Vec<Result<ProvenanceResult>> {
         let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        if self.policies.is_empty() {
-            return self.query_batch(queries);
-        }
-        let mut slots: Vec<Option<Result<ProvenanceResult>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut routed: Vec<(usize, (RunId, ViewId, DataId))> = Vec::new();
-        for (i, &(run, view, data)) in queries.iter().enumerate() {
-            match self.effective_view(tenant, run, view) {
-                Ok(v) => routed.push((i, (run, v, data))),
-                Err(e) => slots[i] = Some(Err(e)),
-            }
-        }
-        let triples: Vec<_> = routed.iter().map(|&(_, t)| t).collect();
-        for ((i, (run, _, _)), ans) in routed.iter().zip(self.query_batch(&triples)) {
-            slots[*i] = Some(self.conceal_data_errors(tenant, *run, ans));
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every batch slot answered"))
-            .collect()
+        self.gate(tenant).batch(queries, |q| self.query_batch(q))
     }
 
     /// Loads a validated run (journaled when durable).

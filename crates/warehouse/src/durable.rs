@@ -967,6 +967,70 @@ mod tests {
     }
 
     #[test]
+    fn reopen_appends_after_existing_records() {
+        let dir = tempdir("reopen");
+        let s = spec();
+        {
+            let mut dw = DurableWarehouse::open(&dir).unwrap();
+            dw.register_spec(s.clone()).unwrap();
+        }
+        {
+            let mut dw = DurableWarehouse::open(&dir).unwrap();
+            let sid = dw.warehouse().spec_by_name("d").unwrap();
+            dw.load_run(sid, run(&s)).unwrap();
+            assert_eq!(dw.stats().journal_records, 2);
+        }
+        let dw = DurableWarehouse::open(&dir).unwrap();
+        assert_eq!(dw.stats().journal_records, 2);
+        assert_eq!(dw.warehouse().stats().runs, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mid_file_corruption_detected() {
+        let dir = tempdir("corrupt");
+        let s = spec();
+        {
+            let mut dw = DurableWarehouse::open(&dir).unwrap();
+            let sid = dw.register_spec(s.clone()).unwrap();
+            dw.load_run(sid, run(&s)).unwrap();
+        }
+        // Flip a byte inside the FIRST record's payload: a bad checksum
+        // before the last record is corruption, not a torn tail.
+        let wal = dir.join(wal_name(0));
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[journal::MAGIC.len() + 12] ^= 0xFF;
+        std::fs::write(&wal, &bytes).unwrap();
+        assert!(matches!(
+            DurableWarehouse::open(&dir).unwrap_err(),
+            DurableError::Journal(JournalError::Corrupt { record: 0 })
+        ));
+        assert!(matches!(
+            fsck(&dir).unwrap_err(),
+            DurableError::Journal(JournalError::Corrupt { record: 0 })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_header_rejected() {
+        let dir = tempdir("badheader");
+        {
+            DurableWarehouse::open(&dir).unwrap();
+        }
+        std::fs::write(dir.join(wal_name(0)), b"NOTAJOURNAL!").unwrap();
+        assert!(matches!(
+            DurableWarehouse::open(&dir).unwrap_err(),
+            DurableError::BadManifest(m) if m.contains("bad header")
+        ));
+        assert!(matches!(
+            fsck(&dir).unwrap_err(),
+            DurableError::BadManifest(_)
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn doctored_journal_id_rejected() {
         let dir = tempdir("doctored");
         let s = spec();

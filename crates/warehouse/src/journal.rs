@@ -1,26 +1,24 @@
-//! An append-only journal for incremental durability.
+//! The journal record format shared by [`crate::durable`]'s write-ahead
+//! log.
 //!
 //! Snapshots ([`crate::persist`]) rewrite the whole warehouse; a laboratory
 //! ingesting runs "about twice a week" per workflow wants every
-//! registration and load to be durable *as it happens*. The journal
-//! appends one length-prefixed, checksummed record per mutation; opening a
-//! journal replays the records into a fresh warehouse. A torn final record
-//! (crash mid-append) is detected via CRC and dropped; corruption in the
-//! middle of the file is reported as an error.
+//! registration and load to be durable *as it happens*. The durable store
+//! appends one length-prefixed, checksummed record per mutation
+//! ([`encode_frame`]) and, on open, replays the records into the warehouse
+//! the snapshot restored ([`replay_body`]). A torn final record (crash
+//! mid-append) is detected via CRC and dropped; corruption in the middle
+//! of the file is reported as an error.
 //!
 //! Record wire format: `[u32 len (LE)] [u32 crc32 of payload (LE)]
 //! [payload: codec-encoded JournalRecord]`, after an 8-byte magic header.
 
 use crate::codec::{self, CodecError};
-use crate::io::{RealFs, StorageIo};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow};
 use crate::store::{Warehouse, WarehouseError};
-use crate::stream::{PushOutcome, StreamError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use zoom_model::{EventLog, LogEvent, UserView, WorkflowRun, WorkflowSpec};
+use zoom_model::LogEvent;
 
 /// Magic bytes identifying a warehouse journal.
 pub const MAGIC: &[u8; 8] = b"ZOOMWJ\x00\x01";
@@ -28,14 +26,10 @@ pub const MAGIC: &[u8; 8] = b"ZOOMWJ\x00\x01";
 /// Errors from journal operations.
 #[derive(Debug)]
 pub enum JournalError {
-    /// Filesystem error.
-    Io(std::io::Error),
     /// Encoding/decoding error.
     Codec(CodecError),
-    /// Warehouse-level rejection during append or replay.
+    /// Warehouse-level rejection during replay.
     Warehouse(WarehouseError),
-    /// The file is not a journal.
-    BadHeader,
     /// A record in the middle of the journal is corrupt (CRC mismatch).
     Corrupt {
         /// Index of the corrupt record.
@@ -54,10 +48,8 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JournalError::Io(e) => write!(f, "io error: {e}"),
             JournalError::Codec(e) => write!(f, "codec error: {e}"),
             JournalError::Warehouse(e) => write!(f, "warehouse error: {e}"),
-            JournalError::BadHeader => write!(f, "not a warehouse journal (bad header)"),
             JournalError::Corrupt { record } => {
                 write!(f, "journal record {record} is corrupt (crc mismatch)")
             }
@@ -73,12 +65,6 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
-    }
-}
-
 impl From<CodecError> for JournalError {
     fn from(e: CodecError) -> Self {
         JournalError::Codec(e)
@@ -91,14 +77,8 @@ impl From<WarehouseError> for JournalError {
     }
 }
 
-impl From<zoom_model::ModelError> for JournalError {
-    fn from(e: zoom_model::ModelError) -> Self {
-        JournalError::Warehouse(WarehouseError::Model(e))
-    }
-}
-
-/// One durable mutation. Shared with [`crate::durable`], which journals the
-/// same record kinds behind its manifest.
+/// One durable mutation, as [`crate::durable`] journals it behind its
+/// manifest.
 #[derive(Serialize, Deserialize)]
 pub(crate) enum JournalRecord {
     /// A registered specification.
@@ -210,215 +190,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// A warehouse whose mutations are journaled to disk as they happen.
-///
-/// ```
-/// use zoom_warehouse::JournaledWarehouse;
-/// use zoom_model::SpecBuilder;
-/// let mut path = std::env::temp_dir();
-/// path.push(format!("zoom-journal-doc-{}", std::process::id()));
-///
-/// let mut b = SpecBuilder::new("doc");
-/// b.analysis("A");
-/// b.from_input("A").to_output("A");
-/// let spec = b.build().unwrap();
-///
-/// let mut jw = JournaledWarehouse::create(&path).unwrap();
-/// jw.register_spec(spec).unwrap();
-/// drop(jw); // crash or exit: the record is already durable
-///
-/// let replayed = JournaledWarehouse::open(&path).unwrap();
-/// assert_eq!(replayed.warehouse().stats().specs, 1);
-/// # std::fs::remove_file(&path).ok();
-/// ```
-pub struct JournaledWarehouse {
-    inner: Warehouse,
-    io: Arc<dyn StorageIo>,
-    path: PathBuf,
-    records: usize,
-}
-
-impl fmt::Debug for JournaledWarehouse {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JournaledWarehouse")
-            .field("path", &self.path)
-            .field("records", &self.records)
-            .finish_non_exhaustive()
-    }
-}
-
-impl JournaledWarehouse {
-    /// Creates a fresh journal (truncating any existing file).
-    pub fn create(path: &Path) -> Result<Self, JournalError> {
-        Self::create_with(Arc::new(RealFs), path)
-    }
-
-    /// Creates a fresh journal on an explicit storage backend.
-    pub fn create_with(io: Arc<dyn StorageIo>, path: &Path) -> Result<Self, JournalError> {
-        io.write(path, MAGIC)?;
-        crate::io::sync_parent(&*io, path)?;
-        Ok(JournaledWarehouse {
-            inner: Warehouse::new(),
-            io,
-            path: path.to_path_buf(),
-            records: 0,
-        })
-    }
-
-    /// Opens an existing journal, replaying every intact record. A torn
-    /// final record (crash during the last append) is dropped silently;
-    /// corruption before the end is an error.
-    pub fn open(path: &Path) -> Result<Self, JournalError> {
-        Self::open_with(Arc::new(RealFs), path)
-    }
-
-    /// Opens an existing journal on an explicit storage backend.
-    pub fn open_with(io: Arc<dyn StorageIo>, path: &Path) -> Result<Self, JournalError> {
-        let bytes = io.read(path)?;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-            return Err(JournalError::BadHeader);
-        }
-        let mut inner = Warehouse::new();
-        // A journal written from empty reassigns the same ids on replay, so
-        // id checking is free here and catches doctored records.
-        let outcome = replay_body(&mut inner, &bytes[MAGIC.len()..], true)?;
-        // Truncate away any torn tail so later appends extend intact data.
-        let keep = (MAGIC.len() + outcome.valid_end) as u64;
-        if keep < bytes.len() as u64 {
-            io.set_len(path, keep)?;
-        }
-        Ok(JournaledWarehouse {
-            inner,
-            io,
-            path: path.to_path_buf(),
-            records: outcome.records,
-        })
-    }
-
-    fn append(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
-        let frame = encode_frame(rec)?;
-        let started = std::time::Instant::now();
-        let registry = self.inner.metrics_registry();
-        crate::resilience::RetryPolicy::default().run(
-            || registry.record_io_retry(),
-            || self.io.append(&self.path, &frame),
-        )?;
-        registry.record_journal_append(started.elapsed().as_nanos() as u64);
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Registers a specification, durably. If the append fails, the
-    /// in-memory registration is rolled back so memory never diverges from
-    /// disk.
-    pub fn register_spec(&mut self, spec: WorkflowSpec) -> Result<SpecId, JournalError> {
-        let row = SpecRow { spec };
-        let id = self.inner.register_spec(row.spec.clone())?;
-        if let Err(e) = self.append(&JournalRecord::Spec(id, row)) {
-            self.inner.rollback_spec(id);
-            return Err(e);
-        }
-        Ok(id)
-    }
-
-    /// Registers a view, durably (rolled back on a failed append).
-    pub fn register_view(&mut self, spec: SpecId, view: UserView) -> Result<ViewId, JournalError> {
-        let id = self.inner.register_view(spec, view.clone())?;
-        if let Err(e) = self.append(&JournalRecord::View(id, ViewRow { spec, view })) {
-            self.inner.rollback_view(id);
-            return Err(e);
-        }
-        Ok(id)
-    }
-
-    /// Loads a run, durably (rolled back on a failed append).
-    pub fn load_run(&mut self, spec: SpecId, run: WorkflowRun) -> Result<RunId, JournalError> {
-        let id = self.inner.load_run(spec, run.clone())?;
-        if let Err(e) = self.append(&JournalRecord::Run(id, RunRow { spec, run })) {
-            self.inner.rollback_run(id);
-            return Err(e);
-        }
-        Ok(id)
-    }
-
-    /// Ingests an event log, durably (journals the reconstructed run).
-    pub fn load_log(&mut self, spec: SpecId, log: &EventLog) -> Result<RunId, JournalError> {
-        let run = log.to_run(self.inner.spec(spec)?)?;
-        self.load_run(spec, run)
-    }
-
-    /// Opens a streaming run, durably (rolled back on a failed append).
-    pub fn begin_stream(&mut self, spec: SpecId) -> Result<RunId, JournalError> {
-        let id = self.inner.begin_stream(spec)?;
-        if let Err(e) = self.append(&JournalRecord::StreamBegin(id, spec)) {
-            self.inner.rollback_stream(id);
-            return Err(e);
-        }
-        Ok(id)
-    }
-
-    /// Pushes one streaming event, durably. Validation (`stream_accept`)
-    /// is read-only, the journal append happens before the in-memory
-    /// apply, and the apply is infallible — so an acknowledged event is
-    /// always on disk, and a failed append changes nothing.
-    pub fn stream_push(
-        &mut self,
-        run: RunId,
-        event: &LogEvent,
-    ) -> Result<PushOutcome, JournalError> {
-        let commit = self.inner.stream_accept(run, event)?;
-        self.append(&JournalRecord::StreamEvent(run, event.clone()))?;
-        Ok(self.inner.stream_apply(run, commit))
-    }
-
-    /// Seals a streaming run, durably (same accept/journal/apply order as
-    /// [`JournaledWarehouse::stream_push`]).
-    pub fn stream_seal(&mut self, run: RunId) -> Result<(), JournalError> {
-        let commit = self.inner.stream_seal_check(run)?;
-        self.append(&JournalRecord::StreamSeal(run))?;
-        self.inner.stream_seal_apply(run, commit);
-        Ok(())
-    }
-
-    /// Read access to the replayed/ live warehouse.
-    pub fn warehouse(&self) -> &Warehouse {
-        &self.inner
-    }
-
-    /// Number of records in the journal.
-    pub fn record_count(&self) -> usize {
-        self.records
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Compacts the journal into a snapshot file and starts a fresh journal
-    /// containing the same state (snapshot + empty tail).
-    ///
-    /// Rejected while streams are active: snapshots carry only committed
-    /// rows, not mid-stream ingestor state, so compacting now would strand
-    /// the open streams' buffered events.
-    pub fn compact_into_snapshot(&self, snapshot: &Path) -> Result<(), JournalError> {
-        let active = self.inner.active_streams();
-        if active > 0 {
-            return Err(JournalError::Warehouse(WarehouseError::Stream(
-                StreamError::ActiveStreams(active),
-            )));
-        }
-        crate::persist::save(&self.inner, snapshot).map_err(|e| match e {
-            crate::persist::PersistError::Io(e) => JournalError::Io(e),
-            crate::persist::PersistError::Codec(e) => JournalError::Codec(e),
-            crate::persist::PersistError::BadHeader => JournalError::BadHeader,
-            crate::persist::PersistError::Invalid(e) => {
-                JournalError::Warehouse(WarehouseError::Model(e))
-            }
-        })
-    }
-}
-
 fn check_id(
     check: bool,
     expected: impl fmt::Display,
@@ -470,31 +241,6 @@ fn apply(w: &mut Warehouse, rec: JournalRecord, check_ids: bool) -> Result<(), J
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zoom_model::{DataId, RunBuilder, SpecBuilder};
-
-    fn temp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("zoom-journal-{name}-{}", std::process::id()));
-        p
-    }
-
-    fn spec() -> WorkflowSpec {
-        let mut b = SpecBuilder::new("j");
-        b.analysis("A");
-        b.analysis("B");
-        b.from_input("A").edge("A", "B").to_output("B");
-        b.build().unwrap()
-    }
-
-    fn run(s: &WorkflowSpec) -> WorkflowRun {
-        let mut rb = RunBuilder::new(s);
-        let s1 = rb.step(s.module("A").unwrap());
-        let s2 = rb.step(s.module("B").unwrap());
-        rb.input_edge(s1, [1])
-            .data_edge(s1, s2, [2])
-            .output_edge(s2, [3]);
-        rb.build().unwrap()
-    }
 
     #[test]
     fn crc32_known_vectors() {
@@ -504,115 +250,5 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
-    }
-
-    #[test]
-    fn append_and_replay() {
-        let path = temp("replay");
-        let s = spec();
-        {
-            let mut jw = JournaledWarehouse::create(&path).unwrap();
-            let sid = jw.register_spec(s.clone()).unwrap();
-            jw.register_view(sid, UserView::admin(&s)).unwrap();
-            jw.load_run(sid, run(&s)).unwrap();
-            assert_eq!(jw.record_count(), 3);
-        }
-        let jw = JournaledWarehouse::open(&path).unwrap();
-        assert_eq!(jw.record_count(), 3);
-        let st = jw.warehouse().stats();
-        assert_eq!((st.specs, st.views, st.runs), (1, 1, 1));
-        // The replayed warehouse answers queries.
-        let sid = jw.warehouse().spec_by_name("j").unwrap();
-        let vid = jw.warehouse().find_view(sid, "UAdmin").unwrap();
-        let rid = jw.warehouse().runs_of_spec(sid)[0];
-        let res = jw.warehouse().deep_provenance(rid, vid, DataId(3)).unwrap();
-        assert_eq!(res.tuples(), 3);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn reopen_appends_after_existing_records() {
-        let path = temp("reopen");
-        let s = spec();
-        {
-            let mut jw = JournaledWarehouse::create(&path).unwrap();
-            jw.register_spec(s.clone()).unwrap();
-        }
-        {
-            let mut jw = JournaledWarehouse::open(&path).unwrap();
-            let sid = jw.warehouse().spec_by_name("j").unwrap();
-            jw.load_run(sid, run(&s)).unwrap();
-            assert_eq!(jw.record_count(), 2);
-        }
-        let jw = JournaledWarehouse::open(&path).unwrap();
-        assert_eq!(jw.record_count(), 2);
-        assert_eq!(jw.warehouse().stats().runs, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_tail_is_dropped() {
-        let path = temp("torn");
-        let s = spec();
-        {
-            let mut jw = JournaledWarehouse::create(&path).unwrap();
-            let sid = jw.register_spec(s.clone()).unwrap();
-            jw.load_run(sid, run(&s)).unwrap();
-        }
-        // Chop off the last 5 bytes: the run record is torn.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let jw = JournaledWarehouse::open(&path).unwrap();
-        assert_eq!(jw.record_count(), 1);
-        assert_eq!(jw.warehouse().stats().runs, 0);
-        assert_eq!(jw.warehouse().stats().specs, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mid_file_corruption_detected() {
-        let path = temp("corrupt");
-        let s = spec();
-        {
-            let mut jw = JournaledWarehouse::create(&path).unwrap();
-            let sid = jw.register_spec(s.clone()).unwrap();
-            jw.load_run(sid, run(&s)).unwrap();
-        }
-        // Flip a byte inside the FIRST record's payload.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[MAGIC.len() + 12] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            JournaledWarehouse::open(&path),
-            Err(JournalError::Corrupt { record: 0 })
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bad_header_rejected() {
-        let path = temp("badheader");
-        std::fs::write(&path, b"NOTAJOURNAL!").unwrap();
-        assert!(matches!(
-            JournaledWarehouse::open(&path),
-            Err(JournalError::BadHeader)
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compaction_produces_loadable_snapshot() {
-        let jpath = temp("compact-journal");
-        let spath = temp("compact-snapshot");
-        let s = spec();
-        let mut jw = JournaledWarehouse::create(&jpath).unwrap();
-        let sid = jw.register_spec(s.clone()).unwrap();
-        jw.register_view(sid, UserView::admin(&s)).unwrap();
-        jw.load_run(sid, run(&s)).unwrap();
-        jw.compact_into_snapshot(&spath).unwrap();
-        let w = crate::persist::load(&spath).unwrap();
-        assert_eq!(w.stats().runs, 1);
-        std::fs::remove_file(&jpath).ok();
-        std::fs::remove_file(&spath).ok();
     }
 }

@@ -31,11 +31,12 @@
 //!   clocks + result digests) for regression diffing and load generation;
 //! * [`privacy`] — per-tenant visibility policies compiled into privacy
 //!   views (the inverted-relevance `RelevUserViewBuilder` run), the
-//!   partition-join meet, and the [`PolicyTable`] the enforcement points
-//!   consult — one atomic load for tenants with no policy;
+//!   partition-join meet, the [`PolicyTable`], and the one enforcement
+//!   [`Gate`] both facades call — one atomic load for tenants with no
+//!   policy;
 //! * [`persist`] — binary snapshot save/load;
-//! * [`journal`] — an append-only, checksummed journal for incremental
-//!   durability (crash-tolerant replay, compaction into snapshots);
+//! * [`journal`] — the checksummed record format of the durable store's
+//!   write-ahead log, and its crash-tolerant replay;
 //! * [`durable`] — the unified crash-safe store: snapshot + journal tail
 //!   behind an atomically-swung manifest, with auto-compaction and `fsck`;
 //! * [`io`] — the [`StorageIo`] abstraction ([`RealFs`] in production,
@@ -73,7 +74,7 @@ pub use chaos::{ChaosDriver, FaultAction, FaultEvent, FaultSchedule, SplitMix64}
 pub use durable::{fsck, DurableError, DurableOptions, DurableWarehouse, FsckReport};
 pub use index::{IndexBuildError, ProvenanceIndex, ProvenanceIndexCache, RunKeyedCache};
 pub use io::{FaultFs, RealFs, StorageIo};
-pub use journal::{JournalError, JournaledWarehouse};
+pub use journal::JournalError;
 pub use labels::{LabelIndex, UpdateOutcome, FRAGMENTATION_FACTOR};
 pub use metrics::{
     CacheMetrics, HistogramSnapshot, IndexMetrics, LatencyHistogram, MetricsRegistry,
@@ -81,8 +82,8 @@ pub use metrics::{
     StreamMetrics, ViewClass,
 };
 pub use privacy::{
-    conceal, partition_join, partitions_equal, Decision, MutRegistrar, PolicyMetricsSink,
-    PolicyTable, ReadRegistrar, ViewRegistry, VisibilityPolicy,
+    conceal, partition_join, partitions_equal, Gate, MutRegistrar, PolicyMetricsSink, PolicyTable,
+    ViewRegistry, VisibilityPolicy,
 };
 pub use query::{
     data_between, deep_provenance, deep_provenance_bfs, deep_provenance_deadline,
@@ -106,6 +107,6 @@ pub use trace::{
     TraceTarget,
 };
 pub use wire::{
-    BatchItem, RepairOutcome, Request, Response, ShardBacking, ShardPolicySink, ShardRouter,
-    TenantQuotaTable, TenantQuotas, WireError, DEFAULT_RETRY_AFTER_MS, MAX_FRAME_BYTES,
+    BatchItem, RepairOutcome, Request, Response, ShardBacking, ShardRouter, TenantQuotaTable,
+    TenantQuotas, WireError, DEFAULT_RETRY_AFTER_MS, MAX_FRAME_BYTES,
 };

@@ -28,15 +28,17 @@
 //!   effective view. A table with no policies answers
 //!   [`PolicyTable::is_empty`] from one relaxed atomic load, so
 //!   unrestricted deployments pay a single branch per query.
+//! * [`Gate`] — the one enforcement point. The local facade's `*_as`
+//!   methods and the daemon's request handler both call it, so the two
+//!   paths cannot drift apart.
 //!
-//! Enforcement is **view substitution before dispatch**: the daemon (and
-//! the local `*_as` facade variants) rewrite a restricted tenant's query
-//! to run against the effective view, and render denials byte-identically
-//! to the corresponding not-found error so present-but-hidden is
-//! indistinguishable from absent.
+//! Enforcement is **view substitution before dispatch**: a gate rewrites
+//! a restricted tenant's query to run against the effective view, and
+//! renders denials byte-identically to the corresponding not-found error
+//! so present-but-hidden is indistinguishable from absent.
 
 use crate::metrics::MetricsRegistry;
-use crate::schema::{SpecId, ViewId};
+use crate::schema::{RunId, SpecId, ViewId};
 use crate::store::{Result as WhResult, Warehouse, WarehouseError};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -45,7 +47,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use zoom_graph::NodeId;
-use zoom_model::{CompositeModule, UserView, WorkflowSpec};
+use zoom_model::{CompositeModule, DataId, UserView, WorkflowSpec};
 use zoom_views::relev_user_view_builder;
 
 /// What a tenant must not see. Module labels apply across every workflow
@@ -236,9 +238,9 @@ pub fn partitions_equal(a: &UserView, b: &UserView) -> bool {
 }
 
 /// Where enforcement counters land. The local facade passes its
-/// warehouse's [`MetricsRegistry`] directly; the sharded router passes a
-/// shim that locks shard 0 per record (policy decisions never hold a
-/// shard lock while recording, so the shim cannot deadlock).
+/// warehouse's [`MetricsRegistry`] directly; the sharded router records
+/// into shard 0's registry, locking it per record (policy decisions never
+/// hold a shard lock while recording, so this cannot deadlock).
 pub trait PolicyMetricsSink {
     /// A query was rewritten to a coarser view.
     fn policy_substitution(&self);
@@ -266,8 +268,9 @@ impl PolicyMetricsSink for MetricsRegistry {
 }
 
 /// The registration surface the policy compiler needs, implemented by
-/// both the sharded [`crate::wire::ShardRouter`] (interior mutability)
-/// and a local `&mut Warehouse` adapter ([`MutRegistrar`]).
+/// the sharded [`crate::wire::ShardRouter`] (interior mutability), a
+/// local `&mut Warehouse` adapter ([`MutRegistrar`]), and a shared
+/// [`Warehouse`] borrow (read-only).
 pub trait ViewRegistry {
     /// A clone of a registered specification.
     fn spec_of(&self, id: SpecId) -> WhResult<WorkflowSpec>;
@@ -282,6 +285,9 @@ pub trait ViewRegistry {
     fn spec_ids(&self) -> Vec<SpecId>;
     /// Every registered view id under `spec`.
     fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId>;
+    /// The specification `run` belongs to. The gates look it up only
+    /// once a policy is installed.
+    fn run_spec(&self, run: RunId) -> WhResult<SpecId>;
 }
 
 /// [`ViewRegistry`] over a locally-owned warehouse. The policy compiler's
@@ -297,43 +303,38 @@ impl<'a> MutRegistrar<'a> {
     }
 }
 
-/// Read-only [`ViewRegistry`] over a shared warehouse borrow, for the
+/// A shared warehouse borrow is a *read-only* registry, for the
 /// query-time (`&self`) paths of the local facade. The facade eagerly
 /// compiles after every registration, so query-time decisions are cache
 /// lookups or refinement shortcuts that never register; if a genuinely
 /// cold decision does need to register a join view, the attempt fails
-/// closed with [`WarehouseError::ViewNotFound`] (callers map internal
-/// enforcement errors to the plain not-found rendering).
-pub struct ReadRegistrar<'a>(&'a Warehouse);
-
-impl<'a> ReadRegistrar<'a> {
-    /// Wraps a shared warehouse borrow.
-    pub fn new(wh: &'a Warehouse) -> Self {
-        ReadRegistrar(wh)
-    }
-}
-
-impl ViewRegistry for ReadRegistrar<'_> {
+/// closed with [`WarehouseError::ViewNotFound`] (the [`Gate`] maps
+/// internal enforcement errors to the plain not-found rendering).
+/// Registering goes through [`MutRegistrar`].
+impl ViewRegistry for Warehouse {
     fn spec_of(&self, id: SpecId) -> WhResult<WorkflowSpec> {
-        self.0.spec(id).cloned()
+        self.spec(id).cloned()
     }
     fn view_of(&self, id: ViewId) -> WhResult<UserView> {
-        self.0.view(id).cloned()
+        self.view(id).cloned()
     }
     fn find_view_id(&self, spec: SpecId, name: &str) -> Option<ViewId> {
-        self.0.find_view(spec, name)
+        self.find_view(spec, name)
     }
     fn register_view_if_absent(&self, spec: SpecId, view: &UserView) -> WhResult<ViewId> {
-        match self.0.find_view(spec, view.name()) {
+        match self.find_view(spec, view.name()) {
             Some(existing) => Ok(existing),
             None => Err(WarehouseError::ViewNotFound(ViewId(u32::MAX))),
         }
     }
     fn spec_ids(&self) -> Vec<SpecId> {
-        self.0.spec_ids()
+        Warehouse::spec_ids(self)
     }
     fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId> {
-        self.0.views_of_spec(spec).to_vec()
+        self.views_of_spec(spec).to_vec()
+    }
+    fn run_spec(&self, run: RunId) -> WhResult<SpecId> {
+        Warehouse::run_spec(self, run)
     }
 }
 
@@ -360,6 +361,9 @@ impl ViewRegistry for MutRegistrar<'_> {
     fn view_ids_of(&self, spec: SpecId) -> Vec<ViewId> {
         self.0.borrow().views_of_spec(spec).to_vec()
     }
+    fn run_spec(&self, run: RunId) -> WhResult<SpecId> {
+        self.0.borrow().run_spec(run)
+    }
 }
 
 /// The compiled outcome of one (tenant × spec) pair.
@@ -382,7 +386,7 @@ enum Compiled {
 
 /// What the enforcement point should do with one query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Decision {
+enum Decision {
     /// Execute unchanged.
     Pass,
     /// Refuse, rendered byte-identically to the not-found error the same
@@ -527,7 +531,7 @@ impl PolicyTable {
     /// Whether `tenant` may address `spec_id` at all. `true` means
     /// denied: the caller renders the same not-found error bytes a
     /// genuinely absent target would produce.
-    pub fn spec_denied<R: ViewRegistry>(
+    fn spec_denied<R: ViewRegistry>(
         &self,
         tenant: &str,
         spec_id: SpecId,
@@ -551,12 +555,8 @@ impl PolicyTable {
     }
 
     /// `true` when `tenant`'s policy conceals modules inside `spec_id`
-    /// (compiled state `Restricted`). The enforcement point must then
-    /// render hidden-data answers ([`WarehouseError::DataNotVisible`])
-    /// as plain absence — a present-but-concealed datum would otherwise
-    /// be distinguishable from one that never existed, an existence
-    /// oracle on data internal to the concealed composites.
-    pub fn spec_restricted<R: ViewRegistry>(
+    /// (compiled state `Restricted`); see [`Gate::conceal`].
+    fn spec_restricted<R: ViewRegistry>(
         &self,
         tenant: &str,
         spec_id: SpecId,
@@ -582,7 +582,7 @@ impl PolicyTable {
     /// spec, passes through unchanged so the natural error path renders —
     /// enforcement must not invent new error shapes an attacker could
     /// fingerprint.
-    pub fn view_decision<R: ViewRegistry>(
+    fn view_decision<R: ViewRegistry>(
         &self,
         tenant: &str,
         spec_id: SpecId,
@@ -673,6 +673,179 @@ impl PolicyTable {
             }
         }
         Ok(())
+    }
+}
+
+/// One tenant's enforcement point, built per request by both facades:
+/// the local `Zoom::*_as` methods and the daemon's request handler.
+///
+/// Every gate starts with the [`PolicyTable::is_empty`] load, so a
+/// deployment without policies pays one branch, and looks the run's spec
+/// up only past it. Denials render byte-identically to the not-found
+/// error an absent target produces. Internal policy errors fail *closed*
+/// the same way — a distinct error would confirm the target exists.
+pub struct Gate<'a, R> {
+    policies: &'a PolicyTable,
+    tenant: &'a str,
+    reg: &'a R,
+    sink: &'a dyn PolicyMetricsSink,
+}
+
+impl PolicyTable {
+    /// `tenant`'s [`Gate`] over `reg`, counting decisions into `sink`.
+    pub fn gate<'a, R: ViewRegistry>(
+        &'a self,
+        tenant: &'a str,
+        reg: &'a R,
+        sink: &'a dyn PolicyMetricsSink,
+    ) -> Gate<'a, R> {
+        Gate {
+            policies: self,
+            tenant,
+            reg,
+            sink,
+        }
+    }
+}
+
+impl<R: ViewRegistry> Gate<'_, R> {
+    /// `run`'s spec, looked up only once a policy is installed; `None`
+    /// for a run the registry cannot resolve, whose natural
+    /// `RunNotFound` then renders downstream.
+    fn policed_spec(&self, run: RunId) -> Option<SpecId> {
+        if self.policies.is_empty() {
+            return None;
+        }
+        self.reg.run_spec(run).ok()
+    }
+
+    /// Whether the tenant's policy hides `spec` (internal errors deny).
+    fn denied(&self, spec: SpecId) -> bool {
+        !matches!(
+            self.policies
+                .spec_denied(self.tenant, spec, self.reg, self.sink),
+            Ok(false)
+        )
+    }
+
+    /// The view gate: the view a query against `(run, view)` executes
+    /// with — unchanged for unrestricted tenants, the compiled privacy
+    /// (or meet) view for restricted ones, and `Err(RunNotFound)` when
+    /// the policy denies the run's workflow.
+    pub fn view(&self, run: RunId, view: ViewId) -> WhResult<ViewId> {
+        let Some(spec) = self.policed_spec(run) else {
+            return Ok(view);
+        };
+        if self.denied(spec) {
+            return Err(WarehouseError::RunNotFound(run));
+        }
+        match self
+            .policies
+            .view_decision(self.tenant, spec, view, self.reg, self.sink)
+        {
+            Ok(Decision::Pass) => Ok(view),
+            Ok(Decision::Substitute(v)) => Ok(v),
+            Ok(Decision::Deny) | Err(_) => Err(WarehouseError::RunNotFound(run)),
+        }
+    }
+
+    /// The run gate, for viewless run-addressed requests:
+    /// `Err(RunNotFound)` when the policy hides the run's workflow.
+    pub fn run(&self, run: RunId) -> WhResult<()> {
+        match self.policed_spec(run) {
+            Some(spec) if self.denied(spec) => Err(WarehouseError::RunNotFound(run)),
+            _ => Ok(()),
+        }
+    }
+
+    /// The spec gate, for spec-addressed requests (ingest, view
+    /// building): `Err(SpecNotFound)` when the policy hides the workflow.
+    pub fn spec(&self, spec: SpecId) -> WhResult<()> {
+        if !self.policies.is_empty() && self.denied(spec) {
+            return Err(WarehouseError::SpecNotFound(spec));
+        }
+        Ok(())
+    }
+
+    /// The id a view-returning request hands back: a restricted tenant
+    /// gets its effective view, so the id it holds is already safe to
+    /// query with and never finer than its policy allows.
+    pub fn view_id(&self, spec: SpecId, id: ViewId) -> ViewId {
+        if self.policies.is_empty() {
+            return id;
+        }
+        match self
+            .policies
+            .view_decision(self.tenant, spec, id, self.reg, self.sink)
+        {
+            Ok(Decision::Substitute(v)) => v,
+            _ => id,
+        }
+    }
+
+    /// Renders hidden-data answers as absence: a
+    /// [`WarehouseError::DataNotVisible`] from a query against `run`
+    /// becomes [`WarehouseError::DataNotFound`] when the tenant's policy
+    /// conceals modules in the run's workflow. Without this, probing a
+    /// data id internal to a concealed composite answers "exists but
+    /// hidden" — an existence oracle distinguishing two runs that differ
+    /// only inside hidden modules.
+    pub fn conceal<T>(&self, run: RunId, res: WhResult<T>) -> WhResult<T> {
+        let Err(WarehouseError::DataNotVisible { data, view }) = res else {
+            return res;
+        };
+        if let Some(spec) = self.policed_spec(run) {
+            match self
+                .policies
+                .spec_restricted(self.tenant, spec, self.reg, self.sink)
+            {
+                Ok(true) | Err(_) => return Err(WarehouseError::DataNotFound(data)),
+                Ok(false) => {}
+            }
+        }
+        Err(WarehouseError::DataNotVisible { data, view })
+    }
+
+    /// One view-addressed query: the view gate, then `q` at the
+    /// effective view, then [`Gate::conceal`] on its answer.
+    pub fn query<T>(
+        &self,
+        run: RunId,
+        view: ViewId,
+        q: impl FnOnce(ViewId) -> WhResult<T>,
+    ) -> WhResult<T> {
+        let effective = self.view(run, view)?;
+        self.conceal(run, q(effective))
+    }
+
+    /// The batch slot router: each triple passes the view gate on its
+    /// own. Allowed triples keep their input slot and run through
+    /// `run_batch` at their effective views; denied ones answer in place
+    /// with the error an absent run produces.
+    pub fn batch<T>(
+        &self,
+        queries: &[(RunId, ViewId, DataId)],
+        run_batch: impl FnOnce(&[(RunId, ViewId, DataId)]) -> Vec<WhResult<T>>,
+    ) -> Vec<WhResult<T>> {
+        if self.policies.is_empty() {
+            return run_batch(queries);
+        }
+        let mut slots: Vec<Option<WhResult<T>>> = (0..queries.len()).map(|_| None).collect();
+        let mut routed: Vec<(usize, (RunId, ViewId, DataId))> = Vec::new();
+        for (i, &(run, view, data)) in queries.iter().enumerate() {
+            match self.view(run, view) {
+                Ok(v) => routed.push((i, (run, v, data))),
+                Err(e) => slots[i] = Some(Err(e)),
+            }
+        }
+        let triples: Vec<_> = routed.iter().map(|&(_, t)| t).collect();
+        for (&(i, (run, _, _)), ans) in routed.iter().zip(run_batch(&triples)) {
+            slots[i] = Some(self.conceal(run, ans));
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every batch slot answered"))
+            .collect()
     }
 }
 

@@ -23,21 +23,21 @@
 //! under that shard's own admission control.
 //!
 //! Tenancy: each connection names a tenant (`Hello`); the
-//! [`TenantQuotaTable`] layers a per-tenant session cap and a per-tenant
-//! admission semaphore (the PR 5 [`AdmissionControl`]) *above* the
-//! per-shard one, so one tenant flooding the daemon sheds its own traffic
-//! before it can starve another tenant's shard time. The table itself is
-//! bounded against hostile tenant churn: names are capped at
-//! [`MAX_TENANT_NAME_BYTES`], the table holds at most
-//! [`TenantQuotas::max_tenants`] entries, and idle entries (no open
-//! sessions, no in-flight or queued requests) are evicted to make room
-//! before a new tenant is refused.
+//! [`TenantQuotaTable`] layers a per-tenant admission semaphore (an
+//! [`AdmissionControl`]) *above* the per-shard one, so one tenant flooding
+//! the daemon sheds its own traffic before it can starve another tenant's
+//! shard time. The table itself is bounded against hostile tenant churn:
+//! names are capped at [`MAX_TENANT_NAME_BYTES`], the table holds at most
+//! [`TenantQuotas::max_tenants`] entries, and idle entries (no in-flight
+//! or queued requests) are evicted to make room before a new tenant is
+//! refused.
 
 use crate::codec::{self, CodecError};
 use crate::durable::{fsck_with, DurableError, DurableOptions, DurableWarehouse, FsckReport};
 use crate::io::{RealFs, StorageIo};
 use crate::journal::crc32;
 use crate::metrics::{MetricsSnapshot, SlowQuery};
+use crate::privacy::PolicyMetricsSink;
 use crate::query::ProvenanceResult;
 use crate::resilience::{AdmissionControl, AdmissionPermit, HealthReport, ShardState};
 use crate::schema::{RunId, SpecId, ViewId, WarehouseStats};
@@ -49,7 +49,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 use zoom_model::{DataId, EventLog, LogEvent, StepId, UserView, WorkflowSpec};
@@ -184,8 +183,7 @@ pub fn read_message<T: for<'de> Deserialize<'de>>(
 // ---------------------------------------------------------------------------
 
 /// One client request frame. Requests and responses correlate 1:1 in
-/// order on a connection; many logical sessions multiplex over one
-/// connection by carrying their `session` id per request.
+/// order on a connection.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Request {
     /// Liveness probe.
@@ -195,16 +193,6 @@ pub enum Request {
     Hello {
         /// Tenant name.
         tenant: String,
-    },
-    /// Opens a logical session; the reply carries its id.
-    OpenSession,
-    /// Closes a logical session. Only sessions opened on the *same*
-    /// connection may be closed — session ids are guessable, so closing
-    /// by id alone would let one tenant corrupt another's quota
-    /// accounting.
-    CloseSession {
-        /// The session to close.
-        session: u64,
     },
     /// `register_spec`, broadcast to every shard.
     RegisterSpec {
@@ -232,8 +220,6 @@ pub enum Request {
     },
     /// Batch `load_log` of a complete event log.
     LoadLog {
-        /// Session the ingest bills to.
-        session: u64,
         /// Owning specification.
         spec: SpecId,
         /// The event log.
@@ -241,15 +227,11 @@ pub enum Request {
     },
     /// Opens a streaming ingest run.
     BeginStream {
-        /// Session the stream bills to.
-        session: u64,
         /// Owning specification.
         spec: SpecId,
     },
     /// Pushes one event into an open stream.
     StreamPush {
-        /// Session the stream bills to.
-        session: u64,
         /// The (global) run id.
         run: RunId,
         /// The event.
@@ -257,15 +239,11 @@ pub enum Request {
     },
     /// Seals an open stream.
     StreamSeal {
-        /// Session the stream bills to.
-        session: u64,
         /// The (global) run id.
         run: RunId,
     },
     /// Deep provenance query.
     DeepProvenance {
-        /// Session the query bills to.
-        session: u64,
         /// The run.
         run: RunId,
         /// The view.
@@ -275,15 +253,11 @@ pub enum Request {
     },
     /// Batched deep provenance queries (fan out on the owning shards).
     QueryBatch {
-        /// Session the batch bills to.
-        session: u64,
         /// `(run, view, data)` triples, answered in input order.
         queries: Vec<(RunId, ViewId, DataId)>,
     },
     /// Immediate provenance query.
     ImmediateProvenance {
-        /// Session the query bills to.
-        session: u64,
         /// The run.
         run: RunId,
         /// The view.
@@ -293,8 +267,6 @@ pub enum Request {
     },
     /// Forward (dependents) query.
     DependentsOf {
-        /// Session the query bills to.
-        session: u64,
         /// The run.
         run: RunId,
         /// The view.
@@ -304,8 +276,6 @@ pub enum Request {
     },
     /// Data passed between two (possibly virtual) executions.
     DataBetween {
-        /// Session the query bills to.
-        session: u64,
         /// The run.
         run: RunId,
         /// The view.
@@ -317,15 +287,11 @@ pub enum Request {
     },
     /// The run's final outputs.
     FinalOutputs {
-        /// Session the query bills to.
-        session: u64,
         /// The run.
         run: RunId,
     },
     /// Every data object visible at a view level.
     VisibleData {
-        /// Session the query bills to.
-        session: u64,
         /// The run.
         run: RunId,
         /// The view.
@@ -364,8 +330,6 @@ pub enum Request {
         /// A view name under that workflow, if one should resolve too.
         view: Option<String>,
     },
-    /// Total open logical sessions across every tenant (daemon gauge).
-    SessionCount,
     /// Asks the daemon to exit after replying. Honoured only for clients
     /// presenting the daemon's admin token — or, when no token is
     /// configured, for loopback peers — so a remote tenant cannot stop
@@ -411,11 +375,6 @@ pub enum Response {
     Ok,
     /// Reply to [`Request::Ping`].
     Pong,
-    /// Reply to [`Request::OpenSession`].
-    Session {
-        /// The new session id.
-        id: u64,
-    },
     /// A registered specification id.
     Spec {
         /// The id (identical on every shard).
@@ -480,11 +439,6 @@ pub enum Response {
         /// The workflow's (global) run ids, load order.
         runs: Vec<RunId>,
     },
-    /// Reply to [`Request::SessionCount`].
-    Count {
-        /// The gauge value.
-        n: u64,
-    },
     /// Reply to [`Request::SlowLog`].
     SlowLogAll {
         /// Captured slow queries across all shards.
@@ -524,8 +478,6 @@ pub enum Response {
 /// Per-tenant limits layered above per-shard admission control.
 #[derive(Clone, Copy, Debug)]
 pub struct TenantQuotas {
-    /// Maximum concurrently open logical sessions per tenant.
-    pub max_sessions: usize,
     /// Maximum in-flight requests per tenant (the admission semaphore's
     /// in-flight limit).
     pub max_in_flight: usize,
@@ -534,8 +486,8 @@ pub struct TenantQuotas {
     pub max_queue: usize,
     /// Maximum distinct tenants tracked at once. Tenant names arrive
     /// attacker-chosen over the wire, so the table must not grow without
-    /// bound: when full, idle entries (no sessions, nothing in flight)
-    /// are evicted first, and if every entry is busy the new tenant is
+    /// bound: when full, idle entries (nothing in flight or queued) are
+    /// evicted first, and if every entry is busy the new tenant is
     /// refused.
     pub max_tenants: usize,
 }
@@ -543,7 +495,6 @@ pub struct TenantQuotas {
 impl Default for TenantQuotas {
     fn default() -> Self {
         TenantQuotas {
-            max_sessions: 1 << 20,
             max_in_flight: 256,
             max_queue: 4096,
             max_tenants: 4096,
@@ -551,17 +502,11 @@ impl Default for TenantQuotas {
     }
 }
 
-#[derive(Debug)]
-struct TenantState {
-    admission: Arc<AdmissionControl>,
-    sessions: AtomicUsize,
-}
-
-/// Per-tenant session counters and admission semaphores.
+/// Per-tenant admission semaphores.
 #[derive(Debug)]
 pub struct TenantQuotaTable {
     quotas: TenantQuotas,
-    tenants: Mutex<HashMap<String, Arc<TenantState>>>,
+    tenants: Mutex<HashMap<String, Arc<AdmissionControl>>>,
 }
 
 impl TenantQuotaTable {
@@ -578,11 +523,11 @@ impl TenantQuotaTable {
         self.quotas
     }
 
-    /// The tenant's state, creating it if the table has room. `None`
+    /// The tenant's semaphore, creating it if the table has room. `None`
     /// means the tenant must be refused: its name is oversized, or the
     /// table is at [`TenantQuotas::max_tenants`] and every tracked
     /// tenant is busy (idle entries are evicted to make room first).
-    fn state(&self, tenant: &str) -> Option<Arc<TenantState>> {
+    fn state(&self, tenant: &str) -> Option<Arc<AdmissionControl>> {
         let mut map = lock(&self.tenants);
         if let Some(s) = map.get(tenant) {
             return Some(Arc::clone(s));
@@ -591,25 +536,18 @@ impl TenantQuotaTable {
             return None;
         }
         if map.len() >= self.quotas.max_tenants {
-            // Evict idle tenants: no open sessions, nobody between a
-            // table lookup and an admit (the map holds the only Arc),
-            // and no permit outstanding or waiter queued.
-            map.retain(|_, s| {
-                s.sessions.load(Ordering::Relaxed) > 0
-                    || Arc::strong_count(s) > 1
-                    || s.admission.load() > 0
-            });
+            // Evict idle tenants: nobody between a table lookup and an
+            // admit (the map holds the only Arc), and no permit
+            // outstanding or waiter queued.
+            map.retain(|_, s| Arc::strong_count(s) > 1 || s.load() > 0);
             if map.len() >= self.quotas.max_tenants {
                 return None;
             }
         }
-        let s = Arc::new(TenantState {
-            admission: Arc::new(AdmissionControl::new(
-                self.quotas.max_in_flight,
-                self.quotas.max_queue,
-            )),
-            sessions: AtomicUsize::new(0),
-        });
+        let s = Arc::new(AdmissionControl::new(
+            self.quotas.max_in_flight,
+            self.quotas.max_queue,
+        ));
         map.insert(tenant.to_string(), Arc::clone(&s));
         Some(s)
     }
@@ -619,63 +557,11 @@ impl TenantQuotaTable {
         lock(&self.tenants).len()
     }
 
-    /// Reserves one session slot; `false` means the tenant is at its
-    /// session cap (or refused outright by the table bound) and the open
-    /// must be refused.
-    pub fn open_session(&self, tenant: &str) -> bool {
-        let Some(s) = self.state(tenant) else {
-            return false;
-        };
-        let mut cur = s.sessions.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.quotas.max_sessions {
-                return false;
-            }
-            match s.sessions.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Releases one session slot.
-    pub fn close_session(&self, tenant: &str) {
-        let Some(s) = lock(&self.tenants).get(tenant).map(Arc::clone) else {
-            return;
-        };
-        let mut cur = s.sessions.load(Ordering::Relaxed);
-        while cur > 0 {
-            match s.sessions.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Open sessions currently charged to `tenant`.
-    pub fn session_count(&self, tenant: &str) -> usize {
-        lock(&self.tenants)
-            .get(tenant)
-            .map(|s| s.sessions.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
     /// Admits one request for `tenant`, blocking in the tenant's bounded
     /// queue; `None` means the request is shed — the tenant's queue is
     /// full, or the tenant itself was refused by the table bound.
     pub fn admit(&self, tenant: &str) -> Option<AdmissionPermit> {
-        let s = self.state(tenant)?;
-        s.admission.admit()
+        self.state(tenant)?.admit()
     }
 }
 
@@ -686,7 +572,7 @@ impl TenantQuotaTable {
 /// A poison-tolerant lock: a request thread that panicked while holding a
 /// shard (the daemon catches the unwind and answers an error) must not
 /// convert every later lock on that shard into a panic — that would let
-/// one hostile session take the whole shard down for every other tenant.
+/// one hostile request take the whole shard down for every other tenant.
 /// Shard mutations are accept/apply split (validation happens before any
 /// state changes), so the state under a poisoned lock is consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -1239,7 +1125,7 @@ impl ShardRouter {
         self.with_run_mut(run, |b, local| b.stream_seal(local))
     }
 
-    /// Tears down a stream whose ingest session died mid-push (e.g. a
+    /// Tears down a stream whose ingest died mid-push (e.g. a
     /// panicked request): rolls the committed prefix back out of the
     /// owning in-memory shard so readers never see a half-applied run.
     /// Durable shards keep the stream open (their journal is consistent;
@@ -1566,21 +1452,6 @@ impl ShardRouter {
         &self.policies
     }
 
-    /// The specification a (global) run belongs to.
-    pub fn spec_of_run(&self, run: RunId) -> WhResult<SpecId> {
-        self.with_run(run, |b, local| b.warehouse().run_spec(local))
-    }
-
-    /// A [`PolicyMetricsSink`](crate::privacy::PolicyMetricsSink) that
-    /// records enforcement counters into shard 0's registry (policies are
-    /// daemon-global, so one shard's registry is the canonical home; the
-    /// aggregated metrics view sums across shards anyway). Each record
-    /// takes the shard lock briefly — the policy table never calls the
-    /// sink while holding a shard lock, so this cannot deadlock.
-    pub fn policy_sink(&self) -> ShardPolicySink<'_> {
-        ShardPolicySink { router: self }
-    }
-
     /// Sets the slow-query capture threshold on every shard.
     pub fn set_slow_query_threshold_nanos(&self, nanos: u64) {
         for s in &self.shards {
@@ -1664,36 +1535,44 @@ impl crate::privacy::ViewRegistry for ShardRouter {
             .views_of_spec(spec)
             .to_vec()
     }
-}
 
-/// Routes policy-enforcement counters into shard 0's metrics registry;
-/// see [`ShardRouter::policy_sink`].
-pub struct ShardPolicySink<'a> {
-    router: &'a ShardRouter,
-}
-
-impl ShardPolicySink<'_> {
-    fn with_registry(&self, f: impl FnOnce(&crate::metrics::MetricsRegistry)) {
-        let guard = lock(&self.router.shards[0]);
-        f(guard.warehouse().metrics_registry());
+    fn run_spec(&self, run: RunId) -> WhResult<SpecId> {
+        self.with_run(run, |b, local| b.warehouse().run_spec(local))
     }
 }
 
-impl crate::privacy::PolicyMetricsSink for ShardPolicySink<'_> {
+/// Enforcement counters land in shard 0's metrics registry: policies are
+/// daemon-global, so one shard's registry is the canonical home (the
+/// aggregated metrics view sums across shards anyway). Each record takes
+/// the shard lock briefly — the policy table never records while holding
+/// a shard lock, so this cannot deadlock.
+impl PolicyMetricsSink for ShardRouter {
     fn policy_substitution(&self) {
-        self.with_registry(|r| r.record_policy_substitution());
+        lock(&self.shards[0])
+            .warehouse()
+            .metrics_registry()
+            .policy_substitution();
     }
 
     fn policy_denial(&self) {
-        self.with_registry(|r| r.record_policy_denial());
+        lock(&self.shards[0])
+            .warehouse()
+            .metrics_registry()
+            .policy_denial();
     }
 
     fn policy_cache_hit(&self) {
-        self.with_registry(|r| r.record_policy_cache_hit());
+        lock(&self.shards[0])
+            .warehouse()
+            .metrics_registry()
+            .policy_cache_hit();
     }
 
     fn policy_compilation(&self) {
-        self.with_registry(|r| r.record_policy_compilation());
+        lock(&self.shards[0])
+            .warehouse()
+            .metrics_registry()
+            .policy_compilation();
     }
 }
 
@@ -1904,25 +1783,17 @@ mod tests {
     }
 
     #[test]
-    fn quota_table_enforces_session_cap_and_sheds() {
+    fn quota_table_sheds_past_the_in_flight_and_queue_caps() {
         let table = TenantQuotaTable::new(TenantQuotas {
-            max_sessions: 2,
             max_in_flight: 1,
             max_queue: 0,
             ..TenantQuotas::default()
         });
-        assert!(table.open_session("t1"));
-        assert!(table.open_session("t1"));
-        assert!(!table.open_session("t1"), "third session over cap");
-        assert!(table.open_session("t2"), "caps are per tenant");
-        table.close_session("t1");
-        assert!(table.open_session("t1"));
-        assert_eq!(table.session_count("t1"), 2);
-
         // One permit in flight, zero queue: the second admit sheds.
         let p1 = table.admit("t1");
         assert!(p1.is_some());
         assert!(table.admit("t1").is_none(), "queue full: shed");
+        assert!(table.admit("t2").is_some(), "caps are per tenant");
         drop(p1);
         assert!(table.admit("t1").is_some());
     }
@@ -1935,7 +1806,6 @@ mod tests {
         });
         // Oversized names are refused outright.
         let huge = "t".repeat(MAX_TENANT_NAME_BYTES + 1);
-        assert!(!table.open_session(&huge));
         assert!(table.admit(&huge).is_none());
         assert_eq!(table.tenant_count(), 0);
 
@@ -1943,21 +1813,20 @@ mod tests {
         // entries are evicted to make room.
         for i in 0..100 {
             let name = format!("churn-{i}");
-            assert!(table.open_session(&name), "churned tenant {i} refused");
-            table.close_session(&name);
+            assert!(table.admit(&name).is_some(), "churned tenant {i} refused");
         }
         assert!(table.tenant_count() <= 4, "table grew without bound");
 
-        // Busy tenants (open sessions) are never evicted; once the table
-        // is full of them, new tenants are refused.
-        for i in 0..4 {
-            assert!(table.open_session(&format!("busy-{i}")));
-        }
-        assert!(!table.open_session("one-too-many"));
-        assert_eq!(table.session_count("busy-0"), 1);
-        // Releasing one makes room again.
-        table.close_session("busy-0");
-        assert!(table.open_session("newcomer"));
+        // Busy tenants (a request in flight) are never evicted; once the
+        // table is full of them, new tenants are refused.
+        let mut held: Vec<_> = (0..4)
+            .map(|i| table.admit(&format!("busy-{i}")).expect("room"))
+            .collect();
+        assert!(table.admit("one-too-many").is_none());
+        assert_eq!(table.tenant_count(), 4);
+        // Finishing one request makes room again.
+        held.pop();
+        assert!(table.admit("newcomer").is_some());
     }
 
     #[test]

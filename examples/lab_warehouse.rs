@@ -136,32 +136,33 @@ fn main() {
     // --- 3b. Incremental durability: the same lab can journal each
     // mutation as it happens instead of re-snapshotting; a crash only ever
     // loses the torn tail record.
-    let mut jpath = std::env::temp_dir();
-    jpath.push("zoom-lab-warehouse.journal");
+    let mut dir = std::env::temp_dir();
+    dir.push("zoom-lab-warehouse.durable");
+    std::fs::remove_dir_all(&dir).ok();
     {
-        let mut journal =
-            zoom::warehouse::JournaledWarehouse::create(&jpath).expect("journal created");
+        let mut durable =
+            zoom::warehouse::DurableWarehouse::open(&dir).expect("durable store created");
         let spec = zoom_gen::library::phylogenomic();
-        let sid = journal.register_spec(spec.clone()).expect("registers");
-        journal
+        let sid = durable.register_spec(spec.clone()).expect("registers");
+        durable
             .register_view(sid, zoom::model::UserView::admin(&spec))
             .expect("registers");
-        journal
+        durable
             .load_run(sid, zoom_gen::library::figure2_run(&spec))
             .expect("loads");
         println!(
-            "journal: {} records at {}",
-            journal.record_count(),
-            jpath.display()
+            "journal: {} records under {}",
+            durable.stats().journal_records,
+            dir.display()
         );
     }
-    let replayed = zoom::warehouse::JournaledWarehouse::open(&jpath).expect("replays");
+    let replayed = zoom::warehouse::DurableWarehouse::open(&dir).expect("replays");
     assert_eq!(replayed.warehouse().stats().runs, 1);
     println!(
         "journal replayed: {} records intact",
-        replayed.record_count()
+        replayed.stats().journal_records
     );
-    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
     let reloaded = Zoom::load(&path).expect("snapshot loads");
     std::fs::remove_file(&path).ok();

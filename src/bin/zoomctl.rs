@@ -197,7 +197,6 @@ argument is dropped:
   zoomctl --connect A query <workflow> <run#> <view> <query>
   zoomctl --connect A ingest <workflow> [events-file|-] [--follow] [--seal]
   zoomctl --connect A replay <trace> [--check] [--speed N] [--json]
-  zoomctl --connect A soak <sessions>                  open/close N sessions
   zoomctl --connect A compact                          checkpoint durable shards
   zoomctl --connect A policy set <tenant> [--hide-module M]... [--hide-workflow W]...
                               [--admin-token TOK]
@@ -1076,7 +1075,6 @@ fn dispatch_remote(addr: &str, tenant: &str, args: &[String]) -> Result<(), Stri
         ),
         "ingest" => remote_ingest(&mut rz, str_arg(args, 1, "workflow name")?, &args[2..]),
         "replay" => remote_replay(&mut rz, path_arg(args, 1)?, &args[2..]),
-        "soak" => remote_soak(&mut rz, str_arg(args, 1, "session count")?),
         "compact" => {
             rz.checkpoint().map_err(rerr)?;
             out!("checkpointed every durable shard on {addr}");
@@ -1146,7 +1144,6 @@ fn remote_stats(
     let (rest, token) = split_admin_token(rest)?;
     let json = rest.iter().any(|a| a == "--json");
     let shards = rz.stats_per_shard().map_err(rerr)?;
-    let sessions = rz.session_count().map_err(rerr)?;
     let agg = zoom::warehouse::ShardRouter::aggregate_stats(&shards);
     if json {
         let per_shard: Vec<String> = rz
@@ -1156,19 +1153,17 @@ fn remote_stats(
             .map(|m| m.to_json())
             .collect();
         out!(
-            "{{\"addr\":\"{}\",\"tenant\":\"{}\",\"shards\":{},\"sessions\":{},\
+            "{{\"addr\":\"{}\",\"tenant\":\"{}\",\"shards\":{},\
              \"aggregate\":{},\"per_shard\":[{}]}}",
             json_escape(addr),
             json_escape(tenant),
             shards.len(),
-            sessions,
             stats_json(&agg),
             per_shard.join(",")
         );
         return Ok(());
     }
     out!("shards       : {}", shards.len());
-    out!("sessions     : {sessions}");
     out!("workflows    : {}", agg.specs);
     out!("views        : {}", agg.views);
     out!("runs         : {}", agg.runs);
@@ -1583,29 +1578,6 @@ fn remote_replay(
             "replay diverged: {} digest mismatches",
             report.mismatches.len()
         ));
-    }
-    Ok(())
-}
-
-/// Opens N logical sessions over this one connection, reads the daemon's
-/// session gauge at the peak, then closes them all — the CI concurrency
-/// smoke (`soak 1000`).
-fn remote_soak(rz: &mut zoom::core::RemoteZoom, count: &str) -> Result<(), String> {
-    let n: usize = count
-        .parse()
-        .map_err(|_| format!("`{count}` is not a session count"))?;
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(rz.open_session().map_err(rerr)?);
-    }
-    let peak = rz.session_count().map_err(rerr)?;
-    for id in ids {
-        rz.close_session(id).map_err(rerr)?;
-    }
-    let after = rz.session_count().map_err(rerr)?;
-    out!("soak: opened {n} sessions, daemon peak {peak}, {after} left after close");
-    if (peak as usize) < n {
-        return Err(format!("daemon peak {peak} below requested {n} sessions"));
     }
     Ok(())
 }

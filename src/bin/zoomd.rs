@@ -17,9 +17,9 @@
 //! client sends `Shutdown` — or when it receives SIGTERM/SIGINT, both of
 //! which trigger the same graceful drain: stop accepting, let in-flight
 //! connections finish under `--drain-deadline`, checkpoint every healthy
-//! shard. If the deadline expires with sessions still open, the exit code
-//! is nonzero so supervisors (systemd, test harnesses) can tell a clean
-//! drain from an abandoned one.
+//! shard. If the deadline expires with connections still open (they are
+//! force-closed), the exit code is nonzero so supervisors (systemd, test
+//! harnesses) can tell a clean drain from an abandoned one.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,8 +33,8 @@ zoomd — ZOOM*UserViews provenance daemon
 
 usage:
   zoomd [--addr HOST:PORT] [--shards N] [--dir PATH] [--admin-token TOK]
-        [--max-sessions N] [--max-in-flight N] [--max-queue N]
-        [--supervise MS] [--drain-deadline MS]
+        [--max-in-flight N] [--max-queue N] [--supervise MS]
+        [--drain-deadline MS]
 
   --addr HOST:PORT   bind address (default 127.0.0.1:7333; port 0 = ephemeral)
   --shards N         warehouse shards (default: one per core; pinned at
@@ -42,7 +42,6 @@ usage:
   --dir PATH         durable shards under PATH/shard-<i> (default: in-memory)
   --admin-token TOK  require TOK for remote shutdown; without it, shutdown
                      is honoured only from loopback clients
-  --max-sessions N   per-tenant open-session cap
   --max-in-flight N  per-tenant in-flight request cap
   --max-queue N      per-tenant queued-request cap (past it, requests shed)
   --supervise MS     run the shard supervisor every MS milliseconds:
@@ -55,7 +54,7 @@ usage:
 
 Stop it with `zoomctl --connect <addr> shutdown [--admin-token TOK]`,
 SIGTERM, or ctrl-C; all three drain gracefully. Exit status is nonzero if
-the drain deadline expired with sessions still open.
+the drain deadline expired and open connections had to be force-closed.
 ";
 
 /// Set by the signal handler; polled by the main loop. Signal-handler
@@ -110,8 +109,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 print!("{HELP}");
                 return Ok(ExitCode::SUCCESS);
             }
-            "--addr" | "--shards" | "--dir" | "--admin-token" | "--max-sessions"
-            | "--max-in-flight" | "--max-queue" | "--supervise" | "--drain-deadline" => {
+            "--addr" | "--shards" | "--dir" | "--admin-token" | "--max-in-flight"
+            | "--max-queue" | "--supervise" | "--drain-deadline" => {
                 i += 1;
                 let val = args
                     .get(i)
@@ -125,7 +124,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     "--shards" => config.shards = parse_n("a shard count")?,
                     "--dir" => config.dir = Some(PathBuf::from(val)),
                     "--admin-token" => config.admin_token = Some(val.clone()),
-                    "--max-sessions" => quotas.max_sessions = parse_n("a session cap")?,
                     "--max-in-flight" => quotas.max_in_flight = parse_n("a request cap")?,
                     "--max-queue" => quotas.max_queue = parse_n("a queue length")?,
                     "--supervise" => {
@@ -160,13 +158,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     }
     let report = daemon.drain(drain_deadline);
     eprintln!(
-        "zoomd: drained in {:.1} ms ({} conns aborted, {} sessions left, checkpoint {})",
+        "zoomd: drained in {:.1} ms ({} conns force-closed, checkpoint {})",
         report.nanos as f64 / 1e6,
         report.conns_aborted,
-        report.sessions_remaining,
         if report.checkpointed { "ok" } else { "failed" }
     );
-    if report.drained && report.sessions_remaining == 0 {
+    if report.drained {
         Ok(ExitCode::SUCCESS)
     } else {
         Ok(ExitCode::from(3))

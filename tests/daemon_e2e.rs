@@ -9,7 +9,7 @@
 
 use zoom::core::{execute_canned_remote, CannedQuery, Daemon, DaemonConfig, RemoteZoom, Zoom};
 use zoom::model::{DataId, EventLog};
-use zoom::warehouse::{ReplayOptions, TenantQuotas, TraceReplayer};
+use zoom::warehouse::{ReplayOptions, TraceReplayer};
 use zoom_gen::library::{figure2_run, phylogenomic};
 
 fn spawn_memory(shards: usize) -> Daemon {
@@ -165,7 +165,7 @@ fn streaming_ingest_commits_mid_run_over_the_wire() {
 }
 
 #[test]
-fn stats_aggregate_across_shards_and_sessions() {
+fn stats_aggregate_across_shards() {
     let daemon = spawn_memory(4);
     let mut rz = RemoteZoom::connect(daemon.addr(), "stats").unwrap();
     let spec = phylogenomic();
@@ -184,71 +184,7 @@ fn stats_aggregate_across_shards_and_sessions() {
         "runs actually sharded"
     );
 
-    // Session gauge counts every connection's logical sessions.
-    let mut extra = Vec::new();
-    for _ in 0..64 {
-        extra.push(rz.open_session().unwrap());
-    }
-    assert!(rz.session_count().unwrap() >= 65);
-    for id in extra {
-        rz.close_session(id).unwrap();
-    }
-    assert_eq!(rz.session_count().unwrap(), 1);
     assert_eq!(rz.health_per_shard().unwrap().len(), 4);
-}
-
-#[test]
-fn tenant_session_cap_is_enforced_per_tenant() {
-    let daemon = Daemon::spawn(
-        "127.0.0.1:0",
-        DaemonConfig {
-            shards: 2,
-            dir: None,
-            quotas: TenantQuotas {
-                max_sessions: 3,
-                ..TenantQuotas::default()
-            },
-            ..DaemonConfig::default()
-        },
-    )
-    .unwrap();
-    // Connecting burns one session slot per connection.
-    let mut a = RemoteZoom::connect(daemon.addr(), "alice").unwrap();
-    let mut b = RemoteZoom::connect(daemon.addr(), "bob").unwrap();
-    a.open_session().unwrap();
-    a.open_session().unwrap();
-    let over = a.open_session().unwrap_err();
-    assert!(
-        over.to_string().contains("session cap"),
-        "expected cap error, got: {over}"
-    );
-    // Another tenant is unaffected.
-    b.open_session().unwrap();
-    b.open_session().unwrap();
-}
-
-#[test]
-fn closing_foreign_sessions_is_refused() {
-    let daemon = spawn_memory(2);
-    let a = RemoteZoom::connect(daemon.addr(), "alice").unwrap();
-    let mut b = RemoteZoom::connect(daemon.addr(), "mallory").unwrap();
-    let alices = a.session();
-
-    // Session ids are guessable; guessing must not be enough to close
-    // someone else's session (that would corrupt alice's quota books).
-    let refused = b.close_session(alices).unwrap_err();
-    assert!(
-        refused
-            .to_string()
-            .contains("not opened on this connection"),
-        "expected ownership refusal, got: {refused}"
-    );
-    assert_eq!(daemon.session_count(), 2, "alice's session survived");
-
-    // Closing your own session still works.
-    let own = b.open_session().unwrap();
-    b.close_session(own).unwrap();
-    assert_eq!(daemon.session_count(), 2);
 }
 
 #[test]

@@ -12,9 +12,12 @@
 //! the two runs differ only in the hidden module's concealed I/O — and
 //! the restricted tenant's whole query matrix must agree on them, both
 //! through the local [`Zoom`] facade and over the wire through
-//! [`RemoteZoom`].
+//! [`RemoteZoom`]. Both facades enforce through the same gate, and a
+//! parity property pins that: every tenant's transcript is byte-equal
+//! whichever facade answered it.
 
 use proptest::prelude::*;
+use std::fmt::{Debug, Display, Write as _};
 use zoom::core::{Daemon, DaemonConfig, QuerySession, RemoteZoom, Zoom};
 use zoom::model::{DataId, SpecBuilder, UserView, WorkflowRun, WorkflowSpec};
 use zoom::warehouse::{RunId, ViewId, VisibilityPolicy, WarehouseError};
@@ -89,76 +92,75 @@ fn chain_run(
     rb.build().expect("chain runs are valid")
 }
 
-/// Every answer the restricted tenant can extract locally for one run:
-/// rendered to strings so byte-level differences count.
+/// Appends one answer to a transcript: successes by their debug form,
+/// errors by their display text — the bytes a client sees, whichever
+/// facade produced them.
+fn line<T: Debug, E: Display>(t: &mut String, label: impl Display, r: Result<T, E>) {
+    let _ = writeln!(t, "{label}: {:?}", r.map_err(|e| e.to_string()));
+}
+
+/// Every answer `tenant` can extract locally for one run.
 fn local_transcript(zoom: &Zoom, tenant: &str, run: RunId, view: ViewId, probes: &[u64]) -> String {
     let mut t = String::new();
-    let vis = zoom.visible_data_as(tenant, run, view);
-    t.push_str(&format!("visible: {vis:?}\n"));
-    t.push_str(&format!(
-        "finals: {:?}\n",
-        zoom.final_outputs_as(tenant, run)
-    ));
+    line(&mut t, "visible", zoom.visible_data_as(tenant, run, view));
+    line(&mut t, "finals", zoom.final_outputs_as(tenant, run));
     for &d in probes {
         let d = DataId(d);
-        t.push_str(&format!(
-            "deep {d}: {:?}\n",
-            zoom.deep_provenance_as(tenant, run, view, d)
-                .map_err(|e| e.to_string())
-        ));
-        t.push_str(&format!(
-            "imm {d}: {:?}\n",
-            zoom.immediate_provenance_as(tenant, run, view, d)
-                .map_err(|e| e.to_string())
-        ));
-        t.push_str(&format!(
-            "deps {d}: {:?}\n",
-            zoom.dependents_of_as(tenant, run, view, d)
-                .map_err(|e| e.to_string())
-        ));
+        line(
+            &mut t,
+            format_args!("deep {d}"),
+            zoom.deep_provenance_as(tenant, run, view, d),
+        );
+        line(
+            &mut t,
+            format_args!("imm {d}"),
+            zoom.immediate_provenance_as(tenant, run, view, d),
+        );
+        line(
+            &mut t,
+            format_args!("deps {d}"),
+            zoom.dependents_of_as(tenant, run, view, d),
+        );
     }
-    let batch: Vec<u64> = probes.to_vec();
-    let answers = zoom.query_batch_as(
-        tenant,
-        &batch
-            .iter()
-            .map(|&d| (run, view, DataId(d)))
-            .collect::<Vec<_>>(),
-    );
-    for a in answers {
-        t.push_str(&format!("batch: {:?}\n", a.map_err(|e| e.to_string())));
+    let batch: Vec<_> = probes.iter().map(|&d| (run, view, DataId(d))).collect();
+    for a in zoom.query_batch_as(tenant, &batch) {
+        line(&mut t, "batch", a);
     }
     t
 }
 
-/// The same matrix over the wire, as the restricted tenant's own
-/// connection — wire rendering included.
+/// The same matrix over the wire, as the tenant's own connection — wire
+/// rendering included.
 fn remote_transcript(rz: &mut RemoteZoom, run: RunId, view: ViewId, probes: &[u64]) -> String {
     let mut t = String::new();
-    t.push_str(&format!(
-        "visible: {:?}\n",
-        rz.visible_data(run, view).map_err(|e| e.to_string())
-    ));
-    t.push_str(&format!(
-        "finals: {:?}\n",
-        rz.final_outputs(run).map_err(|e| e.to_string())
-    ));
+    line(&mut t, "visible", rz.visible_data(run, view));
+    line(&mut t, "finals", rz.final_outputs(run));
     for &d in probes {
         let d = DataId(d);
-        t.push_str(&format!(
-            "deep {d}: {:?}\n",
-            rz.deep_provenance(run, view, d).map_err(|e| e.to_string())
-        ));
-        t.push_str(&format!(
-            "imm {d}: {:?}\n",
-            rz.immediate_provenance(run, view, d)
-                .map(|a| format!("{a:?}"))
-                .map_err(|e| e.to_string())
-        ));
-        t.push_str(&format!(
-            "deps {d}: {:?}\n",
-            rz.dependents_of(run, view, d).map_err(|e| e.to_string())
-        ));
+        line(
+            &mut t,
+            format_args!("deep {d}"),
+            rz.deep_provenance(run, view, d),
+        );
+        line(
+            &mut t,
+            format_args!("imm {d}"),
+            rz.immediate_provenance(run, view, d),
+        );
+        line(
+            &mut t,
+            format_args!("deps {d}"),
+            rz.dependents_of(run, view, d),
+        );
+    }
+    let batch: Vec<_> = probes.iter().map(|&d| (run, view, DataId(d))).collect();
+    match rz.query_batch(&batch) {
+        Ok(answers) => {
+            for a in answers {
+                line(&mut t, "batch", a);
+            }
+        }
+        Err(e) => line(&mut t, "batch", Err::<(), _>(e)),
     }
     t
 }
@@ -167,6 +169,7 @@ fn remote_transcript(rz: &mut RemoteZoom, run: RunId, view: ViewId, probes: &[u6
 /// directly comparable (the ids themselves legitimately differ).
 fn normalized(t: &str, run: RunId) -> String {
     t.replace(&format!("{run:?}"), "RUN")
+        .replace(&run.to_string(), "RUN")
         .replace(&format!("run {}", run.0), "run RUN")
 }
 
@@ -282,6 +285,75 @@ proptest! {
         let hidden_err = alice.deep_provenance(rid_b, admin, DataId(1000)).unwrap_err().to_string();
         let absent_err = alice.deep_provenance(rid_b, admin, DataId(4242)).unwrap_err().to_string();
         prop_assert_eq!(hidden_err.replace("1000", "D"), absent_err.replace("4242", "D"));
+    }
+
+    /// Facade ≡ daemon: the local `*_as` methods and the daemon answer
+    /// every tenant's full query matrix — batch included — with the same
+    /// bytes, for a restricted tenant (substitution and concealment), a
+    /// tenant whose policy hides the whole workflow (denial), and an
+    /// unrestricted one, at a view finer and a view coarser than the
+    /// privacy view.
+    #[test]
+    fn facade_and_daemon_transcripts_are_byte_equal(
+        n in 3usize..7,
+        hidden_pick in 0usize..8,
+    ) {
+        let hidden = hidden_pick % n;
+        let (spec, mods) = chain_spec(n);
+        let pv = zoom::warehouse::conceal(&spec, &[mods[hidden]]).expect("n >= 2");
+        let j = concealed_edge(&pv, &mods, hidden);
+        let logs = [
+            chain_run(&spec, &mods, j, &[j as u64 + 2]),
+            chain_run(&spec, &mods, j, &[1000, 1001]),
+        ]
+        .map(|r| zoom::model::EventLog::from_run(&r, &spec));
+        let policies = [
+            ("alice", VisibilityPolicy {
+                hidden_modules: vec![spec.label(mods[hidden]).to_string()],
+                hidden_workflows: vec![],
+            }),
+            ("carol", VisibilityPolicy {
+                hidden_modules: vec![],
+                hidden_workflows: vec!["chain".to_string()],
+            }),
+        ];
+
+        let mut zoom = Zoom::new();
+        let sid = zoom.register_workflow(spec.clone()).unwrap();
+        let views = [
+            zoom.admin_view(sid).unwrap(),
+            zoom.black_box_view(sid).unwrap(),
+        ];
+        let runs: Vec<RunId> = logs.iter().map(|l| zoom.load_log(sid, l).unwrap()).collect();
+        for (tenant, policy) in &policies {
+            zoom.set_policy(tenant, Some(policy.clone())).unwrap();
+        }
+
+        let daemon = Daemon::spawn("127.0.0.1:0", DaemonConfig { shards: 2, ..DaemonConfig::default() })
+            .expect("ephemeral port");
+        let mut ctl = RemoteZoom::connect(daemon.addr(), "ctl").unwrap();
+        prop_assert_eq!(ctl.register_workflow(spec.clone()).unwrap(), sid);
+        prop_assert_eq!(ctl.admin_view(sid).unwrap(), views[0]);
+        prop_assert_eq!(ctl.register_view(sid, UserView::black_box(&spec)).unwrap(), views[1]);
+        for (l, &rid) in logs.iter().zip(&runs) {
+            prop_assert_eq!(ctl.load_log(sid, l).unwrap(), rid);
+        }
+        for (tenant, policy) in &policies {
+            ctl.set_policy(tenant, Some(policy.clone()), None).unwrap();
+        }
+
+        let mut probes: Vec<u64> = (1..=n as u64 + 1).collect();
+        probes.extend([1000, 1001, 4242]);
+        for tenant in ["alice", "carol", "bob"] {
+            let mut rz = RemoteZoom::connect(daemon.addr(), tenant).unwrap();
+            for &run in &runs {
+                for &view in &views {
+                    let local = local_transcript(&zoom, tenant, run, view, &probes);
+                    let remote = remote_transcript(&mut rz, run, view, &probes);
+                    prop_assert_eq!(&local, &remote, "{} diverged on {} at {}", tenant, run, view);
+                }
+            }
+        }
     }
 }
 

@@ -146,7 +146,7 @@ fn view_family_ordering_holds_corpus_wide() {
 /// a snapshot: same stats, same provenance answers.
 #[test]
 fn journal_and_snapshot_agree() {
-    use zoom::warehouse::JournaledWarehouse;
+    use zoom::warehouse::DurableWarehouse;
     let mut rng = StdRng::seed_from_u64(888);
     let specs: Vec<_> = (0..3)
         .map(|i| {
@@ -169,31 +169,41 @@ fn journal_and_snapshot_agree() {
         })
         .collect();
 
-    // Path A: journal every mutation, then reopen.
-    let mut jpath = std::env::temp_dir();
-    jpath.push(format!("zoom-e2e-journal-{}", std::process::id()));
+    // Path A: journal every mutation, then reopen (replaying the journal).
+    let mut dir = std::env::temp_dir();
+    dir.push(format!("zoom-e2e-journal-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     {
-        let mut jw = JournaledWarehouse::create(&jpath).expect("creates");
+        let mut dw = DurableWarehouse::open(&dir).expect("creates");
         for (s, rs) in specs.iter().zip(&runs) {
-            let sid = jw.register_spec(s.clone()).expect("registers");
-            jw.register_view(sid, zoom::model::UserView::admin(s))
+            let sid = dw.register_spec(s.clone()).expect("registers");
+            dw.register_view(sid, zoom::model::UserView::admin(s))
                 .expect("registers");
             for r in rs {
-                jw.load_run(sid, r.clone()).expect("loads");
+                dw.load_run(sid, r.clone()).expect("loads");
             }
         }
     }
-    let replayed = JournaledWarehouse::open(&jpath).expect("replays");
+    let replayed = DurableWarehouse::open(&dir).expect("replays");
+    let st = replayed.stats();
+    assert_eq!(st.epoch, 0, "reopened from the journal, not a snapshot");
+    assert_eq!(st.journal_records, 3 * (2 + 2));
 
-    // Path B: bulk-load the same content into a plain warehouse.
-    let mut z = Zoom::new();
+    // Path B: bulk-load the same content into a plain warehouse, then
+    // round-trip it through a snapshot.
+    let mut bulk = Zoom::new();
     for (s, rs) in specs.iter().zip(&runs) {
-        let sid = z.register_workflow(s.clone()).expect("registers");
-        z.admin_view(sid).expect("registers");
+        let sid = bulk.register_workflow(s.clone()).expect("registers");
+        bulk.admin_view(sid).expect("registers");
         for r in rs {
-            z.load_run(sid, r.clone()).expect("loads");
+            bulk.load_run(sid, r.clone()).expect("loads");
         }
     }
+    let mut spath = std::env::temp_dir();
+    spath.push(format!("zoom-e2e-snapshot-{}", std::process::id()));
+    bulk.save(&spath).expect("snapshot saved");
+    let z = Zoom::load(&spath).expect("snapshot loads");
+    std::fs::remove_file(&spath).ok();
 
     let (a, b) = (replayed.warehouse().stats(), z.warehouse().stats());
     assert_eq!(a.specs, b.specs);
@@ -237,7 +247,7 @@ fn journal_and_snapshot_agree() {
             assert_eq!(x.rows, y.rows);
         }
     }
-    std::fs::remove_file(&jpath).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Edge inspection (Section IV): for every view edge of a materialized
