@@ -22,7 +22,7 @@ use zoom_gen::{
 };
 use zoom_model::{EventLog, LogEvent, UserView};
 use zoom_warehouse::{
-    ReplayOptions, RunId, SpecId, TraceOp, TraceRecorder, TraceReplayer, ViewId, Warehouse,
+    Op, ReplayOptions, RunId, SpecId, TraceRecorder, TraceReplayer, ViewId, Warehouse,
 };
 
 /// Every measurement the scorecard needs from one record + double-replay
@@ -146,31 +146,28 @@ fn record_session(spec: &zoom_model::WorkflowSpec, log: &EventLog) -> Vec<u8> {
     let (admin, black_box) = (ViewId(0), ViewId(1));
     let mut wh = Warehouse::new();
     let mut rec = TraceRecorder::default();
-    rec.record(&mut wh, TraceOp::RegisterSpec(spec.clone()));
-    rec.record(&mut wh, TraceOp::RegisterView(sid, UserView::admin(spec)));
-    rec.record(
-        &mut wh,
-        TraceOp::RegisterView(sid, UserView::black_box(spec)),
-    );
-    rec.record(&mut wh, TraceOp::BeginStream(sid));
+    rec.record(&mut wh, Op::RegisterSpec(spec.clone()));
+    rec.record(&mut wh, Op::RegisterView(sid, UserView::admin(spec)));
+    rec.record(&mut wh, Op::RegisterView(sid, UserView::black_box(spec)));
+    rec.record(&mut wh, Op::BeginStream(sid));
     for (i, ev) in log.events.iter().enumerate() {
-        rec.record(&mut wh, TraceOp::PushEvent(rid, ev.clone()));
+        rec.record(&mut wh, Op::PushEvent(rid, ev.clone()));
         if i % 16 == 0 {
             if let LogEvent::Wrote { data, .. } = ev {
-                rec.record(&mut wh, TraceOp::DeepProvenance(rid, admin, *data));
+                rec.record(&mut wh, Op::DeepProvenance(rid, admin, *data));
             }
         }
     }
-    rec.record(&mut wh, TraceOp::SealStream(rid));
+    rec.record(&mut wh, Op::SealStream(rid));
     let finals = wh.run(rid).expect("sealed").final_outputs().to_vec();
     let inputs = wh.run(rid).expect("sealed").user_inputs().to_vec();
     for view in [admin, black_box] {
         for &d in finals.iter().take(2) {
-            rec.record(&mut wh, TraceOp::DeepProvenance(rid, view, d));
-            rec.record(&mut wh, TraceOp::ImmediateProvenance(rid, view, d));
+            rec.record(&mut wh, Op::DeepProvenance(rid, view, d));
+            rec.record(&mut wh, Op::ImmediateProvenance(rid, view, d));
         }
         if let Some(&d) = inputs.first() {
-            rec.record(&mut wh, TraceOp::DependentsOf(rid, view, d));
+            rec.record(&mut wh, Op::DependentsOf(rid, view, d));
         }
     }
     rec.to_bytes().expect("bench trace under frame cap")

@@ -44,18 +44,16 @@ pub mod session;
 pub mod system;
 
 pub use compare::{compare_view_runs, ComparisonReport, ExecMatch, RunComparison};
-pub use queries::{
-    execute as execute_canned, execute_many as execute_canned_many, CannedQuery, QueryAnswer,
-};
-pub use remote::{execute_canned_remote, RemoteError, RemoteResult, RemoteRetry, RemoteZoom};
+pub use queries::CannedQuery;
+pub use remote::{RemoteError, RemoteResult, RemoteRetry, RemoteZoom};
 pub use render::{provenance_to_dot, provenance_to_text, view_on_spec_to_dot};
 pub use server::{Daemon, DaemonConfig, DrainReport};
 pub use session::QuerySession;
-pub use system::{StreamHandle, Zoom};
+pub use system::Zoom;
 
 pub use zoom_warehouse::{
-    BreakerState, HealthReport, ImmediateAnswer, IndexBackend, ProvenanceResult, ProvenanceRow,
-    PushOutcome, ReplayOptions, ReplayReport, Result, RunId, SpecId, StreamError, TraceError,
-    TraceOp, TraceRecorder, TraceReplayer, TraceTarget, ViewId, VisibilityPolicy, Warehouse,
+    Answer, BreakerState, HealthReport, ImmediateAnswer, IndexBackend, Op, ProvenanceResult,
+    ProvenanceRow, PushOutcome, ReplayOptions, ReplayReport, Result, RunId, SpecId, StreamError,
+    TraceError, TraceRecorder, TraceReplayer, TraceTarget, ViewId, VisibilityPolicy, Warehouse,
     WarehouseError,
 };

@@ -15,10 +15,9 @@
 //! | `final` | the run's final outputs |
 //! | `visible` | every data object visible at this view level |
 
-use crate::system::Zoom;
 use std::fmt;
 use zoom_model::{DataId, StepId};
-use zoom_warehouse::{ImmediateAnswer, ProvenanceResult, Result, RunId, ViewId};
+use zoom_warehouse::{Op, RunId, ViewId};
 
 /// A parsed canned query.
 ///
@@ -103,124 +102,25 @@ impl CannedQuery {
             ))),
         }
     }
-}
 
-/// The answer to a canned query.
-#[derive(Clone, Debug)]
-pub enum QueryAnswer {
-    /// A deep-provenance answer.
-    Provenance(ProvenanceResult),
-    /// An immediate-provenance answer.
-    Immediate(ImmediateAnswer),
-    /// A plain list of data objects.
-    Data(Vec<DataId>),
-}
-
-impl fmt::Display for QueryAnswer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryAnswer::Provenance(p) => {
-                writeln!(
-                    f,
-                    "deep provenance of {}: {} tuples, {} execution(s)",
-                    p.target,
-                    p.tuples(),
-                    p.exec_count()
-                )?;
-                const SHOWN: usize = 24;
-                for row in p.rows.iter().take(SHOWN) {
-                    match row.producer {
-                        Some(s) => writeln!(f, "  {} <- {}", row.data, s)?,
-                        None => writeln!(f, "  {} <- user input", row.data)?,
-                    }
-                }
-                if p.rows.len() > SHOWN {
-                    writeln!(f, "  … and {} more rows", p.rows.len() - SHOWN)?;
-                }
-                Ok(())
-            }
-            QueryAnswer::Immediate(ImmediateAnswer::Produced {
-                exec,
-                inputs,
-                params,
-            }) => {
-                write!(
-                    f,
-                    "produced by {exec} from {} input(s): {}",
-                    inputs.len(),
-                    zoom_model::run::format_data_range(inputs)
-                )?;
-                for (step, k, v) in params {
-                    write!(f, "\n  param {step}.{k} = {v}")?;
-                }
-                Ok(())
-            }
-            QueryAnswer::Immediate(ImmediateAnswer::UserInput { meta }) => match meta {
-                Some(m) => write!(f, "user input by `{}` at {}", m.user, m.time),
-                None => write!(f, "user input (no metadata recorded)"),
-            },
-            QueryAnswer::Data(ds) => {
-                write!(
-                    f,
-                    "{} data object(s): {}",
-                    ds.len(),
-                    zoom_model::run::format_data_range(ds)
-                )
-            }
+    /// The op that answers this form against one `(run, view)` pair; its
+    /// [`zoom_warehouse::Answer`] renders the way `zoomctl query` prints.
+    pub fn op(&self, run: RunId, view: ViewId) -> Op {
+        match *self {
+            CannedQuery::Deep(d) => Op::DeepProvenance(run, view, d),
+            CannedQuery::Immediate(d) => Op::ImmediateProvenance(run, view, d),
+            CannedQuery::Dependents(d) => Op::DependentsOf(run, view, d),
+            CannedQuery::Between(a, b) => Op::DataBetween(run, view, a, b),
+            CannedQuery::FinalOutputs => Op::FinalOutputs(run),
+            CannedQuery::VisibleData => Op::VisibleData(run, view),
         }
     }
-}
-
-/// Executes a canned query against one `(run, view)` pair.
-pub fn execute(zoom: &Zoom, run: RunId, view: ViewId, q: &CannedQuery) -> Result<QueryAnswer> {
-    Ok(match q {
-        CannedQuery::Deep(d) => QueryAnswer::Provenance(zoom.deep_provenance(run, view, *d)?),
-        CannedQuery::Immediate(d) => {
-            QueryAnswer::Immediate(zoom.immediate_provenance(run, view, *d)?)
-        }
-        CannedQuery::Dependents(d) => QueryAnswer::Data(zoom.dependents_of(run, view, *d)?),
-        CannedQuery::Between(a, b) => QueryAnswer::Data(zoom.data_between(run, view, *a, *b)?),
-        CannedQuery::FinalOutputs => QueryAnswer::Data(zoom.final_outputs(run)?),
-        CannedQuery::VisibleData => {
-            QueryAnswer::Data(zoom.warehouse().view_run(run, view)?.visible_data())
-        }
-    })
-}
-
-/// Executes a batch of canned queries against one `(run, view)` pair.
-///
-/// `Deep` queries are fanned out together through [`Zoom::query_batch`]
-/// (one warehouse index build serves them all, and they run across
-/// threads); every other form executes serially. Answers come back in
-/// input order.
-pub fn execute_many(
-    zoom: &Zoom,
-    run: RunId,
-    view: ViewId,
-    qs: &[CannedQuery],
-) -> Vec<Result<QueryAnswer>> {
-    let deep_triples: Vec<(RunId, ViewId, DataId)> = qs
-        .iter()
-        .filter_map(|q| match q {
-            CannedQuery::Deep(d) => Some((run, view, *d)),
-            _ => None,
-        })
-        .collect();
-    let mut deep_answers = zoom.query_batch(&deep_triples).into_iter();
-    qs.iter()
-        .map(|q| match q {
-            CannedQuery::Deep(_) => deep_answers
-                .next()
-                .expect("one batched answer per deep query")
-                .map(QueryAnswer::Provenance),
-            other => execute(zoom, run, view, other),
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Zoom;
     use zoom_model::{RunBuilder, SpecBuilder};
 
     #[test]
@@ -289,9 +189,8 @@ mod tests {
         let rid = z.load_run(sid, rb.build().unwrap()).unwrap();
 
         let run = |text: &str| {
-            execute(&z, rid, admin, &CannedQuery::parse(text).unwrap())
-                .unwrap()
-                .to_string()
+            let op = CannedQuery::parse(text).unwrap().op(rid, admin);
+            z.read(&op).unwrap().to_string()
         };
         assert!(run("deep d4").contains("4 tuples"));
         assert!(run("deep d4").contains("d3 <- S1"));
@@ -302,21 +201,5 @@ mod tests {
         assert!(run("between input S1").contains("d1..d2"));
         assert!(run("final").contains("d4"));
         assert!(run("visible").contains("4 data object(s)"));
-
-        // Batch execution: deep queries batch through the index, other
-        // forms run serially, order and answers match one-by-one execution.
-        let qs: Vec<CannedQuery> = ["deep d4", "final", "deep d3", "immediate d1", "deep d99"]
-            .iter()
-            .map(|t| CannedQuery::parse(t).unwrap())
-            .collect();
-        let batch = execute_many(&z, rid, admin, &qs);
-        assert_eq!(batch.len(), qs.len());
-        for (res, q) in batch.iter().zip(&qs) {
-            match (res, execute(&z, rid, admin, q)) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_string(), b.to_string()),
-                (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string()),
-                (a, b) => panic!("batch {a:?} vs serial {b:?}"),
-            }
-        }
     }
 }

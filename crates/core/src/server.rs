@@ -25,9 +25,9 @@
 //!   a flooding tenant sheds its own traffic first. The quota table itself
 //!   is bounded against tenant-name churn, and `Shutdown` is honoured only
 //!   with the configured admin token (or, tokenless, from loopback peers).
-//! * **Privacy**: every tenant-scoped request passes the tenant's
-//!   [`zoom_warehouse::Gate`] — the same enforcement the local facade's
-//!   `*_as` methods call — before it reaches a shard.
+//! * **Privacy**: every data-plane op passes the tenant's
+//!   [`zoom_warehouse::Gate::apply`] — the same enforcement the local
+//!   facade's `Zoom::apply_as` calls — before it reaches a shard.
 //! * **Storage**: with supervision enabled
 //!   ([`DaemonConfig::supervise_interval`]), a shard whose breaker trips
 //!   is quarantined — out of the write path, still serving reads from
@@ -47,11 +47,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zoom_graph::fxhash::FxHashMap;
-use zoom_model::UserView;
-use zoom_warehouse::wire::{self, BatchItem, Request, Response, ShardRouter};
+use zoom_warehouse::wire::{self, Request, Response, ShardRouter};
 use zoom_warehouse::{
-    codec, DurableOptions, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
-    TenantQuotas, WarehouseError,
+    codec, DurableOptions, Op, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
+    TenantQuotas,
 };
 
 /// How a [`Daemon`] is stood up.
@@ -493,7 +492,7 @@ fn dispatch(state: &Arc<ServerState>, conn: &mut ConnState, req: &Request) -> Re
     match catch_unwind(AssertUnwindSafe(|| execute(state, conn, req))) {
         Ok(resp) => resp,
         Err(_) => {
-            if let Request::StreamPush { run, .. } | Request::StreamSeal { run, .. } = req {
+            if let Request::Data(Op::PushEvent(run, _) | Op::SealStream(run)) = req {
                 state.router.abort_stream(*run);
             }
             Response::Error {
@@ -513,126 +512,20 @@ fn is_admin(state: &ServerState, conn: &ConnState, token: &Option<String>) -> bo
     }
 }
 
-fn err(e: WarehouseError) -> Response {
-    // A supervised shard that is quarantined or mid-rebuild answers a
-    // *typed* refusal, not an error string: the client can back off and
-    // retry without parsing text, and the connection stays healthy.
-    if let WarehouseError::ShardUnavailable {
-        shard,
-        retry_after_ms,
-    } = e
-    {
-        return Response::Unavailable {
-            shard,
-            retry_after_ms,
-        };
-    }
-    Response::Error {
-        message: e.to_string(),
-    }
-}
-
-fn ok_or<T>(r: WhResult<T>, ok: impl FnOnce(T) -> Response) -> Response {
+/// The reply to a request that answers nothing but success.
+fn ok(r: WhResult<()>) -> Response {
     match r {
-        Ok(v) => ok(v),
-        Err(e) => err(e),
+        Ok(()) => Response::Ok,
+        Err(e) => Response::answer(Err(e)),
     }
 }
 
 fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Response {
     let router = &state.router;
     let tenant = conn.tenant.as_str();
-    let gate = router.policies().gate(tenant, router, router);
-    let view_reply = |spec, id: WhResult<_>| {
-        ok_or(id, |id| Response::View {
-            id: gate.view_id(spec, id),
-        })
-    };
+    let gate = router.policies().gate(tenant, router);
     match req {
-        Request::RegisterSpec { spec } => {
-            ok_or(router.register_spec(spec), |id| Response::Spec { id })
-        }
-        Request::RegisterView { spec, view: v } => view_reply(
-            *spec,
-            gate.spec(*spec)
-                .and_then(|()| router.register_view(*spec, v)),
-        ),
-        Request::BuildView { spec, relevant } => view_reply(
-            *spec,
-            gate.spec(*spec).and_then(|()| {
-                let ws = router.spec(*spec)?;
-                let nodes: Vec<_> = relevant
-                    .iter()
-                    .map(|l| ws.module(l))
-                    .collect::<zoom_model::Result<_>>()?;
-                let built = zoom_views::relev_user_view_builder(&ws, &nodes)?;
-                router.register_view_if_absent(*spec, &built.view)
-            }),
-        ),
-        Request::AdminView { spec } => view_reply(
-            *spec,
-            gate.spec(*spec).and_then(|()| {
-                let ws = router.spec(*spec)?;
-                router.register_view_if_absent(*spec, &UserView::admin(&ws))
-            }),
-        ),
-        Request::LoadLog { spec, log } => ok_or(
-            gate.spec(*spec).and_then(|()| router.load_log(*spec, log)),
-            |id| Response::Run { id },
-        ),
-        Request::BeginStream { spec } => ok_or(
-            gate.spec(*spec).and_then(|()| router.begin_stream(*spec)),
-            |id| Response::Run { id },
-        ),
-        Request::StreamPush { run, event } => ok_or(
-            gate.run(*run)
-                .and_then(|()| router.stream_push(*run, event)),
-            |outcome| Response::Push { outcome },
-        ),
-        Request::StreamSeal { run } => ok_or(
-            gate.run(*run).and_then(|()| router.stream_seal(*run)),
-            |()| Response::Ok,
-        ),
-        Request::DeepProvenance { run, view, data } => ok_or(
-            gate.query(*run, *view, |v| router.deep_provenance(*run, v, *data)),
-            |result| Response::Provenance { result },
-        ),
-        Request::QueryBatch { queries } => Response::Batch {
-            results: gate
-                .batch(queries, |q| router.query_batch(q))
-                .into_iter()
-                .map(|ans| match ans {
-                    Ok(p) => BatchItem::Ok(p),
-                    Err(e) => BatchItem::Err(e.to_string()),
-                })
-                .collect(),
-        },
-        Request::ImmediateProvenance { run, view, data } => ok_or(
-            gate.query(*run, *view, |v| router.immediate_provenance(*run, v, *data)),
-            |answer| Response::Immediate { answer },
-        ),
-        Request::DependentsOf { run, view, data } => ok_or(
-            gate.query(*run, *view, |v| router.dependents_of(*run, v, *data)),
-            |ids| Response::Data { ids },
-        ),
-        Request::DataBetween {
-            run,
-            view,
-            from,
-            to,
-        } => ok_or(
-            gate.query(*run, *view, |v| router.data_between(*run, v, *from, *to)),
-            |ids| Response::Data { ids },
-        ),
-        Request::FinalOutputs { run } => ok_or(
-            gate.run(*run).and_then(|()| router.final_outputs(*run)),
-            |ids| Response::Data { ids },
-        ),
-        Request::VisibleData { run, view } => ok_or(
-            gate.view(*run, *view)
-                .and_then(|v| router.visible_data(*run, v)),
-            |ids| Response::Data { ids },
-        ),
+        Request::Data(op) => Response::answer(gate.apply(op, |op| router.apply(op))),
         Request::Stats => Response::StatsAll {
             shards: router.stats(),
         },
@@ -671,7 +564,7 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
                 }
             }
         }
-        Request::Checkpoint => ok_or(router.checkpoint(), |()| Response::Ok),
+        Request::Checkpoint => ok(router.checkpoint()),
         Request::Resolve { workflow, view } => {
             // A workflow this tenant's policy hides must resolve with
             // the *same bytes* as one that does not exist — otherwise
@@ -713,12 +606,7 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
                     message: "policy set refused: admin token required".to_string(),
                 };
             }
-            ok_or(
-                router
-                    .policies()
-                    .install(subject, policy.clone(), router, router),
-                |()| Response::Ok,
-            )
+            ok(router.policies().install(subject, policy.clone(), router))
         }
         Request::PolicyGet {
             tenant: subject,

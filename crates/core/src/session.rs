@@ -12,7 +12,7 @@
 use crate::system::Zoom;
 use std::time::Duration;
 use zoom_model::DataId;
-use zoom_warehouse::{ProvenanceResult, Result, RunId, ViewId};
+use zoom_warehouse::{typed, Answer, Op, ProvenanceResult, Result, RunId, ViewId};
 
 /// One user's interactive provenance-exploration session over one run.
 #[derive(Debug)]
@@ -98,10 +98,11 @@ impl<'a> QuerySession<'a> {
 
     /// Focuses the run's final output.
     pub fn focus_final_output(&mut self) -> Result<ProvenanceResult> {
-        let outs = match &self.tenant {
-            Some(t) => self.zoom.final_outputs_as(t, self.run)?,
-            None => self.zoom.final_outputs(self.run)?,
-        };
+        let op = Op::FinalOutputs(self.run);
+        let outs: Vec<DataId> = typed(match &self.tenant {
+            Some(t) => self.zoom.apply_as(t, &op),
+            None => self.zoom.read(&op),
+        })?;
         let &d = outs
             .first()
             .ok_or(zoom_warehouse::WarehouseError::NoFinalOutputs(self.run))?;
@@ -130,24 +131,21 @@ impl<'a> QuerySession<'a> {
             .focus
             .ok_or(zoom_warehouse::WarehouseError::DataNotFound(DataId(0)))?;
         let start = std::time::Instant::now();
-        // Tenant-scoped sessions resolve the effective view first, so a
-        // policy substitution applies to deadline-bounded queries too.
-        let view = match &self.tenant {
-            Some(t) => match self.zoom.effective_view(t, self.run, self.view) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.history.push((self.view, start.elapsed()));
-                    return Err(e);
-                }
-            },
-            None => self.view,
-        };
-        let res = match self.deadline {
-            Some(budget) => self
+        // Tenant-scoped sessions go through the tenant's gate, so policy
+        // substitution and concealment apply to deadline-bounded queries
+        // too.
+        let exec = |op: &Op| match (op, self.deadline) {
+            (&Op::DeepProvenance(run, view, data), Some(budget)) => self
                 .zoom
-                .deep_provenance_within(self.run, view, data, budget),
-            None => self.zoom.deep_provenance(self.run, view, data),
+                .deep_provenance_within(run, view, data, budget)
+                .map(Answer::Provenance),
+            _ => self.zoom.read(op),
         };
+        let op = Op::DeepProvenance(self.run, self.view, data);
+        let res = typed(match &self.tenant {
+            Some(t) => self.zoom.apply_as_with(t, &op, exec),
+            None => exec(&op),
+        });
         self.history.push((self.view, start.elapsed()));
         res
     }

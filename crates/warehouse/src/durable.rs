@@ -109,6 +109,18 @@ impl From<WarehouseError> for DurableError {
     }
 }
 
+/// Unboxes warehouse-level rejections, so a durable backend renders them
+/// exactly as the in-memory one does; genuine durability failures (io,
+/// torn snapshots, bad manifests) become [`WarehouseError::Durability`].
+impl From<DurableError> for WarehouseError {
+    fn from(e: DurableError) -> Self {
+        match e {
+            DurableError::Warehouse(we) => we,
+            other => WarehouseError::Durability(Box::new(other)),
+        }
+    }
+}
+
 impl From<zoom_model::ModelError> for DurableError {
     fn from(e: zoom_model::ModelError) -> Self {
         DurableError::Warehouse(WarehouseError::Model(e))

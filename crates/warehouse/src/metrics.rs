@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 thread_local! {
     /// The tenant the current thread is executing a query for, if any.
-    /// Set by the daemon's dispatch loop (and the `*_as` facade variants)
+    /// Set by the daemon's dispatch loop (and `Zoom::apply_as`)
     /// so slow-log entries can be attributed — and later filtered — per
     /// tenant without threading an extra parameter through every query
     /// signature.
@@ -302,7 +302,7 @@ pub struct SlowQuery {
     /// Wall-clock duration, nanoseconds.
     pub nanos: u64,
     /// The tenant the query was executed for, when known (daemon dispatch
-    /// and the `*_as` facade variants tag their scope). Local untagged
+    /// and `Zoom::apply_as` tag their scope). Local untagged
     /// queries record `None`. This is what per-tenant slow-log filtering
     /// keys on.
     pub tenant: Option<String>,

@@ -110,6 +110,9 @@ pub enum WarehouseError {
         /// Why no concealing view exists.
         reason: String,
     },
+    /// A write op (named here) reached a read-only path: it needs the
+    /// exclusive `apply` of its backend.
+    ReadOnly(&'static str),
 }
 
 impl fmt::Display for WarehouseError {
@@ -168,6 +171,7 @@ impl fmt::Display for WarehouseError {
                     "visibility policy unsatisfiable for workflow `{spec}`: {reason}"
                 )
             }
+            WarehouseError::ReadOnly(op) => write!(f, "`{op}` writes; this path only reads"),
         }
     }
 }

@@ -110,6 +110,7 @@ fn main() {
         .find(|&d| vr.is_visible(d))
         .expect("some alignment output is visible");
     let dependents = zoom
+        .warehouse()
         .dependents_of(rid, admin, alignment_datum)
         .expect("visible");
     println!(
@@ -141,6 +142,7 @@ fn main() {
     // --- 6. Immediate provenance of a user input resolves to metadata.
     let ui = run.user_inputs()[0];
     match zoom
+        .warehouse()
         .immediate_provenance(rid, admin, ui)
         .expect("user input visible")
     {

@@ -65,6 +65,7 @@ fn main() {
     println!("\nImmediate provenance of d413:");
     for (who, v) in [("Joe", joe), ("Mary", mary)] {
         match zoom
+            .warehouse()
             .immediate_provenance(rid, v, DataId(413))
             .expect("d413 visible")
         {

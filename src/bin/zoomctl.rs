@@ -35,8 +35,8 @@ macro_rules! out_raw {
     }};
 }
 use zoom::core::{
-    execute_canned, CannedQuery, PushOutcome, ReplayOptions, RunId, SpecId, TraceOp, TraceRecorder,
-    TraceReplayer, ViewId, VisibilityPolicy,
+    Answer, CannedQuery, Op, PushOutcome, ReplayOptions, RunId, SpecId, TraceRecorder,
+    TraceReplayer, TraceTarget, ViewId, VisibilityPolicy,
 };
 use zoom::model::{DataId, LogEvent, StepId, Timestamp, UserView};
 use zoom::Zoom;
@@ -122,7 +122,7 @@ fn dispatch(raw: &[String]) -> Result<(), String> {
             str_arg(args, 2, "workflow name")?,
             &args[3..],
         ),
-        "replay" => replay(path_arg(args, 1)?, &args[2..]),
+        "replay" => replay(&mut Zoom::new(), path_arg(args, 1)?, &args[2..], true),
         "record-demo" => record_demo(path_arg(args, 1)?),
         "compact" => compact(dir_arg(args, 1)?),
         "fsck" => fsck(dir_arg(args, 1)?),
@@ -460,7 +460,7 @@ fn query(
     let rid = resolve_run(&zoom, sid, run_index)?;
     let vid = resolve_view(&zoom, sid, view_name)?;
     let q = CannedQuery::parse(text).map_err(|e| e.to_string())?;
-    let answer = execute_canned(&zoom, rid, vid, &q).map_err(|e| e.to_string())?;
+    let answer = zoom.read(&q.op(rid, vid)).map_err(|e| e.to_string())?;
     out!("{answer}");
     Ok(())
 }
@@ -596,7 +596,7 @@ fn repl(path: &Path, name: &str, run_index: &str) -> Result<(), String> {
                 }
             }
             _ => match CannedQuery::parse(line) {
-                Ok(q) => match execute_canned(&zoom, rid, current, &q) {
+                Ok(q) => match zoom.read(&q.op(rid, current)) {
                     Ok(a) => out!("{a}"),
                     Err(e) => out!("{e}"),
                 },
@@ -686,18 +686,6 @@ fn parse_ingest_line(line: &str, time: Timestamp) -> Result<Option<LogEvent>, St
 /// the end; durable directories journal every acknowledged event as it
 /// arrives, so a crash mid-stream loses nothing.
 fn ingest(target: &Path, workflow: &str, rest: &[String]) -> Result<(), String> {
-    let mut source: Option<&str> = None;
-    let mut follow = false;
-    let mut seal_at_end = false;
-    for a in rest {
-        match a.as_str() {
-            "--follow" => follow = true,
-            "--seal" => seal_at_end = true,
-            other if source.is_none() => source = Some(other),
-            other => return Err(format!("unexpected ingest argument `{other}`")),
-        }
-    }
-    let source = source.unwrap_or("-");
     let durable = target.join(zoom::warehouse::durable::MANIFEST).exists();
     let mut zoom = if durable {
         Zoom::open_durable(target).map_err(|e| e.to_string())?
@@ -705,76 +693,10 @@ fn ingest(target: &Path, workflow: &str, rest: &[String]) -> Result<(), String> 
         load(target)?
     };
     let sid = resolve_spec(&zoom, workflow)?;
-    let mut handle = zoom.begin_stream(sid).map_err(|e| e.to_string())?;
-    let rid = handle.run_id();
+    let rid: RunId =
+        zoom::warehouse::typed(zoom.apply(&Op::BeginStream(sid))).map_err(|e| e.to_string())?;
     out!("streaming run {rid} on `{workflow}`");
-
-    let mut tick = 0u64;
-    let mut events = 0usize;
-    let mut committed = 0usize;
-    let mut sealed = false;
-    let mut push_line =
-        |handle: &mut zoom::core::StreamHandle<'_>, line: &str| -> Result<bool, String> {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                return Ok(false);
-            }
-            tick += 1;
-            let Some(ev) = parse_ingest_line(line, Timestamp(tick))? else {
-                return Ok(true); // seal requested
-            };
-            match handle.push_event(&ev).map_err(|e| e.to_string())? {
-                PushOutcome::Buffered => {}
-                PushOutcome::Committed(steps) => {
-                    committed += steps.len();
-                    let ids: Vec<String> = steps.iter().map(|s| format!("{s}")).collect();
-                    out!("committed {}", ids.join(", "));
-                }
-            }
-            events += 1;
-            Ok(false)
-        };
-
-    if source == "-" {
-        use std::io::BufRead;
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| e.to_string())?;
-            if push_line(&mut handle, &line)? {
-                sealed = true;
-                break;
-            }
-        }
-    } else {
-        // File source: process complete lines only; with --follow, poll
-        // for growth until a `seal` line lands.
-        let path = Path::new(source);
-        let mut offset = 0usize;
-        'outer: loop {
-            let content = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read `{source}`: {e}"))?;
-            let new = &content[offset.min(content.len())..];
-            let complete = new.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            for line in new[..complete].lines() {
-                if push_line(&mut handle, line)? {
-                    sealed = true;
-                    break 'outer;
-                }
-            }
-            offset += complete;
-            if !follow {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
-
-    if sealed || seal_at_end {
-        handle.seal().map_err(|e| format!("seal failed: {e}"))?;
-        sealed = true;
-    } else {
-        let _ = handle; // release the warehouse borrow without sealing
-    }
+    let (events, committed, sealed) = stream_lines(rid, rest, |op| zoom.apply(op))?;
     out!(
         "ingested {events} events, {committed} steps committed, run {rid} {}",
         if sealed { "sealed" } else { "left open" }
@@ -794,9 +716,104 @@ fn ingest(target: &Path, workflow: &str, rest: &[String]) -> Result<(), String> 
     Ok(())
 }
 
-/// Re-executes a recorded trace against a fresh in-memory warehouse,
-/// diffing every operation's result digest against the recording.
-fn replay(trace: &Path, rest: &[String]) -> Result<(), String> {
+/// Streams ingest-protocol lines (`[events-file|-] [--follow] [--seal]`)
+/// into the open stream `rid` through `apply`, printing each commit, and
+/// seals when asked to. Returns `(events, steps committed, sealed)`.
+fn stream_lines<E: std::fmt::Display>(
+    rid: RunId,
+    rest: &[String],
+    mut apply: impl FnMut(&Op) -> Result<Answer<E>, E>,
+) -> Result<(usize, usize, bool), String> {
+    let mut source: Option<&str> = None;
+    let mut follow = false;
+    let mut seal_at_end = false;
+    for a in rest {
+        match a.as_str() {
+            "--follow" => follow = true,
+            "--seal" => seal_at_end = true,
+            other if source.is_none() => source = Some(other),
+            other => return Err(format!("unexpected ingest argument `{other}`")),
+        }
+    }
+    let source = source.unwrap_or("-");
+
+    let mut tick = 0u64;
+    let mut events = 0usize;
+    let mut committed = 0usize;
+    let mut sealed = false;
+    let mut push_line =
+        |apply: &mut dyn FnMut(&Op) -> Result<Answer<E>, E>, line: &str| -> Result<bool, String> {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                return Ok(false);
+            }
+            tick += 1;
+            let Some(ev) = parse_ingest_line(line, Timestamp(tick))? else {
+                return Ok(true); // seal requested
+            };
+            if let Answer::Push(PushOutcome::Committed(steps)) =
+                apply(&Op::PushEvent(rid, ev)).map_err(|e| e.to_string())?
+            {
+                committed += steps.len();
+                let ids: Vec<String> = steps.iter().map(|s| format!("{s}")).collect();
+                out!("committed {}", ids.join(", "));
+            }
+            events += 1;
+            Ok(false)
+        };
+
+    if source == "-" {
+        use std::io::BufRead;
+        let stdin = std::io::stdin();
+        for line in stdin.lock().lines() {
+            let line = line.map_err(|e| e.to_string())?;
+            if push_line(&mut apply, &line)? {
+                sealed = true;
+                break;
+            }
+        }
+    } else {
+        // File source: process complete lines only; with --follow, poll
+        // for growth until a `seal` line lands.
+        let path = Path::new(source);
+        let mut offset = 0usize;
+        'outer: loop {
+            let content = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read `{source}`: {e}"))?;
+            let new = &content[offset.min(content.len())..];
+            let complete = new.rfind('\n').map(|i| i + 1).unwrap_or(0);
+            for line in new[..complete].lines() {
+                if push_line(&mut apply, line)? {
+                    sealed = true;
+                    break 'outer;
+                }
+            }
+            offset += complete;
+            if !follow {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+    }
+
+    if sealed || seal_at_end {
+        apply(&Op::SealStream(rid)).map_err(|e| format!("seal failed: {e}"))?;
+        sealed = true;
+    }
+    Ok((events, committed, sealed))
+}
+
+/// Re-executes a recorded trace against `target` (a fresh in-memory
+/// warehouse, or a daemon), diffing every operation's result digest
+/// against the recording. A fresh daemon allocates the same id
+/// sequences, so a clean trace replays clean over the wire too; `timing`
+/// adds the recorded-vs-elapsed lines the local report prints.
+fn replay(
+    target: &mut impl TraceTarget,
+    trace: &Path,
+    rest: &[String],
+    timing: bool,
+) -> Result<(), String> {
     let mut check = false;
     let mut json = false;
     let mut speed = 0.0f64;
@@ -820,8 +837,7 @@ fn replay(trace: &Path, rest: &[String]) -> Result<(), String> {
     let bytes =
         std::fs::read(trace).map_err(|e| format!("cannot read `{}`: {e}", trace.display()))?;
     let replayer = TraceReplayer::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let mut zoom = Zoom::new();
-    let report = replayer.replay(&mut zoom, &ReplayOptions { speed });
+    let report = replayer.replay(target, &ReplayOptions { speed });
     if json {
         out!(
             "{{\"ops\":{},\"mismatches\":{},\"digest\":\"{:016x}\",\"recorded_nanos\":{},\"elapsed_nanos\":{},\"speedup\":{:.2}}}",
@@ -836,15 +852,17 @@ fn replay(trace: &Path, rest: &[String]) -> Result<(), String> {
         out!("ops          : {}", report.ops);
         out!("mismatches   : {}", report.mismatches.len());
         out!("digest       : {:016x}", report.digest);
-        out!(
-            "recorded     : {:.3} ms (virtual)",
-            report.recorded_nanos as f64 / 1e6
-        );
-        out!(
-            "elapsed      : {:.3} ms ({:.1}x recorded speed)",
-            report.elapsed_nanos as f64 / 1e6,
-            report.speedup()
-        );
+        if timing {
+            out!(
+                "recorded     : {:.3} ms (virtual)",
+                report.recorded_nanos as f64 / 1e6
+            );
+            out!(
+                "elapsed      : {:.3} ms ({:.1}x recorded speed)",
+                report.elapsed_nanos as f64 / 1e6,
+                report.speedup()
+            );
+        }
         for m in report.mismatches.iter().take(10) {
             out!(
                 "  op {} (clock {}, {}): expected {:016x}, got {:016x}",
@@ -878,39 +896,36 @@ fn record_demo(trace: &Path) -> Result<(), String> {
 
     let mut zoom = Zoom::new();
     let mut rec = TraceRecorder::default();
-    rec.record(&mut zoom, TraceOp::RegisterSpec(spec.clone()));
+    rec.record(&mut zoom, Op::RegisterSpec(spec.clone()));
     rec.record(
         &mut zoom,
-        TraceOp::RegisterView(SpecId(0), UserView::admin(&spec)),
+        Op::RegisterView(SpecId(0), UserView::admin(&spec)),
     );
     rec.record(
         &mut zoom,
-        TraceOp::RegisterView(SpecId(0), UserView::black_box(&spec)),
+        Op::RegisterView(SpecId(0), UserView::black_box(&spec)),
     );
     // Run 0: batch load. Run 1: the same log streamed, with deep-provenance
     // probes interleaved (some of which answer, some of which reject — both
     // digests are part of the recording).
-    rec.record(&mut zoom, TraceOp::LoadLog(SpecId(0), log.clone()));
-    rec.record(&mut zoom, TraceOp::BeginStream(SpecId(0)));
+    rec.record(&mut zoom, Op::LoadLog(SpecId(0), log.clone()));
+    rec.record(&mut zoom, Op::BeginStream(SpecId(0)));
     for (i, ev) in log.events.iter().enumerate() {
-        rec.record(&mut zoom, TraceOp::PushEvent(RunId(1), ev.clone()));
+        rec.record(&mut zoom, Op::PushEvent(RunId(1), ev.clone()));
         if i % 7 == 0 {
             if let LogEvent::Read { data, .. } | LogEvent::Wrote { data, .. } = ev {
-                rec.record(
-                    &mut zoom,
-                    TraceOp::DeepProvenance(RunId(1), ViewId(0), *data),
-                );
+                rec.record(&mut zoom, Op::DeepProvenance(RunId(1), ViewId(0), *data));
             }
         }
     }
-    rec.record(&mut zoom, TraceOp::SealStream(RunId(1)));
+    rec.record(&mut zoom, Op::SealStream(RunId(1)));
     for rid in [RunId(0), RunId(1)] {
         for vid in [ViewId(0), ViewId(1)] {
             for &d in finals.iter().take(2) {
-                rec.record(&mut zoom, TraceOp::DeepProvenance(rid, vid, d));
-                rec.record(&mut zoom, TraceOp::ImmediateProvenance(rid, vid, d));
+                rec.record(&mut zoom, Op::DeepProvenance(rid, vid, d));
+                rec.record(&mut zoom, Op::ImmediateProvenance(rid, vid, d));
             }
-            rec.record(&mut zoom, TraceOp::DependentsOf(rid, vid, DataId(1)));
+            rec.record(&mut zoom, Op::DependentsOf(rid, vid, DataId(1)));
         }
     }
     let bytes = rec
@@ -1074,7 +1089,7 @@ fn dispatch_remote(addr: &str, tenant: &str, args: &[String]) -> Result<(), Stri
             str_arg(args, 4, "query text")?,
         ),
         "ingest" => remote_ingest(&mut rz, str_arg(args, 1, "workflow name")?, &args[2..]),
-        "replay" => remote_replay(&mut rz, path_arg(args, 1)?, &args[2..]),
+        "replay" => replay(&mut rz, path_arg(args, 1)?, &args[2..], false),
         "compact" => {
             rz.checkpoint().map_err(rerr)?;
             out!("checkpointed every durable shard on {addr}");
@@ -1419,7 +1434,7 @@ fn remote_query(
         .get(i)
         .ok_or_else(|| format!("run index {i} out of range"))?;
     let q = CannedQuery::parse(text).map_err(|e| e.to_string())?;
-    let answer = zoom::core::execute_canned_remote(rz, rid, vid, &q).map_err(rerr)?;
+    let answer = rz.apply(&q.op(rid, vid)).map_err(rerr)?;
     out!("{answer}");
     Ok(())
 }
@@ -1431,153 +1446,13 @@ fn remote_ingest(
     workflow: &str,
     rest: &[String],
 ) -> Result<(), String> {
-    let mut source: Option<&str> = None;
-    let mut follow = false;
-    let mut seal_at_end = false;
-    for a in rest {
-        match a.as_str() {
-            "--follow" => follow = true,
-            "--seal" => seal_at_end = true,
-            other if source.is_none() => source = Some(other),
-            other => return Err(format!("unexpected ingest argument `{other}`")),
-        }
-    }
-    let source = source.unwrap_or("-");
     let (sid, _, _) = rz.resolve(workflow, None).map_err(rerr)?;
     let rid = rz.begin_stream(sid).map_err(rerr)?;
     out!("streaming {rid} on `{workflow}`");
-
-    let mut tick = 0u64;
-    let mut events = 0usize;
-    let mut committed = 0usize;
-    let mut sealed = false;
-    let mut push_line = |rz: &mut zoom::core::RemoteZoom, line: &str| -> Result<bool, String> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(false);
-        }
-        tick += 1;
-        let Some(ev) = parse_ingest_line(line, Timestamp(tick))? else {
-            return Ok(true);
-        };
-        match rz.stream_push(rid, &ev).map_err(rerr)? {
-            PushOutcome::Buffered => {}
-            PushOutcome::Committed(steps) => {
-                committed += steps.len();
-                let ids: Vec<String> = steps.iter().map(|s| format!("{s}")).collect();
-                out!("committed {}", ids.join(", "));
-            }
-        }
-        events += 1;
-        Ok(false)
-    };
-
-    if source == "-" {
-        use std::io::BufRead;
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| e.to_string())?;
-            if push_line(rz, &line)? {
-                sealed = true;
-                break;
-            }
-        }
-    } else {
-        let path = Path::new(source);
-        let mut offset = 0usize;
-        'outer: loop {
-            let content = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read `{source}`: {e}"))?;
-            let new = &content[offset.min(content.len())..];
-            let complete = new.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            for line in new[..complete].lines() {
-                if push_line(rz, line)? {
-                    sealed = true;
-                    break 'outer;
-                }
-            }
-            offset += complete;
-            if !follow {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-    }
-
-    if sealed || seal_at_end {
-        rz.stream_seal(rid)
-            .map_err(|e| format!("seal failed: {e}"))?;
-        sealed = true;
-    }
+    let (events, committed, sealed) = stream_lines(rid, rest, |op| rz.apply(op))?;
     out!(
         "ingested {events} events, {committed} steps committed, {rid} {}",
         if sealed { "sealed" } else { "left open" }
     );
-    Ok(())
-}
-
-/// Re-executes a recorded trace against the daemon, digest-diffing every
-/// operation exactly like the local `replay` — a fresh daemon allocates
-/// the same id sequences, so a clean trace replays clean over the wire.
-fn remote_replay(
-    rz: &mut zoom::core::RemoteZoom,
-    trace: &Path,
-    rest: &[String],
-) -> Result<(), String> {
-    let mut check = false;
-    let mut json = false;
-    let mut speed = 0.0f64;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--check" => check = true,
-            "--json" => json = true,
-            "--speed" => {
-                i += 1;
-                speed = rest
-                    .get(i)
-                    .ok_or("missing value for --speed")?
-                    .parse()
-                    .map_err(|_| "--speed takes a number (0 = flat out)".to_string())?;
-            }
-            other => return Err(format!("unknown replay option `{other}`")),
-        }
-        i += 1;
-    }
-    let bytes =
-        std::fs::read(trace).map_err(|e| format!("cannot read `{}`: {e}", trace.display()))?;
-    let replayer = TraceReplayer::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let report = replayer.replay(rz, &ReplayOptions { speed });
-    if json {
-        out!(
-            "{{\"ops\":{},\"mismatches\":{},\"digest\":\"{:016x}\",\"recorded_nanos\":{},\"elapsed_nanos\":{},\"speedup\":{:.2}}}",
-            report.ops,
-            report.mismatches.len(),
-            report.digest,
-            report.recorded_nanos,
-            report.elapsed_nanos,
-            report.speedup()
-        );
-    } else {
-        out!("ops          : {}", report.ops);
-        out!("mismatches   : {}", report.mismatches.len());
-        out!("digest       : {:016x}", report.digest);
-        for m in report.mismatches.iter().take(10) {
-            out!(
-                "  op {} (clock {}, {}): expected {:016x}, got {:016x}",
-                m.index,
-                m.clock,
-                m.op,
-                m.expected,
-                m.got
-            );
-        }
-    }
-    if check && !report.is_clean() {
-        return Err(format!(
-            "replay diverged: {} digest mismatches",
-            report.mismatches.len()
-        ));
-    }
     Ok(())
 }

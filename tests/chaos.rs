@@ -329,7 +329,7 @@ fn admission_sheds_when_saturated_and_accounts_exactly() {
 fn replayed_trace_survives_transient_faults_without_divergence() {
     use zoom::model::EventLog;
     use zoom::warehouse::{
-        ReplayOptions, RunId, SpecId, TraceOp, TraceRecorder, TraceReplayer, TraceTarget, ViewId,
+        Op, ReplayOptions, RunId, SpecId, TraceRecorder, TraceReplayer, TraceTarget, ViewId,
     };
 
     // Record an all-success session: three streamed runs of the linear
@@ -340,24 +340,18 @@ fn replayed_trace_survives_transient_faults_without_divergence() {
     let log = EventLog::from_run(&run(&s), &s);
     let mut mem = Warehouse::new();
     let mut rec = TraceRecorder::default();
-    rec.record(&mut mem, TraceOp::RegisterSpec(s.clone()));
-    rec.record(
-        &mut mem,
-        TraceOp::RegisterView(SpecId(0), UserView::admin(&s)),
-    );
+    rec.record(&mut mem, Op::RegisterSpec(s.clone()));
+    rec.record(&mut mem, Op::RegisterView(SpecId(0), UserView::admin(&s)));
     for r in 0..3u32 {
         let rid = RunId(r);
-        rec.record(&mut mem, TraceOp::BeginStream(SpecId(0)));
+        rec.record(&mut mem, Op::BeginStream(SpecId(0)));
         for ev in &log.events {
-            rec.record(&mut mem, TraceOp::PushEvent(rid, ev.clone()));
+            rec.record(&mut mem, Op::PushEvent(rid, ev.clone()));
         }
-        rec.record(&mut mem, TraceOp::SealStream(rid));
-        rec.record(&mut mem, TraceOp::DeepProvenance(rid, ViewId(0), DataId(4)));
-        rec.record(&mut mem, TraceOp::DependentsOf(rid, ViewId(0), DataId(1)));
-        rec.record(
-            &mut mem,
-            TraceOp::ImmediateProvenance(rid, ViewId(0), DataId(2)),
-        );
+        rec.record(&mut mem, Op::SealStream(rid));
+        rec.record(&mut mem, Op::DeepProvenance(rid, ViewId(0), DataId(4)));
+        rec.record(&mut mem, Op::DependentsOf(rid, ViewId(0), DataId(1)));
+        rec.record(&mut mem, Op::ImmediateProvenance(rid, ViewId(0), DataId(2)));
     }
     let bytes = rec.to_bytes().unwrap();
     let replayer = TraceReplayer::from_bytes(&bytes).unwrap();
@@ -423,7 +417,9 @@ fn replayed_trace_survives_transient_faults_without_divergence() {
 #[test]
 fn seeded_fault_schedule_reproduces_router_outcomes_and_loses_no_acks() {
     use zoom::model::EventLog;
-    use zoom::warehouse::{ChaosDriver, FaultSchedule, ShardRouter, ShardState, StorageIo};
+    use zoom::warehouse::{
+        typed, ChaosDriver, FaultSchedule, Op, RunId, ShardRouter, ShardState, StorageIo,
+    };
 
     const SHARDS: usize = 2;
     const OPS: u64 = 40;
@@ -450,7 +446,8 @@ fn seeded_fault_schedule_reproduces_router_outcomes_and_loses_no_acks() {
         let router = ShardRouter::open_durable_with(&dir, SHARDS, twitchy(), &dyn_ios).unwrap();
         let s = spec("chaos-schedule");
         let log = EventLog::from_run(&run(&s), &s);
-        let sid = router.register_spec(&s).unwrap();
+        let sid = typed(router.apply(&Op::RegisterSpec(s.clone()))).unwrap();
+        let load = Op::LoadLog(sid, log);
 
         let schedule = FaultSchedule::generate(seed, SHARDS, OPS, 3);
         let mut driver = ChaosDriver::new(schedule, ios.clone());
@@ -460,7 +457,7 @@ fn seeded_fault_schedule_reproduces_router_outcomes_and_loses_no_acks() {
             driver.tick();
             // Outcome classes only — durability error renderings embed
             // the (per-episode) directory path.
-            match router.load_log(sid, &log) {
+            match typed::<RunId>(router.apply(&load)) {
                 Ok(rid) => {
                     acked += 1;
                     trace.push(format!("ok:{}", rid.0));

@@ -82,6 +82,7 @@ fn concurrent_mixed_query_kinds() {
                     let deep = zoom.deep_provenance(rid, w.bio, target).expect("visible");
                     assert!(deep.tuples() >= 1);
                     let imm = zoom
+                        .warehouse()
                         .immediate_provenance(rid, w.bio, target)
                         .expect("visible");
                     match imm {
@@ -91,6 +92,7 @@ fn concurrent_mixed_query_kinds() {
                         zoom::core::ImmediateAnswer::UserInput { .. } => {}
                     }
                     let deps = zoom
+                        .warehouse()
                         .dependents_of(rid, w.admin, DataId(1))
                         .expect("d1 exists");
                     let _ = deps.len();

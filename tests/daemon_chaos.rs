@@ -25,8 +25,8 @@ use std::time::{Duration, Instant};
 use zoom::core::{Daemon, DaemonConfig, RemoteError, RemoteRetry, RemoteZoom, Zoom};
 use zoom::model::EventLog;
 use zoom::warehouse::{
-    ChaosDriver, DurableOptions, FaultAction, FaultEvent, FaultFs, FaultSchedule, ReplayOptions,
-    RunId, ShardRouter, ShardState, StorageIo, TraceOp, TraceReplayer, TraceTarget,
+    Answer, ChaosDriver, DurableOptions, FaultAction, FaultEvent, FaultFs, FaultSchedule, Op,
+    ReplayOptions, RunId, ShardRouter, ShardState, StorageIo, TraceReplayer, TraceTarget,
 };
 use zoom_gen::library::{figure2_run, phylogenomic};
 
@@ -161,7 +161,7 @@ fn chaos_schedule_isolates_faults_to_the_sick_shard() {
     // digest-identical to the oracle. Reads on the *sick* shard serve
     // from memory and must agree too.
     for &rid in &acked {
-        let op = TraceOp::DeepProvenance(rid, vid, probe);
+        let op = Op::DeepProvenance(rid, vid, probe);
         assert_eq!(
             reader.apply_trace_op(&op),
             oracle.apply_trace_op(&op),
@@ -169,7 +169,7 @@ fn chaos_schedule_isolates_faults_to_the_sick_shard() {
             mapper.shard_of(rid)
         );
     }
-    let absent = TraceOp::DeepProvenance(RunId(999), vid, probe);
+    let absent = Op::DeepProvenance(RunId(999), vid, probe);
     assert_eq!(
         reader.apply_trace_op(&absent),
         oracle.apply_trace_op(&absent),
@@ -194,7 +194,7 @@ fn chaos_schedule_isolates_faults_to_the_sick_shard() {
     // Post-repair: everything acked is still there (digest-identical),
     // and the shard takes writes again.
     for &rid in &acked {
-        let op = TraceOp::DeepProvenance(rid, vid, probe);
+        let op = Op::DeepProvenance(rid, vid, probe);
         assert_eq!(
             reader.apply_trace_op(&op),
             oracle.apply_trace_op(&op),
@@ -254,9 +254,9 @@ fn quarantined_shard_answers_typed_unavailable_and_repairs_digest_clean() {
     while runs.len() < 6 || !runs.iter().any(|r| mapper.shard_of(*r) == 1) {
         runs.push(rz.load_log(sid, &log).unwrap());
     }
-    let ops: Vec<TraceOp> = runs
+    let ops: Vec<Op> = runs
         .iter()
-        .map(|&r| TraceOp::DeepProvenance(r, vid, probe))
+        .map(|&r| Op::DeepProvenance(r, vid, probe))
         .collect();
     let before: Vec<u64> = ops.iter().map(|op| rz.apply_trace_op(op)).collect();
 
@@ -345,7 +345,7 @@ fn daemon_restart_mid_stream_resumes_via_the_reconnecting_client() {
     // under the client.
     let streaming = rz.begin_stream(sid).unwrap();
     for ev in &log.events[..log.events.len() / 2] {
-        rz.stream_push(streaming, ev).unwrap();
+        rz.apply(&Op::PushEvent(streaming, ev.clone())).unwrap();
     }
     let report = daemon.drain(Duration::from_millis(200));
     assert!(!report.drained, "an open connection cannot drain cleanly");
@@ -353,7 +353,9 @@ fn daemon_restart_mid_stream_resumes_via_the_reconnecting_client() {
 
     // The in-flight append fails LOUDLY — a stream push must never be
     // silently re-sent, because the daemon might have committed it.
-    let lost = rz.stream_push(streaming, &log.events[0]).unwrap_err();
+    let lost = rz
+        .apply(&Op::PushEvent(streaming, log.events[0].clone()))
+        .unwrap_err();
     assert!(
         matches!(lost, RemoteError::ConnectionLost(_)),
         "expected a loud connection-lost failure, got: {lost}"
@@ -371,12 +373,12 @@ fn daemon_restart_mid_stream_resumes_via_the_reconnecting_client() {
     let resumed = rz.begin_stream(sid).unwrap();
     let mut committed = 0usize;
     for ev in &log.events {
-        if let zoom::warehouse::PushOutcome::Committed(steps) = rz.stream_push(resumed, ev).unwrap()
-        {
+        let pushed = rz.apply(&Op::PushEvent(resumed, ev.clone())).unwrap();
+        if let Answer::Push(zoom::warehouse::PushOutcome::Committed(steps)) = pushed {
             committed += steps.len();
         }
     }
-    rz.stream_seal(resumed).unwrap();
+    rz.apply(&Op::SealStream(resumed)).unwrap();
     assert_eq!(committed, run.step_count());
     assert_eq!(rz.final_outputs(resumed).unwrap(), run.final_outputs());
     let deep = rz

@@ -129,14 +129,22 @@ fn provenance_of_d413_through_both_views() {
     let rid = z.load_run(sid, run).unwrap();
 
     // Joe's immediate provenance of d413.
-    match z.immediate_provenance(rid, vjoe, DataId(413)).unwrap() {
+    match z
+        .warehouse()
+        .immediate_provenance(rid, vjoe, DataId(413))
+        .unwrap()
+    {
         ImmediateAnswer::Produced { inputs, .. } => {
             assert_eq!(inputs, (308..=408).map(DataId).collect::<Vec<_>>());
         }
         o => panic!("unexpected {o:?}"),
     }
     // Mary's immediate provenance of d413.
-    match z.immediate_provenance(rid, vmary, DataId(413)).unwrap() {
+    match z
+        .warehouse()
+        .immediate_provenance(rid, vmary, DataId(413))
+        .unwrap()
+    {
         ImmediateAnswer::Produced { inputs, .. } => {
             assert_eq!(inputs, vec![DataId(411)]);
         }
@@ -174,7 +182,11 @@ fn parameters_surface_through_composite_executions() {
     let sid = z.register_workflow(spec).unwrap();
     let vjoe = z.register_view(sid, joe).unwrap();
     let rid = z.load_run(sid, run).unwrap();
-    match z.immediate_provenance(rid, vjoe, DataId(413)).unwrap() {
+    match z
+        .warehouse()
+        .immediate_provenance(rid, vjoe, DataId(413))
+        .unwrap()
+    {
         ImmediateAnswer::Produced { params, .. } => {
             // Params of both M3 executions (S2 and S5) belong to the
             // composite execution that produced d413.

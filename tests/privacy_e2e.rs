@@ -4,7 +4,7 @@
 //! leak cross-tenant query context, and policy administration itself is
 //! admin-gated.
 
-use zoom::core::{Daemon, DaemonConfig, RemoteZoom, Zoom};
+use zoom::core::{Daemon, DaemonConfig, Op, RemoteZoom, Zoom};
 use zoom::model::{DataId, EventLog};
 use zoom::warehouse::VisibilityPolicy;
 use zoom_gen::library::{figure2_run, phylogenomic};
@@ -136,7 +136,7 @@ fn slowlog_is_tenant_scoped_without_admin_token() {
     let finals = figure2_run(&spec).final_outputs();
     alice.deep_provenance(rid, vid, finals[0]).unwrap();
     bob.deep_provenance(rid, vid, finals[0]).unwrap();
-    bob.dependents_of(rid, vid, DataId(1)).unwrap();
+    bob.apply(&Op::DependentsOf(rid, vid, DataId(1))).unwrap();
 
     // Each non-admin tenant sees exactly its own entries.
     let alice_log = alice.slow_queries(None).unwrap();

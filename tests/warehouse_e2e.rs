@@ -273,6 +273,7 @@ fn data_between_agrees_with_view_run_edges() {
         }
         let got = corpus
             .zoom
+            .warehouse()
             .data_between(rid, w.bio, from, to)
             .expect("valid endpoints");
         for d in data {
