@@ -120,7 +120,8 @@ fn garbage_inside_a_valid_frame_keeps_the_connection_alive() {
         other => panic!("expected malformed-request error, got {other:?}"),
     }
     // Same connection, now speak the protocol: it still answers.
-    zoom::warehouse::wire::write_message(&mut w, &Request::Ping).unwrap();
+    let ping: Request = Request::Ping;
+    zoom::warehouse::wire::write_message(&mut w, &ping).unwrap();
     w.flush().unwrap();
     match read_message::<Response>(&mut reader).unwrap() {
         Some(Response::Pong) => {}
