@@ -252,7 +252,7 @@ pub fn run(corpus: &Corpus, scale: Scale) -> Grid {
                     .iter()
                     .copied()
                     .step_by((data.len() / TARGETS).max(1))
-                    .filter(|&d| vr.is_visible(d))
+                    .filter(|&d| vr.is_visible(run, d))
                     .collect();
                 targets.push(run.final_outputs()[0]);
                 for &d in &targets {
@@ -295,7 +295,7 @@ pub fn run(corpus: &Corpus, scale: Scale) -> Grid {
                     .iter()
                     .copied()
                     .filter(|&x| {
-                        vr.is_visible(x)
+                        vr.is_visible(run, x)
                             && matches!(run.producer_of(x), Some(zoom_model::Producer::Step(_)))
                     })
                     .min_by_key(|&x| {

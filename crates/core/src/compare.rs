@@ -11,7 +11,7 @@
 //! **identical** at that view level, while UAdmin still sees the difference.
 
 use std::fmt;
-use zoom_model::{CompositeId, StepId, UserView, ViewRun};
+use zoom_model::{CompositeId, StepId, UserView, ViewRun, WorkflowRun};
 
 /// How one aligned pair of executions compares.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,28 +63,29 @@ impl RunComparison {
     }
 }
 
-/// Compares two view-runs of the same `(spec, view)` pair.
+/// Compares two runs, each with its view-run through the same view
+/// (callers obtain both from the warehouse's `(run, view)` queries).
 ///
 /// # Panics
-/// Panics if the view-runs belong to different specifications or views
-/// (callers obtain both from the same warehouse `(run, view)` queries).
-pub fn compare_view_runs(a: &ViewRun, b: &ViewRun) -> RunComparison {
-    assert_eq!(a.spec_name(), b.spec_name(), "runs of different workflows");
-    assert_eq!(a.view_name(), b.view_name(), "runs through different views");
+/// Panics if the runs belong to different specifications.
+pub fn compare_view_runs(
+    (run_a, a): (&WorkflowRun, &ViewRun),
+    (run_b, b): (&WorkflowRun, &ViewRun),
+) -> RunComparison {
+    assert_eq!(
+        run_a.spec_name(),
+        run_b.spec_name(),
+        "runs of different workflows"
+    );
 
     let mut out = RunComparison::default();
     // Group executions by composite, preserving each run's execution order
     // (ViewRun orders execs by smallest member step).
-    let composites: std::collections::BTreeSet<CompositeId> = a
-        .execs()
-        .iter()
-        .chain(b.execs())
-        .map(|e| e.composite)
-        .collect();
+    let composites: std::collections::BTreeSet<CompositeId> =
+        a.execs().chain(b.execs()).map(|e| e.composite).collect();
     for c in composites {
         let of = |vr: &ViewRun| -> Vec<(u32, StepId)> {
             vr.execs()
-                .iter()
                 .enumerate()
                 .filter(|(_, e)| e.composite == c)
                 .map(|(i, e)| (i as u32, e.id))
@@ -99,8 +100,8 @@ pub fn compare_view_runs(a: &ViewRun, b: &ViewRun) -> RunComparison {
                 composite: c,
                 a: sa,
                 b: sb,
-                inputs: (a.inputs_of(ia).len(), b.inputs_of(ib).len()),
-                outputs: (a.outputs_of(ia).len(), b.outputs_of(ib).len()),
+                inputs: (a.inputs_of(run_a, ia).len(), b.inputs_of(run_b, ib).len()),
+                outputs: (a.outputs_of(run_a, ia).len(), b.outputs_of(run_b, ib).len()),
             });
         }
         for &(_, s) in &ea[n..] {
@@ -223,7 +224,10 @@ mod tests {
         let s = spec();
         let (r1, r2) = (run(&s, 2), run(&s, 2));
         let admin = zoom_model::UserView::admin(&s);
-        let cmp = compare_view_runs(&ViewRun::new(&r1, &admin), &ViewRun::new(&r2, &admin));
+        let cmp = compare_view_runs(
+            (&r1, &ViewRun::new(&r1, &admin)),
+            (&r2, &ViewRun::new(&r2, &admin)),
+        );
         assert!(cmp.identical_shape());
         assert_eq!(cmp.divergences(), 0);
         assert_eq!(cmp.matched.len(), 5); // A + 2x(B, C)
@@ -237,7 +241,10 @@ mod tests {
 
         // UAdmin sees the extra B and C executions.
         let admin = zoom_model::UserView::admin(&s);
-        let cmp = compare_view_runs(&ViewRun::new(&r1, &admin), &ViewRun::new(&r2, &admin));
+        let cmp = compare_view_runs(
+            (&r1, &ViewRun::new(&r1, &admin)),
+            (&r2, &ViewRun::new(&r2, &admin)),
+        );
         assert!(!cmp.identical_shape());
         assert_eq!(cmp.only_in_a.len(), 2);
 
@@ -245,7 +252,10 @@ mod tests {
         // cannot tell the runs apart: the loop is internal.
         let a = s.module("A").unwrap();
         let coarse = relev_user_view_builder(&s, &[a]).unwrap().view;
-        let cmp = compare_view_runs(&ViewRun::new(&r1, &coarse), &ViewRun::new(&r2, &coarse));
+        let cmp = compare_view_runs(
+            (&r1, &ViewRun::new(&r1, &coarse)),
+            (&r2, &ViewRun::new(&r2, &coarse)),
+        );
         assert!(
             cmp.identical_shape(),
             "loop iterations are hidden inside the composite: {cmp:?}"
@@ -257,7 +267,10 @@ mod tests {
         let s = spec();
         let (r1, r2) = (run(&s, 3), run(&s, 2));
         let admin = zoom_model::UserView::admin(&s);
-        let cmp = compare_view_runs(&ViewRun::new(&r1, &admin), &ViewRun::new(&r2, &admin));
+        let cmp = compare_view_runs(
+            (&r1, &ViewRun::new(&r1, &admin)),
+            (&r2, &ViewRun::new(&r2, &admin)),
+        );
         let report = ComparisonReport {
             comparison: &cmp,
             view: &admin,
@@ -266,7 +279,10 @@ mod tests {
         assert!(report.contains("diverge"), "{report}");
         assert!(report.contains("only in the first run"), "{report}");
 
-        let same = compare_view_runs(&ViewRun::new(&r1, &admin), &ViewRun::new(&r1, &admin));
+        let same = compare_view_runs(
+            (&r1, &ViewRun::new(&r1, &admin)),
+            (&r1, &ViewRun::new(&r1, &admin)),
+        );
         let report = ComparisonReport {
             comparison: &same,
             view: &admin,
@@ -276,12 +292,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different views")]
-    fn mismatched_views_panic() {
+    #[should_panic(expected = "different workflows")]
+    fn mismatched_workflows_panic() {
         let s = spec();
         let r = run(&s, 2);
-        let admin = zoom_model::UserView::admin(&s);
-        let bb = zoom_model::UserView::black_box(&s);
-        compare_view_runs(&ViewRun::new(&r, &admin), &ViewRun::new(&r, &bb));
+        let mut b = SpecBuilder::new("other");
+        b.analysis("A");
+        b.from_input("A").to_output("A");
+        let o = b.build().unwrap();
+        let mut rb = RunBuilder::new(&o);
+        let s1 = rb.step(o.module("A").unwrap());
+        rb.input_edge(s1, [1]).output_edge(s1, [2]);
+        let ro = rb.build().unwrap();
+        compare_view_runs(
+            (&r, &ViewRun::new(&r, &zoom_model::UserView::admin(&s))),
+            (&ro, &ViewRun::new(&ro, &zoom_model::UserView::admin(&o))),
+        );
     }
 }

@@ -46,7 +46,7 @@ pub mod system;
 pub use compare::{compare_view_runs, ComparisonReport, ExecMatch, RunComparison};
 pub use queries::CannedQuery;
 pub use remote::{RemoteError, RemoteResult, RemoteRetry, RemoteZoom};
-pub use render::{provenance_to_dot, provenance_to_text, view_on_spec_to_dot};
+pub use render::{provenance_to_dot, provenance_to_text, view_on_spec_to_dot, view_run_to_dot};
 pub use server::{Daemon, DaemonConfig, DrainReport};
 pub use session::QuerySession;
 pub use system::Zoom;

@@ -6,22 +6,96 @@
 //! queried data object.
 
 use std::fmt::Write as _;
-use zoom_model::{DataId, UserView, ViewRun, ViewRunNode};
+use zoom_graph::fxhash::FxHashMap;
+use zoom_graph::{Digraph, NodeId};
+use zoom_model::run::format_data_range;
+use zoom_model::{DataId, UserView, ViewRun, WorkflowRun};
 use zoom_warehouse::ProvenanceResult;
+
+/// A node of the view-level run graph.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum ViewRunNode {
+    /// Beginning of the execution.
+    Input,
+    /// End of the execution.
+    Output,
+    /// A composite execution (an index for [`ViewRun::exec`]).
+    Exec(u32),
+}
+
+/// The view-level run graph of `vr`, derived from the `run` it was built
+/// from: the input and output nodes, one node per execution, and one edge
+/// per pair of view nodes that run edges join, carrying their data
+/// (sorted), in order of the pair's first run edge.
+fn view_graph(run: &WorkflowRun, vr: &ViewRun) -> Digraph<ViewRunNode, Vec<DataId>> {
+    let rg = run.graph();
+    let mut graph = Digraph::with_capacity(vr.exec_count() + 2, rg.edge_count());
+    graph.add_node(ViewRunNode::Input);
+    graph.add_node(ViewRunNode::Output);
+    for i in 0..vr.exec_count() as u32 {
+        graph.add_node(ViewRunNode::Exec(i));
+    }
+    let mut slot_of_pair: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
+    let mut merged: Vec<(NodeId, NodeId, Vec<DataId>)> = Vec::new();
+    for (_, s, t, data) in rg.edges() {
+        let (vs, vt) = (vr.view_node(run, s), vr.view_node(run, t));
+        if vs == vt {
+            continue; // internal to a composite execution: hidden
+        }
+        let slot = *slot_of_pair.entry((vs, vt)).or_insert_with(|| {
+            merged.push((vs, vt, Vec::new()));
+            merged.len() - 1
+        });
+        merged[slot].2.extend_from_slice(data);
+    }
+    for (vs, vt, mut data) in merged {
+        data.sort_unstable();
+        data.dedup();
+        graph.add_edge(vs, vt, data);
+    }
+    graph
+}
+
+/// Renders a view-run as DOT, labeling executions `S13:M10`-style.
+pub fn view_run_to_dot(run: &WorkflowRun, vr: &ViewRun, view: &UserView) -> String {
+    use zoom_graph::dot::{to_dot, DotStyle};
+    let style = DotStyle {
+        node_label: Box::new(move |_, n: &ViewRunNode| match n {
+            ViewRunNode::Input => "input".to_string(),
+            ViewRunNode::Output => "output".to_string(),
+            ViewRunNode::Exec(i) => {
+                let e = vr.exec(*i);
+                format!("{}:{}", e.id, view.composite_name(e.composite))
+            }
+        }),
+        node_attrs: Box::new(|_, n: &ViewRunNode| match n {
+            ViewRunNode::Input | ViewRunNode::Output => "shape=circle".to_string(),
+            ViewRunNode::Exec(_) => "shape=box,style=dotted".to_string(),
+        }),
+        edge_label: Box::new(|_, data: &Vec<DataId>| format_data_range(data)),
+        graph_attrs: vec!["rankdir=LR".to_string()],
+    };
+    to_dot(
+        &view_graph(run, vr),
+        &format!("{} through {}", run.spec_name(), view.name()),
+        &style,
+    )
+}
 
 /// Renders the provenance subgraph (the visited executions, the input node
 /// when involved, and the data edges among them) as DOT.
-pub fn provenance_to_dot(vr: &ViewRun, view: &UserView, result: &ProvenanceResult) -> String {
-    use zoom_model::run::format_data_range;
-    let g = vr.graph();
+pub fn provenance_to_dot(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    view: &UserView,
+    result: &ProvenanceResult,
+) -> String {
+    let g = view_graph(run, vr);
     let involved = |n: zoom_graph::NodeId| -> bool {
         match g.node(n) {
             ViewRunNode::Input => true, // kept if it has edges into the set
             ViewRunNode::Output => false,
-            ViewRunNode::Exec(i) => {
-                let e = &vr.execs()[*i as usize];
-                result.execs.binary_search(&e.id).is_ok()
-            }
+            ViewRunNode::Exec(i) => result.execs.binary_search(&vr.exec(*i).id).is_ok(),
         }
     };
     let mut s = String::new();
@@ -56,7 +130,7 @@ pub fn provenance_to_dot(vr: &ViewRun, view: &UserView, result: &ProvenanceResul
                 let _ = writeln!(s, "  n{} [label=\"input\",shape=circle];", id.index());
             }
             ViewRunNode::Exec(i) if involved(id) => {
-                let e = &vr.execs()[*i as usize];
+                let e = vr.exec(*i);
                 let _ = writeln!(
                     s,
                     "  n{} [label=\"{}:{}\",shape=box{}];",
@@ -129,14 +203,20 @@ pub fn view_on_spec_to_dot(
 /// each level shows a data object, its producer, and (recursively) the
 /// producer's inputs. Shared sub-provenance is expanded once and referenced
 /// afterwards (`…see above`); data ranges are compacted.
-pub fn provenance_to_text(vr: &ViewRun, view: &UserView, result: &ProvenanceResult) -> String {
+pub fn provenance_to_text(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    view: &UserView,
+    result: &ProvenanceResult,
+) -> String {
     let mut out = String::new();
     let mut expanded: Vec<DataId> = Vec::new();
-    render_datum(vr, view, result.target, 0, &mut expanded, &mut out);
+    render_datum(run, vr, view, result.target, 0, &mut expanded, &mut out);
     out
 }
 
 fn render_datum(
+    run: &WorkflowRun,
     vr: &ViewRun,
     view: &UserView,
     d: DataId,
@@ -145,7 +225,7 @@ fn render_datum(
     out: &mut String,
 ) {
     let pad = "  ".repeat(depth);
-    let Some(producer) = vr.producer_node(d) else {
+    let Some(producer) = vr.producer_node(run, d) else {
         let _ = writeln!(out, "{pad}{d} (not visible at this level)");
         return;
     };
@@ -153,7 +233,10 @@ fn render_datum(
         let _ = writeln!(out, "{pad}{d} <- user input");
         return;
     }
-    let exec = vr.exec_at(producer).expect("producer is input or exec");
+    let idx = vr
+        .exec_index_at(producer)
+        .expect("producer is input or exec");
+    let exec = vr.exec(idx);
     if expanded.contains(&d) {
         let _ = writeln!(
             out,
@@ -164,11 +247,7 @@ fn render_datum(
         return;
     }
     expanded.push(d);
-    let idx = match vr.graph().node(producer) {
-        ViewRunNode::Exec(i) => *i,
-        _ => unreachable!("checked"),
-    };
-    let inputs = vr.inputs_of(idx);
+    let inputs = vr.inputs_of(run, idx);
     let _ = writeln!(
         out,
         "{pad}{d} <- {}:{} ({} input{})",
@@ -181,7 +260,7 @@ fn render_datum(
     // producer and list the rest as a range.
     let mut by_producer: Vec<(Option<zoom_graph::NodeId>, Vec<DataId>)> = Vec::new();
     for x in inputs {
-        let p = vr.producer_node(x);
+        let p = vr.producer_node(run, x);
         if let Some(entry) = by_producer.iter_mut().find(|(pp, _)| *pp == p) {
             entry.1.push(x);
         } else {
@@ -192,22 +271,18 @@ fn render_datum(
         match p {
             Some(n) if n == vr.input() => {
                 let pad2 = "  ".repeat(depth + 1);
-                let _ = writeln!(
-                    out,
-                    "{pad2}{} <- user input",
-                    zoom_model::run::format_data_range(&data)
-                );
+                let _ = writeln!(out, "{pad2}{} <- user input", format_data_range(&data));
             }
             _ => {
                 // Recurse on the first datum; siblings share the producer.
-                render_datum(vr, view, data[0], depth + 1, expanded, out);
+                render_datum(run, vr, view, data[0], depth + 1, expanded, out);
                 if data.len() > 1 {
                     let pad2 = "  ".repeat(depth + 1);
                     let _ = writeln!(
                         out,
                         "{pad2}(+ {} more from the same execution: {})",
                         data.len() - 1,
-                        zoom_model::run::format_data_range(&data[1..])
+                        format_data_range(&data[1..])
                     );
                 }
             }
@@ -220,12 +295,16 @@ mod tests {
     use super::*;
     use zoom_model::{RunBuilder, SpecBuilder, UserView};
 
-    fn setup() -> (zoom_model::WorkflowRun, ViewRun, UserView, ProvenanceResult) {
+    fn spec() -> zoom_model::WorkflowSpec {
         let mut b = SpecBuilder::new("render");
         b.analysis("A");
         b.analysis("B");
         b.from_input("A").edge("A", "B").to_output("B");
-        let s = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    fn setup() -> (WorkflowRun, ViewRun, UserView, ProvenanceResult) {
+        let s = spec();
         let mut rb = RunBuilder::new(&s);
         let s1 = rb.step(s.module("A").unwrap());
         let s2 = rb.step(s.module("B").unwrap());
@@ -243,8 +322,8 @@ mod tests {
 
     #[test]
     fn text_tree_shows_chain() {
-        let (_r, vr, v, res) = setup();
-        let text = provenance_to_text(&vr, &v, &res);
+        let (r, vr, v, res) = setup();
+        let text = provenance_to_text(&r, &vr, &v, &res);
         assert!(text.contains("d4 <- S2:B"), "{text}");
         assert!(text.contains("d3 <- S1:A"), "{text}");
         assert!(text.contains("d1..d2 <- user input"), "{text}");
@@ -287,8 +366,8 @@ mod tests {
 
     #[test]
     fn dot_contains_involved_nodes_and_data() {
-        let (_r, vr, v, res) = setup();
-        let dot = provenance_to_dot(&vr, &v, &res);
+        let (r, vr, v, res) = setup();
+        let dot = provenance_to_dot(&r, &vr, &v, &res);
         assert!(dot.contains("S1:A"));
         assert!(dot.contains("S2:B"));
         assert!(dot.contains("d1..d2"));
@@ -305,8 +384,18 @@ mod tests {
         let res = zoom_warehouse::deep_provenance(&r, &vr, zoom_model::DataId(3))
             .unwrap()
             .unwrap();
-        let dot = provenance_to_dot(&vr, &v, &res);
+        let dot = provenance_to_dot(&r, &vr, &v, &res);
         assert!(dot.contains("S1:A"));
         assert!(!dot.contains("S2:B"));
+    }
+
+    #[test]
+    fn view_run_dot_shows_virtual_ids() {
+        let (r, _, _, _) = setup();
+        let v = UserView::black_box(&spec());
+        let dot = view_run_to_dot(&r, &ViewRun::new(&r, &v), &v);
+        assert!(dot.contains("S3:render-blackbox"), "{dot}");
+        assert!(dot.contains("style=dotted"));
+        assert!(dot.contains("label=\"d1..d2\""), "{dot}");
     }
 }

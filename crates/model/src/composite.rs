@@ -2,17 +2,24 @@
 //!
 //! "The execution of consecutive steps within the same composite module
 //! causes a virtual execution of the composite step." We materialize this as
-//! a [`ViewRun`]: the run graph whose nodes are *composite executions* —
-//! weakly-connected groups of steps belonging to the same composite module —
-//! and whose edges carry only the data passed **between** composite
-//! executions. Data passed between steps inside one composite execution is
-//! hidden, which is exactly how user views restrict provenance.
+//! a [`ViewRun`]: the run's steps grouped into *composite executions* —
+//! weakly-connected groups of steps belonging to the same composite module.
+//! Data passed between different composite executions is visible; data
+//! passed only inside one is hidden, which is exactly how user views
+//! restrict provenance.
 //!
 //! On the paper's Figure 2 with Joe's view, the three steps of `M10`'s loop
 //! collapse into one virtual execution `S13` (input `{d308..d408}`, output
 //! `{d413}`); with Mary's view, `M11` yields two virtual executions `S11`
 //! and `S12` because the loop leaves the composite through `M5` and
 //! re-enters.
+//!
+//! A view-run stores only what depends on the view, in flat arrays: the
+//! execution table, the execution of every run node, and one visibility
+//! bit per edge-data slot of the run ([`WorkflowRun::edge_slots`]). It
+//! copies no data: producers, execution inputs and outputs and the data
+//! between two executions are derived on demand from the run it was built
+//! from, which every such method takes.
 //!
 //! Design note: a *singleton* composite (one module, as every composite of
 //! UAdmin) whose execution group is a single step keeps the original step
@@ -22,47 +29,39 @@
 
 use crate::ids::{CompositeId, DataId, StepId};
 use crate::run::{RunNode, WorkflowRun};
-use crate::spec::WorkflowSpec;
 use crate::view::UserView;
-use std::collections::hash_map::Entry;
-use zoom_graph::fxhash::FxHashMap;
-use zoom_graph::{Digraph, NodeId};
+use zoom_graph::{BitSet, NodeId};
 
 /// One (possibly virtual) execution of a composite module.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompositeExecution {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CompositeExecution<'a> {
     /// The execution's step id — original for singleton groups of singleton
     /// composites, fresh ("virtual") otherwise.
     pub id: StepId,
     /// The composite module this is an execution of.
     pub composite: CompositeId,
     /// The member steps, sorted.
-    pub members: Vec<StepId>,
+    pub members: &'a [StepId],
     /// Whether the id is virtual (constructed, not present in the log).
     pub is_virtual: bool,
 }
 
-/// A node of a view-run graph.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ViewRunNode {
-    /// Beginning of the execution.
-    Input,
-    /// End of the execution.
-    Output,
-    /// A composite execution (index into [`ViewRun::execs`]).
-    Exec(u32),
-}
-
-/// Marks "no composite / no execution" in the dense per-node arrays.
+/// Marks "no execution" in [`ViewRun::exec_of_node`].
 const NONE: u32 = u32::MAX;
+
+/// Flags a virtual execution in [`ViewRun::heads`].
+const VIRTUAL: u32 = 1 << 31;
 
 /// A workflow run projected through a user view.
 #[derive(Clone, Debug)]
 pub struct ViewRun {
-    spec_name: String,
-    view_name: String,
-    execs: Vec<CompositeExecution>,
-    graph: Digraph<ViewRunNode, Vec<DataId>>,
+    /// Per execution, ordered by smallest member step: its id and its
+    /// composite, with [`VIRTUAL`] set for a virtual execution.
+    heads: Vec<(StepId, u32)>,
+    /// Execution `i`'s members are `members[member_start[i]..member_start[i + 1]]`.
+    member_start: Vec<u32>,
+    /// Every execution's member steps, sorted within each execution.
+    members: Vec<StepId>,
     /// Execution index of every run-graph node, indexed by run node
     /// ([`NONE`] for the input and output nodes).
     exec_of_node: Vec<u32>,
@@ -71,8 +70,10 @@ pub struct ViewRun {
     /// step id). Answers both [`Self::exec_of_step`] and
     /// [`Self::exec_index_by_id`] by binary search.
     exec_of_id: Vec<(StepId, u32)>,
-    /// Producing view-graph node for every *visible* data object.
-    producer: FxHashMap<DataId, NodeId>,
+    /// Visibility of every edge-data slot of the run. A datum's slots all
+    /// lie on its producer's out-edges and share one bit value: set when
+    /// some edge carrying it joins two different executions.
+    visible: BitSet,
 }
 
 impl ViewRun {
@@ -88,186 +89,157 @@ impl ViewRun {
             view.spec_name(),
             "run and view must be over the same specification"
         );
-        let composites = view.composites();
-        let multi_module = |c: u32| composites[c as usize].members.len() > 1;
-
-        // --- 1. Composite and step id of every step node, in dense arrays.
-        let module_span = composites
-            .iter()
-            .flat_map(|c| &c.members)
-            .map(|m| m.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut comp_of_module = vec![NONE; module_span];
-        for (c, comp) in composites.iter().enumerate() {
-            for m in &comp.members {
-                comp_of_module[m.index()] = c as u32;
-            }
-        }
         let rg = run.graph();
         let n = rg.node_count();
-        let mut comp_of_node = vec![NONE; n];
-        let mut step_of_node = vec![StepId(0); n];
-        let mut step_nodes: Vec<usize> = Vec::with_capacity(n);
-        for (node, weight) in rg.nodes() {
-            if let RunNode::Step { id, module } = weight {
-                let c = comp_of_module.get(module.index()).copied();
-                comp_of_node[node.index()] = c
-                    .filter(|&c| c != NONE)
-                    .expect("every module of the run belongs to a composite of the view");
-                step_of_node[node.index()] = *id;
-                step_nodes.push(node.index());
+        let composite_at = |node: NodeId| match rg.node(node) {
+            RunNode::Step { module, .. } => {
+                view.try_composite_of(*module)
+                    .expect("every module of the run belongs to a composite of the view")
+                    .0
             }
-        }
+            _ => NONE,
+        };
+        let multi_module = |c: u32| view.members(CompositeId(c)).len() > 1;
+
+        // --- 1. Steps in id order, as `(id, run node)`; the entries become
+        // `(id, execution)` once the executions are numbered.
+        let mut exec_of_id: Vec<(StepId, u32)> = Vec::with_capacity(run.step_count());
+        exec_of_id.extend(rg.nodes().filter_map(|(node, w)| match w {
+            RunNode::Step { id, .. } => Some((*id, node.index() as u32)),
+            _ => None,
+        }));
+        exec_of_id.sort_unstable_by_key(|&(id, _)| id);
 
         // --- 2. Union-find over step nodes. Steps group only within
         // *composite* modules proper — a singleton composite is the module
         // itself, so its steps (e.g. the unrolled iterations of a reflexive
         // loop) stay separate. This keeps UAdmin ("no composite modules")
         // the finest level: its view-run is exactly the run.
-        let mut uf = UnionFind::new(n);
+        let mut parent: Vec<u32> = (0..n as u32).collect();
         for (_, s, t, _) in rg.edges() {
-            let (cs, ct) = (comp_of_node[s.index()], comp_of_node[t.index()]);
-            if cs != NONE && cs == ct && multi_module(cs) {
-                uf.union(s.index(), t.index());
+            let c = composite_at(s);
+            if c != NONE && c == composite_at(t) && multi_module(c) {
+                let (rs, rt) = (find(&mut parent, s.index()), find(&mut parent, t.index()));
+                parent[rs.max(rt) as usize] = rs.min(rt);
             }
         }
 
-        // --- 3. Groups, numbered in order of smallest member step id:
+        // --- 3. Executions, numbered in order of smallest member step id:
         // visiting steps by id, a group's index is fixed by its first
-        // member.
-        step_nodes.sort_unstable_by_key(|&i| step_of_node[i]);
-        let mut group_of_root = vec![NONE; n];
+        // member (recorded at its union-find root).
         let mut exec_of_node = vec![NONE; n];
-        let mut first_node: Vec<usize> = Vec::new();
-        let mut sizes: Vec<u32> = Vec::new();
-        for &i in &step_nodes {
-            let root = uf.find(i);
-            if group_of_root[root] == NONE {
-                group_of_root[root] = first_node.len() as u32;
-                first_node.push(i);
-                sizes.push(0);
+        let mut execs = 0u32;
+        for &(_, node) in &exec_of_id {
+            let root = find(&mut parent, node as usize) as usize;
+            if exec_of_node[root] == NONE {
+                exec_of_node[root] = execs;
+                execs += 1;
             }
-            let g = group_of_root[root];
-            exec_of_node[i] = g;
-            sizes[g as usize] += 1;
+            exec_of_node[node as usize] = exec_of_node[root];
         }
 
-        // --- 4. Execution ids: original for a singleton group of a
-        // singleton composite, fresh after the largest step id otherwise.
-        let max_step = step_nodes.last().map_or(0, |&i| step_of_node[i].0);
-        let mut next_virtual = max_step + 1;
-        let mut execs: Vec<CompositeExecution> = first_node
-            .iter()
-            .zip(&sizes)
-            .map(|(&i, &size)| {
-                let composite = comp_of_node[i];
-                let is_virtual = size > 1 || multi_module(composite);
-                let id = if is_virtual {
-                    next_virtual += 1;
-                    StepId(next_virtual - 1)
-                } else {
-                    step_of_node[i]
-                };
-                CompositeExecution {
-                    id,
-                    composite: CompositeId(composite),
-                    members: Vec::with_capacity(size as usize),
-                    is_virtual,
-                }
-            })
-            .collect();
-        let virtuals = (next_virtual - max_step - 1) as usize;
-        let mut exec_of_id: Vec<(StepId, u32)> = Vec::with_capacity(step_nodes.len() + virtuals);
-        for &i in &step_nodes {
-            let g = exec_of_node[i];
-            execs[g as usize].members.push(step_of_node[i]);
-            exec_of_id.push((step_of_node[i], g));
+        // --- 4. The execution table in CSR form. A head is first written
+        // by its smallest member; ids are original for a singleton group of
+        // a singleton composite, fresh after the largest step id otherwise.
+        let mut heads = vec![(StepId(0), NONE); execs as usize];
+        let mut member_start = vec![0u32; execs as usize + 1];
+        for &(id, node) in &exec_of_id {
+            let g = exec_of_node[node as usize] as usize;
+            if heads[g].1 == NONE {
+                heads[g] = (id, composite_at(NodeId::from_index(node as usize)));
+            }
+            member_start[g + 1] += 1;
+        }
+        let max_step = exec_of_id.last().map_or(0, |&(id, _)| id.0);
+        let mut next_virtual = max_step;
+        for (g, (id, composite)) in heads.iter_mut().enumerate() {
+            member_start[g + 1] += member_start[g];
+            if member_start[g + 1] - member_start[g] > 1 || multi_module(*composite) {
+                next_virtual += 1;
+                (*id, *composite) = (StepId(next_virtual), *composite | VIRTUAL);
+            }
+        }
+        // The union-find forest is spent: reuse it as the fill cursors.
+        let cursor = &mut parent[..heads.len()];
+        cursor.copy_from_slice(&member_start[..heads.len()]);
+        let mut members = vec![StepId(0); exec_of_id.len()];
+        for entry in &mut exec_of_id {
+            let g = exec_of_node[entry.1 as usize];
+            members[cursor[g as usize] as usize] = entry.0;
+            cursor[g as usize] += 1;
+            entry.1 = g;
         }
         // Virtual ids all exceed the largest step id, and rise in execution
         // order, so appending them keeps the table sorted.
+        exec_of_id.reserve_exact((next_virtual - max_step) as usize);
         exec_of_id.extend(
-            (0..execs.len() as u32)
-                .filter(|&g| execs[g as usize].is_virtual)
-                .map(|g| (execs[g as usize].id, g)),
+            (0..execs)
+                .filter(|&g| heads[g as usize].1 & VIRTUAL != 0)
+                .map(|g| (heads[g as usize].0, g)),
         );
 
-        // --- 5. Build the view graph with merged boundary edges.
-        let mut graph: Digraph<ViewRunNode, Vec<DataId>> =
-            Digraph::with_capacity(execs.len() + 2, rg.edge_count());
-        let vin = graph.add_node(ViewRunNode::Input);
-        let vout = graph.add_node(ViewRunNode::Output);
-        for i in 0..execs.len() {
-            graph.add_node(ViewRunNode::Exec(i as u32));
-        }
-        let map = |node: NodeId| -> NodeId {
-            match exec_of_node[node.index()] {
-                NONE if node == run.input() => vin,
-                NONE => vout,
-                i => NodeId::from_index(i as usize + 2),
-            }
+        let mut vr = ViewRun {
+            heads,
+            member_start,
+            members,
+            exec_of_node,
+            exec_of_id,
+            visible: BitSet::new(0),
         };
-        let mut slot_of_pair: FxHashMap<(NodeId, NodeId), u32> = FxHashMap::default();
-        slot_of_pair.reserve(rg.edge_count());
-        let mut merged: Vec<(NodeId, NodeId, Vec<DataId>)> = Vec::new();
-        let mut carried = 0;
-        for (_, s, t, data) in rg.edges() {
-            let (vs, vt) = (map(s), map(t));
-            if vs == vt {
-                continue; // internal to a composite execution: hidden
+        vr.visible = vr.visibility(run);
+        vr
+    }
+
+    /// Step 5 of [`ViewRun::new`]: the visible slots. An edge between two
+    /// different view nodes shows all its data; a datum on an internal edge
+    /// is still visible when another out-edge of its producer shows it.
+    fn visibility(&self, run: &WorkflowRun) -> BitSet {
+        let rg = run.graph();
+        let mut visible = BitSet::new(run.slot_count());
+        for s in rg.node_ids() {
+            let vs = self.view_node(run, s);
+            let crosses = |e| self.view_node(run, rg.target(e)) != vs;
+            if !rg.out_edges(s).any(crosses) {
+                continue;
             }
-            carried += data.len();
-            match slot_of_pair.entry((vs, vt)) {
-                Entry::Occupied(slot) => merged[*slot.get() as usize].2.extend_from_slice(data),
-                Entry::Vacant(slot) => {
-                    slot.insert(merged.len() as u32);
-                    merged.push((vs, vt, data.clone()));
+            for e in rg.out_edges(s) {
+                let shown = crosses(e);
+                for (slot, d) in run.edge_slots(e).zip(rg.edge(e)) {
+                    if shown
+                        || rg
+                            .out_edges(s)
+                            .any(|f| crosses(f) && rg.edge(f).binary_search(d).is_ok())
+                    {
+                        visible.insert(slot);
+                    }
                 }
             }
         }
-        let mut producer: FxHashMap<DataId, NodeId> = FxHashMap::default();
-        producer.reserve(carried);
-        for (vs, vt, mut data) in merged {
-            data.sort_unstable();
-            data.dedup();
-            for &d in &data {
-                producer.insert(d, vs);
-            }
-            graph.add_edge(vs, vt, data);
-        }
-        // `carried` counts a datum once per consuming edge; keep only the
-        // table its distinct data need.
-        producer.shrink_to_fit();
-
-        ViewRun {
-            spec_name: run.spec_name().to_string(),
-            view_name: view.name().to_string(),
-            execs,
-            graph,
-            exec_of_node,
-            exec_of_id,
-            producer,
-        }
+        visible
     }
 
-    /// The specification's name.
-    pub fn spec_name(&self) -> &str {
-        &self.spec_name
+    /// The number of composite executions.
+    pub fn exec_count(&self) -> usize {
+        self.heads.len()
     }
 
-    /// The view's name.
-    pub fn view_name(&self) -> &str {
-        &self.view_name
+    /// Execution `i` (an index below [`Self::exec_count`]).
+    #[inline]
+    pub fn exec(&self, i: u32) -> CompositeExecution<'_> {
+        let i = i as usize;
+        let (id, composite) = self.heads[i];
+        CompositeExecution {
+            id,
+            composite: CompositeId(composite & !VIRTUAL),
+            members: &self.members
+                [self.member_start[i] as usize..self.member_start[i + 1] as usize],
+            is_virtual: composite & VIRTUAL != 0,
+        }
     }
 
     /// The composite executions, ordered by smallest member step.
-    pub fn execs(&self) -> &[CompositeExecution] {
-        &self.execs
-    }
-
-    /// The view-level run graph.
-    pub fn graph(&self) -> &Digraph<ViewRunNode, Vec<DataId>> {
-        &self.graph
+    pub fn execs(&self) -> impl ExactSizeIterator<Item = CompositeExecution<'_>> + '_ {
+        (0..self.heads.len() as u32).map(|i| self.exec(i))
     }
 
     /// The input node (always node 0).
@@ -285,12 +257,15 @@ impl ViewRun {
         NodeId::from_index(i as usize + 2)
     }
 
+    /// The index of the execution at a view-graph node, if it is one.
+    pub fn exec_index_at(&self, n: NodeId) -> Option<u32> {
+        let i = n.index().checked_sub(2)?;
+        (i < self.heads.len()).then_some(i as u32)
+    }
+
     /// The execution at a view-graph node, if it is one.
-    pub fn exec_at(&self, n: NodeId) -> Option<&CompositeExecution> {
-        match self.graph.node(n) {
-            ViewRunNode::Exec(i) => Some(&self.execs[*i as usize]),
-            _ => None,
-        }
+    pub fn exec_at(&self, n: NodeId) -> Option<CompositeExecution<'_>> {
+        self.exec_index_at(n).map(|i| self.exec(i))
     }
 
     /// The composite execution containing run-graph node `n` — the
@@ -298,9 +273,21 @@ impl ViewRun {
     /// graph. `None` for the input/output nodes and for nodes the run this
     /// view-run was built from does not have.
     #[inline]
-    pub fn exec_at_run_node(&self, n: NodeId) -> Option<&CompositeExecution> {
-        let &i = self.exec_of_node.get(n.index())?;
-        self.execs.get(i as usize)
+    pub fn exec_at_run_node(&self, n: NodeId) -> Option<CompositeExecution<'_>> {
+        match self.exec_of_node.get(n.index()) {
+            Some(&i) if i != NONE => Some(self.exec(i)),
+            _ => None,
+        }
+    }
+
+    /// The view-graph node of run-graph node `n`: the input, the output,
+    /// or the node of its execution.
+    pub fn view_node(&self, run: &WorkflowRun, n: NodeId) -> NodeId {
+        match self.exec_of_node.get(n.index()) {
+            Some(&i) if i != NONE => self.node_of_exec(i),
+            _ if n == run.input() => self.input(),
+            _ => self.output(),
+        }
     }
 
     /// The `exec_of_id` entry for `id`, a step id or a virtual id.
@@ -313,15 +300,15 @@ impl ViewRun {
     }
 
     /// The composite execution containing original step `s`.
-    pub fn exec_of_step(&self, s: StepId) -> Option<&CompositeExecution> {
-        let e = &self.execs[self.exec_index_of(s)? as usize];
+    pub fn exec_of_step(&self, s: StepId) -> Option<CompositeExecution<'_>> {
+        let e = self.exec(self.exec_index_of(s)?);
         // A virtual id shares the table but names no member step.
         (!e.is_virtual || e.id != s).then_some(e)
     }
 
     /// Finds an execution by its (possibly virtual) id.
-    pub fn exec_by_id(&self, id: StepId) -> Option<&CompositeExecution> {
-        self.exec_index_by_id(id).map(|i| &self.execs[i as usize])
+    pub fn exec_by_id(&self, id: StepId) -> Option<CompositeExecution<'_>> {
+        self.exec_index_by_id(id).map(|i| self.exec(i))
     }
 
     /// The position of the execution with (possibly virtual) id `id` — the
@@ -330,116 +317,115 @@ impl ViewRun {
     /// found through `s`'s entry.
     pub fn exec_index_by_id(&self, id: StepId) -> Option<u32> {
         let i = self.exec_index_of(id)?;
-        (self.execs[i as usize].id == id).then_some(i)
+        (self.heads[i as usize].0 == id).then_some(i)
     }
 
-    /// The data input to execution `i`: union of its incoming edges, sorted.
-    pub fn inputs_of(&self, i: u32) -> Vec<DataId> {
-        let n = self.node_of_exec(i);
-        let mut v: Vec<DataId> = self
-            .graph
-            .in_edges(n)
-            .flat_map(|e| self.graph.edge(e).iter().copied())
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+    /// Whether this view-run's tables fit `run` (same node and slot
+    /// counts): a necessary condition for having been built from it.
+    pub fn fits(&self, run: &WorkflowRun) -> bool {
+        self.exec_of_node.len() == run.graph().node_count()
+            && self.visible.len() == run.slot_count()
     }
 
-    /// The data output by execution `i`: union of its outgoing edges, sorted.
-    pub fn outputs_of(&self, i: u32) -> Vec<DataId> {
-        let n = self.node_of_exec(i);
-        let mut v: Vec<DataId> = self
-            .graph
-            .out_edges(n)
-            .flat_map(|e| self.graph.edge(e).iter().copied())
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+    /// Whether edge-data slot `slot` of the run carries a visible datum —
+    /// the projection's per-datum test.
+    #[inline]
+    pub fn is_slot_visible(&self, slot: usize) -> bool {
+        self.visible.contains(slot)
+    }
+
+    /// The run-graph node that produced `d`, if `d` is visible at this
+    /// view level.
+    pub fn visible_run_producer(&self, run: &WorkflowRun, d: DataId) -> Option<NodeId> {
+        let (p, slot) = run.producer_slot(d)?;
+        self.visible.contains(slot).then_some(p)
+    }
+
+    /// The view-graph node that produced visible datum `d`.
+    pub fn producer_node(&self, run: &WorkflowRun, d: DataId) -> Option<NodeId> {
+        Some(self.view_node(run, self.visible_run_producer(run, d)?))
+    }
+
+    /// Whether `d` is visible at this view level.
+    pub fn is_visible(&self, run: &WorkflowRun, d: DataId) -> bool {
+        self.visible_run_producer(run, d).is_some()
     }
 
     /// All data visible at this view level, sorted. Data passed strictly
     /// inside a composite execution is *not* visible.
-    pub fn visible_data(&self) -> Vec<DataId> {
-        let mut v: Vec<DataId> = self.producer.keys().copied().collect();
-        v.sort();
+    pub fn visible_data(&self, run: &WorkflowRun) -> Vec<DataId> {
+        let rg = run.graph();
+        let mut v: Vec<DataId> = rg
+            .edge_ids()
+            .flat_map(|e| run.edge_slots(e).zip(rg.edge(e)))
+            .filter(|&(slot, _)| self.visible.contains(slot))
+            .map(|(_, &d)| d)
+            .collect();
+        v.sort_unstable();
+        v.dedup();
         v
     }
 
-    /// Whether `d` is visible at this view level.
-    pub fn is_visible(&self, d: DataId) -> bool {
-        self.producer.contains_key(&d)
+    /// The data input to execution `i`: union of its incoming edges, sorted.
+    pub fn inputs_of(&self, run: &WorkflowRun, i: u32) -> Vec<DataId> {
+        self.boundary_data(run, self.node_of_exec(i), false, None)
     }
 
-    /// The view-graph node that produced visible datum `d`.
-    pub fn producer_node(&self, d: DataId) -> Option<NodeId> {
-        self.producer.get(&d).copied()
+    /// The data output by execution `i`: union of its outgoing edges, sorted.
+    pub fn outputs_of(&self, run: &WorkflowRun, i: u32) -> Vec<DataId> {
+        self.boundary_data(run, self.node_of_exec(i), true, None)
     }
 
-    /// Renders the view-run as DOT, labeling executions `S13:M10`-style.
-    pub fn to_dot(&self, spec: &WorkflowSpec, view: &UserView) -> String {
-        use crate::run::format_data_range;
-        use zoom_graph::dot::{to_dot, DotStyle};
-        let _ = spec;
-        let style = DotStyle {
-            node_label: Box::new(move |_, n: &ViewRunNode| match n {
-                ViewRunNode::Input => "input".to_string(),
-                ViewRunNode::Output => "output".to_string(),
-                ViewRunNode::Exec(i) => {
-                    let e = &self.execs[*i as usize];
-                    format!("{}:{}", e.id, view.composite_name(e.composite))
-                }
-            }),
-            node_attrs: Box::new(|_, n: &ViewRunNode| match n {
-                ViewRunNode::Input | ViewRunNode::Output => "shape=circle".to_string(),
-                ViewRunNode::Exec(_) => "shape=box,style=dotted".to_string(),
-            }),
-            edge_label: Box::new(|_, data: &Vec<DataId>| format_data_range(data)),
-            graph_attrs: vec!["rankdir=LR".to_string()],
+    /// The data passed from view node `a` to view node `b`, sorted; empty
+    /// when no edge joins them.
+    pub fn data_between(&self, run: &WorkflowRun, a: NodeId, b: NodeId) -> Vec<DataId> {
+        self.boundary_data(run, a, true, Some(b))
+    }
+
+    /// The data on the run edges leaving (`outgoing`) or entering view node
+    /// `v` from another view node — only from `far` when given — sorted.
+    fn boundary_data(
+        &self,
+        run: &WorkflowRun,
+        v: NodeId,
+        outgoing: bool,
+        far: Option<NodeId>,
+    ) -> Vec<DataId> {
+        let rg = run.graph();
+        let endpoint = match v.index() {
+            0 => Some(run.input()),
+            1 => Some(run.output()),
+            _ => None,
         };
-        to_dot(
-            &self.graph,
-            &format!("{} through {}", self.spec_name, self.view_name),
-            &style,
-        )
+        let members = self.exec_at(v).map_or(&[][..], |e| e.members);
+        let nodes = endpoint
+            .into_iter()
+            .chain(members.iter().filter_map(|&s| run.node_of_step(s).ok()));
+        let mut out: Vec<DataId> = Vec::new();
+        for n in nodes {
+            let edges =
+                (rg.out_edges(n).filter(|_| outgoing)).chain(rg.in_edges(n).filter(|_| !outgoing));
+            for e in edges {
+                let (s, t) = rg.endpoints(e);
+                let other = self.view_node(run, if outgoing { t } else { s });
+                if other != v && far.is_none_or(|f| f == other) {
+                    out.extend_from_slice(rg.edge(e));
+                }
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
-/// Minimal union-find with path halving and union by size.
-#[derive(Debug)]
-struct UnionFind {
-    parent: Vec<usize>,
-    size: Vec<u32>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-            size: vec![1; n],
-        }
+/// Union-find root of `x`, with path halving.
+fn find(parent: &mut [u32], mut x: usize) -> u32 {
+    while parent[x] as usize != x {
+        parent[x] = parent[parent[x] as usize];
+        x = parent[x] as usize;
     }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra;
-        self.size[ra] += self.size[rb];
-    }
+    x as u32
 }
 
 #[cfg(test)]
@@ -447,6 +433,7 @@ mod tests {
     use super::*;
     use crate::run::RunBuilder;
     use crate::spec::SpecBuilder;
+    use crate::spec::WorkflowSpec;
     use crate::view::CompositeModule;
 
     /// input -> A -> B -> C -> output with loop C -> B (the M3/M5 shape).
@@ -492,11 +479,15 @@ mod tests {
         let r = run(&s);
         let v = UserView::admin(&s);
         let vr = ViewRun::new(&r, &v);
-        assert_eq!(vr.execs().len(), r.step_count());
-        assert!(vr.execs().iter().all(|e| !e.is_virtual));
-        assert!(vr.execs().iter().all(|e| e.members == vec![e.id]));
-        assert_eq!(vr.visible_data().len(), r.data_count());
-        assert_eq!(vr.graph().edge_count(), r.graph().edge_count());
+        assert_eq!(vr.exec_count(), r.step_count());
+        assert!(vr.execs().all(|e| !e.is_virtual));
+        assert!(vr.execs().all(|e| e.members == vec![e.id]));
+        assert_eq!(vr.visible_data(&r).len(), r.data_count());
+        // Every run edge joins two different view nodes.
+        assert!(r
+            .graph()
+            .edges()
+            .all(|(_, s, t, _)| vr.view_node(&r, s) != vr.view_node(&r, t)));
     }
 
     #[test]
@@ -505,15 +496,15 @@ mod tests {
         let r = run(&s);
         let v = UserView::black_box(&s);
         let vr = ViewRun::new(&r, &v);
-        assert_eq!(vr.execs().len(), 1);
-        let e = &vr.execs()[0];
+        assert_eq!(vr.exec_count(), 1);
+        let e = vr.exec(0);
         assert!(e.is_virtual);
         assert_eq!(e.id, StepId(6)); // fresh, after max step id 5
         assert_eq!(e.members.len(), 5);
         // Only the initial input and the final output are visible.
-        assert_eq!(vr.visible_data(), vec![DataId(1), DataId(6)]);
-        assert_eq!(vr.inputs_of(0), vec![DataId(1)]);
-        assert_eq!(vr.outputs_of(0), vec![DataId(6)]);
+        assert_eq!(vr.visible_data(&r), vec![DataId(1), DataId(6)]);
+        assert_eq!(vr.inputs_of(&r, 0), vec![DataId(1)]);
+        assert_eq!(vr.outputs_of(&r, 0), vec![DataId(6)]);
     }
 
     #[test]
@@ -537,7 +528,7 @@ mod tests {
         )
         .unwrap();
         let vr = ViewRun::new(&r, &v);
-        assert_eq!(vr.execs().len(), 4);
+        assert_eq!(vr.exec_count(), 4);
         let e0 = vr.exec_of_step(StepId(1)).unwrap();
         assert_eq!(e0.members, vec![StepId(1), StepId(2)]);
         assert!(e0.is_virtual);
@@ -552,8 +543,8 @@ mod tests {
         assert_eq!(e2.id, StepId(3));
         assert!(!e2.is_virtual);
         // d2 (A->B inside the composite) is hidden.
-        assert!(!vr.is_visible(DataId(2)));
-        assert!(vr.is_visible(DataId(3)));
+        assert!(!vr.is_visible(&r, DataId(2)));
+        assert!(vr.is_visible(&r, DataId(3)));
     }
 
     #[test]
@@ -576,13 +567,13 @@ mod tests {
         )
         .unwrap();
         let vr = ViewRun::new(&r, &v);
-        assert_eq!(vr.execs().len(), 2);
+        assert_eq!(vr.exec_count(), 2);
         let e = vr.exec_of_step(StepId(2)).unwrap();
         assert_eq!(e.members, vec![StepId(2), StepId(3), StepId(4), StepId(5)]);
-        assert_eq!(vr.inputs_of(1), vec![DataId(2)]);
-        assert_eq!(vr.outputs_of(1), vec![DataId(6)]);
+        assert_eq!(vr.inputs_of(&r, 1), vec![DataId(2)]);
+        assert_eq!(vr.outputs_of(&r, 1), vec![DataId(6)]);
         // The looping (d3, d4, d5) is invisible.
-        assert_eq!(vr.visible_data(), vec![DataId(1), DataId(2), DataId(6)]);
+        assert_eq!(vr.visible_data(&r), vec![DataId(1), DataId(2), DataId(6)]);
     }
 
     #[test]
@@ -620,7 +611,7 @@ mod tests {
         let eb1 = vr.exec_of_step(s2).unwrap();
         let eb2 = vr.exec_of_step(s3).unwrap();
         assert_ne!(eb1.id, eb2.id);
-        assert_eq!(vr.execs().len(), 4);
+        assert_eq!(vr.exec_count(), 4);
     }
 
     #[test]
@@ -631,22 +622,11 @@ mod tests {
         let vr = ViewRun::new(&r, &v);
         assert!(vr.exec_by_id(StepId(6)).is_some());
         assert!(vr.exec_by_id(StepId(1)).is_none());
-        assert_eq!(vr.producer_node(DataId(1)), Some(vr.input()));
+        assert_eq!(vr.producer_node(&r, DataId(1)), Some(vr.input()));
         let e = vr.exec_by_id(StepId(6)).unwrap();
-        assert_eq!(vr.producer_node(DataId(6)), Some(vr.node_of_exec(0)));
+        assert_eq!(vr.producer_node(&r, DataId(6)), Some(vr.node_of_exec(0)));
         assert_eq!(e.composite, CompositeId(0));
         assert!(vr.exec_at(vr.node_of_exec(0)).is_some());
         assert!(vr.exec_at(vr.input()).is_none());
-    }
-
-    #[test]
-    fn dot_rendering_shows_virtual_ids() {
-        let s = spec();
-        let r = run(&s);
-        let v = UserView::black_box(&s);
-        let vr = ViewRun::new(&r, &v);
-        let dot = vr.to_dot(&s, &v);
-        assert!(dot.contains("S6:s-blackbox"));
-        assert!(dot.contains("style=dotted"));
     }
 }

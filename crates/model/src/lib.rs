@@ -27,7 +27,7 @@ pub mod run;
 pub mod spec;
 pub mod view;
 
-pub use composite::{CompositeExecution, ViewRun, ViewRunNode};
+pub use composite::{CompositeExecution, ViewRun};
 pub use error::{ModelError, Result};
 pub use ids::{CompositeId, DataId, StepId, Timestamp};
 pub use induced::{induced_spec, InducedSpec};

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use zoom_graph::algo::paths::all_nodes_on_paths;
 use zoom_graph::algo::topo::is_acyclic;
-use zoom_graph::{Digraph, NodeId};
+use zoom_graph::{Digraph, EdgeId, NodeId};
 
 /// Metadata recorded when a data object is input by the user rather than
 /// produced by a step: "who input the data and the time at which the input
@@ -72,7 +72,7 @@ pub struct StepAppend {
 }
 
 /// A validated workflow run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorkflowRun {
     spec_name: String,
     graph: Digraph<RunNode, Vec<DataId>>,
@@ -85,6 +85,73 @@ pub struct WorkflowRun {
     /// were input to that step", Section II). Sparse: steps without
     /// parameters have no entry.
     params: HashMap<StepId, BTreeMap<String, String>>,
+    /// Edge-data slot offsets: the data of edge `e` occupy slots
+    /// `edge_slot[e]..edge_slot[e + 1]`, one per (edge, datum) reference.
+    /// Derived from `graph`: never serialized, rebuilt on decode, and only
+    /// ever appended to, since run edges are immutable once added.
+    edge_slot: Vec<u32>,
+}
+
+/// The serialized fields of a [`WorkflowRun`], in encoding order: all but
+/// the derived slot table.
+#[derive(Deserialize)]
+struct RunFields {
+    spec_name: String,
+    graph: Digraph<RunNode, Vec<DataId>>,
+    node_of_step: HashMap<StepId, NodeId>,
+    producer: HashMap<DataId, NodeId>,
+    user_input_meta: HashMap<DataId, UserInputMeta>,
+    params: HashMap<StepId, BTreeMap<String, String>>,
+}
+
+impl Serialize for WorkflowRun {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut st = serializer.serialize_struct("WorkflowRun", 6)?;
+        st.serialize_field("spec_name", &self.spec_name)?;
+        st.serialize_field("graph", &self.graph)?;
+        st.serialize_field("node_of_step", &self.node_of_step)?;
+        st.serialize_field("producer", &self.producer)?;
+        st.serialize_field("user_input_meta", &self.user_input_meta)?;
+        st.serialize_field("params", &self.params)?;
+        st.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for WorkflowRun {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let f = RunFields::deserialize(deserializer)?;
+        Ok(WorkflowRun {
+            edge_slot: slot_table(&f.graph),
+            spec_name: f.spec_name,
+            graph: f.graph,
+            node_of_step: f.node_of_step,
+            producer: f.producer,
+            user_input_meta: f.user_input_meta,
+            params: f.params,
+        })
+    }
+}
+
+/// The edge-data slot offsets of `graph` (see [`WorkflowRun::edge_slots`]).
+fn slot_table(graph: &Digraph<RunNode, Vec<DataId>>) -> Vec<u32> {
+    let mut table = Vec::with_capacity(graph.edge_count() + 1);
+    table.push(0);
+    for (_, _, _, data) in graph.edges() {
+        push_slots(&mut table, data.len());
+    }
+    table
+}
+
+/// Appends the end offset of a new edge carrying `len` data.
+fn push_slots(table: &mut Vec<u32>, len: usize) {
+    let end = *table.last().expect("the table starts at 0") as usize + len;
+    table.push(u32::try_from(end).expect("fewer than 2^32 data references per run"));
 }
 
 impl WorkflowRun {
@@ -160,6 +227,31 @@ impl WorkflowRun {
     /// The run-graph node that produced `d`.
     pub fn producer_node(&self, d: DataId) -> Option<NodeId> {
         self.producer.get(&d).copied()
+    }
+
+    /// The edge-data slots of edge `e`: position `j` of `graph().edge(e)`
+    /// is slot `edge_slots(e).start + j`. Slots number every (edge, datum)
+    /// reference of the run densely, whatever the data ids, so per-view
+    /// data properties fit one bit per reference.
+    #[inline]
+    pub fn edge_slots(&self, e: EdgeId) -> std::ops::Range<usize> {
+        self.edge_slot[e.index()] as usize..self.edge_slot[e.index() + 1] as usize
+    }
+
+    /// The number of edge-data slots (data references) in the run.
+    pub fn slot_count(&self) -> usize {
+        *self.edge_slot.last().expect("the table starts at 0") as usize
+    }
+
+    /// The producer of `d` and one slot carrying it. Every edge carrying
+    /// `d` leaves its producer, so the slot is found among the producer's
+    /// out-edges.
+    pub fn producer_slot(&self, d: DataId) -> Option<(NodeId, usize)> {
+        let p = self.producer_node(d)?;
+        self.graph.out_edges(p).find_map(|e| {
+            let j = self.graph.edge(e).binary_search(&d).ok()?;
+            Some((p, self.edge_slots(e).start + j))
+        })
     }
 
     /// User-input metadata for `d`, if `d` was input by the user.
@@ -254,6 +346,7 @@ impl WorkflowRun {
             producer: HashMap::new(),
             user_input_meta: HashMap::new(),
             params: HashMap::new(),
+            edge_slot: vec![0],
         }
     }
 
@@ -336,6 +429,7 @@ impl WorkflowRun {
             for &d in &ds {
                 self.producer.entry(d).or_insert(src);
             }
+            push_slots(&mut self.edge_slot, ds.len());
             self.graph.add_edge(src, node, ds);
         }
         for (d, meta) in &step.user_meta {
@@ -403,6 +497,7 @@ impl WorkflowRun {
             for &d in &ds {
                 self.producer.entry(d).or_insert(n);
             }
+            push_slots(&mut self.edge_slot, ds.len());
             self.graph.add_edge(n, output, ds);
         }
         Ok(())
@@ -450,7 +545,7 @@ impl WorkflowRun {
         for (&sid, &node) in &self.node_of_step {
             match self.graph.node(node) {
                 RunNode::Step { id, module } if *id == sid => {
-                    if !spec.is_module(*module) {
+                    if module.index() >= spec.graph().node_count() || !spec.is_module(*module) {
                         return Err(ModelError::SpecMismatch(format!(
                             "step {sid} executes a non-module node"
                         )));
@@ -461,7 +556,16 @@ impl WorkflowRun {
         }
         // Producers: unique and consistent with edge labels.
         let mut producer_check: HashMap<DataId, NodeId> = HashMap::new();
-        for (e, src, _, _) in self.graph.edges() {
+        for (e, src, _, data) in self.graph.edges() {
+            // Slot lookups binary-search edge data, so it must be strictly
+            // sorted, as every constructor leaves it.
+            if !data.windows(2).all(|w| w[0] < w[1]) {
+                return Err(ModelError::SpecMismatch(format!(
+                    "data on run edge {} -> {} is not sorted and deduplicated",
+                    self.graph.node(src),
+                    self.graph.node(self.graph.target(e))
+                )));
+            }
             for &d in self.graph.edge(e) {
                 if let Some(&prev) = producer_check.get(&d) {
                     if prev != src {
@@ -836,6 +940,7 @@ impl<'a> RunBuilder<'a> {
 
         Ok(WorkflowRun {
             spec_name: self.spec.name().to_string(),
+            edge_slot: slot_table(&graph),
             graph,
             node_of_step: self.node_of_step,
             producer,
@@ -896,6 +1001,32 @@ mod tests {
         assert!(run.user_input_meta(DataId(3)).is_none());
         assert_eq!(run.module_of(s2).unwrap(), b);
         assert_eq!(run.max_step_id(), 2);
+        assert_eq!(run.slot_count(), 4);
+        assert_eq!(
+            run.producer_slot(DataId(3)),
+            Some((run.node_of_step(s1).unwrap(), 2))
+        );
+        assert_eq!(run.producer_slot(DataId(99)), None);
+    }
+
+    #[test]
+    fn validate_rejects_modules_beyond_the_spec() {
+        let s = spec();
+        let (a, b) = (s.module("A").unwrap(), s.module("B").unwrap());
+        let mut rb = RunBuilder::new(&s);
+        let s1 = rb.step(a);
+        let s2 = rb.step(b);
+        rb.input_edge(s1, [1])
+            .data_edge(s1, s2, [2])
+            .output_edge(s2, [3]);
+        let run = rb.build().unwrap();
+        // A same-named spec with fewer modules, as a doctored store could
+        // pair the run with.
+        let mut sb = SpecBuilder::new("s");
+        sb.analysis("A");
+        sb.from_input("A").to_output("A");
+        let smaller = sb.build().unwrap();
+        assert!(run.validate(&smaller).is_err());
     }
 
     #[test]

@@ -45,8 +45,55 @@ pub struct UserView {
     name: String,
     spec_name: String,
     composites: Vec<CompositeModule>,
-    /// Indexed by module node id: which composite contains it.
-    of_module: HashMap<NodeId, CompositeId>,
+    /// Which composite contains each module.
+    of_module: ModuleIndex,
+}
+
+/// Marks the specification nodes no composite contains.
+const NO_COMPOSITE: u32 = u32::MAX;
+
+/// A dense `module → composite` index: entry `m` is the composite holding
+/// specification node `m` ([`NO_COMPOSITE`] for the input and output
+/// nodes). Encoded as the `NodeId → CompositeId` map it replaces, so stored
+/// views keep their bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct ModuleIndex(Vec<u32>);
+
+impl Serialize for ModuleIndex {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        use serde::ser::SerializeMap;
+        let entries = self
+            .0
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != NO_COMPOSITE);
+        let mut map = serializer.serialize_map(Some(entries.clone().count()))?;
+        for (m, &c) in entries {
+            map.serialize_entry(&NodeId::from_index(m), &CompositeId(c))?;
+        }
+        map.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for ModuleIndex {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        let map = HashMap::<NodeId, CompositeId>::deserialize(deserializer)?;
+        // A specification's modules are nodes 2..modules + 2, so a map of
+        // `len` entries names nodes below `len + 2`. Bounding the index
+        // this way keeps doctored bytes from sizing the array.
+        let mut index = vec![NO_COMPOSITE; map.len() + 2];
+        for (m, c) in map {
+            *index.get_mut(m.index()).ok_or_else(|| {
+                serde::de::Error::custom(format!("member index names {m:?}, beyond its modules"))
+            })? = c.0;
+        }
+        Ok(ModuleIndex(index))
+    }
 }
 
 impl UserView {
@@ -57,7 +104,8 @@ impl UserView {
         spec: &WorkflowSpec,
         composites: Vec<CompositeModule>,
     ) -> Result<Self> {
-        let mut of_module: HashMap<NodeId, CompositeId> = HashMap::new();
+        let mut of_module = ModuleIndex(vec![NO_COMPOSITE; spec.graph().node_count()]);
+        let mut covered = 0;
         let mut names: HashMap<&str, ()> = HashMap::new();
         for (i, c) in composites.iter().enumerate() {
             if c.members.is_empty() {
@@ -67,25 +115,27 @@ impl UserView {
                 return Err(ModelError::DuplicateComposite(c.name.clone()));
             }
             for &m in &c.members {
-                if !spec.is_module(m) {
+                // Decoded views reach here too: bound the node id first.
+                if m.index() >= of_module.0.len() || !spec.is_module(m) {
                     return Err(ModelError::NotAPartition(format!(
-                        "composite `{}` contains non-module node {}",
-                        c.name,
-                        spec.label(m)
+                        "composite `{}` contains non-module node {m:?}",
+                        c.name
                     )));
                 }
-                if of_module.insert(m, CompositeId(i as u32)).is_some() {
+                if of_module.0[m.index()] != NO_COMPOSITE {
                     return Err(ModelError::NotAPartition(format!(
                         "module `{}` appears in two composites",
                         spec.label(m)
                     )));
                 }
+                of_module.0[m.index()] = i as u32;
+                covered += 1;
             }
         }
-        if of_module.len() != spec.module_count() {
+        if covered != spec.module_count() {
             let missing = spec
                 .module_ids()
-                .find(|m| !of_module.contains_key(m))
+                .find(|m| of_module.0[m.index()] == NO_COMPOSITE)
                 .expect("some module uncovered");
             return Err(ModelError::NotAPartition(format!(
                 "module `{}` is not covered by any composite",
@@ -146,13 +196,18 @@ impl UserView {
     /// # Panics
     /// Panics if `m` is not a module of the underlying specification.
     pub fn composite_of(&self, m: NodeId) -> CompositeId {
-        self.of_module[&m]
+        self.try_composite_of(m)
+            .unwrap_or_else(|| panic!("{m:?} is not a module of `{}`", self.spec_name))
     }
 
     /// The composite containing `m`, or `None` for unknown nodes
     /// (input/output).
+    #[inline]
     pub fn try_composite_of(&self, m: NodeId) -> Option<CompositeId> {
-        self.of_module.get(&m).copied()
+        match self.of_module.0.get(m.index()) {
+            Some(&c) if c != NO_COMPOSITE => Some(CompositeId(c)),
+            _ => None,
+        }
     }
 
     /// The members of composite `c`.
@@ -321,6 +376,14 @@ mod tests {
     }
 
     #[test]
+    fn unknown_nodes_rejected() {
+        let s = spec();
+        let stranger = NodeId::from_index(1000);
+        let err = UserView::new("v", &s, vec![CompositeModule::new("X", vec![stranger])]);
+        assert!(matches!(err, Err(ModelError::NotAPartition(_))));
+    }
+
+    #[test]
     fn empty_composite_rejected() {
         let s = spec();
         let err = UserView::new("v", &s, vec![CompositeModule::new("X", vec![])]).unwrap_err();
@@ -382,8 +445,7 @@ mod tests {
         let mut doctored = UserView::black_box(&s);
         let a = s.module("A").unwrap();
         let b_mod = s.module("B").unwrap();
-        let wrong = CompositeId(doctored.of_module[&b_mod].0 + 1);
-        doctored.of_module.insert(a, wrong);
+        doctored.of_module.0[a.index()] = doctored.of_module.0[b_mod.index()] + 1;
         assert!(matches!(
             doctored.validate(&s),
             Err(ModelError::NotAPartition(_))

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use zoom_gen::{generate_run, generate_spec, RunGenConfig, RunKind, SpecGenConfig, WorkflowClass};
 use zoom_graph::NodeId;
 use zoom_model::{
@@ -187,14 +187,16 @@ proptest! {
 
         // Its UAdmin view-run mirrors it 1:1.
         let vr = ViewRun::new(&run, &UserView::admin(&spec));
-        prop_assert_eq!(vr.execs().len(), run.step_count());
-        prop_assert_eq!(vr.visible_data().len(), run.data_count());
+        prop_assert_eq!(vr.exec_count(), run.step_count());
+        prop_assert_eq!(vr.visible_data(&run).len(), run.data_count());
     }
 
     /// `ViewRun::new` on generated runs of every [`RunKind`] through a
     /// random partition view agrees with [`reference_view_run`]: the
     /// executions (ids, composites, members, virtuality, order), the
-    /// visible data, and every lookup.
+    /// visible data, and every lookup. The run's data ids are first
+    /// scattered over 2^40, so nothing may rely on them being contiguous
+    /// or on edge order following id order.
     #[test]
     fn view_run_matches_reference(
         seed in any::<u64>(),
@@ -211,6 +213,7 @@ proptest! {
         cfg.max_nodes = cfg.max_nodes.min(1_500);
         cfg.max_edges = cfg.max_edges.min(1_500);
         let run = generate_run(&spec, &cfg, &mut rng).expect("generated runs are valid");
+        let run = scatter_data_ids(&spec, &run, &mut rng);
         let mut parts: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
         for m in spec.module_ids() {
             parts.entry(rng.random_range(0..blocks)).or_default().push(m);
@@ -223,16 +226,16 @@ proptest! {
 
         let vr = ViewRun::new(&run, &view);
         let reference = reference_view_run(&run, &view);
-        prop_assert_eq!(vr.execs().len(), reference.execs.len());
-        for (i, (e, r)) in vr.execs().iter().zip(&reference.execs).enumerate() {
-            prop_assert_eq!((e.id, e.composite, e.members.clone(), e.is_virtual), r.clone(), "exec {}", i);
+        prop_assert_eq!(vr.exec_count(), reference.execs.len());
+        for (i, (e, r)) in vr.execs().zip(&reference.execs).enumerate() {
+            prop_assert_eq!((e.id, e.composite, e.members.to_vec(), e.is_virtual), r.clone(), "exec {}", i);
             prop_assert_eq!(vr.exec_index_by_id(e.id), Some(i as u32));
             prop_assert_eq!(vr.exec_by_id(e.id), Some(e));
             prop_assert_eq!(vr.exec_at(vr.node_of_exec(i as u32)), Some(e));
             prop_assert_eq!(vr.exec_of_step(e.id).is_some(), !e.is_virtual);
             let (inputs, outputs) = &reference.io[i];
-            prop_assert_eq!(&vr.inputs_of(i as u32), inputs);
-            prop_assert_eq!(&vr.outputs_of(i as u32), outputs);
+            prop_assert_eq!(&vr.inputs_of(&run, i as u32), inputs);
+            prop_assert_eq!(&vr.outputs_of(&run, i as u32), outputs);
         }
         for (node, weight) in run.graph().nodes() {
             let RunNode::Step { id, .. } = weight else {
@@ -240,26 +243,81 @@ proptest! {
                 continue;
             };
             let i = reference.exec_of_node[node.index()].expect("steps have executions");
-            let e = &vr.execs()[i];
+            let e = vr.exec(i as u32);
             prop_assert_eq!(vr.exec_at_run_node(node), Some(e));
             prop_assert_eq!(vr.exec_of_step(*id), Some(e));
             // A member of a virtual execution is not an execution id.
             prop_assert_eq!(vr.exec_index_by_id(*id).is_some(), !e.is_virtual);
         }
         prop_assert_eq!(
-            vr.visible_data(),
+            vr.visible_data(&run),
             reference.producer.keys().copied().collect::<Vec<_>>()
         );
+        // Producer and immediate provenance (the producing execution and
+        // its full input set) of every datum.
+        let view_node = |p: Option<usize>| match p {
+            None => vr.input(),
+            Some(i) => vr.node_of_exec(i as u32),
+        };
         for d in run.all_data() {
-            let want = reference.producer.get(&d).map(|&p| match p {
-                None => vr.input(),
-                Some(i) => vr.node_of_exec(i as u32),
-            });
-            prop_assert_eq!(vr.producer_node(d), want);
-            prop_assert_eq!(vr.is_visible(d), want.is_some());
+            let want = reference.producer.get(&d).copied();
+            prop_assert_eq!(vr.producer_node(&run, d), want.map(view_node));
+            prop_assert_eq!(vr.is_visible(&run, d), want.is_some());
+            if let Some(Some(i)) = want {
+                prop_assert_eq!(&vr.inputs_of(&run, i as u32), &reference.io[i].0);
+            }
+        }
+        // The data between every ordered pair of view nodes.
+        let ends: Vec<Endpoint> = [INPUT, OUTPUT].into_iter().chain(0..vr.exec_count() as isize).collect();
+        let node = |e: Endpoint| match e {
+            INPUT => vr.input(),
+            OUTPUT => vr.output(),
+            i => vr.node_of_exec(i as u32),
+        };
+        for &a in &ends {
+            for &b in &ends {
+                let want = reference.between.get(&(a, b)).cloned().unwrap_or_default();
+                prop_assert_eq!(vr.data_between(&run, node(a), node(b)), want, "{} -> {}", a, b);
+            }
         }
     }
 }
+
+/// A copy of `run` whose data ids are mapped one-to-one onto random ids
+/// below 2^40 (so ids are sparse and their order is shuffled).
+fn scatter_data_ids(spec: &WorkflowSpec, run: &WorkflowRun, rng: &mut StdRng) -> WorkflowRun {
+    let mut taken = BTreeSet::new();
+    let mut scattered = BTreeMap::new();
+    for d in run.all_data() {
+        let id = loop {
+            let id = rng.random_range(0..1u64 << 40);
+            if taken.insert(id) {
+                break id;
+            }
+        };
+        scattered.insert(d, id);
+    }
+    let g = run.graph();
+    let mut rb = RunBuilder::new(spec);
+    for (id, module) in run.steps() {
+        rb.step_with_id(id, module);
+    }
+    for (_, s, t, data) in g.edges() {
+        let data = data.iter().map(|d| scattered[d]);
+        match (run.step_at(s), run.step_at(t)) {
+            (Some((a, _)), Some((b, _))) => rb.data_edge(a, b, data),
+            (None, Some((b, _))) => rb.input_edge(b, data),
+            (Some((a, _)), None) => rb.output_edge(a, data),
+            (None, None) => unreachable!("no run edge joins input and output"),
+        };
+    }
+    rb.build().expect("renaming data keeps a run valid")
+}
+
+/// A view node in [`Reference`]: an execution index, or one of these.
+type Endpoint = isize;
+const INPUT: Endpoint = -1;
+const OUTPUT: Endpoint = -2;
 
 /// What [`reference_view_run`] derives: executions as
 /// `(id, composite, members, is_virtual)` in order, each one's
@@ -270,6 +328,8 @@ struct Reference {
     io: Vec<(Vec<DataId>, Vec<DataId>)>,
     exec_of_node: Vec<Option<usize>>,
     producer: BTreeMap<DataId, Option<usize>>,
+    /// The data passed between two view nodes, sorted.
+    between: BTreeMap<(Endpoint, Endpoint), Vec<DataId>>,
 }
 
 /// The view-run of Section II computed the plain way: executions are the
@@ -335,16 +395,21 @@ fn reference_view_run(run: &WorkflowRun, view: &UserView) -> Reference {
     // Edges between different executions (input and output count as their
     // own endpoints) carry the visible data.
     let endpoint = |node: NodeId| match exec_of_node[node.index()] {
-        Some(i) => i as isize,
-        None if node == run.input() => -1,
-        None => -2,
+        Some(i) => i as Endpoint,
+        None if node == run.input() => INPUT,
+        None => OUTPUT,
     };
     let mut io = vec![(Vec::new(), Vec::new()); execs.len()];
     let mut producer = BTreeMap::new();
+    let mut between: BTreeMap<(Endpoint, Endpoint), Vec<DataId>> = BTreeMap::new();
     for (e, s, t, _) in g.edges() {
         if endpoint(s) == endpoint(t) {
             continue;
         }
+        between
+            .entry((endpoint(s), endpoint(t)))
+            .or_default()
+            .extend(g.edge(e));
         for &d in g.edge(e) {
             producer.insert(d, exec_of_node[s.index()]);
             if let Some(i) = exec_of_node[s.index()] {
@@ -355,16 +420,19 @@ fn reference_view_run(run: &WorkflowRun, view: &UserView) -> Reference {
             }
         }
     }
-    for (inputs, outputs) in &mut io {
-        for v in [inputs, outputs] {
-            v.sort();
-            v.dedup();
-        }
+    for v in io
+        .iter_mut()
+        .flat_map(|(i, o)| [i, o])
+        .chain(between.values_mut())
+    {
+        v.sort();
+        v.dedup();
     }
     Reference {
         execs,
         io,
         exec_of_node,
         producer,
+        between,
     }
 }

@@ -169,9 +169,11 @@ impl ViewRunCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.build_nanos.fetch_add(nanos, Ordering::Relaxed);
         let cap = self.capacity.load(Ordering::Relaxed);
-        if cap > 0 && map.len >= cap {
-            self.evict_locked(&mut map, run_id);
-        }
+        let victims = if cap > 0 && map.len >= cap {
+            self.evict_locked(&mut map, run_id)
+        } else {
+            Vec::new()
+        };
         let run = map.runs.entry(run_id).or_insert_with(|| RunEntry {
             last_used: AtomicU64::new(0),
             views: Vec::new(),
@@ -183,14 +185,18 @@ impl ViewRunCache {
         });
         self.touch(run, run.views.last().expect("just pushed"));
         map.len += 1;
+        // Free the evicted view-runs only after releasing the lock.
+        drop(map);
+        drop(victims);
         vr
     }
 
     /// Evicts the least-recently-used *run* (the run whose most recent hit
     /// is oldest), preferring a run other than `incoming` so an active
     /// run's view set is not cannibalized; when `incoming` is the only run
-    /// cached, evicts its single oldest view instead.
-    fn evict_locked(&self, map: &mut Entries, incoming: RunId) {
+    /// cached, evicts its single oldest view instead. Returns the evicted
+    /// entries, for the caller to drop once the lock is released.
+    fn evict_locked(&self, map: &mut Entries, incoming: RunId) -> Vec<ViewEntry> {
         let only_run = map.runs.len() == 1;
         let victim = map
             .runs
@@ -199,7 +205,7 @@ impl ViewRunCache {
             .min_by_key(|(_, r)| r.last_used.load(Ordering::Relaxed))
             .map(|(&run, _)| run);
         let Some(victim) = victim else {
-            return;
+            return Vec::new();
         };
         let shed = if victim == incoming {
             // Only the incoming run is cached: shed its single oldest view.
@@ -207,16 +213,18 @@ impl ViewRunCache {
             let oldest = (0..run.views.len())
                 .min_by_key(|&i| run.views[i].last_used.load(Ordering::Relaxed))
                 .expect("cached runs hold at least one view");
-            run.views.swap_remove(oldest);
+            let shed = vec![run.views.swap_remove(oldest)];
             if run.views.is_empty() {
                 map.runs.remove(&victim);
             }
-            1
+            shed
         } else {
-            map.runs.remove(&victim).map_or(0, |r| r.views.len())
+            map.runs.remove(&victim).map_or(Vec::new(), |r| r.views)
         };
-        map.len -= shed;
-        self.evictions.fetch_add(shed as u64, Ordering::Relaxed);
+        map.len -= shed.len();
+        let evicted = shed.len() as u64;
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        shed
     }
 
     /// Current number of cached view-runs.
@@ -252,31 +260,31 @@ impl ViewRunCache {
     /// Drops every cached entry (e.g. after bulk loads, or for benchmarks
     /// that must measure cold queries).
     pub fn clear(&self) {
-        *self.map.write() = Entries::default();
+        // Bound, so the entries drop after the lock is released.
+        let _entries = std::mem::take(&mut *self.map.write());
     }
 
-    /// Drops the entries for one run.
+    /// Drops the entries for one run, after releasing the lock.
     pub fn invalidate_run(&self, run: RunId) {
         let mut map = self.map.write();
-        if let Some(r) = map.runs.remove(&run) {
-            map.len -= r.views.len();
-        }
+        let victim = map.runs.remove(&run);
+        map.len -= victim.as_ref().map_or(0, |r| r.views.len());
+        drop(map);
     }
 
-    /// Drops the entries for one view.
+    /// Drops the entries for one view, after releasing the lock.
     pub fn invalidate_view(&self, view: ViewId) {
+        let mut victims: Vec<ViewEntry> = Vec::new();
         let mut map = self.map.write();
-        let mut dropped = 0;
         map.runs.retain(|_, run| {
-            let before = run.views.len();
-            run.views.retain(|e| e.view != view);
-            if run.views.len() < before {
-                dropped += before - run.views.len();
+            if let Some(i) = run.views.iter().position(|e| e.view == view) {
+                victims.push(run.views.swap_remove(i));
                 run.refresh_last_used();
             }
             !run.views.is_empty()
         });
-        map.len -= dropped;
+        map.len -= victims.len();
+        drop(map);
     }
 }
 

@@ -674,4 +674,76 @@ mod tests {
         assert_eq!(vback.size(), 2);
         assert_eq!(vback.name(), "UAdmin");
     }
+
+    /// A view still encodes its member index as the `module → composite`
+    /// map stored views carry, and decoding rebuilds the dense index; a
+    /// run's decode rebuilds its derived slot table.
+    #[test]
+    fn views_and_runs_keep_their_encoding() {
+        use zoom_graph::NodeId;
+        use zoom_model::{CompositeId, CompositeModule, RunBuilder, SpecBuilder, UserView};
+        /// The field layout views had when the index was a hash map.
+        #[derive(Serialize)]
+        struct MapView {
+            name: String,
+            spec_name: String,
+            composites: Vec<CompositeModule>,
+            of_module: BTreeMap<NodeId, CompositeId>,
+        }
+        let mut b = SpecBuilder::new("enc");
+        for m in ["A", "B", "C"] {
+            b.analysis(m);
+        }
+        b.from_input("A")
+            .edge("A", "B")
+            .edge("B", "C")
+            .to_output("C");
+        let spec = b.build().unwrap();
+        let (a, bm, c) = (
+            spec.module("A").unwrap(),
+            spec.module("B").unwrap(),
+            spec.module("C").unwrap(),
+        );
+        let composites = vec![
+            CompositeModule::new("AC", vec![a, c]),
+            CompositeModule::new("B", vec![bm]),
+        ];
+        let view = UserView::new("v", &spec, composites.clone()).unwrap();
+        let map_bytes = |of_module: BTreeMap<NodeId, CompositeId>| {
+            to_bytes(&MapView {
+                name: "v".into(),
+                spec_name: "enc".into(),
+                composites: composites.clone(),
+                of_module,
+            })
+            .unwrap()
+        };
+        let map: BTreeMap<_, _> = [
+            (a, CompositeId(0)),
+            (bm, CompositeId(1)),
+            (c, CompositeId(0)),
+        ]
+        .into();
+        assert_eq!(to_bytes(&view).unwrap(), map_bytes(map.clone()));
+        let back: UserView = from_bytes(&map_bytes(map.clone())).unwrap();
+        back.validate(&spec).unwrap();
+        assert_eq!(back.composite_of(c), CompositeId(0));
+        // A doctored index naming a node past the modules fails to decode.
+        let mut doctored = map;
+        doctored.insert(NodeId::from_index(1 << 30), CompositeId(1));
+        assert!(from_bytes::<UserView>(&map_bytes(doctored)).is_err());
+
+        let mut rb = RunBuilder::new(&spec);
+        let (s1, s2, s3) = (rb.step(a), rb.step(bm), rb.step(c));
+        rb.input_edge(s1, [1, 2])
+            .data_edge(s1, s2, [3])
+            .data_edge(s2, s3, [4, 5, 6])
+            .output_edge(s3, [7]);
+        let run = rb.build().unwrap();
+        let back: zoom_model::WorkflowRun = from_bytes(&to_bytes(&run).unwrap()).unwrap();
+        assert_eq!(back.slot_count(), 7);
+        for e in run.graph().edge_ids() {
+            assert_eq!(back.edge_slots(e), run.edge_slots(e));
+        }
+    }
 }

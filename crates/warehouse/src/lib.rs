@@ -104,7 +104,8 @@ pub use resilience::{
 };
 pub use schema::{RunId, SpecId, ViewId, WarehouseStats};
 pub use store::{
-    ImmediateAnswer, IndexBackend, Result, Warehouse, WarehouseError, DEFAULT_LABELS_THRESHOLD,
+    BoundViewRun, ImmediateAnswer, IndexBackend, Result, Warehouse, WarehouseError,
+    DEFAULT_LABELS_THRESHOLD,
 };
 pub use stream::{PushOutcome, RunIngestor, SealCommit, StreamCommit, StreamError};
 pub use trace::{

@@ -433,7 +433,7 @@ impl Warehouse {
             Op::DependentsOf(r, v, d) => Answer::Data(self.dependents_of(r, v, d)?),
             Op::DataBetween(r, v, from, to) => Answer::Data(self.data_between(r, v, from, to)?),
             Op::FinalOutputs(r) => Answer::Data(self.run(r)?.final_outputs()),
-            Op::VisibleData(r, v) => Answer::Data(self.view_run(r, v)?.visible_data()),
+            Op::VisibleData(r, v) => Answer::Data(self.view_run(r, v)?.visible_data(self.run(r)?)),
             Op::Batch(ref queries) => Answer::Batch(self.deep_provenance_many(queries)),
             Op::RegisterSpec(_)
             | Op::RegisterView(..)

@@ -179,22 +179,22 @@ pub enum ImmediateProvenance {
 /// composite execution); an error means the view-run is structurally
 /// inconsistent.
 pub fn immediate_provenance(
+    run: &WorkflowRun,
     vr: &ViewRun,
     d: DataId,
 ) -> Result<Option<ImmediateProvenance>, QueryError> {
-    let Some(producer) = vr.producer_node(d) else {
+    let Some(producer) = vr.producer_node(run, d) else {
         return Ok(None);
     };
     if producer == vr.input() {
         return Ok(Some(ImmediateProvenance::UserInput));
     }
-    let idx = match vr.graph().node(producer) {
-        zoom_model::ViewRunNode::Exec(i) => *i,
-        _ => return Err(QueryError::ProducerNotAnExec { data: d }),
+    let Some(i) = vr.exec_index_at(producer) else {
+        return Err(QueryError::ProducerNotAnExec { data: d });
     };
     Ok(Some(ImmediateProvenance::Produced {
-        exec: vr.execs()[idx as usize].id,
-        inputs: vr.inputs_of(idx),
+        exec: vr.exec(i).id,
+        inputs: vr.inputs_of(run, i),
     }))
 }
 
@@ -211,6 +211,18 @@ fn exec_id_at(run: &WorkflowRun, vr: &ViewRun, node: NodeId) -> Result<Option<St
         Some((sid, _)) => Err(QueryError::StepWithoutExec { step: sid }),
         None => Ok(None),
     }
+}
+
+/// The run-graph producer of `d` when `d` is visible through `vr`. A
+/// view-run whose tables do not fit `run` was built from another run and
+/// cannot vouch for visibility: the error names `d`'s producing step.
+fn visible_start(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Result<Option<NodeId>, QueryError> {
+    if !vr.fits(run) {
+        if let Some((step, _)) = run.producer_node(d).and_then(|p| run.step_at(p)) {
+            return Err(QueryError::StepWithoutExec { step });
+        }
+    }
+    Ok(vr.visible_run_producer(run, d))
 }
 
 /// Projects a base backward closure (given as the visited-node set,
@@ -259,8 +271,8 @@ fn project_deep_members(
         for edge in g.in_edges(n) {
             let src = g.source(edge);
             let src_id = exec_id_at(run, vr, src)?;
-            for &x in g.edge(edge) {
-                if vr.is_visible(x) {
+            for (slot, &x) in run.edge_slots(edge).zip(g.edge(edge)) {
+                if vr.is_slot_visible(slot) {
                     rows.push(ProvenanceRow {
                         data: x,
                         producer: src_id,
@@ -309,7 +321,7 @@ pub fn deep_provenance_deadline(
     deadline: &mut Deadline,
 ) -> Result<Option<ProvenanceResult>, QueryFailure> {
     // d itself must be visible at this view level and present in the run.
-    let (Some(_), Some(start)) = (vr.producer_node(d), run.producer_node(d)) else {
+    let Some(start) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     let g = run.graph();
@@ -352,7 +364,7 @@ pub fn deep_provenance_indexed_deadline(
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<ProvenanceResult>, QueryFailure> {
-    let (Some(_), Some(start)) = (vr.producer_node(d), run.producer_node(d)) else {
+    let Some(start) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     project_deep(run, vr, index.ancestors(start), d, deadline).map(Some)
@@ -382,7 +394,7 @@ pub fn deep_provenance_labeled_deadline(
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<ProvenanceResult>, QueryFailure> {
-    let (Some(_), Some(start)) = (vr.producer_node(d), run.producer_node(d)) else {
+    let Some(start) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     project_deep_members(run, vr, labels.ancestors_of(start), d, deadline).map(Some)
@@ -396,7 +408,7 @@ pub fn deep_provenance_bfs(
     vr: &ViewRun,
     d: DataId,
 ) -> Result<Option<ProvenanceResult>, QueryError> {
-    let (Some(_), Some(start)) = (vr.producer_node(d), run.producer_node(d)) else {
+    let Some(start) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     let g = run.graph();
@@ -430,7 +442,7 @@ pub fn deep_provenance_bfs(
             let src = g.source(edge);
             let src_id = exec_id_at(run, vr, src)?;
             for &x in g.edge(edge) {
-                if vr.is_visible(x) {
+                if vr.is_visible(run, x) {
                     rows.push(ProvenanceRow {
                         data: x,
                         producer: src_id,
@@ -469,7 +481,7 @@ pub fn dependents_of_deadline(
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<Vec<DataId>>, Interrupt> {
-    let (Some(_), Some(start)) = (vr.producer_node(d), run.producer_node(d)) else {
+    let Some(start) = vr.visible_run_producer(run, d) else {
         return Ok(None);
     };
     let g = run.graph();
@@ -520,7 +532,7 @@ pub fn dependents_of_indexed_deadline(
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<Vec<DataId>>, Interrupt> {
-    let (Some(_), Some(start)) = (vr.producer_node(d), run.producer_node(d)) else {
+    let Some(start) = vr.visible_run_producer(run, d) else {
         return Ok(None);
     };
     let g = run.graph();
@@ -558,7 +570,7 @@ pub fn dependents_of_labeled_deadline(
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<Vec<DataId>>, Interrupt> {
-    let (Some(_), Some(start)) = (vr.producer_node(d), run.producer_node(d)) else {
+    let Some(start) = vr.visible_run_producer(run, d) else {
         return Ok(None);
     };
     let g = run.graph();
@@ -574,8 +586,7 @@ pub fn dependents_of_labeled_deadline(
 /// Reference implementation of [`dependents_of`] — the original
 /// whole-graph-scan collection, kept as the property-test oracle.
 pub fn dependents_of_bfs(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Option<Vec<DataId>> {
-    vr.producer_node(d)?;
-    let start = run.producer_node(d)?;
+    let start = vr.visible_run_producer(run, d)?;
     let g = run.graph();
     let mut visited = BitSet::new(g.node_count());
     let mut queue: VecDeque<NodeId> = VecDeque::new();
@@ -600,7 +611,7 @@ pub fn dependents_of_bfs(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Option<V
             continue;
         }
         for e in g.out_edges(n) {
-            out.extend(g.edge(e).iter().copied().filter(|&x| vr.is_visible(x)));
+            out.extend(g.edge(e).iter().copied().filter(|&x| vr.is_visible(run, x)));
         }
     }
     out.sort();
@@ -639,7 +650,11 @@ fn collect_dependents_members(
             continue;
         }
         for e in g.out_edges(n) {
-            out.extend(g.edge(e).iter().copied().filter(|&x| vr.is_visible(x)));
+            for (slot, &x) in run.edge_slots(e).zip(g.edge(e)) {
+                if vr.is_slot_visible(slot) {
+                    out.push(x);
+                }
+            }
         }
     }
     out.sort();
@@ -652,25 +667,19 @@ fn collect_dependents_members(
 /// prototype's "clicking on an edge between two steps" interaction
 /// (Section IV). `from`/`to` may also be the special `input`/`output`
 /// endpoints when `None`. Returns an empty set when no edge connects them.
-pub fn data_between(vr: &ViewRun, from: Option<StepId>, to: Option<StepId>) -> Option<Vec<DataId>> {
-    let resolve = |id: Option<StepId>, is_from: bool| -> Option<NodeId> {
-        match id {
-            None => Some(if is_from { vr.input() } else { vr.output() }),
-            Some(sid) => Some(vr.node_of_exec(vr.exec_index_by_id(sid)?)),
-        }
+pub fn data_between(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    from: Option<StepId>,
+    to: Option<StepId>,
+) -> Option<Vec<DataId>> {
+    let resolve = |id: Option<StepId>, endpoint: NodeId| match id {
+        None => Some(endpoint),
+        Some(sid) => Some(vr.node_of_exec(vr.exec_index_by_id(sid)?)),
     };
-    let a = resolve(from, true)?;
-    let b = resolve(to, false)?;
-    let mut out: Vec<DataId> = Vec::new();
-    let g = vr.graph();
-    for e in g.out_edges(a) {
-        if g.target(e) == b {
-            out.extend(g.edge(e).iter().copied());
-        }
-    }
-    out.sort();
-    out.dedup();
-    Some(out)
+    let a = resolve(from, vr.input())?;
+    let b = resolve(to, vr.output())?;
+    Some(vr.data_between(run, a, b))
 }
 
 #[cfg(test)]
@@ -759,7 +768,7 @@ mod tests {
     fn immediate_provenance_variants() {
         let (s, r) = setup();
         let vr = ViewRun::new(&r, &UserView::admin(&s));
-        match immediate_provenance(&vr, DataId(5)).unwrap().unwrap() {
+        match immediate_provenance(&r, &vr, DataId(5)).unwrap().unwrap() {
             ImmediateProvenance::Produced { exec, inputs } => {
                 assert_eq!(exec, StepId(3));
                 assert_eq!(inputs, vec![DataId(3), DataId(4)]);
@@ -767,10 +776,10 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(
-            immediate_provenance(&vr, DataId(1)).unwrap().unwrap(),
+            immediate_provenance(&r, &vr, DataId(1)).unwrap().unwrap(),
             ImmediateProvenance::UserInput
         );
-        assert!(immediate_provenance(&vr, DataId(99)).unwrap().is_none());
+        assert!(immediate_provenance(&r, &vr, DataId(99)).unwrap().is_none());
     }
 
     #[test]
@@ -799,29 +808,29 @@ mod tests {
         let vr = ViewRun::new(&r, &UserView::admin(&s));
         // S1 -> S3 carries d4; S1 -> S2 carries d2.
         assert_eq!(
-            data_between(&vr, Some(StepId(1)), Some(StepId(3))).unwrap(),
+            data_between(&r, &vr, Some(StepId(1)), Some(StepId(3))).unwrap(),
             vec![DataId(4)]
         );
         assert_eq!(
-            data_between(&vr, Some(StepId(1)), Some(StepId(2))).unwrap(),
+            data_between(&r, &vr, Some(StepId(1)), Some(StepId(2))).unwrap(),
             vec![DataId(2)]
         );
         // input -> S1 carries d1; S3 -> output carries d5.
         assert_eq!(
-            data_between(&vr, None, Some(StepId(1))).unwrap(),
+            data_between(&r, &vr, None, Some(StepId(1))).unwrap(),
             vec![DataId(1)]
         );
         assert_eq!(
-            data_between(&vr, Some(StepId(3)), None).unwrap(),
+            data_between(&r, &vr, Some(StepId(3)), None).unwrap(),
             vec![DataId(5)]
         );
         // No edge S2 -> S1.
         assert_eq!(
-            data_between(&vr, Some(StepId(2)), Some(StepId(1))).unwrap(),
+            data_between(&r, &vr, Some(StepId(2)), Some(StepId(1))).unwrap(),
             vec![]
         );
         // Unknown exec id.
-        assert!(data_between(&vr, Some(StepId(42)), None).is_none());
+        assert!(data_between(&r, &vr, Some(StepId(42)), None).is_none());
     }
 
     /// Satellite 2: a view-run materialized from a *different* run — the

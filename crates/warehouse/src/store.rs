@@ -285,6 +285,33 @@ impl fmt::Display for IndexBackend {
 /// per node on workflow shapes.
 pub const DEFAULT_LABELS_THRESHOLD: usize = 4096;
 
+/// A view-run together with the stored run it was materialized from: what
+/// [`Warehouse::view_run_uncached`] hands out, so callers can ask data
+/// questions of a view-run, which stores no data, without fetching the run.
+/// Dereferences to the [`ViewRun`].
+#[derive(Debug)]
+pub struct BoundViewRun<'a> {
+    /// The run the view-run projects.
+    pub run: &'a WorkflowRun,
+    /// The view-run.
+    pub view_run: ViewRun,
+}
+
+impl BoundViewRun<'_> {
+    /// All data visible at this view level, sorted.
+    pub fn visible_data(&self) -> Vec<DataId> {
+        self.view_run.visible_data(self.run)
+    }
+}
+
+impl std::ops::Deref for BoundViewRun<'_> {
+    type Target = ViewRun;
+
+    fn deref(&self) -> &ViewRun {
+        &self.view_run
+    }
+}
+
 /// The embedded provenance warehouse.
 ///
 /// ```
@@ -820,7 +847,7 @@ impl Warehouse {
 
     /// Materializes the view-run *without* consulting or filling the cache —
     /// the "rebuild every time" baseline strategy for the ablation bench.
-    pub fn view_run_uncached(&self, run_id: RunId, view_id: ViewId) -> Result<ViewRun> {
+    pub fn view_run_uncached(&self, run_id: RunId, view_id: ViewId) -> Result<BoundViewRun<'_>> {
         let run_row = self
             .runs
             .get(&run_id)
@@ -835,7 +862,10 @@ impl Warehouse {
                 got: format!("{}", view_row.spec),
             });
         }
-        Ok(ViewRun::new(&run_row.run, &view_row.view))
+        Ok(BoundViewRun {
+            run: &run_row.run,
+            view_run: ViewRun::new(&run_row.run, &view_row.view),
+        })
     }
 
     /// The base-closure provenance index for `run` (cached, view-independent;
@@ -1175,16 +1205,13 @@ impl Warehouse {
         data: DataId,
     ) -> Result<ImmediateAnswer> {
         let vr = self.view_run(run_id, view_id)?;
-        match query::immediate_provenance(&vr, data) {
+        let run = self.run(run_id)?;
+        match query::immediate_provenance(run, &vr, data) {
             Ok(Some(ImmediateProvenance::Produced { exec, inputs })) => {
                 // Gather the member steps' parameters from the run.
-                let run = self.run(run_id)?;
-                let members = vr
-                    .exec_by_id(exec)
-                    .map(|e| e.members.clone())
-                    .unwrap_or_default();
+                let members = vr.exec_by_id(exec).map_or(&[][..], |e| e.members);
                 let mut params: Vec<(zoom_model::StepId, String, String)> = Vec::new();
-                for m in members {
+                for &m in members {
                     for (k, v) in run.params_of(m) {
                         params.push((m, k.clone(), v.clone()));
                     }
@@ -1197,7 +1224,7 @@ impl Warehouse {
                 })
             }
             Ok(Some(ImmediateProvenance::UserInput)) => Ok(ImmediateAnswer::UserInput {
-                meta: self.run(run_id)?.user_input_meta(data).cloned(),
+                meta: run.user_input_meta(data).cloned(),
             }),
             Ok(None) => Err(self.invisible_or_missing(run_id, view_id, data)),
             Err(e) => Err(WarehouseError::CorruptViewRun(e)),
@@ -1297,7 +1324,7 @@ impl Warehouse {
         to: Option<zoom_model::StepId>,
     ) -> Result<Vec<DataId>> {
         let vr = self.view_run(run_id, view_id)?;
-        match query::data_between(&vr, from, to) {
+        match query::data_between(self.run(run_id)?, &vr, from, to) {
             Some(v) => Ok(v),
             None => {
                 // `data_between` only fails when a named endpoint has no

@@ -894,6 +894,14 @@ mod tests {
         ing.apply_seal(&spec, &mut streamed, sc);
 
         streamed.validate(&spec).unwrap();
+        // The slot table grown by appends tiles the streamed edges' data.
+        let mut next = 0;
+        for (e, _, _, data) in streamed.graph().edges() {
+            assert_eq!(streamed.edge_slots(e), next..next + data.len());
+            next += data.len();
+        }
+        assert_eq!(next, streamed.slot_count());
+        assert_eq!(streamed.slot_count(), batch.slot_count());
         assert_eq!(streamed.step_count(), batch.step_count());
         assert_eq!(streamed.all_data(), batch.all_data());
         assert_eq!(streamed.user_inputs(), batch.user_inputs());

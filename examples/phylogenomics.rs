@@ -107,7 +107,7 @@ fn main() {
         .filter(|&(_, m)| m == m3)
         .filter_map(|(s, _)| run.outputs_of(s).ok())
         .flatten()
-        .find(|&d| vr.is_visible(d))
+        .find(|&d| vr.is_visible(run, d))
         .expect("some alignment output is visible");
     let dependents = zoom
         .warehouse()
@@ -126,7 +126,8 @@ fn main() {
     for (name, v) in [("UAdmin", admin), ("Joe", joe)] {
         let vra = zoom.warehouse().view_run(ra, v).expect("materializes");
         let vrb = zoom.warehouse().view_run(rb, v).expect("materializes");
-        let cmp = zoom::core::compare_view_runs(&vra, &vrb);
+        let run = |r| zoom.warehouse().run(r).expect("loaded");
+        let cmp = zoom::core::compare_view_runs((run(ra), &vra), (run(rb), &vrb));
         println!(
             "{name:<7}: {} aligned, {} divergence(s){}",
             cmp.matched.len(),

@@ -73,7 +73,12 @@ fn main() {
     println!("\nthe science-level provenance graph of d21:");
     print!(
         "{}",
-        zoom::core::provenance_to_text(&vr, view_of(science), &res)
+        zoom::core::provenance_to_text(
+            zoom.warehouse().run(rid).expect("loaded"),
+            &vr,
+            view_of(science),
+            &res
+        )
     );
 
     // Challenge-style forward query: everything affected by the second

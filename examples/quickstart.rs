@@ -94,13 +94,14 @@ fn main() {
     }
 
     // --- 5. Render Joe's provenance graph (the Figure 9 analog).
+    let run = zoom.warehouse().run(rid).expect("loaded");
     let vr = zoom.warehouse().view_run(rid, joe).expect("materialized");
     let view = zoom.warehouse().view(joe).expect("registered");
     let res = zoom
         .deep_provenance(rid, joe, DataId(447))
         .expect("visible");
     println!("\nJoe's provenance graph of d447 (DOT):");
-    println!("{}", zoom::core::provenance_to_dot(&vr, view, &res));
+    println!("{}", zoom::core::provenance_to_dot(run, &vr, view, &res));
     println!("Joe's provenance of d447 as a tree:");
-    println!("{}", zoom::core::provenance_to_text(&vr, view, &res));
+    println!("{}", zoom::core::provenance_to_text(run, &vr, view, &res));
 }

@@ -488,7 +488,8 @@ fn compare(
         .warehouse()
         .view_run(rb, vid)
         .map_err(|e| e.to_string())?;
-    let cmp = zoom::core::compare_view_runs(&vra, &vrb);
+    let run = |r| zoom.warehouse().run(r).map_err(|e| e.to_string());
+    let cmp = zoom::core::compare_view_runs((run(ra)?, &vra), (run(rb)?, &vrb));
     let view = zoom.warehouse().view(vid).map_err(|e| e.to_string())?;
     out_raw!(
         "{}",
@@ -590,7 +591,8 @@ fn repl(path: &Path, name: &str, run_index: &str) -> Result<(), String> {
                                 .view_run(rid, current)
                                 .map_err(|e| e.to_string())?;
                             let view = zoom.warehouse().view(current).map_err(|e| e.to_string())?;
-                            out_raw!("{}", zoom::core::provenance_to_text(&vr, view, &res));
+                            let run = zoom.warehouse().run(rid).map_err(|e| e.to_string())?;
+                            out_raw!("{}", zoom::core::provenance_to_text(run, &vr, view, &res));
                         }
                     },
                 }
@@ -1029,7 +1031,8 @@ fn render(
         .view_run(rid, vid)
         .map_err(|e| e.to_string())?;
     let view = zoom.warehouse().view(vid).map_err(|e| e.to_string())?;
-    out_raw!("{}", zoom::core::provenance_to_dot(&vr, view, &res));
+    let run = zoom.warehouse().run(rid).map_err(|e| e.to_string())?;
+    out_raw!("{}", zoom::core::provenance_to_dot(run, &vr, view, &res));
     Ok(())
 }
 

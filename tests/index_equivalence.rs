@@ -161,7 +161,7 @@ proptest! {
         let labels = LabelIndex::build(&run).expect("generated runs are acyclic");
         let vr = ViewRun::new(&run, &UserView::black_box(&spec));
         for &d in run.all_data().iter().take(40) {
-            let visible = vr.is_visible(d);
+            let visible = vr.is_visible(&run, d);
             prop_assert_eq!(deep_provenance(&run, &vr, d).unwrap().is_some(), visible);
             prop_assert_eq!(deep_provenance_indexed(&run, &vr, &index, d).unwrap().is_some(), visible);
             prop_assert_eq!(deep_provenance_labeled(&run, &vr, &labels, d).unwrap().is_some(), visible);

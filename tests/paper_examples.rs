@@ -91,13 +91,9 @@ fn composite_executions_match_section_two() {
         "S13 groups the whole alignment loop"
     );
     let d308_408: Vec<DataId> = (308..=408).map(DataId).collect();
-    let idx = vr
-        .execs()
-        .iter()
-        .position(|x| x.id == e.id)
-        .expect("exec exists") as u32;
-    assert_eq!(vr.inputs_of(idx), d308_408);
-    assert_eq!(vr.outputs_of(idx), vec![DataId(413)]);
+    let idx = vr.execs().position(|x| x.id == e.id).expect("exec exists") as u32;
+    assert_eq!(vr.inputs_of(&run, idx), d308_408);
+    assert_eq!(vr.outputs_of(&run, idx), vec![DataId(413)]);
 
     // Mary: M11 has TWO executions.
     let vr = ViewRun::new(&run, &mary);
@@ -106,12 +102,12 @@ fn composite_executions_match_section_two() {
     let s12 = vr.exec_of_step(StepId(5)).unwrap();
     assert_eq!(s12.members, vec![StepId(5), StepId(6)]);
     assert_ne!(s11.id, s12.id);
-    let i11 = vr.execs().iter().position(|x| x.id == s11.id).unwrap() as u32;
-    let i12 = vr.execs().iter().position(|x| x.id == s12.id).unwrap() as u32;
-    assert_eq!(vr.inputs_of(i11), d308_408);
-    assert_eq!(vr.outputs_of(i11), vec![DataId(410)]);
-    assert_eq!(vr.inputs_of(i12), vec![DataId(411)]);
-    assert_eq!(vr.outputs_of(i12), vec![DataId(413)]);
+    let i11 = vr.execs().position(|x| x.id == s11.id).unwrap() as u32;
+    let i12 = vr.execs().position(|x| x.id == s12.id).unwrap() as u32;
+    assert_eq!(vr.inputs_of(&run, i11), d308_408);
+    assert_eq!(vr.outputs_of(&run, i11), vec![DataId(410)]);
+    assert_eq!(vr.inputs_of(&run, i12), vec![DataId(411)]);
+    assert_eq!(vr.outputs_of(&run, i12), vec![DataId(413)]);
 }
 
 /// Section II: "the immediate provenance of d413 seen by Joe would be S13

@@ -125,12 +125,12 @@ proptest! {
         // Visibility is monotone, too.
         let vr_mid = ViewRun::new(&run, &mid);
         let vr_admin = ViewRun::new(&run, &admin);
-        for d in vr_mid.visible_data() {
-            prop_assert!(vr_admin.is_visible(d));
+        for d in vr_mid.visible_data(&run) {
+            prop_assert!(vr_admin.is_visible(&run, d));
         }
         let vr_bb = ViewRun::new(&run, &bb);
-        for d in vr_bb.visible_data() {
-            prop_assert!(vr_mid.is_visible(d), "{d} visible at blackbox but not mid");
+        for d in vr_bb.visible_data(&run) {
+            prop_assert!(vr_mid.is_visible(&run, d), "{d} visible at blackbox but not mid");
         }
     }
 
@@ -183,7 +183,7 @@ proptest! {
             .collect();
         let view = relev_user_view_builder(&spec, &relevant).expect("builds").view;
         let vr = ViewRun::new(&run, &view);
-        for (i, exec) in vr.execs().iter().enumerate() {
+        for (i, exec) in vr.execs().enumerate() {
             let members: BTreeSet<_> = exec.members.iter().copied().collect();
             // Expected inputs: data on run edges from outside into a member.
             let mut expect_in: BTreeSet<DataId> = BTreeSet::new();
@@ -200,8 +200,8 @@ proptest! {
                     expect_out.extend(data.iter().copied());
                 }
             }
-            let got_in: BTreeSet<DataId> = vr.inputs_of(i as u32).into_iter().collect();
-            let got_out: BTreeSet<DataId> = vr.outputs_of(i as u32).into_iter().collect();
+            let got_in: BTreeSet<DataId> = vr.inputs_of(&run, i as u32).into_iter().collect();
+            let got_out: BTreeSet<DataId> = vr.outputs_of(&run, i as u32).into_iter().collect();
             prop_assert_eq!(&got_in, &expect_in, "inputs of {:?}", exec.id);
             prop_assert_eq!(&got_out, &expect_out, "outputs of {:?}", exec.id);
         }
@@ -245,7 +245,7 @@ proptest! {
         let projected: BTreeSet<DataId> = admin
             .iter()
             .copied()
-            .filter(|&d| vr.is_visible(d))
+            .filter(|&d| vr.is_visible(&run, d))
             .collect();
         prop_assert_eq!(&at_view, &projected);
     }
