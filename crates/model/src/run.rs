@@ -113,10 +113,10 @@ impl Serialize for WorkflowRun {
         let mut st = serializer.serialize_struct("WorkflowRun", 6)?;
         st.serialize_field("spec_name", &self.spec_name)?;
         st.serialize_field("graph", &self.graph)?;
-        st.serialize_field("node_of_step", &self.node_of_step)?;
-        st.serialize_field("producer", &self.producer)?;
-        st.serialize_field("user_input_meta", &self.user_input_meta)?;
-        st.serialize_field("params", &self.params)?;
+        st.serialize_field("node_of_step", &KeyOrder(&self.node_of_step))?;
+        st.serialize_field("producer", &KeyOrder(&self.producer))?;
+        st.serialize_field("user_input_meta", &KeyOrder(&self.user_input_meta))?;
+        st.serialize_field("params", &KeyOrder(&self.params))?;
         st.end()
     }
 }
@@ -135,6 +135,27 @@ impl<'de> Deserialize<'de> for WorkflowRun {
             user_input_meta: f.user_input_meta,
             params: f.params,
         })
+    }
+}
+
+/// A `HashMap` encoded in key order, in the map layout it would have
+/// anyway: equal runs encode to equal bytes, and decoding is unchanged.
+struct KeyOrder<'a, K, V>(&'a HashMap<K, V>);
+
+impl<K: Ord + Copy + Serialize, V: Serialize> Serialize for KeyOrder<'_, K, V> {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        use serde::ser::SerializeMap;
+        // Keys copied inline: the sort never reads the table.
+        let mut entries: Vec<(K, &V)> = self.0.iter().map(|(&k, v)| (k, v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        let mut map = serializer.serialize_map(Some(entries.len()))?;
+        for (k, v) in entries {
+            map.serialize_entry(&k, v)?;
+        }
+        map.end()
     }
 }
 

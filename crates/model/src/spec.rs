@@ -8,7 +8,7 @@
 
 use crate::error::{ModelError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use zoom_graph::algo::paths::all_nodes_on_paths;
 use zoom_graph::{Digraph, NodeId};
@@ -71,7 +71,8 @@ impl fmt::Display for SpecNode {
 pub struct WorkflowSpec {
     name: String,
     graph: Digraph<SpecNode, ()>,
-    by_label: HashMap<String, NodeId>,
+    /// Ordered, so equal specs encode to equal bytes.
+    by_label: BTreeMap<String, NodeId>,
 }
 
 impl WorkflowSpec {
@@ -242,7 +243,7 @@ impl WorkflowSpec {
 pub struct SpecBuilder {
     name: String,
     graph: Digraph<SpecNode, ()>,
-    by_label: HashMap<String, NodeId>,
+    by_label: BTreeMap<String, NodeId>,
     deferred: Vec<ModelError>,
 }
 
@@ -255,7 +256,7 @@ impl SpecBuilder {
         SpecBuilder {
             name: name.into(),
             graph,
-            by_label: HashMap::new(),
+            by_label: BTreeMap::new(),
             deferred: Vec::new(),
         }
     }

@@ -13,13 +13,18 @@
 //! evict least-recently-used entries — whole runs first, since a run the
 //! user has navigated away from is unlikely to be revisited view-by-view —
 //! instead of growing without limit. Entries are grouped by run
-//! (`RunId → { last_used, views }`), so choosing and dropping the victim is
-//! one allocation-free scan over the cached runs, and invalidating a run is
-//! a single removal.
+//! (`RunId → { last_used, views }`), and invalidating a run is a single
+//! removal. The victim comes from a lazy min-heap of `(tick, run)` entries:
+//! hits only raise atomic timestamps under the read lock, and a miss pops
+//! stale entries (re-pushing a touched run at its current tick) until the
+//! top is exact — amortized O(log runs) per miss instead of a scan of every
+//! cached run.
 
 use crate::metrics::CacheMetrics;
 use crate::schema::{RunId, ViewId};
 use parking_lot::RwLock;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,14 +54,16 @@ struct RunEntry {
 }
 
 impl RunEntry {
-    /// Re-derives `last_used` after views were dropped.
-    fn refresh_last_used(&mut self) {
+    /// Re-derives `last_used` after views were dropped; returns whether it
+    /// went down.
+    fn refresh_last_used(&mut self) -> bool {
         let newest = self
             .views
             .iter()
             .map(|e| e.last_used.load(Ordering::Relaxed))
-            .max();
-        *self.last_used.get_mut() = newest.unwrap_or(0);
+            .max()
+            .unwrap_or(0);
+        std::mem::replace(self.last_used.get_mut(), newest) > newest
     }
 }
 
@@ -65,6 +72,59 @@ impl RunEntry {
 struct Entries {
     runs: FxHashMap<RunId, RunEntry>,
     len: usize,
+    /// Lazy min-heap of `(tick, run)`. Invariant: every cached run has an
+    /// entry whose tick is ≤ its `last_used`. Entries of dropped runs, and
+    /// entries above a run's lowered `last_used`, are stale and discarded
+    /// when popped.
+    lru: BinaryHeap<Reverse<(u64, RunId)>>,
+}
+
+/// Heap entries allowed beyond twice the cached runs before a rebuild.
+const HEAP_SLACK: usize = 16;
+
+impl Entries {
+    /// Rebuilds the heap from `runs` once stale entries outnumber live
+    /// ones, so it stays within `2 × runs + HEAP_SLACK` entries.
+    fn compact_lru(&mut self) {
+        if self.lru.len() > 2 * self.runs.len() + HEAP_SLACK {
+            let live: Vec<_> = self
+                .runs
+                .iter()
+                .map(|(&run, r)| Reverse((r.last_used.load(Ordering::Relaxed), run)))
+                .collect();
+            self.lru = BinaryHeap::from(live);
+        }
+    }
+
+    /// Pops the least-recently-used cached run other than `incoming`, or
+    /// `None` if no other run is cached. Ticks are unique, so an entry
+    /// whose tick equals its run's `last_used` is below every other run's
+    /// (valid) entry: that run is the exact LRU run.
+    fn pop_lru(&mut self, incoming: RunId) -> Option<RunId> {
+        let mut held = None;
+        let mut victim = None;
+        while let Some(Reverse((t, run))) = self.lru.pop() {
+            let Some(r) = self.runs.get(&run) else {
+                continue;
+            };
+            let last = r.last_used.load(Ordering::Relaxed);
+            match t.cmp(&last) {
+                // Touched since this entry was pushed.
+                std::cmp::Ordering::Less => self.lru.push(Reverse((last, run))),
+                // Above a lowered `last_used`, which has its own entry.
+                std::cmp::Ordering::Greater => {}
+                std::cmp::Ordering::Equal if run == incoming => held = Some(t),
+                std::cmp::Ordering::Equal => {
+                    victim = Some(run);
+                    break;
+                }
+            }
+        }
+        if let Some(t) = held {
+            self.lru.push(Reverse((t, incoming)));
+        }
+        victim
+    }
 }
 
 /// A concurrent, bounded `(run, view) → ViewRun` cache.
@@ -184,7 +244,13 @@ impl ViewRunCache {
             last_used: AtomicU64::new(0),
         });
         self.touch(run, run.views.last().expect("just pushed"));
+        let entered = run.views.len() == 1;
+        let tick = *run.last_used.get_mut();
         map.len += 1;
+        if entered {
+            map.lru.push(Reverse((tick, run_id)));
+        }
+        map.compact_lru();
         // Free the evicted view-runs only after releasing the lock.
         drop(map);
         drop(victims);
@@ -197,13 +263,11 @@ impl ViewRunCache {
     /// cached, evicts its single oldest view instead. Returns the evicted
     /// entries, for the caller to drop once the lock is released.
     fn evict_locked(&self, map: &mut Entries, incoming: RunId) -> Vec<ViewEntry> {
-        let only_run = map.runs.len() == 1;
-        let victim = map
-            .runs
-            .iter()
-            .filter(|&(&run, _)| only_run || run != incoming)
-            .min_by_key(|(_, r)| r.last_used.load(Ordering::Relaxed))
-            .map(|(&run, _)| run);
+        let victim = if map.runs.len() == 1 {
+            map.runs.keys().next().copied()
+        } else {
+            map.pop_lru(incoming)
+        };
         let Some(victim) = victim else {
             return Vec::new();
         };
@@ -269,6 +333,7 @@ impl ViewRunCache {
         let mut map = self.map.write();
         let victim = map.runs.remove(&run);
         map.len -= victim.as_ref().map_or(0, |r| r.views.len());
+        map.compact_lru();
         drop(map);
     }
 
@@ -276,15 +341,32 @@ impl ViewRunCache {
     pub fn invalidate_view(&self, view: ViewId) {
         let mut victims: Vec<ViewEntry> = Vec::new();
         let mut map = self.map.write();
-        map.runs.retain(|_, run| {
+        let Entries { runs, len, lru } = &mut *map;
+        runs.retain(|&id, run| {
             if let Some(i) = run.views.iter().position(|e| e.view == view) {
                 victims.push(run.views.swap_remove(i));
-                run.refresh_last_used();
+                if run.views.is_empty() {
+                    return false;
+                }
+                if run.refresh_last_used() {
+                    // A lowered `last_used` needs an entry at or below it.
+                    lru.push(Reverse((*run.last_used.get_mut(), id)));
+                }
             }
-            !run.views.is_empty()
+            true
         });
-        map.len -= victims.len();
+        *len -= victims.len();
+        map.compact_lru();
         drop(map);
+    }
+}
+
+#[cfg(test)]
+impl ViewRunCache {
+    /// `(heap entries, cached runs)`.
+    fn lru_sizes(&self) -> (usize, usize) {
+        let map = self.map.read();
+        (map.lru.len(), map.runs.len())
     }
 }
 
@@ -573,5 +655,83 @@ mod tests {
             model.single_run_sheds > 0,
             "the single-run branch never ran"
         );
+    }
+
+    /// Dropping a run's newest view makes it older than a run touched in
+    /// between, even when its heap entry already sits at the dropped
+    /// view's tick: it is the next run evicted.
+    #[test]
+    fn invalidated_newest_view_ages_its_run() {
+        let cache = ViewRunCache::with_capacity(3);
+        let (a, c) = (RunId(1), RunId(3));
+        let get = |run: RunId, view: u32| {
+            cache.get_or_build((run, ViewId(view)), a_view_run);
+        };
+        get(a, 1);
+        get(a, 2);
+        get(RunId(2), 1);
+        get(a, 2);
+        // Evicts run 2, re-pushing run 1's heap entry at its newer tick.
+        get(c, 1);
+        get(c, 1);
+        get(a, 2);
+        // Run 1 falls back to view 1's tick, older than run 3's last touch.
+        cache.invalidate_view(ViewId(2));
+        get(RunId(4), 1);
+        get(RunId(5), 1);
+        let keys = cached_keys(&cache);
+        assert!(keys.iter().all(|&(r, _)| r != a), "{keys:?}");
+        assert!(keys.contains(&(c, ViewId(1))), "{keys:?}");
+        assert_eq!(cache.metrics().evictions, 2);
+    }
+
+    /// A longer seeded replay — capacity 64, ~300 runs, invalidations —
+    /// agrees with [`Model`] after every call, and the lazy heap never
+    /// holds more than twice the cached runs plus its slack.
+    #[test]
+    fn long_replay_matches_model_and_bounds_the_heap() {
+        let cache = ViewRunCache::with_capacity(64);
+        let mut model = Model {
+            cap: 64,
+            ..Model::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0x1CDE);
+        for step in 0..20_000 {
+            // Skewed towards a hot band of runs, so hits re-age runs and
+            // the heap sees stale entries.
+            let run = if rng.random_range(0u32..2) == 0 {
+                RunId(rng.random_range(0u32..24))
+            } else {
+                RunId(rng.random_range(0u32..300))
+            };
+            let view = ViewId(rng.random_range(0u32..6));
+            match rng.random_range(0u32..100) {
+                0..=1 => {
+                    cache.invalidate_run(run);
+                    model.entries.retain(|&(r, _), _| r != run);
+                }
+                2..=4 => {
+                    cache.invalidate_view(view);
+                    model.entries.retain(|&(_, v), _| v != view);
+                }
+                _ => {
+                    cache.get_or_build((run, view), a_view_run);
+                    model.get((run, view));
+                }
+            }
+            let keys: BTreeSet<_> = model.entries.keys().copied().collect();
+            assert_eq!(cached_keys(&cache), keys, "keys diverge at step {step}");
+            assert_eq!(
+                cache.metrics().evictions,
+                model.evictions,
+                "evictions at step {step}"
+            );
+            let (heap, runs) = cache.lru_sizes();
+            assert!(
+                heap <= 2 * runs + HEAP_SLACK,
+                "heap {heap} over {runs} runs at step {step}"
+            );
+        }
+        assert!(model.evictions > 1000, "{} evictions", model.evictions);
     }
 }

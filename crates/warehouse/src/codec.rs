@@ -746,4 +746,56 @@ mod tests {
             assert_eq!(back.edge_slots(e), run.edge_slots(e));
         }
     }
+
+    /// Specs' and runs' hash-map fields encode in key order: the same
+    /// value built twice encodes to the same bytes, and decoding then
+    /// re-encoding reproduces them.
+    #[test]
+    fn equal_runs_encode_to_equal_bytes() {
+        use zoom_model::{RunBuilder, SpecBuilder, WorkflowRun, WorkflowSpec};
+        let build_spec = || {
+            let mut b = SpecBuilder::new("loop");
+            let tail = ["B", "C", "D", "E", "F", "G", "H"];
+            b.analysis("A");
+            for m in tail {
+                b.analysis(m);
+            }
+            b.from_input("A")
+                .from_input("B")
+                .edge("A", "B")
+                .edge("B", "A")
+                .to_output("B");
+            for w in tail.windows(2) {
+                b.edge(w[0], w[1]);
+            }
+            b.to_output("H");
+            b.build().unwrap()
+        };
+        let spec = build_spec();
+        let spec_bytes = to_bytes(&spec).unwrap();
+        assert_eq!(to_bytes(&build_spec()).unwrap(), spec_bytes);
+        let spec_back: WorkflowSpec = from_bytes(&spec_bytes).unwrap();
+        assert_eq!(to_bytes(&spec_back).unwrap(), spec_bytes);
+
+        let build = || {
+            let mut rb = RunBuilder::new(&spec);
+            let mut prev = None;
+            for i in 0..40u64 {
+                let module = if i % 2 == 0 { "A" } else { "B" };
+                let s = rb.step(spec.module(module).unwrap());
+                rb.input_edge(s, [1000 + i])
+                    .param(s, "round", i.to_string());
+                if let Some(p) = prev {
+                    rb.data_edge(p, s, [3 * i, 3 * i + 1, 3 * i + 2]);
+                }
+                prev = Some(s);
+            }
+            rb.output_edge(prev.unwrap(), [9999]);
+            rb.build().unwrap()
+        };
+        let bytes = to_bytes(&build()).unwrap();
+        assert_eq!(to_bytes(&build()).unwrap(), bytes);
+        let back: WorkflowRun = from_bytes(&bytes).unwrap();
+        assert_eq!(to_bytes(&back).unwrap(), bytes);
+    }
 }
