@@ -31,7 +31,7 @@ pub mod streamlog;
 
 pub use adversarial::{deep_chain, diamond_lattice, wide_fanout};
 pub use classes::{Pattern, ViewScenario, WorkflowClass};
-pub use rungen::{generate_run, RunGenConfig, RunKind};
+pub use rungen::{generate_run, scatter_data_ids, RunGenConfig, RunKind};
 pub use specgen::{generate_random_spec, generate_spec, SpecGenConfig};
 pub use stats::{
     infer_loop_iterations, infer_patterns, run_stats, spec_stats, PatternCounts, RunStats,

@@ -23,11 +23,11 @@
 
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zoom_graph::algo::cycles::back_edges;
 use zoom_graph::algo::paths::nodes_on_paths;
 use zoom_graph::{Digraph, EdgeId, NodeId};
-use zoom_model::{Result, RunBuilder, SpecNode, StepId, WorkflowRun, WorkflowSpec};
+use zoom_model::{DataId, Result, RunBuilder, SpecNode, StepId, WorkflowRun, WorkflowSpec};
 
 /// The three run-size classes of Table II.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -102,6 +102,44 @@ impl RunGenConfig {
             },
         }
     }
+}
+
+/// A copy of `run` whose data ids are mapped one-to-one onto random ids
+/// below 2^40: ids become sparse and their order shuffled, so the run's
+/// edge-slot order is no longer id order and nothing may rely on ids being
+/// contiguous. Steps, edges and their order are kept (user-input metadata
+/// is not).
+pub fn scatter_data_ids<R: Rng>(
+    spec: &WorkflowSpec,
+    run: &WorkflowRun,
+    rng: &mut R,
+) -> WorkflowRun {
+    let mut taken = BTreeSet::new();
+    let mut scattered: BTreeMap<DataId, u64> = BTreeMap::new();
+    for d in run.all_data() {
+        let id = loop {
+            let id = rng.random_range(0..1u64 << 40);
+            if taken.insert(id) {
+                break id;
+            }
+        };
+        scattered.insert(d, id);
+    }
+    let g = run.graph();
+    let mut rb = RunBuilder::new(spec);
+    for (id, module) in run.steps() {
+        rb.step_with_id(id, module);
+    }
+    for (_, s, t, data) in g.edges() {
+        let data = data.iter().map(|d| scattered[d]);
+        match (run.step_at(s), run.step_at(t)) {
+            (Some((a, _)), Some((b, _))) => rb.data_edge(a, b, data),
+            (None, Some((b, _))) => rb.input_edge(b, data),
+            (Some((a, _)), None) => rb.output_edge(a, data),
+            (None, None) => unreachable!("no run edge joins input and output"),
+        };
+    }
+    rb.build().expect("renaming data keeps a run valid")
 }
 
 /// Draws an integer log-uniformly from `lo..=hi` (both ≥ 1): small values

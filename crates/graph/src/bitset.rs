@@ -40,6 +40,21 @@ impl BitSet {
         self.len
     }
 
+    /// The set's `u64` blocks: value `i` is bit `i % 64` of block
+    /// `i / 64`, and bits at or past [`BitSet::len`] are zero.
+    pub fn blocks(&self) -> &[u64] {
+        &self.blocks
+    }
+
+    /// Raises the capacity to `len` (a no-op if it is not larger); the
+    /// new values start absent.
+    pub fn grow(&mut self, len: usize) {
+        if len > self.len {
+            self.blocks.resize(len.div_ceil(BITS), 0);
+            self.len = len;
+        }
+    }
+
     /// Returns `true` if no bit is set.
     pub fn is_empty(&self) -> bool {
         self.blocks.iter().all(|&b| b == 0)
@@ -269,6 +284,18 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn grow_keeps_values_and_adds_absent_ones() {
+        let mut s = BitSet::full(70);
+        s.grow(130);
+        assert_eq!(s.len(), 130);
+        assert_eq!(s.count(), 70);
+        assert!(s.insert(129));
+        assert_eq!(s.blocks(), &[u64::MAX, (1 << 6) - 1, 1 << 1]);
+        s.grow(10);
+        assert_eq!(s.len(), 130);
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   material of the warehouse's tree-cover reachability labels;
 //! * [`dot`] — GraphViz rendering;
 //! * [`fxhash`] — the FxHash hasher behind the workspace's integer-keyed
-//!   hash maps.
+//!   hash maps;
+//! * [`radix`] — a radix sort on integer keys (ids).
 //!
 //! The crate is dependency-free apart from `serde` (graphs are persisted in
 //! the provenance warehouse's snapshots).
@@ -35,6 +36,7 @@ pub mod digraph;
 pub mod dot;
 pub mod fxhash;
 pub mod labels;
+pub mod radix;
 pub mod traversal;
 
 pub mod algo {
@@ -49,4 +51,5 @@ pub mod algo {
 pub use bitset::BitSet;
 pub use digraph::{Digraph, EdgeId, NodeId};
 pub use labels::{spanning_forest_postorder, IntervalSet, PostOrder};
+pub use radix::radix_sort_by_key;
 pub use traversal::{constrained_reachable_set, reachable_set, Bfs, Dfs, Direction};

@@ -274,10 +274,18 @@ impl ViewRun {
     /// view-run was built from does not have.
     #[inline]
     pub fn exec_at_run_node(&self, n: NodeId) -> Option<CompositeExecution<'_>> {
-        match self.exec_of_node.get(n.index()) {
-            Some(&i) if i != NONE => Some(self.exec(i)),
-            _ => None,
-        }
+        self.exec_index_at_run_node(n).map(|i| self.exec(i))
+    }
+
+    /// The index of the execution containing run-graph node `n`: `None`
+    /// for the input/output nodes and for nodes the run this view-run was
+    /// built from does not have.
+    #[inline]
+    pub fn exec_index_at_run_node(&self, n: NodeId) -> Option<u32> {
+        self.exec_of_node
+            .get(n.index())
+            .copied()
+            .filter(|&i| i != NONE)
     }
 
     /// The view-graph node of run-graph node `n`: the input, the output,
@@ -327,18 +335,24 @@ impl ViewRun {
             && self.visible.len() == run.slot_count()
     }
 
-    /// Whether edge-data slot `slot` of the run carries a visible datum —
-    /// the projection's per-datum test.
-    #[inline]
-    pub fn is_slot_visible(&self, slot: usize) -> bool {
-        self.visible.contains(slot)
+    /// The visibility bits, one per edge-data slot of the run: the
+    /// projection ors them into its answer a word at a time.
+    pub fn visible_slots(&self) -> &BitSet {
+        &self.visible
+    }
+
+    /// The run-graph node that produced `d` and `d`'s canonical slot
+    /// ([`WorkflowRun::producer_slot`]), if `d` is visible at this view
+    /// level.
+    pub fn visible_producer_slot(&self, run: &WorkflowRun, d: DataId) -> Option<(NodeId, usize)> {
+        let (p, slot) = run.producer_slot(d)?;
+        self.visible.contains(slot).then_some((p, slot))
     }
 
     /// The run-graph node that produced `d`, if `d` is visible at this
     /// view level.
     pub fn visible_run_producer(&self, run: &WorkflowRun, d: DataId) -> Option<NodeId> {
-        let (p, slot) = run.producer_slot(d)?;
-        self.visible.contains(slot).then_some(p)
+        self.visible_producer_slot(run, d).map(|(p, _)| p)
     }
 
     /// The view-graph node that produced visible datum `d`.

@@ -11,10 +11,11 @@ use crate::error::{ModelError, Result};
 use crate::ids::{DataId, StepId, Timestamp};
 use crate::spec::WorkflowSpec;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use zoom_graph::algo::paths::all_nodes_on_paths;
 use zoom_graph::algo::topo::is_acyclic;
-use zoom_graph::{Digraph, EdgeId, NodeId};
+use zoom_graph::{radix_sort_by_key, BitSet, Digraph, EdgeId, NodeId};
 
 /// Metadata recorded when a data object is input by the user rather than
 /// produced by a step: "who input the data and the time at which the input
@@ -90,6 +91,9 @@ pub struct WorkflowRun {
     /// Derived from `graph`: never serialized, rebuilt on decode, and only
     /// ever appended to, since run edges are immutable once added.
     edge_slot: Vec<u32>,
+    /// One bit per edge-data slot, set when the slot is its datum's first
+    /// (see [`WorkflowRun::is_canonical_slot`]). Derived like `edge_slot`.
+    canonical: BitSet,
 }
 
 /// The serialized fields of a [`WorkflowRun`], in encoding order: all but
@@ -126,8 +130,10 @@ impl<'de> Deserialize<'de> for WorkflowRun {
         deserializer: D,
     ) -> std::result::Result<Self, D::Error> {
         let f = RunFields::deserialize(deserializer)?;
+        let edge_slot = slot_table(&f.graph);
         Ok(WorkflowRun {
-            edge_slot: slot_table(&f.graph),
+            canonical: canonical_table(&f.graph, &edge_slot),
+            edge_slot,
             spec_name: f.spec_name,
             graph: f.graph,
             node_of_step: f.node_of_step,
@@ -142,7 +148,24 @@ impl<'de> Deserialize<'de> for WorkflowRun {
 /// anyway: equal runs encode to equal bytes, and decoding is unchanged.
 struct KeyOrder<'a, K, V>(&'a HashMap<K, V>);
 
-impl<K: Ord + Copy + Serialize, V: Serialize> Serialize for KeyOrder<'_, K, V> {
+/// An integer map key, ordered as its [`RadixKey::radix`] value.
+trait RadixKey: Copy {
+    fn radix(self) -> u64;
+}
+
+impl RadixKey for StepId {
+    fn radix(self) -> u64 {
+        u64::from(self.0)
+    }
+}
+
+impl RadixKey for DataId {
+    fn radix(self) -> u64 {
+        self.0
+    }
+}
+
+impl<K: RadixKey + Serialize, V: Serialize> Serialize for KeyOrder<'_, K, V> {
     fn serialize<S: serde::Serializer>(
         &self,
         serializer: S,
@@ -150,7 +173,7 @@ impl<K: Ord + Copy + Serialize, V: Serialize> Serialize for KeyOrder<'_, K, V> {
         use serde::ser::SerializeMap;
         // Keys copied inline: the sort never reads the table.
         let mut entries: Vec<(K, &V)> = self.0.iter().map(|(&k, v)| (k, v)).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
+        radix_sort_by_key(&mut entries, |&(k, _)| k.radix());
         let mut map = serializer.serialize_map(Some(entries.len()))?;
         for (k, v) in entries {
             map.serialize_entry(&k, v)?;
@@ -173,6 +196,49 @@ fn slot_table(graph: &Digraph<RunNode, Vec<DataId>>) -> Vec<u32> {
 fn push_slots(table: &mut Vec<u32>, len: usize) {
     let end = *table.last().expect("the table starts at 0") as usize + len;
     table.push(u32::try_from(end).expect("fewer than 2^32 data references per run"));
+}
+
+/// The canonical slots of `graph` (see [`WorkflowRun::is_canonical_slot`])
+/// given its slot table. Every slot starts canonical; only a node with two
+/// or more out-edges can repeat a datum, and only when the id spans of its
+/// out-edges overlap, so just those nodes have their slots sorted by datum
+/// to find the repeats. No slot is hashed.
+fn canonical_table(graph: &Digraph<RunNode, Vec<DataId>>, edge_slot: &[u32]) -> BitSet {
+    let mut canonical = BitSet::full(*edge_slot.last().expect("the table starts at 0") as usize);
+    let mut spans: Vec<(DataId, DataId)> = Vec::new();
+    let mut refs: Vec<(DataId, u32)> = Vec::new();
+    for n in graph.node_ids() {
+        if graph.out_degree(n) < 2 {
+            continue;
+        }
+        spans.clear();
+        spans.extend(graph.out_edges(n).filter_map(|e| {
+            let data = graph.edge(e);
+            Some((*data.first()?, *data.last()?))
+        }));
+        spans.sort_unstable();
+        if spans.windows(2).all(|w| w[0].1 < w[1].0) {
+            continue;
+        }
+        refs.clear();
+        for e in graph.out_edges(n) {
+            let start = edge_slot[e.index()];
+            refs.extend(
+                graph
+                    .edge(e)
+                    .iter()
+                    .zip(start..)
+                    .map(|(&d, slot)| (d, slot)),
+            );
+        }
+        refs.sort_unstable();
+        for w in refs.windows(2) {
+            if w[0].0 == w[1].0 {
+                canonical.remove(w[1].1 as usize);
+            }
+        }
+    }
+    canonical
 }
 
 impl WorkflowRun {
@@ -264,15 +330,53 @@ impl WorkflowRun {
         *self.edge_slot.last().expect("the table starts at 0") as usize
     }
 
-    /// The producer of `d` and one slot carrying it. Every edge carrying
+    /// The producer of `d` and `d`'s canonical slot. Every edge carrying
     /// `d` leaves its producer, so the slot is found among the producer's
     /// out-edges.
     pub fn producer_slot(&self, d: DataId) -> Option<(NodeId, usize)> {
         let p = self.producer_node(d)?;
+        Some((p, self.canonical_slot(p, d)?))
+    }
+
+    /// The canonical slot of `d` among the out-edges of `p`, its producer:
+    /// `d`'s position on the first of them that carries it.
+    pub fn canonical_slot(&self, p: NodeId, d: DataId) -> Option<usize> {
         self.graph.out_edges(p).find_map(|e| {
             let j = self.graph.edge(e).binary_search(&d).ok()?;
-            Some((p, self.edge_slots(e).start + j))
+            Some(self.edge_slots(e).start + j)
         })
+    }
+
+    /// Whether `slot` is canonical: the first slot of its datum, which is
+    /// the datum's position on its producer's first out-edge carrying it.
+    /// Every datum has exactly one canonical slot, and which slot it is
+    /// does not depend on any view, so one bit per slot serves every
+    /// view's projection.
+    #[inline]
+    pub fn is_canonical_slot(&self, slot: usize) -> bool {
+        self.canonical.contains(slot)
+    }
+
+    /// The canonical slots, one bit per slot of the run.
+    pub fn canonical_slots(&self) -> &BitSet {
+        &self.canonical
+    }
+
+    /// The edge holding slot `slot` (below [`Self::slot_count`]), found by
+    /// galloping forward from edge `from`, which must not lie past it. The
+    /// search costs `O(log distance)`, so a walk over slots in ascending
+    /// order pays `O(1)` per edge when the edges it visits are close.
+    #[inline]
+    pub fn edge_of_slot(&self, slot: usize, from: EdgeId) -> EdgeId {
+        // ends[i] is the end of edge `from + i`.
+        let ends = &self.edge_slot[from.index() + 1..];
+        let mut hi = 1;
+        while hi < ends.len() && ends[hi - 1] as usize <= slot {
+            hi *= 2;
+        }
+        let lo = hi / 2;
+        let i = lo + ends[lo..hi.min(ends.len())].partition_point(|&s| s as usize <= slot);
+        EdgeId::from_index(from.index() + i)
     }
 
     /// User-input metadata for `d`, if `d` was input by the user.
@@ -368,6 +472,7 @@ impl WorkflowRun {
             user_input_meta: HashMap::new(),
             params: HashMap::new(),
             edge_slot: vec![0],
+            canonical: BitSet::new(0),
         }
     }
 
@@ -447,11 +552,7 @@ impl WorkflowRun {
             let mut ds = data.clone();
             ds.sort();
             ds.dedup();
-            for &d in &ds {
-                self.producer.entry(d).or_insert(src);
-            }
-            push_slots(&mut self.edge_slot, ds.len());
-            self.graph.add_edge(src, node, ds);
+            self.push_edge(src, node, ds);
         }
         for (d, meta) in &step.user_meta {
             self.user_input_meta
@@ -515,13 +616,25 @@ impl WorkflowRun {
             let mut ds = data.clone();
             ds.sort();
             ds.dedup();
-            for &d in &ds {
-                self.producer.entry(d).or_insert(n);
-            }
-            push_slots(&mut self.edge_slot, ds.len());
-            self.graph.add_edge(n, output, ds);
+            self.push_edge(n, output, ds);
         }
         Ok(())
+    }
+
+    /// Appends edge `src -> dst` carrying the sorted, deduplicated `data`
+    /// (whose producer, if already known, is `src`): its slots, their
+    /// canonical bits and the producer of each new datum.
+    fn push_edge(&mut self, src: NodeId, dst: NodeId, data: Vec<DataId>) {
+        let first = self.slot_count();
+        push_slots(&mut self.edge_slot, data.len());
+        self.canonical.grow(self.slot_count());
+        for (slot, &d) in (first..).zip(&data) {
+            if let Entry::Vacant(v) = self.producer.entry(d) {
+                v.insert(src);
+                self.canonical.insert(slot);
+            }
+        }
+        self.graph.add_edge(src, dst, data);
     }
 
     /// Re-validates the structural invariants against `spec` — used when a
@@ -908,25 +1021,35 @@ impl<'a> RunBuilder<'a> {
         }
 
         // Unique producer per data object; the producer is the source node of
-        // every edge carrying the object.
+        // every edge carrying the object. Edges are visited in slot order,
+        // so a datum seen before is at a non-canonical slot.
+        let edge_slot = slot_table(&graph);
+        let mut canonical =
+            BitSet::full(*edge_slot.last().expect("the table starts at 0") as usize);
         let mut producer: HashMap<DataId, NodeId> = HashMap::new();
+        let mut slot = 0;
         for (e, src, _, _) in graph.edges() {
             for &d in graph.edge(e) {
-                if let Some(&prev) = producer.get(&d) {
-                    if prev != src {
+                match producer.entry(d) {
+                    Entry::Occupied(prev) if *prev.get() != src => {
                         let step_of = |n: NodeId| match graph.node(n) {
                             RunNode::Step { id, .. } => id.0,
                             _ => 0,
                         };
                         return Err(ModelError::DataProducedTwice {
                             data: d.0,
-                            first: step_of(prev),
+                            first: step_of(*prev.get()),
                             second: step_of(src),
                         });
                     }
-                } else {
-                    producer.insert(d, src);
+                    Entry::Occupied(_) => {
+                        canonical.remove(slot);
+                    }
+                    Entry::Vacant(v) => {
+                        v.insert(src);
+                    }
                 }
+                slot += 1;
             }
         }
 
@@ -961,7 +1084,8 @@ impl<'a> RunBuilder<'a> {
 
         Ok(WorkflowRun {
             spec_name: self.spec.name().to_string(),
-            edge_slot: slot_table(&graph),
+            edge_slot,
+            canonical,
             graph,
             node_of_step: self.node_of_step,
             producer,
@@ -1028,6 +1152,13 @@ mod tests {
             Some((run.node_of_step(s1).unwrap(), 2))
         );
         assert_eq!(run.producer_slot(DataId(99)), None);
+        // Slots 0..2 on input -> S1, 2 on S1 -> S2, 3 on S2 -> output.
+        let edge = |slot, from| run.edge_of_slot(slot, EdgeId::from_index(from)).index();
+        assert_eq!(
+            [edge(0, 0), edge(1, 0), edge(2, 0), edge(3, 0)],
+            [0, 0, 1, 2]
+        );
+        assert_eq!([edge(2, 1), edge(3, 1), edge(3, 2)], [1, 2, 2]);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
-use zoom_gen::{generate_run, generate_spec, RunGenConfig, RunKind, SpecGenConfig, WorkflowClass};
+use std::collections::BTreeMap;
+use zoom_gen::{
+    generate_run, generate_spec, scatter_data_ids, RunGenConfig, RunKind, SpecGenConfig,
+    WorkflowClass,
+};
 use zoom_graph::NodeId;
 use zoom_model::{
     induced_spec, CompositeId, CompositeModule, DataId, ModelError, RunBuilder, RunNode,
@@ -281,37 +284,6 @@ proptest! {
             }
         }
     }
-}
-
-/// A copy of `run` whose data ids are mapped one-to-one onto random ids
-/// below 2^40 (so ids are sparse and their order is shuffled).
-fn scatter_data_ids(spec: &WorkflowSpec, run: &WorkflowRun, rng: &mut StdRng) -> WorkflowRun {
-    let mut taken = BTreeSet::new();
-    let mut scattered = BTreeMap::new();
-    for d in run.all_data() {
-        let id = loop {
-            let id = rng.random_range(0..1u64 << 40);
-            if taken.insert(id) {
-                break id;
-            }
-        };
-        scattered.insert(d, id);
-    }
-    let g = run.graph();
-    let mut rb = RunBuilder::new(spec);
-    for (id, module) in run.steps() {
-        rb.step_with_id(id, module);
-    }
-    for (_, s, t, data) in g.edges() {
-        let data = data.iter().map(|d| scattered[d]);
-        match (run.step_at(s), run.step_at(t)) {
-            (Some((a, _)), Some((b, _))) => rb.data_edge(a, b, data),
-            (None, Some((b, _))) => rb.input_edge(b, data),
-            (Some((a, _)), None) => rb.output_edge(a, data),
-            (None, None) => unreachable!("no run edge joins input and output"),
-        };
-    }
-    rb.build().expect("renaming data keeps a run valid")
 }
 
 /// A view node in [`Reference`]: an execution index, or one of these.

@@ -492,7 +492,7 @@ impl DurableWarehouse {
     pub fn load_run(&mut self, spec: SpecId, run: WorkflowRun) -> Result<RunId, DurableError> {
         self.check_writable()?;
         let id = self.inner.load_run(spec, run.clone())?;
-        if let Err(e) = self.append(&JournalRecord::Run(id, RunRow { spec, run })) {
+        if let Err(e) = self.append(&JournalRecord::Run(id, Box::new(RunRow { spec, run }))) {
             self.inner.rollback_run(id);
             return Err(e);
         }

@@ -85,8 +85,8 @@ pub(crate) enum JournalRecord {
     Spec(SpecId, SpecRow),
     /// A registered view.
     View(ViewId, ViewRow),
-    /// A loaded run.
-    Run(RunId, RunRow),
+    /// A loaded run (boxed: a run is far larger than the other records).
+    Run(RunId, Box<RunRow>),
     // Streaming records follow. New variants go at the END of the enum:
     // the codec encodes variants by index, so reordering would silently
     // misread old journals.
@@ -243,10 +243,9 @@ fn apply(w: &mut Warehouse, rec: JournalRecord, check_ids: bool) -> Result<(), J
             check_id(check_ids, id, got)?;
         }
         JournalRecord::Run(id, row) => {
-            row.run
-                .validate(w.spec(row.spec)?)
-                .map_err(WarehouseError::Model)?;
-            let got = w.load_run(row.spec, row.run)?;
+            let RunRow { spec, run } = *row;
+            run.validate(w.spec(spec)?).map_err(WarehouseError::Model)?;
+            let got = w.load_run(spec, run)?;
             check_id(check_ids, id, got)?;
         }
         JournalRecord::StreamBegin(id, spec) => {

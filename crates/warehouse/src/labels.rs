@@ -233,22 +233,6 @@ impl LabelIndex {
         self.desc.closure(n.index())
     }
 
-    /// The descendant label of `n` (post-order point set of its forward
-    /// closure). Union several with [`IntervalSet::union_with`], then
-    /// enumerate once via [`LabelIndex::descendants_within`] — the
-    /// dependents query path.
-    pub fn desc_label(&self, n: NodeId) -> &IntervalSet {
-        &self.desc.labels[n.index()]
-    }
-
-    /// Nodes covered by a (union of) descendant label(s).
-    pub fn descendants_within<'a>(
-        &'a self,
-        set: &'a IntervalSet,
-    ) -> impl Iterator<Item = usize> + 'a {
-        self.desc.members(set)
-    }
-
     /// Number of indexed run-graph nodes.
     pub fn node_count(&self) -> usize {
         self.nodes

@@ -16,12 +16,13 @@
 //!   tuples — whereas naively recursing over full composite input sets
 //!   could drag in side-branch inputs that never fed the queried object.
 //!
-//! Each query comes in three forms sharing one projection kernel:
-//! a plain form computing the base closure with a per-query BFS, an
-//! `*_indexed` form reading the closure from a prebuilt
-//! [`ProvenanceIndex`] row (what the warehouse facade uses), and a
-//! `*_bfs` reference form — the original whole-graph-scan implementation
-//! kept verbatim as the oracle for the property tests.
+//! Each query comes in several forms sharing one projection kernel
+//! ([`project`]): a plain form computing the base closure with a
+//! per-query BFS, an `*_indexed` form reading the closure from a prebuilt
+//! [`ProvenanceIndex`] row (what the warehouse facade uses), a `*_labeled`
+//! form enumerating it from a [`LabelIndex`], and a `*_bfs` reference form
+//! — the original whole-graph-scan implementation kept verbatim as the
+//! oracle for the property tests.
 
 use crate::index::ProvenanceIndex;
 use crate::labels::LabelIndex;
@@ -29,7 +30,8 @@ use crate::resilience::{Deadline, Interrupt};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
-use zoom_graph::{BitSet, IntervalSet, NodeId};
+use std::ops::Range;
+use zoom_graph::{radix_sort_by_key, BitSet, EdgeId, NodeId};
 use zoom_model::{DataId, StepId, ViewRun, WorkflowRun};
 
 /// A structural inconsistency detected while answering a query — the
@@ -115,7 +117,7 @@ fn corrupt_only(f: QueryFailure) -> QueryError {
 }
 
 /// One row of a provenance answer: a visible data object and its producer.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ProvenanceRow {
     /// The data object.
     pub data: DataId,
@@ -213,78 +215,287 @@ fn exec_id_at(run: &WorkflowRun, vr: &ViewRun, node: NodeId) -> Result<Option<St
     }
 }
 
-/// The run-graph producer of `d` when `d` is visible through `vr`. A
-/// view-run whose tables do not fit `run` was built from another run and
-/// cannot vouch for visibility: the error names `d`'s producing step.
-fn visible_start(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Result<Option<NodeId>, QueryError> {
+/// The run-graph producer of `d` and `d`'s canonical slot when `d` is
+/// visible through `vr`. A view-run whose tables do not fit `run` was
+/// built from another run and cannot vouch for visibility: the error names
+/// `d`'s producing step.
+fn visible_start(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    d: DataId,
+) -> Result<Option<(NodeId, usize)>, QueryError> {
     if !vr.fits(run) {
         if let Some((step, _)) = run.producer_node(d).and_then(|p| run.step_at(p)) {
             return Err(QueryError::StepWithoutExec { step });
         }
     }
-    Ok(vr.visible_run_producer(run, d))
+    Ok(vr.visible_producer_slot(run, d))
 }
 
-/// Projects a base backward closure (given as the visited-node set,
-/// including the producer of `d` itself) to the view level: visible closure
-/// data with their view-level producers, plus the composite executions the
-/// closure touches. Iterates *only* the closure members, never the whole
-/// graph, so warm indexed queries cost `O(answer)`, not `O(run)`.
-/// Checks `deadline` every [`crate::resilience::CHECK_STRIDE`] members.
-fn project_deep(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    closure: &BitSet,
-    d: DataId,
-    deadline: &mut Deadline,
-) -> Result<ProvenanceResult, QueryFailure> {
-    project_deep_members(run, vr, closure.iter(), d, deadline)
+/// The edges of a closure member that carry an answer's data.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// Deep provenance: the members' in-edges; the answer also lists the
+    /// members' executions.
+    Deep,
+    /// Forward provenance (dependents): the members' out-edges.
+    Forward,
 }
 
-/// [`project_deep`] over any closure-member enumeration — the bitset rows
-/// iterate their set bits, the label index walks its intervals through the
-/// post-order permutation. Member order is irrelevant: rows and execs are
-/// sorted and deduplicated before returning.
-fn project_deep_members(
+/// The projection kernel behind every deep-provenance and dependents
+/// form: the data visible through `vr` on the `side` edges of the closure
+/// `members` (plus the datum at slot `target`), one row per datum by
+/// ascending id, and for [`Side::Deep`] the members' executions by
+/// ascending id. Member order is irrelevant and repeats are harmless.
+///
+/// 1. *Gather.* Each member's edge slots are or-ed, a word at a time, from
+///    the view's visibility bits into a slot bitset. Deep marks each
+///    member's execution index in a second bitset; forward marks the
+///    member itself there instead, so a closure assembled from
+///    overlapping parts is gathered once.
+/// 2. *Rows.* The set slots are walked in slot order an edge at a time,
+///    with one producer lookup per edge. A datum is emitted at its
+///    canonical slot ([`WorkflowRun::is_canonical_slot`]). At any other
+///    slot it is emitted only if its canonical slot is unmarked, which the
+///    walk (already past it) then marks, so every datum is emitted once.
+/// 3. *Fallback sort.* Slot order is usually id order already. If the
+///    emitted ids are not ascending, one radix sort by id restores it
+///    ([`radix_sort_by_key`]: stable, two passes for a run's small ids);
+///    ids are unique, since a datum has one producer.
+/// 4. *Execs.* The execution bitset is read twice: non-virtual executions,
+///    then virtual ones. That is ascending by id, since execution index
+///    order follows each execution's smallest member step, a non-virtual
+///    execution's id is its one member step, and virtual ids are numbered
+///    in index order after the largest step id.
+///
+/// One scratch allocation holds both bitsets, and `rows` and `execs` are
+/// allocated once each at their final size: a deep projection makes three
+/// heap allocations and a forward one two, plus the fallback sort's
+/// buffer when it runs. The cost is `O(answer + (execs + slots) / 64)` words
+/// (forward: nodes for execs), and only zeroing the scratch is paid on
+/// the whole run: the reads cover just the span of words the gather
+/// touched. The deadline is polled per member.
+fn project<R: Row>(
     run: &WorkflowRun,
     vr: &ViewRun,
+    side: Side,
     members: impl IntoIterator<Item = usize>,
-    d: DataId,
+    target: Option<usize>,
     deadline: &mut Deadline,
-) -> Result<ProvenanceResult, QueryFailure> {
+) -> Result<(Vec<R>, Vec<StepId>), QueryFailure> {
     let g = run.graph();
-    let mut rows: Vec<ProvenanceRow> = Vec::new();
-    let mut execs: Vec<StepId> = Vec::new();
-    rows.push(ProvenanceRow {
-        data: d,
-        producer: match run.producer_node(d) {
-            Some(n) => exec_id_at(run, vr, n)?,
-            None => None,
-        },
-    });
+    let slot_words = run.slot_count().div_ceil(64);
+    let marked = match side {
+        Side::Deep => vr.exec_count(),
+        Side::Forward => g.node_count(),
+    };
+    let mut scratch = vec![0u64; slot_words + marked.div_ceil(64)];
+    let (slots, marks) = scratch.split_at_mut(slot_words);
+    let visible = vr.visible_slots().blocks();
+    // The bits the gather may set: the walk and the execution passes read
+    // back only their words, so a small closure of a large run costs
+    // O(answer) beyond zeroing the scratch.
+    let (mut touched, mut touched_execs) = (0..0, 0..0);
+    if let Some(t) = target {
+        test_and_set(slots, t);
+        cover(&mut touched, t..t + 1);
+    }
     for i in members {
         deadline.tick()?;
         let n = NodeId::from_index(i);
-        if let Some(e) = exec_id_at(run, vr, n)? {
-            execs.push(e);
-        }
-        for edge in g.in_edges(n) {
-            let src = g.source(edge);
-            let src_id = exec_id_at(run, vr, src)?;
-            for (slot, &x) in run.edge_slots(edge).zip(g.edge(edge)) {
-                if vr.is_slot_visible(slot) {
-                    rows.push(ProvenanceRow {
-                        data: x,
-                        producer: src_id,
-                    });
+        match side {
+            Side::Deep => {
+                match vr.exec_index_at_run_node(n) {
+                    Some(x) => {
+                        test_and_set(marks, x as usize);
+                        cover(&mut touched_execs, x as usize..x as usize + 1);
+                    }
+                    None => {
+                        if let Some((step, _)) = run.step_at(n) {
+                            return Err(QueryError::StepWithoutExec { step }.into());
+                        }
+                    }
+                }
+                for e in g.in_edges(n) {
+                    cover(&mut touched, run.edge_slots(e));
+                    or_range(slots, visible, run.edge_slots(e));
+                }
+            }
+            Side::Forward => {
+                if test_and_set(marks, i) {
+                    for e in g.out_edges(n) {
+                        or_range(slots, visible, run.edge_slots(e));
+                        cover(&mut touched, run.edge_slots(e));
+                    }
                 }
             }
         }
     }
-    rows.sort();
-    rows.dedup();
-    execs.sort();
-    execs.dedup();
+
+    let words = words_of(&touched);
+    let slots = &mut slots[..words.end];
+    let mut rows = Vec::with_capacity(count_ones(&slots[words.start..]));
+    let mut ascending = true;
+    let mut next = next_one(slots, words.start * 64);
+    let mut e = EdgeId::from_index(0);
+    while let Some(mut slot) = next {
+        e = run.edge_of_slot(slot, e);
+        let span = run.edge_slots(e);
+        let src = g.source(e);
+        let producer = match side {
+            Side::Deep => exec_id_at(run, vr, src)?,
+            Side::Forward => None,
+        };
+        let data = g.edge(e);
+        loop {
+            let x = data[slot - span.start];
+            if run.is_canonical_slot(slot)
+                || run
+                    .canonical_slot(src, x)
+                    .is_none_or(|c| test_and_set(slots, c))
+            {
+                ascending &= rows.last().is_none_or(|r: &R| r.data() < x);
+                rows.push(R::new(x, producer));
+            }
+            next = next_one(slots, slot + 1);
+            match next {
+                Some(s) if s < span.end => slot = s,
+                _ => break,
+            }
+        }
+    }
+    if !ascending {
+        radix_sort_by_key(&mut rows, |r| r.data().0);
+    }
+
+    let mut execs = Vec::new();
+    if side == Side::Deep {
+        let words = words_of(&touched_execs);
+        let marks = &marks[..words.end];
+        let total = count_ones(&marks[words.start..]);
+        execs.reserve_exact(total);
+        for virtual_pass in [false, true] {
+            if execs.len() == total {
+                break;
+            }
+            let mut i = next_one(marks, words.start * 64);
+            while let Some(x) = i {
+                let exec = vr.exec(x as u32);
+                if exec.is_virtual == virtual_pass {
+                    execs.push(exec.id);
+                }
+                i = next_one(marks, x + 1);
+            }
+        }
+    }
+    Ok((rows, execs))
+}
+
+/// A row of a projected answer, made from a datum and its producing
+/// execution (`None` for user input).
+trait Row: Copy {
+    fn new(data: DataId, producer: Option<StepId>) -> Self;
+    fn data(&self) -> DataId;
+}
+
+impl Row for ProvenanceRow {
+    fn new(data: DataId, producer: Option<StepId>) -> Self {
+        ProvenanceRow { data, producer }
+    }
+
+    fn data(&self) -> DataId {
+        self.data
+    }
+}
+
+/// A dependents row is the datum alone.
+impl Row for DataId {
+    fn new(data: DataId, _: Option<StepId>) -> Self {
+        data
+    }
+
+    fn data(&self) -> DataId {
+        *self
+    }
+}
+
+/// Sets bit `i` of `words`; returns whether it was clear.
+#[inline]
+fn test_and_set(words: &mut [u64], i: usize) -> bool {
+    let (w, bit) = (&mut words[i / 64], 1u64 << (i % 64));
+    let clear = *w & bit == 0;
+    *w |= bit;
+    clear
+}
+
+/// `dst |= src` on the bits in `range`; bits past the end of `src` read
+/// as clear.
+#[inline]
+fn or_range(dst: &mut [u64], src: &[u64], range: Range<usize>) {
+    if range.is_empty() {
+        return;
+    }
+    let (first, last) = (range.start / 64, (range.end - 1) / 64);
+    for (w, d) in (first..=last).zip(&mut dst[first..=last]) {
+        let mut mask = u64::MAX;
+        if w == first {
+            mask &= u64::MAX << (range.start % 64);
+        }
+        if w == last {
+            mask &= u64::MAX >> (63 - (range.end - 1) % 64);
+        }
+        *d |= src.get(w).copied().unwrap_or(0) & mask;
+    }
+}
+
+/// Widens `span` to cover `bits`.
+#[inline]
+fn cover(span: &mut Range<usize>, bits: Range<usize>) {
+    if span.start >= span.end {
+        *span = bits;
+    } else {
+        span.start = span.start.min(bits.start);
+        span.end = span.end.max(bits.end);
+    }
+}
+
+/// The words holding the bits of `span` (none when it is empty).
+fn words_of(span: &Range<usize>) -> Range<usize> {
+    if span.start >= span.end {
+        return 0..0;
+    }
+    span.start / 64..span.end.div_ceil(64)
+}
+
+/// The first set bit of `words` at or after `from`.
+#[inline]
+fn next_one(words: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut bits = words.get(w)? & (u64::MAX << (from % 64));
+    while bits == 0 {
+        w += 1;
+        bits = *words.get(w)?;
+    }
+    Some(w * 64 + bits.trailing_zeros() as usize)
+}
+
+/// The number of set bits in `words`.
+fn count_ones(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Deep provenance of `d` (visible, produced by `start` at canonical slot
+/// `slot`) from its base backward closure `members`, which includes
+/// `start`: [`project`] on the members' in-edges.
+fn project_deep(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    members: impl IntoIterator<Item = usize>,
+    d: DataId,
+    slot: usize,
+    deadline: &mut Deadline,
+) -> Result<ProvenanceResult, QueryFailure> {
+    let (rows, execs) = project(run, vr, Side::Deep, members, Some(slot), deadline)?;
     Ok(ProvenanceResult {
         target: d,
         rows,
@@ -321,7 +532,7 @@ pub fn deep_provenance_deadline(
     deadline: &mut Deadline,
 ) -> Result<Option<ProvenanceResult>, QueryFailure> {
     // d itself must be visible at this view level and present in the run.
-    let Some(start) = visible_start(run, vr, d)? else {
+    let Some((start, slot)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     let g = run.graph();
@@ -339,7 +550,7 @@ pub fn deep_provenance_deadline(
             }
         }
     }
-    project_deep(run, vr, &visited, d, deadline).map(Some)
+    project_deep(run, vr, visited.iter(), d, slot, deadline).map(Some)
 }
 
 /// [`deep_provenance`] answered from a prebuilt per-run index: the base
@@ -364,10 +575,10 @@ pub fn deep_provenance_indexed_deadline(
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<ProvenanceResult>, QueryFailure> {
-    let Some(start) = visible_start(run, vr, d)? else {
+    let Some((start, slot)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
-    project_deep(run, vr, index.ancestors(start), d, deadline).map(Some)
+    project_deep(run, vr, index.ancestors(start).iter(), d, slot, deadline).map(Some)
 }
 
 /// [`deep_provenance`] answered from a prebuilt [`LabelIndex`]: the base
@@ -394,10 +605,10 @@ pub fn deep_provenance_labeled_deadline(
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<ProvenanceResult>, QueryFailure> {
-    let Some(start) = visible_start(run, vr, d)? else {
+    let Some((start, slot)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
-    project_deep_members(run, vr, labels.ancestors_of(start), d, deadline).map(Some)
+    project_deep(run, vr, labels.ancestors_of(start), d, slot, deadline).map(Some)
 }
 
 /// Reference implementation of [`deep_provenance`] — the original
@@ -408,7 +619,7 @@ pub fn deep_provenance_bfs(
     vr: &ViewRun,
     d: DataId,
 ) -> Result<Option<ProvenanceResult>, QueryError> {
-    let Some(start) = visible_start(run, vr, d)? else {
+    let Some((start, _)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     let g = run.graph();
@@ -490,12 +701,9 @@ pub fn dependents_of_deadline(
     // dependency: a step's outputs depend on all of its inputs).
     let mut visited = BitSet::new(g.node_count());
     let mut queue: VecDeque<NodeId> = VecDeque::new();
-    for e in g.out_edges(start) {
-        if g.edge(e).contains(&d) {
-            let t = g.target(e);
-            if visited.insert(t.index()) {
-                queue.push_back(t);
-            }
+    for t in consumers(run, start, d) {
+        if visited.insert(t.index()) {
+            queue.push_back(t);
         }
     }
     while let Some(n) = queue.pop_front() {
@@ -506,11 +714,21 @@ pub fn dependents_of_deadline(
             }
         }
     }
-    collect_dependents(run, vr, &visited, d, deadline).map(Some)
+    collect_dependents(run, vr, visited.iter(), d, deadline).map(Some)
+}
+
+/// The consumers of `d`, produced by `start`: the targets of the
+/// out-edges of `start` that carry it.
+fn consumers(run: &WorkflowRun, start: NodeId, d: DataId) -> impl Iterator<Item = NodeId> + '_ {
+    let g = run.graph();
+    g.out_edges(start)
+        .filter(move |&e| g.edge(e).binary_search(&d).is_ok())
+        .map(|e| g.target(e))
 }
 
 /// [`dependents_of`] answered from a prebuilt per-run index: the forward
-/// closure is the union of the descendant rows of `d`'s consumers.
+/// closure is the union of the descendant rows of `d`'s consumers, which
+/// the kernel gathers row by row.
 pub fn dependents_of_indexed(
     run: &WorkflowRun,
     vr: &ViewRun,
@@ -535,20 +753,14 @@ pub fn dependents_of_indexed_deadline(
     let Some(start) = vr.visible_run_producer(run, d) else {
         return Ok(None);
     };
-    let g = run.graph();
-    let mut visited = BitSet::new(g.node_count());
-    for e in g.out_edges(start) {
-        if g.edge(e).contains(&d) {
-            visited.union_with(index.descendants(g.target(e)));
-        }
-    }
-    collect_dependents(run, vr, &visited, d, deadline).map(Some)
+    let members = consumers(run, start, d).flat_map(|t| index.descendants(t).iter());
+    collect_dependents(run, vr, members, d, deadline).map(Some)
 }
 
 /// [`dependents_of`] answered from a prebuilt [`LabelIndex`]: the forward
-/// closure is the interval union of the descendant labels of `d`'s
-/// consumers — deduplication is free, the union is already a canonical
-/// point set — enumerated through the post-order permutation.
+/// closure is the union of the descendant labels of `d`'s consumers, each
+/// enumerated through the post-order permutation; the kernel gathers a
+/// node the labels share once.
 pub fn dependents_of_labeled(
     run: &WorkflowRun,
     vr: &ViewRun,
@@ -573,14 +785,8 @@ pub fn dependents_of_labeled_deadline(
     let Some(start) = vr.visible_run_producer(run, d) else {
         return Ok(None);
     };
-    let g = run.graph();
-    let mut closure = IntervalSet::new();
-    for e in g.out_edges(start) {
-        if g.edge(e).contains(&d) {
-            closure.union_with(labels.desc_label(g.target(e)));
-        }
-    }
-    collect_dependents_members(run, vr, labels.descendants_within(&closure), d, deadline).map(Some)
+    let members = consumers(run, start, d).flat_map(|t| labels.descendants_of(t));
+    collect_dependents(run, vr, members, d, deadline).map(Some)
 }
 
 /// Reference implementation of [`dependents_of`] — the original
@@ -620,45 +826,22 @@ pub fn dependents_of_bfs(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Option<V
     Some(out)
 }
 
-/// Collects the visible data produced by the steps in the forward closure,
-/// iterating only the closure members (deadline polled per member).
+/// The visible data produced by the steps of the forward closure
+/// `members`, excluding `d`: [`project`] on the members' out-edges. Only
+/// steps have out-edges in a forward closure (the input node has no
+/// in-edges, the output node no out-edges).
 fn collect_dependents(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    visited: &BitSet,
-    d: DataId,
-    deadline: &mut Deadline,
-) -> Result<Vec<DataId>, Interrupt> {
-    collect_dependents_members(run, vr, visited.iter(), d, deadline)
-}
-
-/// [`collect_dependents`] over any closure-member enumeration (see
-/// [`project_deep_members`] for why order does not matter).
-fn collect_dependents_members(
     run: &WorkflowRun,
     vr: &ViewRun,
     members: impl IntoIterator<Item = usize>,
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Vec<DataId>, Interrupt> {
-    let g = run.graph();
-    let mut out: Vec<DataId> = Vec::new();
-    for i in members {
-        deadline.tick()?;
-        let n = NodeId::from_index(i);
-        if run.step_at(n).is_none() {
-            continue;
-        }
-        for e in g.out_edges(n) {
-            for (slot, &x) in run.edge_slots(e).zip(g.edge(e)) {
-                if vr.is_slot_visible(slot) {
-                    out.push(x);
-                }
-            }
-        }
-    }
-    out.sort();
-    out.dedup();
+    let (mut out, _) =
+        project(run, vr, Side::Forward, members, None, deadline).map_err(|f| match f {
+            QueryFailure::Interrupted(i) => i,
+            QueryFailure::Corrupt(_) => unreachable!("a forward projection looks up no execution"),
+        })?;
     out.retain(|&x| x != d);
     Ok(out)
 }

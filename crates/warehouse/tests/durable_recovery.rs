@@ -61,7 +61,7 @@ fn run(s: &WorkflowSpec) -> WorkflowRun {
 enum Event {
     Spec(WorkflowSpec),
     View(&'static str, UserView),
-    Run(&'static str, WorkflowRun),
+    Run(&'static str, Box<WorkflowRun>),
 }
 
 /// The fixed workload: two workflows, views, three runs.
@@ -71,11 +71,11 @@ fn workload() -> Vec<Event> {
     vec![
         Event::Spec(s1.clone()),
         Event::View("wf-one", UserView::admin(&s1)),
-        Event::Run("wf-one", run(&s1)),
-        Event::Run("wf-one", run(&s1)),
+        Event::Run("wf-one", Box::new(run(&s1))),
+        Event::Run("wf-one", Box::new(run(&s1))),
         Event::Spec(s2.clone()),
         Event::View("wf-two", UserView::admin(&s2)),
-        Event::Run("wf-two", run(&s2)),
+        Event::Run("wf-two", Box::new(run(&s2))),
     ]
 }
 
@@ -94,7 +94,7 @@ fn drive(dw: &mut DurableWarehouse, events: &[Event]) -> usize {
             Event::Run(name, r) => dw
                 .warehouse()
                 .spec_by_name(name)
-                .is_some_and(|sid| dw.load_run(sid, r.clone()).is_ok()),
+                .is_some_and(|sid| dw.load_run(sid, (**r).clone()).is_ok()),
         };
         if !ok {
             break;
@@ -120,7 +120,7 @@ fn reference(events: &[Event], committed: usize) -> Warehouse {
             }
             Event::Run(name, r) => {
                 let sid = w.spec_by_name(name).unwrap();
-                w.load_run(sid, r.clone()).unwrap();
+                w.load_run(sid, (**r).clone()).unwrap();
             }
         }
     }

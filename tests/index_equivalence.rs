@@ -4,22 +4,29 @@
 //! both the member-iterating BFS path and the original whole-graph-scan
 //! reference (`*_bfs`), at every view level — UAdmin, UBlackBox, and a
 //! built intermediate view — and the incrementally-appended label index
-//! must equal the from-scratch build on every pair.
+//! must equal the from-scratch build on every pair. Runs are checked both
+//! as generated and with their data ids scattered (sparse and shuffled),
+//! so the projection kernel's slot order is not id order: its
+//! non-canonical dedup and its fallback sort both run.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
 use zoom::graph::{reachable_set, Digraph, Direction, NodeId};
-use zoom::model::{UserView, ViewRun, WorkflowRun, WorkflowSpec};
+use zoom::model::{DataId, UserView, ViewRun, WorkflowRun, WorkflowSpec};
 use zoom::warehouse::{
     deep_provenance, deep_provenance_bfs, deep_provenance_indexed, deep_provenance_labeled,
     dependents_of, dependents_of_bfs, dependents_of_indexed, dependents_of_labeled, Deadline,
     LabelIndex, ProvenanceIndex, UpdateOutcome,
 };
-use zoom_gen::{generate_run, generate_spec, RunGenConfig, SpecGenConfig, WorkflowClass};
+use zoom_gen::{
+    generate_run, generate_spec, scatter_data_ids, RunGenConfig, SpecGenConfig, WorkflowClass,
+};
 use zoom_views::relev_user_view_builder;
 
-fn workload(seed: u64, class: u8, modules: usize) -> (WorkflowSpec, WorkflowRun) {
+/// A generated run; with `scatter`, its data ids are scattered.
+fn workload(seed: u64, class: u8, modules: usize, scatter: bool) -> (WorkflowSpec, WorkflowRun) {
     let mut rng = StdRng::seed_from_u64(seed);
     let class = match class % 3 {
         0 => WorkflowClass::Linear,
@@ -35,6 +42,10 @@ fn workload(seed: u64, class: u8, modules: usize) -> (WorkflowSpec, WorkflowRun)
         max_edges: 300,
     };
     let run = generate_run(&spec, &cfg, &mut rng).expect("valid run");
+    if scatter {
+        let run = scatter_data_ids(&spec, &run, &mut rng);
+        return (spec, run);
+    }
     (spec, run)
 }
 
@@ -130,8 +141,9 @@ proptest! {
         class in any::<u8>(),
         modules in 3usize..15,
         mask in any::<u64>(),
+        scatter in any::<bool>(),
     ) {
-        let (spec, run) = workload(seed, class, modules);
+        let (spec, run) = workload(seed, class, modules, scatter);
         let index = ProvenanceIndex::build(&run).expect("generated runs are acyclic");
         let labels = LabelIndex::build(&run).expect("generated runs are acyclic");
         prop_assert_eq!(index.node_count(), run.graph().node_count());
@@ -155,8 +167,9 @@ proptest! {
         seed in any::<u64>(),
         class in any::<u8>(),
         modules in 3usize..12,
+        scatter in any::<bool>(),
     ) {
-        let (spec, run) = workload(seed, class, modules);
+        let (spec, run) = workload(seed, class, modules, scatter);
         let index = ProvenanceIndex::build(&run).expect("generated runs are acyclic");
         let labels = LabelIndex::build(&run).expect("generated runs are acyclic");
         let vr = ViewRun::new(&run, &UserView::black_box(&spec));
@@ -236,6 +249,85 @@ proptest! {
             assert_label_index_exact(&idx, &g_edge);
         }
     }
+}
+
+/// How the projection kernel meets deep provenance of `d` (visible):
+/// `(sorted, repeats)`. Each answer datum is emitted at the first slot the
+/// closure's in-edges (or the target) mark, so the walk emits rows by
+/// ascending id exactly when `sorted`, and else takes the fallback sort;
+/// `repeats` counts the data marked at two or more slots, which only the
+/// non-canonical dedup keeps to one row.
+fn kernel_path(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    index: &ProvenanceIndex,
+    d: DataId,
+) -> (bool, usize) {
+    let (start, target) = vr.visible_producer_slot(run, d).expect("visible");
+    let g = run.graph();
+    let mut marked: BTreeMap<DataId, Vec<usize>> = BTreeMap::new();
+    marked.insert(d, vec![target]);
+    for n in index.ancestors(start).iter() {
+        for e in g.in_edges(NodeId::from_index(n)) {
+            for (slot, &x) in run.edge_slots(e).zip(g.edge(e)) {
+                if vr.visible_slots().contains(slot) {
+                    marked.entry(x).or_default().push(slot);
+                }
+            }
+        }
+    }
+    let repeats = marked.values().filter(|slots| slots.len() > 1).count();
+    let mut emitted: Vec<(usize, DataId)> = marked
+        .into_iter()
+        .map(|(x, slots)| (*slots.iter().min().expect("marked"), x))
+        .collect();
+    emitted.sort();
+    (emitted.windows(2).all(|w| w[0].1 < w[1].1), repeats)
+}
+
+/// Scattered ids put every branch of the projection kernel to work, and
+/// each form still answers like the oracles: the runs have non-canonical
+/// slots, some answers repeat a datum across slots, some take the
+/// fallback sort, and some list virtual executions.
+#[test]
+fn sparse_shuffled_ids_exercise_every_kernel_branch() {
+    let (mut non_canonical, mut repeats, mut fallbacks, mut virtual_execs) = (0, 0, 0, 0);
+    for seed in 0..12u64 {
+        let (spec, run) = workload(seed, seed as u8, 4 + seed as usize % 9, true);
+        non_canonical += run.slot_count() - run.canonical_slots().count();
+        let index = ProvenanceIndex::build(&run).expect("acyclic");
+        let labels = LabelIndex::build(&run).expect("acyclic");
+        for view in [
+            UserView::admin(&spec),
+            UserView::black_box(&spec),
+            mid_view(&spec, seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        ] {
+            let vr = ViewRun::new(&run, &view);
+            assert_equivalent(&run, &vr, &index, &labels);
+            for d in run.all_data() {
+                let Some(answer) = deep_provenance_indexed(&run, &vr, &index, d).expect("fits")
+                else {
+                    continue;
+                };
+                let (sorted, repeated) = kernel_path(&run, &vr, &index, d);
+                fallbacks += usize::from(!sorted);
+                repeats += repeated;
+                virtual_execs += answer
+                    .execs
+                    .iter()
+                    .filter(|&&e| vr.exec_by_id(e).is_some_and(|x| x.is_virtual))
+                    .count();
+            }
+        }
+    }
+    eprintln!(
+        "kernel branches: {non_canonical} non-canonical slots, {repeats} repeated data, \
+         {fallbacks} fallback sorts, {virtual_execs} virtual executions"
+    );
+    assert!(non_canonical > 0, "no run has a non-canonical slot");
+    assert!(repeats > 0, "no answer marks a datum at two slots");
+    assert!(fallbacks > 0, "no projection takes the fallback sort");
+    assert!(virtual_execs > 0, "no answer lists a virtual execution");
 }
 
 /// The deterministic adversarial shapes — including the single-step chain
