@@ -12,7 +12,7 @@
 use crate::system::Zoom;
 use std::time::Duration;
 use zoom_model::DataId;
-use zoom_warehouse::{typed, Answer, Op, ProvenanceResult, Result, RunId, ViewId};
+use zoom_warehouse::{typed, Answer, Hist, Op, ProvenanceResult, Result, RunId, ViewId};
 
 /// One user's interactive provenance-exploration session over one run.
 #[derive(Debug)]
@@ -121,7 +121,7 @@ impl<'a> QuerySession<'a> {
         self.zoom
             .warehouse()
             .metrics_registry()
-            .record_view_switch(start.elapsed().as_nanos() as u64);
+            .observe(Hist::ViewSwitch, start.elapsed().as_nanos() as u64);
         res
     }
 

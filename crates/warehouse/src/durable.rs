@@ -27,6 +27,7 @@
 
 use crate::io::{RealFs, StorageIo};
 use crate::journal::{self, JournalError, JournalRecord, ReplayOutcome};
+use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::persist::{self, PersistError};
 use crate::resilience::{CircuitBreaker, HealthReport, RetryPolicy};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
@@ -198,13 +199,13 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, DurableError> {
 /// backoff. The original error is preserved on exhaustion.
 fn retry_step<T>(
     retry: RetryPolicy,
-    registry: &crate::metrics::MetricsRegistry,
+    registry: &MetricsRegistry,
     mut op: impl FnMut() -> Result<T, DurableError>,
 ) -> Result<T, DurableError> {
     let mut stash: Option<DurableError> = None;
     retry
         .run(
-            || registry.record_io_retry(),
+            || registry.add(Counter::IoRetries, 1),
             || match op() {
                 Ok(v) => Ok(v),
                 Err(err) => {
@@ -413,7 +414,7 @@ impl DurableWarehouse {
         if self.breaker.is_open() {
             self.inner
                 .metrics_registry()
-                .record_degraded_write_rejected();
+                .add(Counter::DegradedWritesRejected, 1);
             return Err(DurableError::Warehouse(WarehouseError::Degraded));
         }
         Ok(())
@@ -425,7 +426,7 @@ impl DurableWarehouse {
         let path = self.dir.join(&self.journal);
         let registry = self.inner.metrics_registry();
         let outcome = self.options.retry.run(
-            || registry.record_io_retry(),
+            || registry.add(Counter::IoRetries, 1),
             || self.io.append(&path, &frame),
         );
         match outcome {
@@ -438,7 +439,7 @@ impl DurableWarehouse {
             }
             Err(e) => {
                 if self.breaker.record_failure() {
-                    registry.record_breaker_trip();
+                    registry.add(Counter::BreakerTrips, 1);
                 }
                 Err(e.into())
             }
@@ -594,7 +595,9 @@ impl DurableWarehouse {
             return Err(e);
         }
         if self.breaker.record_success() {
-            self.inner.metrics_registry().record_breaker_recovery();
+            self.inner
+                .metrics_registry()
+                .add(Counter::BreakerRecoveries, 1);
         }
         // Committed. The old generation is now garbage.
         let _ = self.io.remove_file(&self.dir.join(&self.journal));
@@ -611,7 +614,7 @@ impl DurableWarehouse {
         self.compactions += 1;
         self.inner
             .metrics_registry()
-            .record_checkpoint(started.elapsed().as_nanos() as u64);
+            .observe(Hist::Checkpoint, started.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -714,10 +717,10 @@ impl DurableWarehouse {
             writable: !self.breaker.is_open(),
             breaker: self.breaker.state(),
             consecutive_failures: self.breaker.consecutive_failures(),
-            breaker_trips: registry.breaker_trips(),
-            breaker_recoveries: registry.breaker_recoveries(),
-            io_retries: registry.io_retries(),
-            degraded_writes_rejected: registry.degraded_writes_rejected(),
+            breaker_trips: registry.get(Counter::BreakerTrips),
+            breaker_recoveries: registry.get(Counter::BreakerRecoveries),
+            io_retries: registry.get(Counter::IoRetries),
+            degraded_writes_rejected: registry.get(Counter::DegradedWritesRejected),
             durable: true,
             state: if self.breaker.is_open() {
                 crate::resilience::ShardState::Degraded
@@ -725,8 +728,8 @@ impl DurableWarehouse {
                 crate::resilience::ShardState::Healthy
             },
             epoch: self.epoch,
-            quarantines: registry.shard_quarantines(),
-            repairs: registry.shard_repairs(),
+            quarantines: registry.get(Counter::Quarantines),
+            repairs: registry.get(Counter::Repairs),
             last_repair_nanos: 0,
         }
     }

@@ -22,8 +22,9 @@
 //!   `O(n · avg_labels)`-memory default index above the node-count
 //!   threshold, with incremental append;
 //! * [`metrics`] — the lock-free observability layer: per-query-class
-//!   latency histograms, cache/journal/compaction counters, and the
-//!   slow-query log, snapshotted as [`MetricsSnapshot`];
+//!   latency histograms, the declared counter table, and the slow-query
+//!   log, snapshotted as [`MetricsSnapshot`];
+//! * [`json`] — the JSON writer behind the observability documents;
 //! * [`store`] — the [`Warehouse`] facade;
 //! * [`op`] — the operation algebra: every data-plane operation as one
 //!   [`Op`], every answer as one [`Answer`], and the in-process
@@ -59,6 +60,7 @@ pub mod durable;
 pub mod index;
 pub mod io;
 pub mod journal;
+pub mod json;
 pub mod labels;
 pub mod metrics;
 pub mod op;
@@ -81,9 +83,9 @@ pub use io::{FaultFs, RealFs, StorageIo};
 pub use journal::JournalError;
 pub use labels::{LabelIndex, UpdateOutcome, FRAGMENTATION_FACTOR};
 pub use metrics::{
-    CacheMetrics, HistogramSnapshot, IndexMetrics, LatencyHistogram, MetricsRegistry,
-    MetricsSnapshot, PrivacyMetrics, QueryKind, ReplayMetrics, ResilienceMetrics, SlowQuery,
-    StreamMetrics, ViewClass,
+    CacheMetrics, Counter, Hist, HistogramSnapshot, IndexMetrics, LatencyHistogram,
+    MetricsRegistry, MetricsSnapshot, PrivacyMetrics, QueryKind, ReplayMetrics, ResilienceMetrics,
+    SlowQuery, StreamMetrics, ViewClass,
 };
 pub use op::{typed, Answer, FromAnswer, Op, Store};
 pub use privacy::{

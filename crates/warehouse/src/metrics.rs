@@ -6,11 +6,13 @@
 //! benchmark harnesses. This module is the warehouse's observability
 //! layer:
 //!
-//! * [`MetricsRegistry`] — atomic counters and fixed-bucket latency
-//!   histograms, shared by every hot path ([`crate::query`] through
-//!   [`crate::store::Warehouse`], the caches, the journal and the durable
-//!   store). Recording is wait-free (a handful of relaxed atomic adds);
-//!   the parallel batch path never serializes on bookkeeping.
+//! * [`MetricsRegistry`] — a table of atomic counters indexed by
+//!   [`Counter`] and of fixed-bucket latency histograms indexed by [`Hist`]
+//!   (plus one per query kind × view class), shared by every hot path
+//!   ([`crate::query`] through [`crate::store::Warehouse`], the caches, the
+//!   journal and the durable store). Recording is wait-free (a handful of
+//!   relaxed atomic adds); the parallel batch path never serializes on
+//!   bookkeeping.
 //! * [`LatencyHistogram`] — 16 power-of-two buckets from 1 µs to ≥16 ms,
 //!   plus count/sum/max, so mean *and* tail behaviour survive aggregation.
 //! * A **slow-query log** — a small ring buffer of the most recent queries
@@ -22,6 +24,25 @@
 //!   [`WarehouseStats`] table counters. [`MetricsSnapshot::to_json`]
 //!   renders it as JSON for `zoomctl stats --json`.
 //!
+//! ## Declaring a metric
+//!
+//! Each counter is one line, with its doc comment, in the snapshot family
+//! it belongs to in the `metrics_table!` declaration below:
+//!
+//! ```text
+//! /// Queries shed with `Overloaded`.
+//! shed: count(Shed),
+//! ```
+//!
+//! That line is the registry slot [`Counter::Shed`] (recorded with
+//! `registry.add(Counter::Shed, 1)`, read with `registry.get`), the field
+//! [`ResilienceMetrics::shed`], and its `"shed"` JSON key — all in
+//! declaration order. `hist(..)` declares a [`Hist`] histogram the same
+//! way. `sum(..)` declares a field that is not stored: it is summed at
+//! snapshot time from one load of the named counters, which is how
+//! [`ResilienceMetrics::attempts`] equals `admitted + shed` in every
+//! snapshot, even one taken while admissions are being recorded.
+//!
 //! ## Counter-accuracy guarantee
 //!
 //! For both caches, `hits + misses` equals the number of `get_or_build`
@@ -31,6 +52,7 @@
 //! exactly the entries actually inserted. Hit-rate arithmetic therefore
 //! never over- or under-counts queries.
 
+use crate::json::{self, json_object, JsonObject, ToJson};
 use crate::schema::{RunId, ViewId, WarehouseStats};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -218,15 +240,6 @@ impl QueryKind {
             QueryKind::Between => "between",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            QueryKind::Deep => 0,
-            QueryKind::Immediate => 1,
-            QueryKind::Dependents => 2,
-            QueryKind::Between => 3,
-        }
-    }
 }
 
 impl fmt::Display for QueryKind {
@@ -268,14 +281,6 @@ impl ViewClass {
             ViewClass::Custom => "custom",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            ViewClass::Admin => 0,
-            ViewClass::BlackBox => 1,
-            ViewClass::Custom => 2,
-        }
-    }
 }
 
 impl fmt::Display for ViewClass {
@@ -308,6 +313,194 @@ pub struct SlowQuery {
     pub tenant: Option<String>,
 }
 
+/// Declares the metrics table (see the module docs). Each `struct` is a
+/// snapshot family, each field one line: `count(Variant)` a stored
+/// counter, `hist(Variant)` a histogram, `sum(A, ..)` a field summed from
+/// one load of counters `A, ..`. From that it generates the [`Counter`]
+/// and [`Hist`] enums, each family's struct, its `load` from one pass over
+/// the registry, and its JSON object, all in declaration order (so the
+/// serde and JSON bytes follow the declaration).
+macro_rules! metrics_table {
+    ($(
+        $(#[$meta:meta])*
+        pub $(($scope:ident))? struct $Family:ident {
+            $( $(#[$doc:meta])* $field:ident: $kind:ident($($id:ident),+), )*
+        }
+    )*) => {
+        metrics_table!(@ids [] [] $($( $(#[$doc])* $field: $kind($($id),+), )*)*);
+        $(
+            $(#[$meta])*
+            pub $(($scope))? struct $Family {
+                $( $(#[$doc])* pub $field: metrics_table!(@type $kind), )*
+            }
+
+            impl $Family {
+                fn load(c: &[u64; Counter::COUNT], _h: &[LatencyHistogram; Hist::COUNT]) -> Self {
+                    $Family { $( $field: metrics_table!(@load c _h $kind($($id),+)), )* }
+                }
+            }
+
+            json_object!($Family { $($field),* });
+        )*
+    };
+    (@type count) => { u64 };
+    (@type sum) => { u64 };
+    (@type hist) => { HistogramSnapshot };
+    (@load $c:ident $h:ident count($id:ident)) => { $c[Counter::$id as usize] };
+    (@load $c:ident $h:ident sum($($id:ident),+)) => { 0 $(+ $c[Counter::$id as usize])+ };
+    (@load $c:ident $h:ident hist($id:ident)) => { $h[Hist::$id as usize].snapshot() };
+    // Sorts the entries into the counter and histogram variant lists.
+    (@ids [$($c:tt)*] [$($h:tt)*] $(#[$d:meta])* $f:ident: count($id:ident), $($rest:tt)*) => {
+        metrics_table!(@ids [$($c)* $(#[$d])* $id,] [$($h)*] $($rest)*);
+    };
+    (@ids [$($c:tt)*] [$($h:tt)*] $(#[$d:meta])* $f:ident: hist($id:ident), $($rest:tt)*) => {
+        metrics_table!(@ids [$($c)*] [$($h)* $(#[$d])* $id,] $($rest)*);
+    };
+    (@ids [$($c:tt)*] [$($h:tt)*] $(#[$d:meta])* $f:ident: sum($($id:ident),+), $($rest:tt)*) => {
+        metrics_table!(@ids [$($c)*] [$($h)*] $($rest)*);
+    };
+    (@ids [$($(#[$cd:meta])* $c:ident,)*] [$($(#[$hd:meta])* $h:ident,)*]) => {
+        /// A counter slot of the [`MetricsRegistry`] table, one variant per
+        /// `count(..)` line of the `metrics_table!` declaration.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter { $($(#[$cd])* $c,)* }
+
+        impl Counter {
+            /// Every counter, in declaration order.
+            pub const ALL: [Counter; Self::COUNT] = [$(Counter::$c),*];
+            /// Number of counters.
+            pub const COUNT: usize = [$(Counter::$c),*].len();
+        }
+
+        /// A latency histogram of the [`MetricsRegistry`] table (the
+        /// per-query histograms are indexed by [`QueryKind`] × [`ViewClass`]).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Hist { $($(#[$hd])* $h,)* }
+
+        impl Hist {
+            /// Number of histograms.
+            pub const COUNT: usize = [$(Hist::$h),*].len();
+        }
+    };
+}
+
+metrics_table! {
+    /// Registry values the snapshot carries outside any family.
+    pub(crate) struct Loose {
+        /// Queries that returned an error (not visible, missing, corrupt).
+        query_errors: count(QueryErrors),
+        /// View-switch latency (an interactive session changing views).
+        view_switch: hist(ViewSwitch),
+    }
+
+    /// Batch-query fan-out counters.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct BatchMetrics {
+        /// Batch calls served.
+        batches: count(Batches),
+        /// Individual queries across all batches.
+        queries: count(BatchQueries),
+        /// Largest single batch.
+        max_fanout: count(MaxBatchFanout),
+    }
+
+    /// Journal and compaction timing.
+    #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct JournalMetrics {
+        /// Appends performed (each is an fsync).
+        appends: count(JournalAppends),
+        /// Append+fsync latency.
+        append_latency: hist(JournalAppend),
+        /// Checkpoint/compaction duration.
+        checkpoint_latency: hist(Checkpoint),
+    }
+
+    /// Resilience counters: admission control, deadline interruptions,
+    /// transient-IO retries, the write circuit breaker, and the
+    /// supervisor's quarantines and repairs.
+    ///
+    /// Obeys the same accounting guarantee as the caches:
+    /// `attempts == admitted + shed`, exactly, in every snapshot — including
+    /// one taken while admissions are recorded concurrently, because
+    /// `attempts` is not stored but summed from the snapshot's own loads.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ResilienceMetrics {
+        /// Queries that asked for admission (`admitted + shed`).
+        attempts: sum(Admitted, Shed),
+        /// Queries admitted (immediately or after queueing).
+        admitted: count(Admitted),
+        /// Queries shed with `Overloaded`.
+        shed: count(Shed),
+        /// Queries interrupted by their deadline.
+        deadline_exceeded: count(DeadlineExceeded),
+        /// Queries interrupted by a cancel token.
+        cancelled: count(Cancelled),
+        /// Transient storage-IO retries performed.
+        io_retries: count(IoRetries),
+        /// Write circuit-breaker trips (Closed→Open).
+        breaker_trips: count(BreakerTrips),
+        /// Write circuit-breaker recoveries (a probe closed it again).
+        breaker_recoveries: count(BreakerRecoveries),
+        /// Mutations rejected while degraded (breaker open).
+        degraded_writes_rejected: count(DegradedWritesRejected),
+        /// Supervisor quarantines of this shard (out of the write path).
+        quarantines: count(Quarantines),
+        /// Online repairs completed (fsck + reopen + atomic swap).
+        repairs: count(Repairs),
+        /// Total nanoseconds spent in completed online repairs.
+        repair_nanos: count(RepairNanos),
+        /// Mutations refused with the typed `Unavailable` answer.
+        unavailable_rejected: count(UnavailableRejected),
+    }
+
+    /// Streaming-ingestion counters: how many streams opened/sealed, how the
+    /// label index absorbed commits (in-place appends vs fragmentation
+    /// rebuilds), and the rejection count the monotonicity validation produces.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct StreamMetrics {
+        /// Streaming ingestions opened.
+        streams_started: count(StreamsStarted),
+        /// Events accepted and applied.
+        events: count(StreamEvents),
+        /// Events (or seals) rejected with a typed `StreamError`.
+        events_rejected: count(StreamEventsRejected),
+        /// Steps committed into streaming prefixes.
+        steps_committed: count(StepsCommitted),
+        /// Streams sealed into complete runs.
+        streams_sealed: count(StreamsSealed),
+        /// Label indexes extended in place by a commit.
+        label_appends: count(LabelAppends),
+        /// Label indexes rebuilt (fragmentation fallback) by a commit.
+        label_rebuilds: count(LabelRebuilds),
+    }
+
+    /// Trace replay counters.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ReplayMetrics {
+        /// Replay sessions run against this warehouse.
+        sessions: count(ReplaySessions),
+        /// Trace operations re-executed.
+        ops: count(ReplayOps),
+        /// Operations whose result digest diverged from the recording.
+        mismatches: count(ReplayMismatches),
+    }
+
+    /// Visibility-policy enforcement counters (DESIGN.md §16). A tenant with
+    /// no policy touches none of these: the fast path is a single atomic load
+    /// on the policy count, and enforcement is skipped entirely.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct PrivacyMetrics {
+        /// Queries rewritten to a coarser (privacy or meet) view.
+        substitutions: count(PolicySubstitutions),
+        /// Requests denied outright (hidden workflow → not-found rendering).
+        denials: count(PolicyDenials),
+        /// Policy decisions served from the compiled cache.
+        cache_hits: count(PolicyCacheHits),
+        /// Privacy views compiled by the inverted-relevance builder.
+        compilations: count(PolicyCompilations),
+    }
+}
+
 /// The lock-free metrics registry every warehouse owns.
 ///
 /// All recording methods take `&self` and cost a few relaxed atomic
@@ -317,125 +510,22 @@ pub struct SlowQuery {
 pub struct MetricsRegistry {
     /// Query latency, per kind × view class.
     query_hist: [[LatencyHistogram; 3]; 4],
-    /// Queries that returned an error (not visible, missing, corrupt).
-    query_errors: AtomicU64,
-    /// Batch calls served.
-    batches: AtomicU64,
-    /// Individual queries inside batches.
-    batch_queries: AtomicU64,
-    /// Largest single batch seen.
-    max_batch_fanout: AtomicU64,
-    /// Journal appends (each one is an fsync).
-    journal_appends: AtomicU64,
-    /// Journal append+fsync latency.
-    journal_append_hist: LatencyHistogram,
-    /// Checkpoint/compaction duration.
-    checkpoint_hist: LatencyHistogram,
-    /// View-switch latency (an interactive session changing views).
-    view_switch_hist: LatencyHistogram,
+    counters: [AtomicU64; Counter::COUNT],
+    hists: [LatencyHistogram; Hist::COUNT],
     slow_threshold_nanos: AtomicU64,
     slow_seq: AtomicU64,
     slow_log: Mutex<VecDeque<SlowQuery>>,
-    /// Queries that asked for admission (admitted + shed).
-    admission_attempts: AtomicU64,
-    /// Queries admitted (immediately or after queueing).
-    admission_admitted: AtomicU64,
-    /// Queries shed because both slots and queue were full.
-    admission_shed: AtomicU64,
-    /// Queries interrupted by their deadline.
-    deadline_exceeded: AtomicU64,
-    /// Queries interrupted by a cancel token.
-    cancelled: AtomicU64,
-    /// Transient storage-IO retries performed by the backoff policy.
-    io_retries: AtomicU64,
-    /// Write circuit-breaker trips (Closed→Open).
-    breaker_trips: AtomicU64,
-    /// Write circuit-breaker recoveries (probe closed it again).
-    breaker_recoveries: AtomicU64,
-    /// Mutations rejected while the store was degraded (breaker open).
-    degraded_writes_rejected: AtomicU64,
-    /// Times the supervisor quarantined this shard (out of the write path).
-    shard_quarantines: AtomicU64,
-    /// Online repairs completed (fsck + reopen + atomic swap).
-    shard_repairs: AtomicU64,
-    /// Total nanoseconds spent in completed online repairs.
-    repair_nanos: AtomicU64,
-    /// Mutations refused with the typed `Unavailable` answer while
-    /// quarantined or rebuilding.
-    unavailable_rejected: AtomicU64,
-    /// Streaming ingestions opened.
-    streams_started: AtomicU64,
-    /// Stream events accepted and applied.
-    stream_events: AtomicU64,
-    /// Stream events rejected with a typed `StreamError`.
-    stream_events_rejected: AtomicU64,
-    /// Steps committed into streaming prefixes.
-    stream_steps_committed: AtomicU64,
-    /// Streams sealed into complete runs.
-    streams_sealed: AtomicU64,
-    /// Label indexes extended in place by a streaming commit.
-    label_appends: AtomicU64,
-    /// Label indexes rebuilt (fragmentation fallback) by a streaming commit.
-    label_rebuilds: AtomicU64,
-    /// Trace replay sessions run against this warehouse.
-    replay_sessions: AtomicU64,
-    /// Trace operations re-executed by replays.
-    replay_ops: AtomicU64,
-    /// Replayed operations whose result digest diverged from the recording.
-    replay_mismatches: AtomicU64,
-    /// Queries rewritten to a coarser view by a visibility policy.
-    policy_substitutions: AtomicU64,
-    /// Requests denied outright by a visibility policy (hidden workflow,
-    /// rendered as the equivalent not-found error).
-    policy_denials: AtomicU64,
-    /// Policy decisions answered from the compiled-policy cache.
-    policy_cache_hits: AtomicU64,
-    /// Privacy views compiled (inverted-relevance builder runs).
-    policy_compilations: AtomicU64,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
         MetricsRegistry {
             query_hist: Default::default(),
-            query_errors: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_queries: AtomicU64::new(0),
-            max_batch_fanout: AtomicU64::new(0),
-            journal_appends: AtomicU64::new(0),
-            journal_append_hist: LatencyHistogram::new(),
-            checkpoint_hist: LatencyHistogram::new(),
-            view_switch_hist: LatencyHistogram::new(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            hists: Default::default(),
             slow_threshold_nanos: AtomicU64::new(DEFAULT_SLOW_THRESHOLD_NANOS),
             slow_seq: AtomicU64::new(0),
             slow_log: Mutex::new(VecDeque::with_capacity(SLOW_LOG_CAPACITY)),
-            admission_attempts: AtomicU64::new(0),
-            admission_admitted: AtomicU64::new(0),
-            admission_shed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            io_retries: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            breaker_recoveries: AtomicU64::new(0),
-            degraded_writes_rejected: AtomicU64::new(0),
-            shard_quarantines: AtomicU64::new(0),
-            shard_repairs: AtomicU64::new(0),
-            repair_nanos: AtomicU64::new(0),
-            unavailable_rejected: AtomicU64::new(0),
-            streams_started: AtomicU64::new(0),
-            stream_events: AtomicU64::new(0),
-            stream_events_rejected: AtomicU64::new(0),
-            stream_steps_committed: AtomicU64::new(0),
-            streams_sealed: AtomicU64::new(0),
-            label_appends: AtomicU64::new(0),
-            label_rebuilds: AtomicU64::new(0),
-            replay_sessions: AtomicU64::new(0),
-            replay_ops: AtomicU64::new(0),
-            replay_mismatches: AtomicU64::new(0),
-            policy_substitutions: AtomicU64::new(0),
-            policy_denials: AtomicU64::new(0),
-            policy_cache_hits: AtomicU64::new(0),
-            policy_compilations: AtomicU64::new(0),
         }
     }
 }
@@ -444,6 +534,23 @@ impl MetricsRegistry {
     /// A fresh registry with the default slow-query threshold.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Adds `n` to counter `c`.
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counter `c`'s current value.
+    pub fn get(&self, c: Counter) -> u64 {
+        self.counters[c as usize].load(Ordering::Relaxed)
+    }
+
+    /// Records one observation of `nanos` in histogram `h`.
+    #[inline]
+    pub fn observe(&self, h: Hist, nanos: u64) {
+        self.hists[h as usize].record(nanos);
     }
 
     /// Records a successful query: latency histogram plus, if over the
@@ -459,7 +566,7 @@ impl MetricsRegistry {
         data: Option<u64>,
         nanos: u64,
     ) {
-        self.query_hist[kind.index()][class.index()].record(nanos);
+        self.query_hist[kind as usize][class as usize].record(nanos);
         if nanos >= self.slow_threshold_nanos.load(Ordering::Relaxed) {
             let seq = self.slow_seq.fetch_add(1, Ordering::Relaxed) + 1;
             let entry = SlowQuery {
@@ -480,203 +587,33 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a query that ended in an error.
-    pub fn record_query_error(&self) {
-        self.query_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one batch call fanning out `queries` individual queries.
     pub fn record_batch(&self, queries: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_queries
-            .fetch_add(queries as u64, Ordering::Relaxed);
-        self.max_batch_fanout
+        self.add(Counter::Batches, 1);
+        self.add(Counter::BatchQueries, queries as u64);
+        self.counters[Counter::MaxBatchFanout as usize]
             .fetch_max(queries as u64, Ordering::Relaxed);
     }
 
     /// Records one journal append (including its fsync) taking `nanos`.
     pub fn record_journal_append(&self, nanos: u64) {
-        self.journal_appends.fetch_add(1, Ordering::Relaxed);
-        self.journal_append_hist.record(nanos);
-    }
-
-    /// Records one checkpoint/compaction taking `nanos`.
-    pub fn record_checkpoint(&self, nanos: u64) {
-        self.checkpoint_hist.record(nanos);
-    }
-
-    /// Records one view switch taking `nanos`.
-    pub fn record_view_switch(&self, nanos: u64) {
-        self.view_switch_hist.record(nanos);
-    }
-
-    /// Records one admission-control decision. The accounting invariant
-    /// `attempts == admitted + shed` holds by construction: every call
-    /// bumps `attempts` and exactly one of the other two.
-    pub fn record_admission(&self, admitted: bool) {
-        self.admission_attempts.fetch_add(1, Ordering::Relaxed);
-        if admitted {
-            self.admission_admitted.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.admission_shed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a query interrupted by its deadline.
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a query interrupted by a cancel token.
-    pub fn record_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one transient storage-IO retry.
-    pub fn record_io_retry(&self) {
-        self.io_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Transient storage-IO retries performed so far.
-    pub fn io_retries(&self) -> u64 {
-        self.io_retries.load(Ordering::Relaxed)
-    }
-
-    /// Records the write breaker tripping Closed→Open.
-    pub fn record_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Breaker trips so far.
-    pub fn breaker_trips(&self) -> u64 {
-        self.breaker_trips.load(Ordering::Relaxed)
-    }
-
-    /// Records the write breaker closing again after a probe.
-    pub fn record_breaker_recovery(&self) {
-        self.breaker_recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Breaker recoveries so far.
-    pub fn breaker_recoveries(&self) -> u64 {
-        self.breaker_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Records a mutation rejected while the store was degraded.
-    pub fn record_degraded_write_rejected(&self) {
-        self.degraded_writes_rejected
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the supervisor quarantining this shard.
-    pub fn record_quarantine(&self) {
-        self.shard_quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Quarantines so far.
-    pub fn shard_quarantines(&self) -> u64 {
-        self.shard_quarantines.load(Ordering::Relaxed)
+        self.add(Counter::JournalAppends, 1);
+        self.observe(Hist::JournalAppend, nanos);
     }
 
     /// Records one completed online repair and its duration.
     pub fn record_repair(&self, nanos: u64) {
-        self.shard_repairs.fetch_add(1, Ordering::Relaxed);
-        self.repair_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Completed online repairs so far.
-    pub fn shard_repairs(&self) -> u64 {
-        self.shard_repairs.load(Ordering::Relaxed)
-    }
-
-    /// Records a mutation refused with the typed `Unavailable` answer.
-    pub fn record_unavailable_rejected(&self) {
-        self.unavailable_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Mutations rejected while degraded so far.
-    pub fn degraded_writes_rejected(&self) -> u64 {
-        self.degraded_writes_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Records a streaming ingestion opening.
-    pub fn record_stream_started(&self) {
-        self.streams_started.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one stream event accepted and applied.
-    pub fn record_stream_event(&self) {
-        self.stream_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one stream event (or seal) rejected with a typed error.
-    pub fn record_stream_rejected(&self) {
-        self.stream_events_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` steps committed into a streaming prefix.
-    pub fn record_steps_committed(&self, n: u64) {
-        self.stream_steps_committed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records a stream sealing into a complete run.
-    pub fn record_stream_sealed(&self) {
-        self.streams_sealed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a label index extended in place by a streaming commit.
-    pub fn record_label_append(&self) {
-        self.label_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a label index rebuilt (fragmentation fallback) mid-stream.
-    pub fn record_label_rebuild(&self) {
-        self.label_rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Label-index in-place extensions so far.
-    pub fn label_appends(&self) -> u64 {
-        self.label_appends.load(Ordering::Relaxed)
-    }
-
-    /// Label-index mid-stream rebuilds so far.
-    pub fn label_rebuilds(&self) -> u64 {
-        self.label_rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// Records a trace replay session starting.
-    pub fn record_replay_session(&self) {
-        self.replay_sessions.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Repairs, 1);
+        self.add(Counter::RepairNanos, nanos);
     }
 
     /// Records one replayed trace operation; `mismatch` flags a digest
     /// that diverged from the recording.
     pub fn record_replay_op(&self, mismatch: bool) {
-        self.replay_ops.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::ReplayOps, 1);
         if mismatch {
-            self.replay_mismatches.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::ReplayMismatches, 1);
         }
-    }
-
-    /// Records a query rewritten to a coarser view by a visibility policy.
-    pub fn record_policy_substitution(&self) {
-        self.policy_substitutions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request denied outright by a visibility policy.
-    pub fn record_policy_denial(&self) {
-        self.policy_denials.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a policy decision served from the compiled cache.
-    pub fn record_policy_cache_hit(&self) {
-        self.policy_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one privacy-view compilation (an inverted-relevance
-    /// builder run).
-    pub fn record_policy_compilation(&self) {
-        self.policy_compilations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sets the slow-query threshold in nanoseconds (0 captures every
@@ -701,7 +638,8 @@ impl MetricsRegistry {
     }
 
     /// Snapshots the registry-owned parts (the caller folds in table and
-    /// cache counters).
+    /// cache counters). Each counter is loaded once, so a `sum(..)` field
+    /// agrees with the fields it sums.
     pub(crate) fn snapshot_into(
         &self,
         stats: WarehouseStats,
@@ -711,69 +649,33 @@ impl MetricsRegistry {
     ) -> MetricsSnapshot {
         let mut queries = Vec::with_capacity(12);
         for kind in QueryKind::ALL {
-            for class in ViewClass::ALL {
+            for view_class in ViewClass::ALL {
                 queries.push(QueryLatency {
                     kind,
-                    view_class: class,
-                    latency: self.query_hist[kind.index()][class.index()].snapshot(),
+                    view_class,
+                    latency: self.query_hist[kind as usize][view_class as usize].snapshot(),
                 });
             }
         }
+        let c = self.counters.each_ref().map(|a| a.load(Ordering::Relaxed));
+        let h = &self.hists;
+        let loose = Loose::load(&c, h);
         MetricsSnapshot {
             stats,
             queries,
-            query_errors: self.query_errors.load(Ordering::Relaxed),
+            query_errors: loose.query_errors,
             view_run_cache,
             index_cache,
             index,
-            batch: BatchMetrics {
-                batches: self.batches.load(Ordering::Relaxed),
-                queries: self.batch_queries.load(Ordering::Relaxed),
-                max_fanout: self.max_batch_fanout.load(Ordering::Relaxed),
-            },
-            journal: JournalMetrics {
-                appends: self.journal_appends.load(Ordering::Relaxed),
-                append_latency: self.journal_append_hist.snapshot(),
-                checkpoint_latency: self.checkpoint_hist.snapshot(),
-            },
-            view_switch: self.view_switch_hist.snapshot(),
-            slow_query_threshold_nanos: self.slow_threshold_nanos.load(Ordering::Relaxed),
+            batch: BatchMetrics::load(&c, h),
+            journal: JournalMetrics::load(&c, h),
+            view_switch: loose.view_switch,
+            slow_query_threshold_nanos: self.slow_threshold_nanos(),
             slow_queries: self.slow_queries(),
-            resilience: ResilienceMetrics {
-                attempts: self.admission_attempts.load(Ordering::Relaxed),
-                admitted: self.admission_admitted.load(Ordering::Relaxed),
-                shed: self.admission_shed.load(Ordering::Relaxed),
-                deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-                cancelled: self.cancelled.load(Ordering::Relaxed),
-                io_retries: self.io_retries.load(Ordering::Relaxed),
-                breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-                breaker_recoveries: self.breaker_recoveries.load(Ordering::Relaxed),
-                degraded_writes_rejected: self.degraded_writes_rejected.load(Ordering::Relaxed),
-                quarantines: self.shard_quarantines.load(Ordering::Relaxed),
-                repairs: self.shard_repairs.load(Ordering::Relaxed),
-                repair_nanos: self.repair_nanos.load(Ordering::Relaxed),
-                unavailable_rejected: self.unavailable_rejected.load(Ordering::Relaxed),
-            },
-            stream: StreamMetrics {
-                streams_started: self.streams_started.load(Ordering::Relaxed),
-                events: self.stream_events.load(Ordering::Relaxed),
-                events_rejected: self.stream_events_rejected.load(Ordering::Relaxed),
-                steps_committed: self.stream_steps_committed.load(Ordering::Relaxed),
-                streams_sealed: self.streams_sealed.load(Ordering::Relaxed),
-                label_appends: self.label_appends.load(Ordering::Relaxed),
-                label_rebuilds: self.label_rebuilds.load(Ordering::Relaxed),
-            },
-            replay: ReplayMetrics {
-                sessions: self.replay_sessions.load(Ordering::Relaxed),
-                ops: self.replay_ops.load(Ordering::Relaxed),
-                mismatches: self.replay_mismatches.load(Ordering::Relaxed),
-            },
-            privacy: PrivacyMetrics {
-                substitutions: self.policy_substitutions.load(Ordering::Relaxed),
-                denials: self.policy_denials.load(Ordering::Relaxed),
-                cache_hits: self.policy_cache_hits.load(Ordering::Relaxed),
-                compilations: self.policy_compilations.load(Ordering::Relaxed),
-            },
+            resilience: ResilienceMetrics::load(&c, h),
+            stream: StreamMetrics::load(&c, h),
+            replay: ReplayMetrics::load(&c, h),
+            privacy: PrivacyMetrics::load(&c, h),
         }
     }
 }
@@ -834,112 +736,6 @@ pub struct IndexMetrics {
     pub label_cache: CacheMetrics,
 }
 
-/// Batch-query fan-out counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchMetrics {
-    /// Batch calls served.
-    pub batches: u64,
-    /// Individual queries across all batches.
-    pub queries: u64,
-    /// Largest single batch.
-    pub max_fanout: u64,
-}
-
-/// Journal and compaction timing.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JournalMetrics {
-    /// Appends performed (each is an fsync).
-    pub appends: u64,
-    /// Append+fsync latency.
-    pub append_latency: HistogramSnapshot,
-    /// Checkpoint/compaction duration.
-    pub checkpoint_latency: HistogramSnapshot,
-}
-
-/// Resilience counters: admission control, deadline interruptions,
-/// transient-IO retries, and the write circuit breaker.
-///
-/// Obeys the same accounting guarantee as the caches:
-/// `attempts == admitted + shed`, exactly, including under concurrency —
-/// every admission decision bumps `attempts` and exactly one of the
-/// other two.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResilienceMetrics {
-    /// Queries that asked for admission.
-    pub attempts: u64,
-    /// Queries admitted (immediately or after queueing).
-    pub admitted: u64,
-    /// Queries shed with `Overloaded`.
-    pub shed: u64,
-    /// Queries interrupted by their deadline.
-    pub deadline_exceeded: u64,
-    /// Queries interrupted by a cancel token.
-    pub cancelled: u64,
-    /// Transient storage-IO retries performed.
-    pub io_retries: u64,
-    /// Write circuit-breaker trips (Closed→Open).
-    pub breaker_trips: u64,
-    /// Write circuit-breaker recoveries.
-    pub breaker_recoveries: u64,
-    /// Mutations rejected while degraded.
-    pub degraded_writes_rejected: u64,
-    /// Supervisor quarantines of this shard.
-    pub quarantines: u64,
-    /// Online repairs completed (fsck + reopen + atomic swap).
-    pub repairs: u64,
-    /// Total nanoseconds spent in completed online repairs.
-    pub repair_nanos: u64,
-    /// Mutations refused with the typed `Unavailable` answer.
-    pub unavailable_rejected: u64,
-}
-
-/// Streaming-ingestion counters: how many streams opened/sealed, how the
-/// label index absorbed commits (in-place appends vs fragmentation
-/// rebuilds), and the rejection count the monotonicity validation produces.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StreamMetrics {
-    /// Streaming ingestions opened.
-    pub streams_started: u64,
-    /// Events accepted and applied.
-    pub events: u64,
-    /// Events (or seals) rejected with a typed `StreamError`.
-    pub events_rejected: u64,
-    /// Steps committed into streaming prefixes.
-    pub steps_committed: u64,
-    /// Streams sealed into complete runs.
-    pub streams_sealed: u64,
-    /// Label indexes extended in place by a commit.
-    pub label_appends: u64,
-    /// Label indexes rebuilt (fragmentation fallback) by a commit.
-    pub label_rebuilds: u64,
-}
-
-/// Trace replay counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplayMetrics {
-    /// Replay sessions run against this warehouse.
-    pub sessions: u64,
-    /// Trace operations re-executed.
-    pub ops: u64,
-    /// Operations whose result digest diverged from the recording.
-    pub mismatches: u64,
-}
-
-/// Visibility-policy enforcement counters (DESIGN.md §16). A tenant with
-/// no policy touches none of these: the fast path is a single atomic load
-/// on the policy count, and enforcement is skipped entirely.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PrivacyMetrics {
-    /// Queries rewritten to a coarser (privacy or meet) view.
-    pub substitutions: u64,
-    /// Requests denied outright (hidden workflow → not-found rendering).
-    pub denials: u64,
-    /// Policy decisions served from the compiled cache.
-    pub cache_hits: u64,
-    /// Privacy views compiled by the inverted-relevance builder.
-    pub compilations: u64,
-}
-
 /// A point-in-time copy of every warehouse metric, including the classic
 /// [`WarehouseStats`] table counters.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -978,187 +774,66 @@ pub struct MetricsSnapshot {
     pub privacy: PrivacyMetrics,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl ToJson for HistogramSnapshot {
+    fn write_json(&self, out: &mut String) {
+        JsonObject::new(out)
+            .field("count", self.count)
+            .field("sum_nanos", self.sum_nanos)
+            .field("max_nanos", self.max_nanos)
+            .field("mean_nanos", self.mean_nanos())
+            .field("buckets", &self.buckets)
+            .finish();
     }
-    out
 }
 
-fn hist_json(h: &HistogramSnapshot) -> String {
-    let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
-    format!(
-        "{{\"count\":{},\"sum_nanos\":{},\"max_nanos\":{},\"mean_nanos\":{},\"buckets\":[{}]}}",
-        h.count,
-        h.sum_nanos,
-        h.max_nanos,
-        h.mean_nanos(),
-        buckets.join(",")
-    )
+/// Implements [`ToJson`] by rendering a projection of the value.
+macro_rules! json_via {
+    ($($t:ty => |$v:ident| $e:expr,)*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let $v = self;
+                $e.write_json(out)
+            }
+        }
+    )*};
 }
 
-fn cache_json(c: &CacheMetrics) -> String {
-    format!(
-        "{{\"hits\":{},\"misses\":{},\"race_lost_builds\":{},\"evictions\":{},\"entries\":{},\"build_nanos\":{}}}",
-        c.hits, c.misses, c.race_lost_builds, c.evictions, c.entries, c.build_nanos
-    )
+json_via! {
+    RunId => |r| r.0,
+    ViewId => |v| v.0,
+    QueryKind => |k| k.name(),
+    ViewClass => |c| c.name(),
+}
+
+json_object! {
+    CacheMetrics { hits, misses, race_lost_builds, evictions, entries, build_nanos }
+    IndexMetrics {
+        backend, bitset_bytes, label_bytes, label_intervals, label_count_hist, label_cache,
+    }
+    QueryLatency { kind, view_class, latency }
+    SlowQuery { seq, kind, run, view, view_name, data, nanos, tenant }
+    WarehouseStats {
+        specs, views, runs, steps, data_objects, cached_view_runs, cached_indexes, index_hits,
+        index_misses, index_build_nanos, view_run_hits, view_run_misses, view_run_evictions,
+        journal_records, journal_bytes, compactions, epoch, degraded,
+    }
+    MetricsSnapshot {
+        stats, queries, query_errors, view_run_cache, index_cache, index, batch, journal,
+        view_switch, resilience, stream, replay, privacy, slow_query_threshold_nanos,
+        slow_queries,
+    }
 }
 
 /// Renders one slow query as a JSON object.
 pub fn slow_query_json(q: &SlowQuery) -> String {
-    format!(
-        "{{\"seq\":{},\"kind\":\"{}\",\"run\":{},\"view\":{},\"view_name\":\"{}\",\"data\":{},\"nanos\":{},\"tenant\":{}}}",
-        q.seq,
-        q.kind,
-        q.run.0,
-        q.view.0,
-        json_escape(&q.view_name),
-        q.data.map_or("null".to_string(), |d| d.to_string()),
-        q.nanos,
-        q.tenant
-            .as_deref()
-            .map_or("null".to_string(), |t| format!("\"{}\"", json_escape(t)))
-    )
+    json::to_string(q)
 }
 
 impl MetricsSnapshot {
     /// Renders the snapshot as a JSON document (the `zoomctl stats --json`
-    /// format, documented in DESIGN.md §11). Hand-rolled because no JSON
-    /// serializer crate is in the workspace's dependency budget.
+    /// format, documented in DESIGN.md §11).
     pub fn to_json(&self) -> String {
-        let s = &self.stats;
-        let stats = format!(
-            "{{\"specs\":{},\"views\":{},\"runs\":{},\"steps\":{},\"data_objects\":{},\
-             \"cached_view_runs\":{},\"cached_indexes\":{},\"index_hits\":{},\"index_misses\":{},\
-             \"index_build_nanos\":{},\"view_run_hits\":{},\"view_run_misses\":{},\
-             \"view_run_evictions\":{},\"journal_records\":{},\"journal_bytes\":{},\
-             \"compactions\":{},\"epoch\":{},\"degraded\":{}}}",
-            s.specs,
-            s.views,
-            s.runs,
-            s.steps,
-            s.data_objects,
-            s.cached_view_runs,
-            s.cached_indexes,
-            s.index_hits,
-            s.index_misses,
-            s.index_build_nanos,
-            s.view_run_hits,
-            s.view_run_misses,
-            s.view_run_evictions,
-            s.journal_records,
-            s.journal_bytes,
-            s.compactions,
-            s.epoch,
-            s.degraded
-        );
-        let r = &self.resilience;
-        let resilience = format!(
-            "{{\"attempts\":{},\"admitted\":{},\"shed\":{},\"deadline_exceeded\":{},\
-             \"cancelled\":{},\"io_retries\":{},\"breaker_trips\":{},\
-             \"breaker_recoveries\":{},\"degraded_writes_rejected\":{},\
-             \"quarantines\":{},\"repairs\":{},\"repair_nanos\":{},\
-             \"unavailable_rejected\":{}}}",
-            r.attempts,
-            r.admitted,
-            r.shed,
-            r.deadline_exceeded,
-            r.cancelled,
-            r.io_retries,
-            r.breaker_trips,
-            r.breaker_recoveries,
-            r.degraded_writes_rejected,
-            r.quarantines,
-            r.repairs,
-            r.repair_nanos,
-            r.unavailable_rejected
-        );
-        let st = &self.stream;
-        let stream = format!(
-            "{{\"streams_started\":{},\"events\":{},\"events_rejected\":{},\
-             \"steps_committed\":{},\"streams_sealed\":{},\"label_appends\":{},\
-             \"label_rebuilds\":{}}}",
-            st.streams_started,
-            st.events,
-            st.events_rejected,
-            st.steps_committed,
-            st.streams_sealed,
-            st.label_appends,
-            st.label_rebuilds
-        );
-        let rp = &self.replay;
-        let replay = format!(
-            "{{\"sessions\":{},\"ops\":{},\"mismatches\":{}}}",
-            rp.sessions, rp.ops, rp.mismatches
-        );
-        let pv = &self.privacy;
-        let privacy = format!(
-            "{{\"substitutions\":{},\"denials\":{},\"cache_hits\":{},\"compilations\":{}}}",
-            pv.substitutions, pv.denials, pv.cache_hits, pv.compilations
-        );
-        let queries: Vec<String> = self
-            .queries
-            .iter()
-            .map(|q| {
-                format!(
-                    "{{\"kind\":\"{}\",\"view_class\":\"{}\",\"latency\":{}}}",
-                    q.kind,
-                    q.view_class,
-                    hist_json(&q.latency)
-                )
-            })
-            .collect();
-        let slow: Vec<String> = self.slow_queries.iter().map(slow_query_json).collect();
-        let ix = &self.index;
-        let hist: Vec<String> = ix.label_count_hist.iter().map(u64::to_string).collect();
-        let index = format!(
-            "{{\"backend\":\"{}\",\"bitset_bytes\":{},\"label_bytes\":{},\
-             \"label_intervals\":{},\"label_count_hist\":[{}],\"label_cache\":{}}}",
-            json_escape(&ix.backend),
-            ix.bitset_bytes,
-            ix.label_bytes,
-            ix.label_intervals,
-            hist.join(","),
-            cache_json(&ix.label_cache)
-        );
-        format!(
-            "{{\"stats\":{},\"queries\":[{}],\"query_errors\":{},\"view_run_cache\":{},\
-             \"index_cache\":{},\"index\":{},\
-             \"batch\":{{\"batches\":{},\"queries\":{},\"max_fanout\":{}}},\
-             \"journal\":{{\"appends\":{},\"append_latency\":{},\"checkpoint_latency\":{}}},\
-             \"view_switch\":{},\"resilience\":{},\"stream\":{},\"replay\":{},\
-             \"privacy\":{},\
-             \"slow_query_threshold_nanos\":{},\
-             \"slow_queries\":[{}]}}",
-            stats,
-            queries.join(","),
-            self.query_errors,
-            cache_json(&self.view_run_cache),
-            cache_json(&self.index_cache),
-            index,
-            self.batch.batches,
-            self.batch.queries,
-            self.batch.max_fanout,
-            self.journal.appends,
-            hist_json(&self.journal.append_latency),
-            hist_json(&self.journal.checkpoint_latency),
-            hist_json(&self.view_switch),
-            resilience,
-            stream,
-            replay,
-            privacy,
-            self.slow_query_threshold_nanos,
-            slow.join(",")
-        )
+        json::to_string(self)
     }
 }
 
@@ -1252,21 +927,25 @@ mod tests {
         assert!(m.slow_queries().is_empty());
     }
 
+    fn snapshot(m: &MetricsRegistry) -> MetricsSnapshot {
+        m.snapshot_into(
+            WarehouseStats::default(),
+            CacheMetrics::default(),
+            CacheMetrics::default(),
+            IndexMetrics::default(),
+        )
+    }
+
     #[test]
     fn batch_and_journal_counters() {
         let m = MetricsRegistry::new();
         m.record_batch(10);
         m.record_batch(3);
         m.record_journal_append(2000);
-        m.record_checkpoint(4000);
-        m.record_view_switch(1000);
-        m.record_query_error();
-        let snap = m.snapshot_into(
-            WarehouseStats::default(),
-            CacheMetrics::default(),
-            CacheMetrics::default(),
-            IndexMetrics::default(),
-        );
+        m.observe(Hist::Checkpoint, 4000);
+        m.observe(Hist::ViewSwitch, 1000);
+        m.add(Counter::QueryErrors, 1);
+        let snap = snapshot(&m);
         assert_eq!(snap.batch.batches, 2);
         assert_eq!(snap.batch.queries, 13);
         assert_eq!(snap.batch.max_fanout, 10);
@@ -1281,22 +960,20 @@ mod tests {
     #[test]
     fn admission_accounting_invariant() {
         let m = MetricsRegistry::new();
-        m.record_admission(true);
-        m.record_admission(true);
-        m.record_admission(false);
-        m.record_deadline_exceeded();
-        m.record_cancelled();
-        m.record_io_retry();
-        m.record_breaker_trip();
-        m.record_breaker_recovery();
-        m.record_degraded_write_rejected();
-        let snap = m.snapshot_into(
-            WarehouseStats::default(),
-            CacheMetrics::default(),
-            CacheMetrics::default(),
-            IndexMetrics::default(),
-        );
-        let r = snap.resilience;
+        m.add(Counter::Admitted, 1);
+        m.add(Counter::Admitted, 1);
+        m.add(Counter::Shed, 1);
+        for c in [
+            Counter::DeadlineExceeded,
+            Counter::Cancelled,
+            Counter::IoRetries,
+            Counter::BreakerTrips,
+            Counter::BreakerRecoveries,
+            Counter::DegradedWritesRejected,
+        ] {
+            m.add(c, 1);
+        }
+        let r = snapshot(&m).resilience;
         assert_eq!(r.attempts, r.admitted + r.shed);
         assert_eq!((r.admitted, r.shed), (2, 1));
         assert_eq!((r.deadline_exceeded, r.cancelled), (1, 1));
@@ -1305,8 +982,181 @@ mod tests {
             (1, 1, 1)
         );
         assert_eq!(r.degraded_writes_rejected, 1);
-        assert_eq!(m.io_retries(), 1);
-        assert_eq!(m.degraded_writes_rejected(), 1);
+        assert_eq!(m.get(Counter::IoRetries), 1);
+        assert_eq!(m.get(Counter::DegradedWritesRejected), 1);
+    }
+
+    /// The value at `path` (`key` or `family.key`) of a rendered snapshot.
+    fn json_u64(json: &str, path: &str) -> u64 {
+        let (scope, key) = match path.split_once('.') {
+            Some((family, key)) => (
+                &json[json.find(&format!("\"{family}\":{{")).unwrap()..],
+                key,
+            ),
+            None => (json, path),
+        };
+        let at = scope.find(&format!("\"{key}\":")).unwrap() + key.len() + 3;
+        let digits = scope[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        scope[at..at + digits].parse().unwrap()
+    }
+
+    /// Reads one counter's snapshot field.
+    type Field = fn(&MetricsSnapshot) -> u64;
+
+    /// Counter `k` of the table, bumped by `k + 1`, reads `k + 1` in its
+    /// snapshot field and under its JSON key. The list is a hand-kept copy
+    /// of the declaration, so reordered or re-pointed entries fail here.
+    #[test]
+    fn every_declared_counter_reaches_its_field_and_json_key() {
+        use Counter::*;
+        #[rustfmt::skip]
+        let table: [(Counter, &str, Field); Counter::COUNT] = [
+            (QueryErrors, "query_errors", |s| s.query_errors),
+            (Batches, "batch.batches", |s| s.batch.batches),
+            (BatchQueries, "batch.queries", |s| s.batch.queries),
+            (MaxBatchFanout, "batch.max_fanout", |s| s.batch.max_fanout),
+            (JournalAppends, "journal.appends", |s| s.journal.appends),
+            (Admitted, "resilience.admitted", |s| s.resilience.admitted),
+            (Shed, "resilience.shed", |s| s.resilience.shed),
+            (DeadlineExceeded, "resilience.deadline_exceeded", |s| s.resilience.deadline_exceeded),
+            (Cancelled, "resilience.cancelled", |s| s.resilience.cancelled),
+            (IoRetries, "resilience.io_retries", |s| s.resilience.io_retries),
+            (BreakerTrips, "resilience.breaker_trips", |s| s.resilience.breaker_trips),
+            (BreakerRecoveries, "resilience.breaker_recoveries", |s| s.resilience.breaker_recoveries),
+            (DegradedWritesRejected, "resilience.degraded_writes_rejected", |s| s.resilience.degraded_writes_rejected),
+            (Quarantines, "resilience.quarantines", |s| s.resilience.quarantines),
+            (Repairs, "resilience.repairs", |s| s.resilience.repairs),
+            (RepairNanos, "resilience.repair_nanos", |s| s.resilience.repair_nanos),
+            (UnavailableRejected, "resilience.unavailable_rejected", |s| s.resilience.unavailable_rejected),
+            (StreamsStarted, "stream.streams_started", |s| s.stream.streams_started),
+            (StreamEvents, "stream.events", |s| s.stream.events),
+            (StreamEventsRejected, "stream.events_rejected", |s| s.stream.events_rejected),
+            (StepsCommitted, "stream.steps_committed", |s| s.stream.steps_committed),
+            (StreamsSealed, "stream.streams_sealed", |s| s.stream.streams_sealed),
+            (LabelAppends, "stream.label_appends", |s| s.stream.label_appends),
+            (LabelRebuilds, "stream.label_rebuilds", |s| s.stream.label_rebuilds),
+            (ReplaySessions, "replay.sessions", |s| s.replay.sessions),
+            (ReplayOps, "replay.ops", |s| s.replay.ops),
+            (ReplayMismatches, "replay.mismatches", |s| s.replay.mismatches),
+            (PolicySubstitutions, "privacy.substitutions", |s| s.privacy.substitutions),
+            (PolicyDenials, "privacy.denials", |s| s.privacy.denials),
+            (PolicyCacheHits, "privacy.cache_hits", |s| s.privacy.cache_hits),
+            (PolicyCompilations, "privacy.compilations", |s| s.privacy.compilations),
+        ];
+        let m = MetricsRegistry::new();
+        for (k, &(counter, ..)) in table.iter().enumerate() {
+            assert_eq!(Counter::ALL[k], counter, "declaration order");
+            m.add(counter, k as u64 + 1);
+        }
+        let snap = snapshot(&m);
+        let json = snap.to_json();
+        for (k, (_, path, field)) in table.iter().enumerate() {
+            assert_eq!(field(&snap), k as u64 + 1, "field {path}");
+            assert_eq!(json_u64(&json, path), k as u64 + 1, "JSON {path}");
+        }
+        assert_eq!(json_u64(&json, "resilience.attempts"), 6 + 7);
+    }
+
+    /// Every counter nonzero and distinct (counter `k` holds `2^(k+1)`),
+    /// non-empty histograms, and two slow queries: an escaped view name
+    /// with `data: null`, and a tenant-tagged one.
+    fn pinned_snapshot() -> MetricsSnapshot {
+        let m = MetricsRegistry::new();
+        for (k, c) in Counter::ALL.into_iter().enumerate() {
+            m.add(c, 1 << (k + 1));
+        }
+        m.set_slow_threshold_nanos(5_000);
+        let weird = "UV(\"weird\\name\")\n\u{1}";
+        let tenant = Some("lab\"a");
+        use {QueryKind::*, ViewClass::*};
+        for (kind, class, (run, view), name, data, nanos, tenant) in [
+            (Deep, Admin, (1, 2), "UAdmin", Some(3), 700, None),
+            (Deep, Custom, (4, 5), weird, None, 3_000_000, None),
+            (
+                Dependents,
+                BlackBox,
+                (6, 7),
+                "UBlackBox",
+                Some(8),
+                20_000_000,
+                tenant,
+            ),
+            (Between, Admin, (9, 10), "UAdmin", Some(11), 1_500, None),
+        ] {
+            let _tenant = tag_tenant(tenant);
+            m.record_query(kind, class, RunId(run), ViewId(view), name, data, nanos);
+        }
+        for (h, nanos) in [
+            (Hist::JournalAppend, 2_000),
+            (Hist::JournalAppend, 40_000),
+            (Hist::Checkpoint, 4_000_000),
+            (Hist::ViewSwitch, 9_000),
+            (Hist::ViewSwitch, 1_100),
+        ] {
+            m.observe(h, nanos);
+        }
+        #[rustfmt::skip]
+        let stats = WarehouseStats {
+            specs: 1, views: 2, runs: 3, steps: 4, data_objects: 5, cached_view_runs: 6,
+            cached_indexes: 7, index_hits: 8, index_misses: 9, index_build_nanos: 10,
+            view_run_hits: 11, view_run_misses: 12, view_run_evictions: 13, journal_records: 14,
+            journal_bytes: 15, compactions: 16, epoch: 17, degraded: true,
+        };
+        let cache = |b: u64| CacheMetrics {
+            hits: b + 1,
+            misses: b + 2,
+            race_lost_builds: b + 3,
+            evictions: b + 4,
+            entries: b + 5,
+            build_nanos: b + 6,
+        };
+        let index = IndexMetrics {
+            backend: "auto".into(),
+            bitset_bytes: 41,
+            label_bytes: 42,
+            label_intervals: 43,
+            label_count_hist: std::array::from_fn(|i| 50 + i as u64),
+            label_cache: cache(70),
+        };
+        m.snapshot_into(stats, cache(20), cache(30), index)
+    }
+
+    /// The wire encoding and every JSON document match the bytes captured
+    /// from the hand-written renderers this table replaced.
+    #[test]
+    fn wire_and_json_bytes_match_the_pinned_documents() {
+        use crate::resilience::{BreakerState, HealthReport, ShardState};
+        let snap = pinned_snapshot();
+        let wire = crate::codec::to_bytes(&snap).unwrap();
+        let mut rendered = vec![
+            wire.iter().map(|b| format!("{b:02x}")).collect::<String>(),
+            snap.to_json(),
+        ];
+        rendered.extend(snap.slow_queries.iter().map(slow_query_json));
+        let health = HealthReport {
+            writable: false,
+            breaker: BreakerState::HalfOpen,
+            consecutive_failures: 3,
+            breaker_trips: 4,
+            breaker_recoveries: 5,
+            io_retries: 6,
+            degraded_writes_rejected: 7,
+            durable: true,
+            state: ShardState::Rebuilding,
+            epoch: 9,
+            quarantines: 10,
+            repairs: 11,
+            last_repair_nanos: 12,
+        };
+        rendered.push(health.to_json());
+        rendered.push(HealthReport::in_memory().to_json());
+        let pinned: Vec<&str> = include_str!("../tests/data/metrics_documents.txt")
+            .lines()
+            .collect();
+        assert_eq!(rendered.len(), pinned.len());
+        for (i, (got, want)) in rendered.iter().zip(&pinned).enumerate() {
+            assert_eq!(got, want, "document {i}");
+        }
     }
 
     #[test]
@@ -1322,13 +1172,7 @@ mod tests {
             None,
             77,
         );
-        let snap = m.snapshot_into(
-            WarehouseStats::default(),
-            CacheMetrics::default(),
-            CacheMetrics::default(),
-            IndexMetrics::default(),
-        );
-        let json = snap.to_json();
+        let json = snapshot(&m).to_json();
         for key in [
             "\"stats\"",
             "\"specs\"",

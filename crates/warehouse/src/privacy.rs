@@ -38,7 +38,7 @@
 //! renders denials byte-identically to the corresponding not-found error
 //! so present-but-hidden is indistinguishable from absent.
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::Counter;
 use crate::op::{Answer, Op, Store};
 use crate::query::ProvenanceResult;
 use crate::schema::{RunId, SpecId, ViewId};
@@ -63,6 +63,11 @@ pub struct VisibilityPolicy {
     /// Workflow (specification) names that must be invisible outright.
     pub hidden_workflows: Vec<String>,
 }
+
+crate::json::json_object!(VisibilityPolicy {
+    hidden_modules,
+    hidden_workflows
+});
 
 impl VisibilityPolicy {
     /// `true` when the policy hides nothing (equivalent to no policy).
@@ -244,7 +249,7 @@ pub fn partitions_equal(a: &UserView, b: &UserView) -> bool {
 /// into: a shared [`Warehouse`] (read-only), a [`MutRegistrar`] over an
 /// exclusively borrowed in-process [`Store`], or the sharded
 /// [`crate::wire::ShardRouter`]. Enforcement counters land in the tables'
-/// [`MetricsRegistry`].
+/// [`MetricsRegistry`](crate::metrics::MetricsRegistry).
 pub trait ViewRegistry {
     /// Runs `f` over the registered specifications, views and runs. A
     /// router answers from shard 0, whose broadcast tables every shard
@@ -267,8 +272,8 @@ pub trait ViewRegistry {
         self.with_tables(|w| w.view(id).cloned())
     }
     /// Counts one enforcement event.
-    fn record(&self, event: fn(&MetricsRegistry)) {
-        self.with_tables(|w| event(w.metrics_registry()))
+    fn record(&self, event: Counter) {
+        self.with_tables(|w| w.metrics_registry().add(event, 1))
     }
 }
 
@@ -446,7 +451,7 @@ impl PolicyTable {
             .get(&(tenant.to_string(), spec_id))
             .copied()
         {
-            reg.record(MetricsRegistry::record_policy_cache_hit);
+            reg.record(Counter::PolicyCacheHits);
             return Ok(c);
         }
         let spec = reg.spec_of(spec_id)?;
@@ -459,7 +464,7 @@ impl PolicyTable {
             } else {
                 match conceal(&spec, &hidden) {
                     Ok(view) => {
-                        reg.record(MetricsRegistry::record_policy_compilation);
+                        reg.record(Counter::PolicyCompilations);
                         let id = register_named(reg, spec_id, view)?;
                         Compiled::Restricted { privacy: id }
                     }
@@ -494,7 +499,7 @@ impl PolicyTable {
             Compiled::Denied
         );
         if denied {
-            reg.record(MetricsRegistry::record_policy_denial);
+            reg.record(Counter::PolicyDenials);
         }
         Ok(denied)
     }
@@ -542,16 +547,16 @@ impl PolicyTable {
         match self.compiled_for(tenant, &policy, spec_id, reg)? {
             Compiled::Exempt => Ok(Decision::Pass),
             Compiled::Denied => {
-                reg.record(MetricsRegistry::record_policy_denial);
+                reg.record(Counter::PolicyDenials);
                 Ok(Decision::Deny)
             }
             Compiled::Restricted { privacy } => {
                 if let Some(&eff) = self.effective.read().get(&(tenant.to_string(), requested)) {
-                    reg.record(MetricsRegistry::record_policy_cache_hit);
+                    reg.record(Counter::PolicyCacheHits);
                     return Ok(if eff == requested {
                         Decision::Pass
                     } else {
-                        reg.record(MetricsRegistry::record_policy_substitution);
+                        reg.record(Counter::PolicySubstitutions);
                         Decision::Substitute(eff)
                     });
                 }
@@ -582,7 +587,7 @@ impl PolicyTable {
                 if eff == requested {
                     Ok(Decision::Pass)
                 } else {
-                    reg.record(MetricsRegistry::record_policy_substitution);
+                    reg.record(Counter::PolicySubstitutions);
                     Ok(Decision::Substitute(eff))
                 }
             }

@@ -676,12 +676,15 @@ pub fn deep_provenance_bfs(
 /// The canned forward query of Section IV ("Return the data objects which
 /// have a given data object in their data provenance"): the base-level
 /// forward closure of `d` over `run`, projected to view-visible data,
-/// excluding `d` itself, sorted. Returns `None` if `d` is not visible.
-pub fn dependents_of(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Option<Vec<DataId>> {
-    match dependents_of_deadline(run, vr, d, &mut Deadline::unlimited()) {
-        Ok(out) => out,
-        Err(_) => unreachable!("unlimited deadline never interrupts"),
-    }
+/// excluding `d` itself, sorted. Returns `None` if `d` is not visible,
+/// and like every deep form refuses a view-run built from another run
+/// ([`QueryError::StepWithoutExec`]).
+pub fn dependents_of(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    d: DataId,
+) -> Result<Option<Vec<DataId>>, QueryError> {
+    dependents_of_deadline(run, vr, d, &mut Deadline::unlimited()).map_err(corrupt_only)
 }
 
 /// [`dependents_of`] under an execution budget: the forward BFS and the
@@ -691,8 +694,8 @@ pub fn dependents_of_deadline(
     vr: &ViewRun,
     d: DataId,
     deadline: &mut Deadline,
-) -> Result<Option<Vec<DataId>>, Interrupt> {
-    let Some(start) = vr.visible_run_producer(run, d) else {
+) -> Result<Option<Vec<DataId>>, QueryFailure> {
+    let Some((start, _)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     let g = run.graph();
@@ -734,11 +737,9 @@ pub fn dependents_of_indexed(
     vr: &ViewRun,
     index: &ProvenanceIndex,
     d: DataId,
-) -> Option<Vec<DataId>> {
-    match dependents_of_indexed_deadline(run, vr, index, d, &mut Deadline::unlimited()) {
-        Ok(out) => out,
-        Err(_) => unreachable!("unlimited deadline never interrupts"),
-    }
+) -> Result<Option<Vec<DataId>>, QueryError> {
+    dependents_of_indexed_deadline(run, vr, index, d, &mut Deadline::unlimited())
+        .map_err(corrupt_only)
 }
 
 /// [`dependents_of_indexed`] under an execution budget; the collection
@@ -749,8 +750,8 @@ pub fn dependents_of_indexed_deadline(
     index: &ProvenanceIndex,
     d: DataId,
     deadline: &mut Deadline,
-) -> Result<Option<Vec<DataId>>, Interrupt> {
-    let Some(start) = vr.visible_run_producer(run, d) else {
+) -> Result<Option<Vec<DataId>>, QueryFailure> {
+    let Some((start, _)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     let members = consumers(run, start, d).flat_map(|t| index.descendants(t).iter());
@@ -766,11 +767,9 @@ pub fn dependents_of_labeled(
     vr: &ViewRun,
     labels: &LabelIndex,
     d: DataId,
-) -> Option<Vec<DataId>> {
-    match dependents_of_labeled_deadline(run, vr, labels, d, &mut Deadline::unlimited()) {
-        Ok(out) => out,
-        Err(_) => unreachable!("unlimited deadline never interrupts"),
-    }
+) -> Result<Option<Vec<DataId>>, QueryError> {
+    dependents_of_labeled_deadline(run, vr, labels, d, &mut Deadline::unlimited())
+        .map_err(corrupt_only)
 }
 
 /// [`dependents_of_labeled`] under an execution budget; the collection
@@ -781,8 +780,8 @@ pub fn dependents_of_labeled_deadline(
     labels: &LabelIndex,
     d: DataId,
     deadline: &mut Deadline,
-) -> Result<Option<Vec<DataId>>, Interrupt> {
-    let Some(start) = vr.visible_run_producer(run, d) else {
+) -> Result<Option<Vec<DataId>>, QueryFailure> {
+    let Some((start, _)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
     let members = consumers(run, start, d).flat_map(|t| labels.descendants_of(t));
@@ -791,8 +790,14 @@ pub fn dependents_of_labeled_deadline(
 
 /// Reference implementation of [`dependents_of`] — the original
 /// whole-graph-scan collection, kept as the property-test oracle.
-pub fn dependents_of_bfs(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Option<Vec<DataId>> {
-    let start = vr.visible_run_producer(run, d)?;
+pub fn dependents_of_bfs(
+    run: &WorkflowRun,
+    vr: &ViewRun,
+    d: DataId,
+) -> Result<Option<Vec<DataId>>, QueryError> {
+    let Some((start, _)) = visible_start(run, vr, d)? else {
+        return Ok(None);
+    };
     let g = run.graph();
     let mut visited = BitSet::new(g.node_count());
     let mut queue: VecDeque<NodeId> = VecDeque::new();
@@ -823,7 +828,7 @@ pub fn dependents_of_bfs(run: &WorkflowRun, vr: &ViewRun, d: DataId) -> Option<V
     out.sort();
     out.dedup();
     out.retain(|&x| x != d);
-    Some(out)
+    Ok(Some(out))
 }
 
 /// The visible data produced by the steps of the forward closure
@@ -836,12 +841,8 @@ fn collect_dependents(
     members: impl IntoIterator<Item = usize>,
     d: DataId,
     deadline: &mut Deadline,
-) -> Result<Vec<DataId>, Interrupt> {
-    let (mut out, _) =
-        project(run, vr, Side::Forward, members, None, deadline).map_err(|f| match f {
-            QueryFailure::Interrupted(i) => i,
-            QueryFailure::Corrupt(_) => unreachable!("a forward projection looks up no execution"),
-        })?;
+) -> Result<Vec<DataId>, QueryFailure> {
+    let (mut out, _) = project(run, vr, Side::Forward, members, None, deadline)?;
     out.retain(|&x| x != d);
     Ok(out)
 }
@@ -971,16 +972,19 @@ mod tests {
         let vr = ViewRun::new(&r, &UserView::admin(&s));
         // Everything downstream of d2: d3 (from S2) and d5 (from S3).
         assert_eq!(
-            dependents_of(&r, &vr, DataId(2)).unwrap(),
+            dependents_of(&r, &vr, DataId(2)).unwrap().unwrap(),
             vec![DataId(3), DataId(5)]
         );
         // d4 feeds only S3.
-        assert_eq!(dependents_of(&r, &vr, DataId(4)).unwrap(), vec![DataId(5)]);
+        assert_eq!(
+            dependents_of(&r, &vr, DataId(4)).unwrap().unwrap(),
+            vec![DataId(5)]
+        );
         // The final output has no dependents.
-        assert_eq!(dependents_of(&r, &vr, DataId(5)).unwrap(), vec![]);
+        assert_eq!(dependents_of(&r, &vr, DataId(5)).unwrap().unwrap(), vec![]);
         // d1 feeds everything.
         assert_eq!(
-            dependents_of(&r, &vr, DataId(1)).unwrap(),
+            dependents_of(&r, &vr, DataId(1)).unwrap().unwrap(),
             vec![DataId(2), DataId(3), DataId(4), DataId(5)]
         );
     }
@@ -1016,13 +1020,10 @@ mod tests {
         assert!(data_between(&r, &vr, Some(StepId(42)), None).is_none());
     }
 
-    /// Satellite 2: a view-run materialized from a *different* run — the
-    /// realistic hand-loaded corruption — yields a typed error from every
-    /// deep form instead of aborting the process.
-    #[test]
-    fn mismatched_view_run_errors_instead_of_panicking() {
-        let (_, r) = setup();
-        // A one-step spec/run whose admin view knows only StepId(1).
+    /// A view-run materialized from a *different* run — the realistic
+    /// hand-loaded corruption: the admin view-run of a one-step run, which
+    /// knows only StepId(1) and does not fit [`setup`]'s run.
+    fn foreign_view_run() -> ViewRun {
         let mut b = SpecBuilder::new("tiny");
         b.analysis("X");
         b.from_input("X").to_output("X");
@@ -1031,7 +1032,15 @@ mod tests {
         let s1 = rb.step(tiny.module("X").unwrap());
         rb.input_edge(s1, [1]).output_edge(s1, [5]);
         let tiny_run = rb.build().unwrap();
-        let vr = ViewRun::new(&tiny_run, &UserView::admin(&tiny));
+        ViewRun::new(&tiny_run, &UserView::admin(&tiny))
+    }
+
+    /// A foreign view-run yields a typed error from every deep form
+    /// instead of aborting the process.
+    #[test]
+    fn mismatched_view_run_errors_instead_of_panicking() {
+        let (_, r) = setup();
+        let vr = foreign_view_run();
 
         // Querying the 3-step run through the 1-step view-run reaches
         // steps 2 and 3, which have no execution in `vr`.
@@ -1043,6 +1052,35 @@ mod tests {
         let err = deep_provenance_indexed(&r, &vr, &index, DataId(5)).unwrap_err();
         assert!(matches!(err, QueryError::StepWithoutExec { .. }));
         assert!(err.to_string().contains("no execution in the view-run"));
+    }
+
+    /// The dependents forms refuse a foreign view-run like the deep forms,
+    /// instead of reading its visibility bits against the wrong run: the
+    /// plain form (and its oracle), then one test per index backend.
+    #[test]
+    fn mismatched_view_run_refuses_plain_dependents() {
+        let (_, r) = setup();
+        let vr = foreign_view_run();
+        let err = dependents_of(&r, &vr, DataId(2)).unwrap_err();
+        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
+        let err = dependents_of_bfs(&r, &vr, DataId(2)).unwrap_err();
+        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
+    }
+
+    #[test]
+    fn mismatched_view_run_refuses_bitset_indexed_dependents() {
+        let (_, r) = setup();
+        let index = crate::index::ProvenanceIndex::build(&r).unwrap();
+        let err = dependents_of_indexed(&r, &foreign_view_run(), &index, DataId(2)).unwrap_err();
+        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
+    }
+
+    #[test]
+    fn mismatched_view_run_refuses_label_indexed_dependents() {
+        let (_, r) = setup();
+        let labels = LabelIndex::build(&r).unwrap();
+        let err = dependents_of_labeled(&r, &foreign_view_run(), &labels, DataId(2)).unwrap_err();
+        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
     }
 
     #[test]
@@ -1092,7 +1130,7 @@ mod tests {
         );
         assert_eq!(
             dependents_of_deadline(&r, &vr, DataId(2), &mut Deadline::unlimited()).unwrap(),
-            dependents_of(&r, &vr, DataId(2))
+            dependents_of(&r, &vr, DataId(2)).unwrap()
         );
     }
 

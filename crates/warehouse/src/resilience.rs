@@ -10,6 +10,7 @@
 //! module holds the mechanisms; `query`, `index`, `store` and `durable`
 //! thread them through the stack.
 
+use crate::json::JsonObject;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -564,33 +565,27 @@ impl HealthReport {
         }
     }
 
-    /// Renders the report as a JSON object (the workspace carries no JSON
-    /// dependency by design; keys documented in DESIGN.md §12/§17).
+    /// Renders the report as a JSON object (keys documented in DESIGN.md
+    /// §12/§17).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"status\":\"{}\",\"writable\":{},\"durable\":{},",
-                "\"breaker\":\"{}\",\"consecutive_failures\":{},",
-                "\"breaker_trips\":{},\"breaker_recoveries\":{},",
-                "\"io_retries\":{},\"degraded_writes_rejected\":{},",
-                "\"state\":\"{}\",\"epoch\":{},\"quarantines\":{},",
-                "\"repairs\":{},\"last_repair_nanos\":{}}}"
-            ),
-            if self.writable { "ok" } else { "degraded" },
-            self.writable,
-            self.durable,
-            self.breaker,
-            self.consecutive_failures,
-            self.breaker_trips,
-            self.breaker_recoveries,
-            self.io_retries,
-            self.degraded_writes_rejected,
-            self.state,
-            self.epoch,
-            self.quarantines,
-            self.repairs,
-            self.last_repair_nanos,
-        )
+        let mut out = String::new();
+        JsonObject::new(&mut out)
+            .field("status", if self.writable { "ok" } else { "degraded" })
+            .field("writable", self.writable)
+            .field("durable", self.durable)
+            .field("breaker", self.breaker.to_string())
+            .field("consecutive_failures", self.consecutive_failures)
+            .field("breaker_trips", self.breaker_trips)
+            .field("breaker_recoveries", self.breaker_recoveries)
+            .field("io_retries", self.io_retries)
+            .field("degraded_writes_rejected", self.degraded_writes_rejected)
+            .field("state", self.state.to_string())
+            .field("epoch", self.epoch)
+            .field("quarantines", self.quarantines)
+            .field("repairs", self.repairs)
+            .field("last_repair_nanos", self.last_repair_nanos)
+            .finish();
+        out
     }
 }
 

@@ -11,7 +11,9 @@
 use crate::cache::ViewRunCache;
 use crate::index::{IndexBuildError, ProvenanceIndex, ProvenanceIndexCache, RunKeyedCache};
 use crate::labels::LabelIndex;
-use crate::metrics::{IndexMetrics, MetricsRegistry, MetricsSnapshot, QueryKind, ViewClass};
+use crate::metrics::{
+    Counter, IndexMetrics, MetricsRegistry, MetricsSnapshot, QueryKind, ViewClass,
+};
 use crate::query::{self, ImmediateProvenance, ProvenanceResult, QueryError, QueryFailure};
 use crate::resilience::{AdmissionControl, CancelToken, Deadline, Interrupt};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
@@ -617,7 +619,7 @@ impl Warehouse {
             .expect("fresh run id");
         self.runs_by_spec.entry(spec_id).or_default().push(id);
         self.streams.insert(id, RunIngestor::new());
-        self.metrics.record_stream_started();
+        self.metrics.add(Counter::StreamsStarted, 1);
         Ok(id)
     }
 
@@ -631,7 +633,7 @@ impl Warehouse {
         let spec = self.spec(spec_id)?;
         let res = ing.accept(spec, event);
         if res.is_err() {
-            self.metrics.record_stream_rejected();
+            self.metrics.add(Counter::StreamEventsRejected, 1);
         }
         Ok(res?)
     }
@@ -651,9 +653,10 @@ impl Warehouse {
             .spec;
         let ing = self.streams.get_mut(&run_id).expect("stream is live");
         let outcome = ing.apply(spec, &mut row.run, commit);
-        self.metrics.record_stream_event();
+        self.metrics.add(Counter::StreamEvents, 1);
         if let PushOutcome::Committed(steps) = &outcome {
-            self.metrics.record_steps_committed(steps.len() as u64);
+            self.metrics
+                .add(Counter::StepsCommitted, steps.len() as u64);
             self.refresh_run_indexes(run_id);
         }
         outcome
@@ -672,7 +675,7 @@ impl Warehouse {
         let ing = self.live_stream(run_id)?;
         let res = ing.seal_check();
         if res.is_err() {
-            self.metrics.record_stream_rejected();
+            self.metrics.add(Counter::StreamEventsRejected, 1);
         }
         Ok(res?)
     }
@@ -689,7 +692,7 @@ impl Warehouse {
             .spec;
         let mut ing = self.streams.remove(&run_id).expect("stream is live");
         ing.apply_seal(spec, &mut row.run, commit);
-        self.metrics.record_stream_sealed();
+        self.metrics.add(Counter::StreamsSealed, 1);
         self.refresh_run_indexes(run_id);
     }
 
@@ -734,10 +737,10 @@ impl Warehouse {
         });
         match updated {
             Ok(Some(crate::labels::UpdateOutcome::Appended(_))) => {
-                self.metrics.record_label_append();
+                self.metrics.add(Counter::LabelAppends, 1);
             }
             Ok(Some(crate::labels::UpdateOutcome::Rebuilt)) => {
-                self.metrics.record_label_rebuild();
+                self.metrics.add(Counter::LabelRebuilds, 1);
             }
             Ok(Some(crate::labels::UpdateOutcome::Fresh) | None) => {}
             // An update failure (unbounded deadline ⇒ only a cycle could
@@ -931,11 +934,11 @@ impl Warehouse {
     fn interrupt_error(&self, i: Interrupt) -> WarehouseError {
         match i {
             Interrupt::DeadlineExceeded => {
-                self.metrics.record_deadline_exceeded();
+                self.metrics.add(Counter::DeadlineExceeded, 1);
                 WarehouseError::DeadlineExceeded
             }
             Interrupt::Cancelled => {
-                self.metrics.record_cancelled();
+                self.metrics.add(Counter::Cancelled, 1);
                 WarehouseError::Cancelled
             }
         }
@@ -947,11 +950,11 @@ impl Warehouse {
     fn admit(&self) -> Result<crate::resilience::AdmissionPermit> {
         match self.admission.admit() {
             Some(permit) => {
-                self.metrics.record_admission(true);
+                self.metrics.add(Counter::Admitted, 1);
                 Ok(permit)
             }
             None => {
-                self.metrics.record_admission(false);
+                self.metrics.add(Counter::Shed, 1);
                 Err(WarehouseError::Overloaded)
             }
         }
@@ -979,7 +982,7 @@ impl Warehouse {
         failed: bool,
     ) {
         if failed {
-            self.metrics.record_query_error();
+            self.metrics.add(Counter::QueryErrors, 1);
             return;
         }
         let (class, name) = self.query_context(view);
@@ -1288,7 +1291,8 @@ impl Warehouse {
         match res {
             Ok(Some(v)) => Ok(v),
             Ok(None) => Err(self.invisible_or_missing(run_id, view_id, data)),
-            Err(i) => Err(self.interrupt_error(i)),
+            Err(QueryFailure::Corrupt(e)) => Err(WarehouseError::CorruptViewRun(e)),
+            Err(QueryFailure::Interrupted(i)) => Err(self.interrupt_error(i)),
         }
     }
 

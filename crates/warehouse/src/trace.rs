@@ -22,7 +22,7 @@
 use crate::codec::{self, CodecError};
 use crate::durable::DurableWarehouse;
 use crate::journal::crc32;
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::op::{Answer, Op, Store};
 use crate::store::Warehouse;
 use serde::{Deserialize, Serialize};
@@ -371,7 +371,7 @@ impl TraceReplayer {
     /// maximum-throughput load generator.
     pub fn replay<T: TraceTarget>(&self, target: &mut T, options: &ReplayOptions) -> ReplayReport {
         if let Some(m) = target.replay_metrics() {
-            m.record_replay_session();
+            m.add(Counter::ReplaySessions, 1);
         }
         let started = Instant::now();
         let mut mismatches = Vec::new();

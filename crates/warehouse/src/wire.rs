@@ -36,7 +36,7 @@ use crate::codec::{self, CodecError};
 use crate::durable::{fsck_with, DurableError, DurableOptions, DurableWarehouse, FsckReport};
 use crate::io::{RealFs, StorageIo};
 use crate::journal::crc32;
-use crate::metrics::{MetricsSnapshot, SlowQuery};
+use crate::metrics::{Counter, MetricsSnapshot, SlowQuery};
 use crate::op::{typed, Answer, Op, Store};
 use crate::query::ProvenanceResult;
 use crate::resilience::{AdmissionControl, AdmissionPermit, HealthReport, ShardState};
@@ -841,7 +841,7 @@ impl ShardRouter {
             backing
                 .warehouse()
                 .metrics_registry()
-                .record_unavailable_rejected();
+                .add(Counter::UnavailableRejected, 1);
             Err(WarehouseError::ShardUnavailable {
                 shard: sh as u32,
                 retry_after_ms: DEFAULT_RETRY_AFTER_MS,
@@ -1168,7 +1168,7 @@ impl ShardRouter {
         lock(&self.shards[sh])
             .warehouse()
             .metrics_registry()
-            .record_quarantine();
+            .add(Counter::Quarantines, 1);
         true
     }
 

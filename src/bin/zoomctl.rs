@@ -39,6 +39,7 @@ use zoom::core::{
     TraceReplayer, TraceTarget, ViewId, VisibilityPolicy,
 };
 use zoom::model::{DataId, LogEvent, StepId, Timestamp, UserView};
+use zoom::warehouse::json::{self, JsonObject};
 use zoom::Zoom;
 
 fn main() -> ExitCode {
@@ -338,11 +339,7 @@ fn slowlog(path: &Path, rest: &[String]) -> Result<(), String> {
     }
     let slow = zoom.slow_queries();
     if json {
-        let rows: Vec<String> = slow
-            .iter()
-            .map(zoom::warehouse::metrics::slow_query_json)
-            .collect();
-        out!("[{}]", rows.join(","));
+        out!("{}", json::to_string(&slow));
         return Ok(());
     }
     if slow.is_empty() {
@@ -1040,26 +1037,6 @@ fn render(
 // Daemon mode (`--connect`)
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for interpolation into hand-rolled JSON output. Any
-/// name that flows from user input into a JSON document must pass through
-/// here — a workflow or tenant named with `"` or `\` must not produce an
-/// invalid document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn rerr(e: zoom::core::RemoteError) -> String {
     e.to_string()
 }
@@ -1164,21 +1141,29 @@ fn remote_stats(
     let shards = rz.stats_per_shard().map_err(rerr)?;
     let agg = zoom::warehouse::ShardRouter::aggregate_stats(&shards);
     if json {
-        let per_shard: Vec<String> = rz
-            .metrics_per_shard_admin(token.as_deref())
-            .map_err(rerr)?
-            .iter()
-            .map(|m| m.to_json())
-            .collect();
-        out!(
-            "{{\"addr\":\"{}\",\"tenant\":\"{}\",\"shards\":{},\
-             \"aggregate\":{},\"per_shard\":[{}]}}",
-            json_escape(addr),
-            json_escape(tenant),
-            shards.len(),
-            stats_json(&agg),
-            per_shard.join(",")
-        );
+        let per_shard = rz.metrics_per_shard_admin(token.as_deref()).map_err(rerr)?;
+        let mut aggregate = String::new();
+        JsonObject::new(&mut aggregate)
+            .field("specs", agg.specs)
+            .field("views", agg.views)
+            .field("runs", agg.runs)
+            .field("steps", agg.steps)
+            .field("data_objects", agg.data_objects)
+            .field("journal_records", agg.journal_records)
+            .field("journal_bytes", agg.journal_bytes)
+            .field("compactions", agg.compactions)
+            .field("epoch", agg.epoch)
+            .field("degraded", agg.degraded)
+            .finish();
+        let mut doc = String::new();
+        JsonObject::new(&mut doc)
+            .field("addr", addr)
+            .field("tenant", tenant)
+            .field("shards", shards.len())
+            .field("aggregate", json::Raw(&aggregate))
+            .field("per_shard", &per_shard)
+            .finish();
+        out!("{doc}");
         return Ok(());
     }
     out!("shards       : {}", shards.len());
@@ -1191,26 +1176,6 @@ fn remote_stats(
         out!("degraded     : true (at least one shard is read-only)");
     }
     Ok(())
-}
-
-/// Hand-rolled JSON for one stats block (all-numeric; string fields in
-/// the surrounding document go through [`json_escape`]).
-fn stats_json(s: &zoom::warehouse::WarehouseStats) -> String {
-    format!(
-        "{{\"specs\":{},\"views\":{},\"runs\":{},\"steps\":{},\"data_objects\":{},\
-         \"journal_records\":{},\"journal_bytes\":{},\"compactions\":{},\"epoch\":{},\
-         \"degraded\":{}}}",
-        s.specs,
-        s.views,
-        s.runs,
-        s.steps,
-        s.data_objects,
-        s.journal_records,
-        s.journal_bytes,
-        s.compactions,
-        s.epoch,
-        s.degraded
-    )
 }
 
 fn remote_slowlog(rz: &mut zoom::core::RemoteZoom, rest: &[String]) -> Result<(), String> {
@@ -1238,11 +1203,7 @@ fn remote_slowlog(rz: &mut zoom::core::RemoteZoom, rest: &[String]) -> Result<()
         .slow_queries_admin(threshold, token.as_deref())
         .map_err(rerr)?;
     if json {
-        let rows: Vec<String> = slow
-            .iter()
-            .map(zoom::warehouse::metrics::slow_query_json)
-            .collect();
-        out!("[{}]", rows.join(","));
+        out!("{}", json::to_string(&slow));
         return Ok(());
     }
     if slow.is_empty() {
@@ -1315,31 +1276,12 @@ fn remote_policy(rz: &mut zoom::core::RemoteZoom, rest: &[String]) -> Result<(),
             let json = rest.iter().any(|a| a == "--json");
             let policy = rz.policy(&subject, token.as_deref()).map_err(rerr)?;
             if json {
-                match &policy {
-                    None => out!(
-                        "{{\"tenant\":\"{}\",\"policy\":null}}",
-                        json_escape(&subject)
-                    ),
-                    Some(p) => {
-                        let ms: Vec<String> = p
-                            .hidden_modules
-                            .iter()
-                            .map(|m| format!("\"{}\"", json_escape(m)))
-                            .collect();
-                        let ws: Vec<String> = p
-                            .hidden_workflows
-                            .iter()
-                            .map(|w| format!("\"{}\"", json_escape(w)))
-                            .collect();
-                        out!(
-                            "{{\"tenant\":\"{}\",\"policy\":{{\"hidden_modules\":[{}],\
-                             \"hidden_workflows\":[{}]}}}}",
-                            json_escape(&subject),
-                            ms.join(","),
-                            ws.join(",")
-                        );
-                    }
-                }
+                let mut doc = String::new();
+                JsonObject::new(&mut doc)
+                    .field("tenant", &subject)
+                    .field("policy", &policy)
+                    .finish();
+                out!("{doc}");
                 return Ok(());
             }
             match policy {

@@ -318,6 +318,37 @@ fn admission_sheds_when_saturated_and_accounts_exactly() {
     assert!(m.resilience.admitted >= 1);
 }
 
+/// `attempts == admitted + shed` holds in every snapshot, including those
+/// taken while another thread is being admitted.
+#[test]
+fn admission_accounting_holds_in_snapshots_taken_mid_admission() {
+    use std::sync::Barrier;
+    use zoom::warehouse::{RunId, ViewId};
+    let w = Warehouse::new();
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    let torn = std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            while !stop.load(Ordering::Relaxed) {
+                // Admitted (and counted) before failing on the unknown run.
+                let _ = w.dependents_of(RunId(7), ViewId(7), DataId(7));
+            }
+        });
+        start.wait();
+        let torn = (0..20_000)
+            .filter(|_| {
+                let r = w.metrics().resilience;
+                r.attempts != r.admitted + r.shed
+            })
+            .count();
+        stop.store(true, Ordering::Relaxed);
+        torn
+    });
+    assert_eq!(torn, 0, "snapshots breaking attempts == admitted + shed");
+    assert!(w.metrics().resilience.admitted > 0);
+}
+
 /// Chaos under replay: a recorded ingestion trace is re-executed against a
 /// durable warehouse whose storage injects one transient fault before
 /// every operation. The retry layer must absorb every fault, every per-op

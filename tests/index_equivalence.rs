@@ -179,10 +179,10 @@ proptest! {
             prop_assert_eq!(deep_provenance_indexed(&run, &vr, &index, d).unwrap().is_some(), visible);
             prop_assert_eq!(deep_provenance_labeled(&run, &vr, &labels, d).unwrap().is_some(), visible);
             prop_assert_eq!(deep_provenance_bfs(&run, &vr, d).unwrap().is_some(), visible);
-            prop_assert_eq!(dependents_of(&run, &vr, d).is_some(), visible);
-            prop_assert_eq!(dependents_of_indexed(&run, &vr, &index, d).is_some(), visible);
-            prop_assert_eq!(dependents_of_labeled(&run, &vr, &labels, d).is_some(), visible);
-            prop_assert_eq!(dependents_of_bfs(&run, &vr, d).is_some(), visible);
+            prop_assert_eq!(dependents_of(&run, &vr, d).unwrap().is_some(), visible);
+            prop_assert_eq!(dependents_of_indexed(&run, &vr, &index, d).unwrap().is_some(), visible);
+            prop_assert_eq!(dependents_of_labeled(&run, &vr, &labels, d).unwrap().is_some(), visible);
+            prop_assert_eq!(dependents_of_bfs(&run, &vr, d).unwrap().is_some(), visible);
         }
     }
 

@@ -82,7 +82,9 @@ fn label_index_scales_to_deep_chains() {
 
     // Forward provenance from the first user input reaches the whole chain.
     let first = run.all_data()[0];
-    let dependents = dependents_of_labeled(&run, &vr, &labels, first).expect("visible");
+    let dependents = dependents_of_labeled(&run, &vr, &labels, first)
+        .unwrap()
+        .expect("visible");
     assert!(
         dependents.len() >= steps,
         "forward closure misses the chain"

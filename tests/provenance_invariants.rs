@@ -146,7 +146,9 @@ proptest! {
         let data = run.all_data();
         // Sample pairs to keep the quadratic check bounded.
         for &d in data.iter().step_by((data.len() / 12).max(1)) {
-            let deps = zoom::warehouse::dependents_of(&run, &vr, d).expect("visible");
+            let deps = zoom::warehouse::dependents_of(&run, &vr, d)
+                .unwrap()
+                .expect("visible");
             for &x in data.iter().step_by((data.len() / 12).max(1)) {
                 if x == d {
                     continue;
