@@ -110,6 +110,7 @@ fn bench_registry_primitives(c: &mut Criterion) {
                 "UAdmin",
                 Some(black_box(n)),
                 n % 1_000_000, // always below the 10 ms slow threshold
+                None,
             );
         })
     });

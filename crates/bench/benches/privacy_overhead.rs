@@ -1,6 +1,6 @@
 //! Proves policy enforcement is free for tenants without a policy: the
-//! tenant-scoped `Zoom::deep_provenance_as` facade (thread-local tenant
-//! tag + one relaxed policy-count load) vs. the plain `deep_provenance`
+//! tenant-scoped `Zoom::deep_provenance_as` facade (the tenant rides the
+//! read's `Cx`; one relaxed policy-count load) vs. the plain `deep_provenance`
 //! path, on the same warm `provenance_index` workload as
 //! `benches/instrumentation_overhead.rs`. Both run the same indexed query
 //! against the same caches, so the delta *is* the enforcement cost. The

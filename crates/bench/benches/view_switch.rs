@@ -70,7 +70,16 @@ fn bench_switching(c: &mut Criterion) {
                 .view_run_uncached(rid, views[i])
                 .expect("valid");
             let run = zoom.warehouse().run(rid).expect("loaded");
-            black_box(zoom_warehouse::deep_provenance(run, &vr, target).expect("visible"))
+            black_box(
+                zoom_warehouse::deep_provenance(
+                    run,
+                    &vr,
+                    zoom_warehouse::Reach::Bfs,
+                    target,
+                    &mut zoom_warehouse::Deadline::unlimited(),
+                )
+                .expect("visible"),
+            )
         })
     });
     group.finish();

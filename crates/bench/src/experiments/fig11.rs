@@ -51,10 +51,16 @@ pub fn run(corpus: &Corpus, scale: Scale, seed: u64) -> Vec<Point> {
                             let run = corpus.zoom.warehouse().run(rid).expect("loaded");
                             let vr = ViewRun::new(run, &view);
                             let target = run.final_outputs()[0];
-                            let size = zoom_warehouse::deep_provenance(run, &vr, target)
-                                .expect("run is well-formed")
-                                .expect("final output visible")
-                                .tuples() as f64;
+                            let size = zoom_warehouse::deep_provenance(
+                                run,
+                                &vr,
+                                zoom_warehouse::Reach::Bfs,
+                                target,
+                                &mut zoom_warehouse::Deadline::unlimited(),
+                            )
+                            .expect("run is well-formed")
+                            .expect("final output visible")
+                            .tuples() as f64;
                             samples.push((w.class, *kind, percent, size));
                         }
                     }

@@ -30,7 +30,7 @@ use std::time::Instant;
 use zoom_core::{Daemon, DaemonConfig, RemoteZoom};
 use zoom_gen::library::{figure2_run, phylogenomic};
 use zoom_model::EventLog;
-use zoom_warehouse::{typed, FaultFs, Op, RunId, ShardRouter, SpecId, StorageIo};
+use zoom_warehouse::{typed, Cx, FaultFs, Op, RunId, ShardRouter, SpecId, StorageIo};
 
 /// Per-shard repair-time samples folded into power-of-two ms buckets.
 #[derive(Clone, Debug, Default)]
@@ -168,7 +168,8 @@ fn timed_loads(shards: usize, ops: usize, supervise: bool) -> u64 {
     let router = Arc::new(ShardRouter::in_memory(shards));
     let spec = phylogenomic();
     let log = EventLog::from_run(&figure2_run(&spec), &spec);
-    let sid: SpecId = typed(router.apply(&Op::RegisterSpec(spec.clone()))).expect("spec registers");
+    let sid: SpecId =
+        typed(router.apply(&Cx::ADMIN, &Op::RegisterSpec(spec.clone()))).expect("spec registers");
     let load = Op::LoadLog(sid, log);
     let stop = Arc::new(AtomicBool::new(false));
     // BOTH modes run a 10 ms ticker thread; only the supervised one does
@@ -189,7 +190,9 @@ fn timed_loads(shards: usize, ops: usize, supervise: bool) -> u64 {
     };
     let started = Instant::now();
     for _ in 0..ops {
-        router.apply(&load).expect("no-fault load succeeds");
+        router
+            .apply(&Cx::ADMIN, &load)
+            .expect("no-fault load succeeds");
     }
     let nanos = started.elapsed().as_nanos() as u64;
     stop.store(true, Ordering::Relaxed);

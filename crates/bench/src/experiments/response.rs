@@ -92,7 +92,14 @@ pub fn strategy_ablation(corpus: &Corpus, queries_per_run: usize) -> String {
                     .expect("valid pair");
                 let run = corpus.zoom.warehouse().run(rid).expect("loaded");
                 std::hint::black_box(
-                    zoom_warehouse::deep_provenance(run, &vr, target).expect("visible"),
+                    zoom_warehouse::deep_provenance(
+                        run,
+                        &vr,
+                        zoom_warehouse::Reach::Bfs,
+                        target,
+                        &mut zoom_warehouse::Deadline::unlimited(),
+                    )
+                    .expect("visible"),
                 );
             }
             rebuild.push(t0.elapsed().as_secs_f64() * 1e3 / queries_per_run as f64);

@@ -52,7 +52,7 @@ pub use session::QuerySession;
 pub use system::Zoom;
 
 pub use zoom_warehouse::{
-    Answer, BreakerState, HealthReport, ImmediateAnswer, IndexBackend, Op, ProvenanceResult,
+    Answer, BreakerState, Cx, HealthReport, ImmediateAnswer, IndexBackend, Op, ProvenanceResult,
     ProvenanceRow, PushOutcome, ReplayOptions, ReplayReport, Result, RunId, SpecId, StreamError,
     TraceError, TraceRecorder, TraceReplayer, TraceTarget, ViewId, VisibilityPolicy, Warehouse,
     WarehouseError,

@@ -190,7 +190,7 @@ mod tests {
 
         let run = |text: &str| {
             let op = CannedQuery::parse(text).unwrap().op(rid, admin);
-            z.read(&op).unwrap().to_string()
+            z.read(&zoom_warehouse::Cx::ADMIN, &op).unwrap().to_string()
         };
         assert!(run("deep d4").contains("4 tuples"));
         assert!(run("deep d4").contains("d3 <- S1"));

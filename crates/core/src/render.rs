@@ -314,7 +314,7 @@ mod tests {
         let r = rb.build().unwrap();
         let v = UserView::admin(&s);
         let vr = ViewRun::new(&r, &v);
-        let res = zoom_warehouse::deep_provenance(&r, &vr, zoom_model::DataId(4))
+        let res = zoom_warehouse::deep_provenance_bfs(&r, &vr, zoom_model::DataId(4))
             .unwrap()
             .unwrap();
         (r, vr, v, res)
@@ -381,7 +381,7 @@ mod tests {
     fn dot_of_partial_provenance_excludes_unrelated() {
         let (r, vr, v, _) = setup();
         // Provenance of d3 involves only S1.
-        let res = zoom_warehouse::deep_provenance(&r, &vr, zoom_model::DataId(3))
+        let res = zoom_warehouse::deep_provenance_bfs(&r, &vr, zoom_model::DataId(3))
             .unwrap()
             .unwrap();
         let dot = provenance_to_dot(&r, &vr, &v, &res);

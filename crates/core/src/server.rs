@@ -27,7 +27,8 @@
 //!   with the configured admin token (or, tokenless, from loopback peers).
 //! * **Privacy**: every data-plane op passes the tenant's
 //!   [`zoom_warehouse::Gate::apply`] — the same enforcement the local
-//!   facade's `Zoom::apply_as` calls — before it reaches a shard.
+//!   facade's `Zoom::read` runs for a [`Cx`] naming a tenant — before it
+//!   reaches a shard, where it is read with that `Cx`.
 //! * **Storage**: with supervision enabled
 //!   ([`DaemonConfig::supervise_interval`]), a shard whose breaker trips
 //!   is quarantined — out of the write path, still serving reads from
@@ -49,7 +50,7 @@ use std::time::{Duration, Instant};
 use zoom_graph::fxhash::FxHashMap;
 use zoom_warehouse::wire::{self, Request, Response, ShardRouter};
 use zoom_warehouse::{
-    codec, DurableOptions, Op, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
+    codec, Cx, DurableOptions, Op, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
     TenantQuotas,
 };
 
@@ -483,12 +484,6 @@ fn dispatch(state: &Arc<ServerState>, conn: &mut ConnState, req: &Request) -> Re
     // A panic inside one request must answer *that* request with an
     // error, not take the connection thread (and every later request on
     // it) down.
-    //
-    // Tag the handler thread with the requesting tenant for the duration
-    // of the request, so shard-side observability (the slow-query ring)
-    // records which tenant each entry belongs to and the ring can be
-    // filtered per tenant on the way out.
-    let _tag = zoom_warehouse::metrics::tag_tenant(Some(&conn.tenant));
     match catch_unwind(AssertUnwindSafe(|| execute(state, conn, req))) {
         Ok(resp) => resp,
         Err(_) => {
@@ -524,8 +519,11 @@ fn execute(state: &Arc<ServerState>, conn: &ConnState, req: &Request) -> Respons
     let router = &state.router;
     let tenant = conn.tenant.as_str();
     let gate = router.policies().gate(tenant, router);
+    // Reads by this context record their tenant in the shards' slow-query
+    // rings, which are filtered per tenant on the way out.
+    let cx = Cx::tenant(tenant);
     match req {
-        Request::Data(op) => Response::answer(gate.apply(op, |op| router.apply(op))),
+        Request::Data(op) => Response::answer(gate.apply(op, |op| router.apply(&cx, op))),
         Request::Stats => Response::StatsAll {
             shards: router.stats(),
         },

@@ -12,22 +12,20 @@
 use crate::system::Zoom;
 use std::time::Duration;
 use zoom_model::DataId;
-use zoom_warehouse::{typed, Answer, Hist, Op, ProvenanceResult, Result, RunId, ViewId};
+use zoom_warehouse::{typed, Cx, Hist, Op, ProvenanceResult, Result, RunId, ViewId};
 
 /// One user's interactive provenance-exploration session over one run.
 #[derive(Debug)]
 pub struct QuerySession<'a> {
     zoom: &'a Zoom,
+    /// Who the session's queries execute as and their time budget. A
+    /// session opened with [`QuerySession::open_as`] names its tenant, so
+    /// the tenant's visibility policy (DESIGN.md §16) is enforced on each
+    /// answer — including after view switches.
+    cx: Cx<'a>,
     run: RunId,
     view: ViewId,
     focus: Option<DataId>,
-    /// The tenant the session's queries execute as, when opened with
-    /// [`QuerySession::open_as`]: every query goes through the facade's
-    /// tenant-scoped path, so the tenant's visibility policy (DESIGN.md
-    /// §16) is enforced on each answer — including after view switches.
-    tenant: Option<String>,
-    /// Per-query time budget; `None` defers to the system default.
-    deadline: Option<Duration>,
     /// Wall-clock cost of the queries issued so far (for the interactivity
     /// experiments).
     history: Vec<(ViewId, Duration)>,
@@ -38,40 +36,31 @@ impl<'a> QuerySession<'a> {
     pub fn new(zoom: &'a Zoom, run: RunId, view: ViewId) -> Self {
         QuerySession {
             zoom,
+            cx: Cx::ADMIN,
             run,
             view,
             focus: None,
-            tenant: None,
-            deadline: None,
             history: Vec::new(),
         }
     }
 
     /// Opens a session whose queries execute as `tenant`, with the
     /// tenant's visibility policy enforced on every answer.
-    pub fn open_as(zoom: &'a Zoom, tenant: &str, run: RunId, view: ViewId) -> Self {
+    pub fn open_as(zoom: &'a Zoom, tenant: &'a str, run: RunId, view: ViewId) -> Self {
         QuerySession {
-            tenant: Some(tenant.to_string()),
+            cx: Cx::tenant(tenant),
             ..QuerySession::new(zoom, run, view)
         }
     }
 
-    /// The tenant this session executes as, if any.
-    pub fn tenant(&self) -> Option<&str> {
-        self.tenant.as_deref()
-    }
-
-    /// Sets (or clears) this session's per-query time budget. Queries that
-    /// exceed it return [`zoom_warehouse::WarehouseError::DeadlineExceeded`]
-    /// instead of running unboundedly — an interactive session would rather
-    /// re-ask at a coarser view than hang.
+    /// Sets (or clears) this session's per-query time budget; `None`
+    /// defers to the system default. Queries that exceed it return
+    /// [`zoom_warehouse::WarehouseError::DeadlineExceeded`] instead of
+    /// running unboundedly — an interactive session would rather re-ask
+    /// at a coarser view than hang — and `Zoom::cancel_queries` reaches
+    /// them like any other query.
     pub fn set_deadline(&mut self, budget: Option<Duration>) {
-        self.deadline = budget;
-    }
-
-    /// The session's per-query time budget, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
+        self.cx.budget = budget;
     }
 
     /// The session's run.
@@ -98,11 +87,7 @@ impl<'a> QuerySession<'a> {
 
     /// Focuses the run's final output.
     pub fn focus_final_output(&mut self) -> Result<ProvenanceResult> {
-        let op = Op::FinalOutputs(self.run);
-        let outs: Vec<DataId> = typed(match &self.tenant {
-            Some(t) => self.zoom.apply_as(t, &op),
-            None => self.zoom.read(&op),
-        })?;
+        let outs: Vec<DataId> = typed(self.zoom.read(&self.cx, &Op::FinalOutputs(self.run)))?;
         let &d = outs
             .first()
             .ok_or(zoom_warehouse::WarehouseError::NoFinalOutputs(self.run))?;
@@ -131,21 +116,8 @@ impl<'a> QuerySession<'a> {
             .focus
             .ok_or(zoom_warehouse::WarehouseError::DataNotFound(DataId(0)))?;
         let start = std::time::Instant::now();
-        // Tenant-scoped sessions go through the tenant's gate, so policy
-        // substitution and concealment apply to deadline-bounded queries
-        // too.
-        let exec = |op: &Op| match (op, self.deadline) {
-            (&Op::DeepProvenance(run, view, data), Some(budget)) => self
-                .zoom
-                .deep_provenance_within(run, view, data, budget)
-                .map(Answer::Provenance),
-            _ => self.zoom.read(op),
-        };
         let op = Op::DeepProvenance(self.run, self.view, data);
-        let res = typed(match &self.tenant {
-            Some(t) => self.zoom.apply_as_with(t, &op, exec),
-            None => exec(&op),
-        });
+        let res = typed(self.zoom.read(&self.cx, &op));
         self.history.push((self.view, start.elapsed()));
         res
     }

@@ -8,9 +8,10 @@ use zoom_warehouse::metrics::MetricsRegistry;
 use zoom_warehouse::persist::PersistError;
 use zoom_warehouse::privacy::{Gate, MutRegistrar, PolicyTable};
 use zoom_warehouse::{
-    trace, typed, Answer, DurableError, DurableOptions, DurableWarehouse, FsckReport, HealthReport,
-    IndexBackend, MetricsSnapshot, Op, ProvenanceResult, Result, RunId, SlowQuery, SpecId, Store,
-    TraceTarget, ViewId, VisibilityPolicy, Warehouse, WarehouseError, WarehouseStats,
+    trace, typed, Answer, Cx, DurableError, DurableOptions, DurableWarehouse, FsckReport,
+    HealthReport, IndexBackend, MetricsSnapshot, Op, ProvenanceResult, Result, RunId, SlowQuery,
+    SpecId, Store, TraceTarget, ViewId, VisibilityPolicy, Warehouse, WarehouseError,
+    WarehouseStats,
 };
 
 /// The storage behind a [`Zoom`] system: a plain in-memory warehouse or a
@@ -28,9 +29,10 @@ pub struct Zoom {
     backing: Backing,
     /// Per-tenant visibility policies (DESIGN.md §16). [`Zoom::apply`]
     /// and the plain query methods are the embedder's own (admin) surface
-    /// and never consult this; [`Zoom::apply_as`] enforces it. Policies are
-    /// compiled eagerly at every registration point, so tenant-scoped
-    /// queries only ever hit the compiled caches.
+    /// and never consult this; [`Zoom::read`] enforces it for a [`Cx`]
+    /// naming a tenant. Policies are compiled eagerly at every
+    /// registration point, so tenant-scoped queries only ever hit the
+    /// compiled caches.
     policies: PolicyTable,
 }
 
@@ -172,11 +174,6 @@ impl Zoom {
         self.warehouse().set_default_deadline(budget);
     }
 
-    /// The current default per-query time budget, if any.
-    pub fn default_deadline(&self) -> Option<std::time::Duration> {
-        self.warehouse().default_deadline()
-    }
-
     /// Cancels every in-flight query cooperatively: each returns
     /// [`WarehouseError::Cancelled`] at its next deadline check. Queries
     /// issued after this call run normally.
@@ -252,28 +249,16 @@ impl Zoom {
         Ok(answer)
     }
 
-    /// Answers a read op through a shared borrow, as the embedder.
-    pub fn read(&self, op: &Op) -> Result<Answer> {
-        self.warehouse().read(op)
-    }
-
-    /// Answers a read op as `tenant`, through the tenant's enforcement
-    /// [`Gate`] — the same gate the daemon's request handler applies.
-    /// Write ops need [`Zoom::apply`].
-    pub fn apply_as(&self, tenant: &str, op: &Op) -> Result<Answer> {
-        self.apply_as_with(tenant, op, |op| self.read(op))
-    }
-
-    /// [`Zoom::apply_as`] with the gated op answered by `exec` (a query
-    /// session's deadline-bounded path).
-    pub(crate) fn apply_as_with(
-        &self,
-        tenant: &str,
-        op: &Op,
-        exec: impl FnOnce(&Op) -> Result<Answer>,
-    ) -> Result<Answer> {
-        let _tag = zoom_warehouse::metrics::tag_tenant(Some(tenant));
-        self.gate(tenant).apply(op, exec)
+    /// Answers a read op by `cx` through a shared borrow. A `cx` naming a
+    /// tenant passes the tenant's enforcement [`Gate`] first — the same
+    /// gate the daemon's request handler applies. Write ops need
+    /// [`Zoom::apply`] and answer [`WarehouseError::ReadOnly`] here.
+    pub fn read(&self, cx: &Cx, op: &Op) -> Result<Answer> {
+        let wh = self.warehouse();
+        match cx.tenant {
+            None => wh.read(cx, op),
+            Some(tenant) => self.gate(tenant).apply(op, |op| wh.read(cx, op)),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -397,7 +382,7 @@ impl Zoom {
         view: ViewId,
         data: DataId,
     ) -> Result<ProvenanceResult> {
-        typed(self.apply_as(tenant, &Op::DeepProvenance(run, view, data)))
+        typed(self.read(&Cx::tenant(tenant), &Op::DeepProvenance(run, view, data)))
     }
 
     /// Loads a validated run (journaled when durable).
@@ -438,22 +423,7 @@ impl Zoom {
         view: ViewId,
         data: DataId,
     ) -> Result<ProvenanceResult> {
-        typed(self.read(&Op::DeepProvenance(run, view, data)))
-    }
-
-    /// Deep provenance of `data` through `view` under an explicit time
-    /// budget, overriding the system-wide default deadline. Returns
-    /// [`WarehouseError::DeadlineExceeded`] when the budget runs out.
-    pub fn deep_provenance_within(
-        &self,
-        run: RunId,
-        view: ViewId,
-        data: DataId,
-        budget: std::time::Duration,
-    ) -> Result<ProvenanceResult> {
-        let mut deadline = zoom_warehouse::Deadline::after(budget);
-        self.warehouse()
-            .deep_provenance_with_deadline(run, view, data, &mut deadline)
+        typed(self.read(&Cx::ADMIN, &Op::DeepProvenance(run, view, data)))
     }
 
     /// Deep provenance of many `(run, view, data)` triples at once,
@@ -462,14 +432,14 @@ impl Zoom {
         &self,
         queries: &[(RunId, ViewId, DataId)],
     ) -> Vec<Result<ProvenanceResult>> {
-        self.warehouse().deep_provenance_many(queries)
+        self.warehouse().deep_provenance_many(&Cx::ADMIN, queries)
     }
 
     /// The run's final outputs (data flowing to the output node) — the
     /// target of "the most expensive provenance query possible" used
     /// throughout Section V.
     pub fn final_outputs(&self, run: RunId) -> Result<Vec<DataId>> {
-        typed(self.read(&Op::FinalOutputs(run)))
+        typed(self.read(&Cx::ADMIN, &Op::FinalOutputs(run)))
     }
 
     /// Deep provenance of the run's (first) final output through `view`.

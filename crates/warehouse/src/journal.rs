@@ -5,8 +5,8 @@
 //! ingesting runs "about twice a week" per workflow wants every
 //! registration and load to be durable *as it happens*. The durable store
 //! appends one length-prefixed, checksummed record per mutation
-//! ([`encode_frame`]) and, on open, replays the records into the warehouse
-//! the snapshot restored ([`replay_body`]). A torn final record (crash
+//! (`encode_frame`) and, on open, replays the records into the warehouse
+//! the snapshot restored (`replay_body`). A torn final record (crash
 //! mid-append) is detected via CRC and dropped; corruption in the middle
 //! of the file is reported as an error.
 //!

@@ -27,8 +27,8 @@
 //! * [`json`] — the JSON writer behind the observability documents;
 //! * [`store`] — the [`Warehouse`] facade;
 //! * [`op`] — the operation algebra: every data-plane operation as one
-//!   [`Op`], every answer as one [`Answer`], and the in-process
-//!   backends' `apply`;
+//!   [`Op`], every answer as one [`Answer`], the per-request context
+//!   [`Cx`] (tenant and budget), and the in-process backends' `apply`;
 //! * [`stream`] — streaming ingestion: event-at-a-time run reconstruction
 //!   with a committed, queryable prefix mid-run;
 //! * [`trace`] — deterministic capture/replay of facade traffic (logical
@@ -87,18 +87,15 @@ pub use metrics::{
     MetricsRegistry, MetricsSnapshot, PrivacyMetrics, QueryKind, ReplayMetrics, ResilienceMetrics,
     SlowQuery, StreamMetrics, ViewClass,
 };
-pub use op::{typed, Answer, FromAnswer, Op, Store};
+pub use op::{typed, Answer, Cx, FromAnswer, Op, Store};
 pub use privacy::{
     conceal, partition_join, partitions_equal, Gate, MutRegistrar, PolicyTable, ViewRegistry,
     VisibilityPolicy,
 };
 pub use query::{
-    data_between, deep_provenance, deep_provenance_bfs, deep_provenance_deadline,
-    deep_provenance_indexed, deep_provenance_indexed_deadline, deep_provenance_labeled,
-    deep_provenance_labeled_deadline, dependents_of, dependents_of_bfs, dependents_of_deadline,
-    dependents_of_indexed, dependents_of_indexed_deadline, dependents_of_labeled,
-    dependents_of_labeled_deadline, immediate_provenance, ImmediateProvenance, ProvenanceResult,
-    ProvenanceRow, QueryError, QueryFailure,
+    data_between, deep_provenance, deep_provenance_bfs, deep_provenance_indexed,
+    deep_provenance_labeled, dependents_of, dependents_of_bfs, immediate_provenance,
+    ImmediateProvenance, ProvenanceResult, ProvenanceRow, QueryError, QueryFailure, Reach,
 };
 pub use resilience::{
     AdmissionControl, AdmissionPermit, BreakerState, CancelToken, CircuitBreaker, Deadline,

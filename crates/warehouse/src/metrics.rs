@@ -56,52 +56,9 @@ use crate::json::{self, json_object, JsonObject, ToJson};
 use crate::schema::{RunId, ViewId, WarehouseStats};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-thread_local! {
-    /// The tenant the current thread is executing a query for, if any.
-    /// Set by the daemon's dispatch loop (and `Zoom::apply_as`)
-    /// so slow-log entries can be attributed — and later filtered — per
-    /// tenant without threading an extra parameter through every query
-    /// signature.
-    static CURRENT_TENANT: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
-}
-
-/// Restores the previous tenant tag when dropped, so nested scopes (a
-/// facade call issuing sub-queries) unwind correctly even across panics.
-#[derive(Debug)]
-pub struct TenantTagGuard {
-    prev: Option<Arc<str>>,
-}
-
-impl Drop for TenantTagGuard {
-    fn drop(&mut self) {
-        CURRENT_TENANT.with(|t| *t.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Tags the current thread's queries as issued by `tenant` until the
-/// returned guard drops. `None` clears the tag for the scope.
-pub fn tag_tenant(tenant: Option<&str>) -> TenantTagGuard {
-    tag_tenant_shared(tenant.map(Arc::from))
-}
-
-/// [`tag_tenant`] taking an already-shared name — the batch fan-out
-/// workers re-tag themselves with a clone of the submitting thread's tag
-/// without re-allocating per worker.
-pub fn tag_tenant_shared(tenant: Option<Arc<str>>) -> TenantTagGuard {
-    let prev = CURRENT_TENANT.with(|t| std::mem::replace(&mut *t.borrow_mut(), tenant));
-    TenantTagGuard { prev }
-}
-
-/// The current thread's tenant tag, if one is in scope.
-pub fn current_tenant() -> Option<Arc<str>> {
-    CURRENT_TENANT.with(|t| t.borrow().clone())
-}
 
 /// Number of histogram buckets (15 bounded + 1 overflow).
 pub const HISTOGRAM_BUCKETS: usize = 16;
@@ -306,10 +263,9 @@ pub struct SlowQuery {
     pub data: Option<u64>,
     /// Wall-clock duration, nanoseconds.
     pub nanos: u64,
-    /// The tenant the query was executed for, when known (daemon dispatch
-    /// and `Zoom::apply_as` tag their scope). Local untagged
-    /// queries record `None`. This is what per-tenant slow-log filtering
-    /// keys on.
+    /// The tenant the query was executed for: the read's `Cx::tenant`
+    /// (every daemon request names one). The embedder's own queries
+    /// record `None`. This is what per-tenant slow-log filtering keys on.
     pub tenant: Option<String>,
 }
 
@@ -553,8 +509,8 @@ impl MetricsRegistry {
         self.hists[h as usize].record(nanos);
     }
 
-    /// Records a successful query: latency histogram plus, if over the
-    /// threshold, a slow-log entry carrying the query's context.
+    /// Records a successful query by `tenant`: latency histogram plus, if
+    /// over the threshold, a slow-log entry carrying the query's context.
     #[allow(clippy::too_many_arguments)] // one flat call per query keeps the hot path allocation-free
     pub fn record_query(
         &self,
@@ -565,6 +521,7 @@ impl MetricsRegistry {
         view_name: &str,
         data: Option<u64>,
         nanos: u64,
+        tenant: Option<&str>,
     ) {
         self.query_hist[kind as usize][class as usize].record(nanos);
         if nanos >= self.slow_threshold_nanos.load(Ordering::Relaxed) {
@@ -577,7 +534,7 @@ impl MetricsRegistry {
                 view_name: view_name.to_string(),
                 data,
                 nanos,
-                tenant: current_tenant().map(|t| t.to_string()),
+                tenant: tenant.map(str::to_string),
             };
             let mut log = self.slow_log.lock();
             if log.len() == SLOW_LOG_CAPACITY {
@@ -886,6 +843,7 @@ mod tests {
             "UAdmin",
             Some(3),
             999,
+            None,
         );
         assert!(m.slow_queries().is_empty());
         // At/above threshold: captured with context.
@@ -897,6 +855,7 @@ mod tests {
             "UV(M2)",
             Some(5),
             1000,
+            None,
         );
         let slow = m.slow_queries();
         assert_eq!(slow.len(), 1);
@@ -914,6 +873,7 @@ mod tests {
                 "UBlackBox",
                 Some(i),
                 5000,
+                None,
             );
         }
         let slow = m.slow_queries();
@@ -1083,8 +1043,16 @@ mod tests {
             ),
             (Between, Admin, (9, 10), "UAdmin", Some(11), 1_500, None),
         ] {
-            let _tenant = tag_tenant(tenant);
-            m.record_query(kind, class, RunId(run), ViewId(view), name, data, nanos);
+            m.record_query(
+                kind,
+                class,
+                RunId(run),
+                ViewId(view),
+                name,
+                data,
+                nanos,
+                tenant,
+            );
         }
         for (h, nanos) in [
             (Hist::JournalAppend, 2_000),
@@ -1171,6 +1139,7 @@ mod tests {
             "UV(\"weird\\name\")",
             None,
             77,
+            None,
         );
         let json = snapshot(&m).to_json();
         for key in [

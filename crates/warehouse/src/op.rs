@@ -1,10 +1,12 @@
 //! The operation algebra: every data-plane operation ZOOM answers, as one
 //! [`Op`], and every answer, as one [`Answer`].
 //!
-//! Each backend has one `apply(&Op)`: [`Store::apply`], written once for
-//! both in-process stores ([`Warehouse`], plus its shared-borrow
-//! [`Warehouse::read`], and [`DurableWarehouse`]),
+//! Each backend has one `apply`: [`Store::apply`], written once for both
+//! in-process stores ([`Warehouse`] and [`DurableWarehouse`]),
 //! [`crate::wire::ShardRouter::apply`], and the facades in `zoom-core`.
+//! Every read reaches one admitted, timed and recorded path,
+//! [`Warehouse::read`], carrying a [`Cx`]: who asks, and how long it may
+//! take.
 //! Every dispatch on an op's kind names each variant, so a new op kind
 //! does not compile until each backend and the privacy gate handle it.
 //! Trace capture/replay, the wire protocol's `Request::Data`, the
@@ -23,7 +25,48 @@ use crate::store::{ImmediateAnswer, Result, Warehouse, WarehouseError};
 use crate::stream::PushOutcome;
 use serde::{Deserialize, Serialize};
 use std::fmt::{self, Display};
+use std::time::Duration;
 use zoom_model::{DataId, EventLog, LogEvent, StepId, UserView, WorkflowSpec};
+
+/// The per-request context a read carries from its facade to
+/// [`Warehouse::read`]: who asks and how long the answer may take. Both
+/// are choices of the call, not of the store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cx<'a> {
+    /// The tenant the request executes for: its visibility policy gates
+    /// the op at the facades, and slow-log entries carry its name. `None`
+    /// is the embedder (admin).
+    pub tenant: Option<&'a str>,
+    /// The request's time budget; `None` defers to the store's default
+    /// deadline. Either way the deadline carries the store's cancel token.
+    pub budget: Option<Duration>,
+}
+
+impl Cx<'static> {
+    /// The embedder: no tenant, the store's default budget.
+    pub const ADMIN: Cx<'static> = Cx {
+        tenant: None,
+        budget: None,
+    };
+}
+
+impl<'a> Cx<'a> {
+    /// A request by `tenant`, under the store's default budget.
+    pub fn tenant(tenant: &'a str) -> Self {
+        Cx {
+            tenant: Some(tenant),
+            budget: None,
+        }
+    }
+
+    /// This request with a time budget of its own.
+    pub fn within(self, budget: Duration) -> Self {
+        Cx {
+            budget: Some(budget),
+            ..self
+        }
+    }
+}
 
 /// One data-plane operation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -393,8 +436,8 @@ pub trait Store {
         }
     }
 
-    /// Applies any op: writes through the methods above, reads through
-    /// [`Warehouse::read`] on the tables.
+    /// Applies any op as the embedder: writes through the methods above,
+    /// reads through [`Warehouse::read`] on the tables.
     fn apply(&mut self, op: &Op) -> Result<Answer> {
         Ok(match op {
             Op::RegisterSpec(spec) => Answer::Spec(self.register_spec(spec.clone())?),
@@ -416,33 +459,7 @@ pub trait Store {
             | Op::DataBetween(..)
             | Op::FinalOutputs(_)
             | Op::VisibleData(..)
-            | Op::Batch(_) => return self.tables().read(op),
-        })
-    }
-}
-
-impl Warehouse {
-    /// Answers a read op through a shared borrow. Write ops need
-    /// [`Store::apply`] and answer [`WarehouseError::ReadOnly`] here.
-    pub fn read(&self, op: &Op) -> Result<Answer> {
-        Ok(match *op {
-            Op::DeepProvenance(r, v, d) => Answer::Provenance(self.deep_provenance(r, v, d)?),
-            Op::ImmediateProvenance(r, v, d) => {
-                Answer::Immediate(self.immediate_provenance(r, v, d)?)
-            }
-            Op::DependentsOf(r, v, d) => Answer::Data(self.dependents_of(r, v, d)?),
-            Op::DataBetween(r, v, from, to) => Answer::Data(self.data_between(r, v, from, to)?),
-            Op::FinalOutputs(r) => Answer::Data(self.run(r)?.final_outputs()),
-            Op::VisibleData(r, v) => Answer::Data(self.view_run(r, v)?.visible_data(self.run(r)?)),
-            Op::Batch(ref queries) => Answer::Batch(self.deep_provenance_many(queries)),
-            Op::RegisterSpec(_)
-            | Op::RegisterView(..)
-            | Op::LoadLog(..)
-            | Op::BeginStream(_)
-            | Op::PushEvent(..)
-            | Op::SealStream(_)
-            | Op::BuildView(..)
-            | Op::AdminView(_) => return Err(WarehouseError::ReadOnly(op.name())),
+            | Op::Batch(_) => return self.tables().read(&Cx::ADMIN, op),
         })
     }
 }

@@ -23,15 +23,15 @@
 //!   requested view and the privacy view in the coarseness order, used
 //!   when a restricted tenant asks for a view that neither refines nor is
 //!   refined by its privacy view.
-//! * [`PolicyTable`] — per-tenant policies plus the compiled caches:
-//!   (tenant × spec) → compiled outcome and (tenant × requested view) →
-//!   effective view. A table with no policies answers
+//! * [`PolicyTable`] — one entry per tenant, looked up by name: the
+//!   tenant's policy, its compiled outcome per spec and its effective view
+//!   per requested view. A table with no policies answers
 //!   [`PolicyTable::is_empty`] from one relaxed atomic load, so
 //!   unrestricted deployments pay a single branch per query.
 //! * [`Gate`] — the one enforcement point: [`Gate::apply`] maps each
-//!   [`Op`] kind to its checks. The local facade's `Zoom::apply_as` and
-//!   the daemon's request handler both call it, so the two paths cannot
-//!   drift apart.
+//!   [`Op`] kind to its checks. The local facade's `Zoom::read` (for a
+//!   [`Cx`](crate::op::Cx) naming a tenant) and the daemon's request
+//!   handler both call it, so the two paths cannot drift apart.
 //!
 //! Enforcement is **view substitution before dispatch**: a gate rewrites
 //! a restricted tenant's query to run against the effective view, and
@@ -350,17 +350,25 @@ enum Decision {
     Substitute(ViewId),
 }
 
-/// Per-tenant policies plus the compiled caches. All methods take
-/// `&self`; interior locks are per-map `RwLock`s and the no-policy fast
-/// path reads one atomic.
+/// One tenant's installed policy and what has been compiled from it.
+#[derive(Debug, Default)]
+struct TenantPolicy {
+    policy: Arc<VisibilityPolicy>,
+    /// Spec → compiled outcome.
+    compiled: HashMap<SpecId, Compiled>,
+    /// Requested view → effective view, for Restricted specs.
+    effective: HashMap<ViewId, ViewId>,
+}
+
+/// Per-tenant policies plus the compiled caches, one entry per tenant
+/// looked up by the tenant's name, so a warm decision allocates nothing.
+/// All methods take `&self`; the entries sit behind one `RwLock` and the
+/// no-policy fast path reads one atomic.
 #[derive(Debug, Default)]
 pub struct PolicyTable {
-    policies: RwLock<HashMap<String, Arc<VisibilityPolicy>>>,
+    tenants: RwLock<HashMap<String, TenantPolicy>>,
     /// Number of tenants with an installed policy — the query fast path.
     count: AtomicUsize,
-    compiled: RwLock<HashMap<(String, SpecId), Compiled>>,
-    /// (tenant × requested view) → effective view, for Restricted specs.
-    effective: RwLock<HashMap<(String, ViewId), ViewId>>,
 }
 
 impl PolicyTable {
@@ -377,14 +385,42 @@ impl PolicyTable {
 
     /// The installed policy for `tenant`, if any.
     pub fn get(&self, tenant: &str) -> Option<Arc<VisibilityPolicy>> {
-        self.policies.read().get(tenant).cloned()
+        self.tenants.read().get(tenant).map(|t| t.policy.clone())
     }
 
     /// Tenants with an installed policy, sorted.
     pub fn tenants(&self) -> Vec<String> {
-        let mut t: Vec<String> = self.policies.read().keys().cloned().collect();
+        let mut t: Vec<String> = self.tenants.read().keys().cloned().collect();
         t.sort();
         t
+    }
+
+    /// Reads `tenant`'s entry, if it still holds `policy`.
+    fn cached<T>(
+        &self,
+        tenant: &str,
+        policy: &Arc<VisibilityPolicy>,
+        f: impl FnOnce(&TenantPolicy) -> Option<T>,
+    ) -> Option<T> {
+        let tenants = self.tenants.read();
+        let entry = tenants.get(tenant)?;
+        Arc::ptr_eq(&entry.policy, policy).then(|| f(entry))?
+    }
+
+    /// Updates `tenant`'s entry if it still holds `policy`: a decision
+    /// compiled from a policy replaced meanwhile is dropped.
+    fn cache(
+        &self,
+        tenant: &str,
+        policy: &Arc<VisibilityPolicy>,
+        f: impl FnOnce(&mut TenantPolicy),
+    ) {
+        let mut tenants = self.tenants.write();
+        if let Some(entry) = tenants.get_mut(tenant) {
+            if Arc::ptr_eq(&entry.policy, policy) {
+                f(entry);
+            }
+        }
     }
 
     /// Installs (or with `None`/an empty policy, clears) `tenant`'s
@@ -413,25 +449,23 @@ impl PolicyTable {
                 }
             }
         }
-        self.purge_tenant(tenant);
-        let mut policies = self.policies.write();
+        // Replacing or dropping the entry drops what was compiled from
+        // the old policy.
+        let mut tenants = self.tenants.write();
         match policy {
             Some(p) => {
-                policies.insert(tenant.to_string(), Arc::new(p));
+                let entry = TenantPolicy {
+                    policy: Arc::new(p),
+                    ..TenantPolicy::default()
+                };
+                tenants.insert(tenant.to_string(), entry);
             }
             None => {
-                policies.remove(tenant);
+                tenants.remove(tenant);
             }
         }
-        self.count.store(policies.len(), Ordering::Relaxed);
-        drop(policies);
+        self.count.store(tenants.len(), Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Drops `tenant`'s compiled cache entries.
-    fn purge_tenant(&self, tenant: &str) {
-        self.compiled.write().retain(|(t, _), _| t != tenant);
-        self.effective.write().retain(|(t, _), _| t != tenant);
     }
 
     /// The compiled outcome for (tenant × spec), compiling and
@@ -441,16 +475,11 @@ impl PolicyTable {
     fn compiled_for<R: ViewRegistry>(
         &self,
         tenant: &str,
-        policy: &VisibilityPolicy,
+        policy: &Arc<VisibilityPolicy>,
         spec_id: SpecId,
         reg: &R,
     ) -> WhResult<Compiled> {
-        if let Some(c) = self
-            .compiled
-            .read()
-            .get(&(tenant.to_string(), spec_id))
-            .copied()
-        {
+        if let Some(c) = self.cached(tenant, policy, |t| t.compiled.get(&spec_id).copied()) {
             reg.record(Counter::PolicyCacheHits);
             return Ok(c);
         }
@@ -473,9 +502,9 @@ impl PolicyTable {
                 }
             }
         };
-        self.compiled
-            .write()
-            .insert((tenant.to_string(), spec_id), outcome);
+        self.cache(tenant, policy, |t| {
+            t.compiled.insert(spec_id, outcome);
+        });
         Ok(outcome)
     }
 
@@ -551,7 +580,9 @@ impl PolicyTable {
                 Ok(Decision::Deny)
             }
             Compiled::Restricted { privacy } => {
-                if let Some(&eff) = self.effective.read().get(&(tenant.to_string(), requested)) {
+                if let Some(eff) =
+                    self.cached(tenant, &policy, |t| t.effective.get(&requested).copied())
+                {
                     reg.record(Counter::PolicyCacheHits);
                     return Ok(if eff == requested {
                         Decision::Pass
@@ -581,9 +612,9 @@ impl PolicyTable {
                     let joined = partition_join(&spec, &req_view, &priv_view, name)?;
                     register_named(reg, spec_id, joined)?
                 };
-                self.effective
-                    .write()
-                    .insert((tenant.to_string(), requested), eff);
+                self.cache(tenant, &policy, |t| {
+                    t.effective.insert(requested, eff);
+                });
                 if eff == requested {
                     Ok(Decision::Pass)
                 } else {
@@ -621,7 +652,7 @@ impl PolicyTable {
 }
 
 /// One tenant's enforcement point, built per request by both facades:
-/// the local `Zoom::apply_as` and the daemon's request handler.
+/// the local `Zoom::read` and the daemon's request handler.
 ///
 /// Every gate starts with the [`PolicyTable::is_empty`] load, so a
 /// deployment without policies pays one branch, and looks the run's spec

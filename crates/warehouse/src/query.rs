@@ -16,13 +16,13 @@
 //!   tuples — whereas naively recursing over full composite input sets
 //!   could drag in side-branch inputs that never fed the queried object.
 //!
-//! Each query comes in several forms sharing one projection kernel
-//! ([`project`]): a plain form computing the base closure with a
-//! per-query BFS, an `*_indexed` form reading the closure from a prebuilt
-//! [`ProvenanceIndex`] row (what the warehouse facade uses), a `*_labeled`
-//! form enumerating it from a [`LabelIndex`], and a `*_bfs` reference form
-//! — the original whole-graph-scan implementation kept verbatim as the
-//! oracle for the property tests.
+//! [`deep_provenance`] and [`dependents_of`] read the base closure from a
+//! [`Reach`] — a per-query BFS, a prebuilt [`ProvenanceIndex`] row, or a
+//! [`LabelIndex`] — under a [`Deadline`], and share one projection kernel.
+//! `deep_provenance_indexed`/`_labeled` are their deadline-free bitset and
+//! label forms. The `*_bfs` reference forms are the original
+//! whole-graph-scan implementation, kept verbatim as the oracle for the
+//! property tests.
 
 use crate::index::ProvenanceIndex;
 use crate::labels::LabelIndex;
@@ -484,50 +484,71 @@ fn count_ones(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Deep provenance of `d` (visible, produced by `start` at canonical slot
-/// `slot`) from its base backward closure `members`, which includes
-/// `start`: [`project`] on the members' in-edges.
-fn project_deep(
+/// Where a query's base closure comes from: a per-query BFS over the run
+/// graph, a prebuilt bitset [`ProvenanceIndex`], or a prebuilt
+/// [`LabelIndex`]. An index must have been built from the queried run.
+#[derive(Clone, Copy, Debug)]
+pub enum Reach<'a> {
+    /// A per-query traversal, no index.
+    Bfs,
+    /// One precomputed closure row per node.
+    Bitset(&'a ProvenanceIndex),
+    /// The closure enumerated from tree-cover interval labels: every
+    /// subtree whose post-order interval proves non-membership is skipped
+    /// unvisited, so the closure costs `O(answer)`.
+    Labels(&'a LabelIndex),
+}
+
+/// A closure query over a [`Reach`]: [`deep_provenance`] or
+/// [`dependents_of`].
+pub type Kernel<T> =
+    fn(&WorkflowRun, &ViewRun, Reach, DataId, &mut Deadline) -> Result<Option<T>, QueryFailure>;
+
+/// The nodes reachable from `starts` (included) along predecessors
+/// (`forward == false`) or successors, by BFS; `deadline` is polled per
+/// visited node.
+fn bfs(
     run: &WorkflowRun,
-    vr: &ViewRun,
-    members: impl IntoIterator<Item = usize>,
-    d: DataId,
-    slot: usize,
+    starts: impl IntoIterator<Item = NodeId>,
+    forward: bool,
     deadline: &mut Deadline,
-) -> Result<ProvenanceResult, QueryFailure> {
-    let (rows, execs) = project(run, vr, Side::Deep, members, Some(slot), deadline)?;
-    Ok(ProvenanceResult {
-        target: d,
-        rows,
-        execs,
-    })
+) -> Result<BitSet, Interrupt> {
+    let g = run.graph();
+    let mut visited = BitSet::new(g.node_count());
+    let mut queue: VecDeque<NodeId> = VecDeque::new();
+    for s in starts {
+        if visited.insert(s.index()) {
+            queue.push_back(s);
+        }
+    }
+    while let Some(n) = queue.pop_front() {
+        deadline.tick()?;
+        let mut visit = |m: NodeId| {
+            if visited.insert(m.index()) {
+                queue.push_back(m);
+            }
+        };
+        if forward {
+            g.successors(n).for_each(&mut visit);
+        } else {
+            g.predecessors(n).for_each(&mut visit);
+        }
+    }
+    Ok(visited)
 }
 
 /// Computes the deep provenance of `d` at this view level: the base-level
-/// recursive closure over `run`, projected to the view — hidden data
-/// dropped, steps replaced by their composite executions. `Ok(None)` means
-/// `d` is not visible at this view level (or absent from the run); an
-/// error means the view-run does not match the run.
-///
-/// The closure is computed with a per-query backward BFS; use
-/// [`deep_provenance_indexed`] with a [`ProvenanceIndex`] to amortize it
-/// across queries and view switches.
+/// recursive closure over `run`, read from `reach`, projected to the view —
+/// hidden data dropped, steps replaced by their composite executions.
+/// `Ok(None)` means `d` is not visible at this view level (or absent from
+/// the run); an error means the view-run does not match the run, or that
+/// `deadline` interrupted the traversal. The closure and the projection
+/// poll `deadline` per member, so an adversarial run cannot pin the
+/// caller unbounded.
 pub fn deep_provenance(
     run: &WorkflowRun,
     vr: &ViewRun,
-    d: DataId,
-) -> Result<Option<ProvenanceResult>, QueryError> {
-    deep_provenance_deadline(run, vr, d, &mut Deadline::unlimited()).map_err(corrupt_only)
-}
-
-/// [`deep_provenance`] under an execution budget: the backward BFS and the
-/// view projection both poll `deadline` every
-/// [`crate::resilience::CHECK_STRIDE`] visited nodes, unwinding with
-/// [`QueryFailure::Interrupted`] instead of running unbounded on an
-/// adversarial run.
-pub fn deep_provenance_deadline(
-    run: &WorkflowRun,
-    vr: &ViewRun,
+    reach: Reach,
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<ProvenanceResult>, QueryFailure> {
@@ -535,80 +556,47 @@ pub fn deep_provenance_deadline(
     let Some((start, slot)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
-    let g = run.graph();
-
-    // Base closure: backward BFS over the *raw* run graph (UAdmin level).
-    let mut visited = BitSet::new(g.node_count());
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    visited.insert(start.index());
-    queue.push_back(start);
-    while let Some(n) = queue.pop_front() {
-        deadline.tick()?;
-        for p in g.predecessors(n) {
-            if visited.insert(p.index()) {
-                queue.push_back(p);
-            }
+    let (rows, execs) = match reach {
+        Reach::Bfs => {
+            let members = bfs(run, [start], false, deadline)?;
+            project(run, vr, Side::Deep, members.iter(), Some(slot), deadline)?
         }
-    }
-    project_deep(run, vr, visited.iter(), d, slot, deadline).map(Some)
+        Reach::Bitset(index) => {
+            let members = index.ancestors(start).iter();
+            project(run, vr, Side::Deep, members, Some(slot), deadline)?
+        }
+        Reach::Labels(labels) => {
+            let members = labels.ancestors_of(start);
+            project(run, vr, Side::Deep, members, Some(slot), deadline)?
+        }
+    };
+    Ok(Some(ProvenanceResult {
+        target: d,
+        rows,
+        execs,
+    }))
 }
 
-/// [`deep_provenance`] answered from a prebuilt per-run index: the base
-/// closure is one precomputed bitset row, so the query reduces to the view
-/// projection. The index must have been built from this same `run`.
+/// [`deep_provenance`] from a bitset index, without a deadline.
 pub fn deep_provenance_indexed(
     run: &WorkflowRun,
     vr: &ViewRun,
     index: &ProvenanceIndex,
     d: DataId,
 ) -> Result<Option<ProvenanceResult>, QueryError> {
-    deep_provenance_indexed_deadline(run, vr, index, d, &mut Deadline::unlimited())
-        .map_err(corrupt_only)
+    let reach = Reach::Bitset(index);
+    deep_provenance(run, vr, reach, d, &mut Deadline::unlimited()).map_err(corrupt_only)
 }
 
-/// [`deep_provenance_indexed`] under an execution budget; the projection
-/// loop polls `deadline` per closure member.
-pub fn deep_provenance_indexed_deadline(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    index: &ProvenanceIndex,
-    d: DataId,
-    deadline: &mut Deadline,
-) -> Result<Option<ProvenanceResult>, QueryFailure> {
-    let Some((start, slot)) = visible_start(run, vr, d)? else {
-        return Ok(None);
-    };
-    project_deep(run, vr, index.ancestors(start).iter(), d, slot, deadline).map(Some)
-}
-
-/// [`deep_provenance`] answered from a prebuilt [`LabelIndex`]: the base
-/// closure is enumerated straight out of the producer's ancestor label —
-/// every subtree whose post-order interval proves non-membership is
-/// skipped without being visited — so the query is `O(answer)` with
-/// `O(n · avg_labels)` index memory instead of the bitset's `O(n²/64)`.
+/// [`deep_provenance`] from a label index, without a deadline.
 pub fn deep_provenance_labeled(
     run: &WorkflowRun,
     vr: &ViewRun,
     labels: &LabelIndex,
     d: DataId,
 ) -> Result<Option<ProvenanceResult>, QueryError> {
-    deep_provenance_labeled_deadline(run, vr, labels, d, &mut Deadline::unlimited())
-        .map_err(corrupt_only)
-}
-
-/// [`deep_provenance_labeled`] under an execution budget; the projection
-/// loop polls `deadline` per closure member.
-pub fn deep_provenance_labeled_deadline(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    labels: &LabelIndex,
-    d: DataId,
-    deadline: &mut Deadline,
-) -> Result<Option<ProvenanceResult>, QueryFailure> {
-    let Some((start, slot)) = visible_start(run, vr, d)? else {
-        return Ok(None);
-    };
-    project_deep(run, vr, labels.ancestors_of(start), d, slot, deadline).map(Some)
+    let reach = Reach::Labels(labels);
+    deep_provenance(run, vr, reach, d, &mut Deadline::unlimited()).map_err(corrupt_only)
 }
 
 /// Reference implementation of [`deep_provenance`] — the original
@@ -675,49 +663,43 @@ pub fn deep_provenance_bfs(
 
 /// The canned forward query of Section IV ("Return the data objects which
 /// have a given data object in their data provenance"): the base-level
-/// forward closure of `d` over `run`, projected to view-visible data,
-/// excluding `d` itself, sorted. Returns `None` if `d` is not visible,
-/// and like every deep form refuses a view-run built from another run
-/// ([`QueryError::StepWithoutExec`]).
+/// forward closure of `d` over `run`, read from `reach`, projected to
+/// view-visible data, excluding `d` itself, sorted. Returns `None` if `d`
+/// is not visible, and like [`deep_provenance`] refuses a view-run built
+/// from another run ([`QueryError::StepWithoutExec`]).
+///
+/// `d` flows along the out-edges of its producer that carry it; every
+/// node reachable from a consumer of `d` depends on `d` (step-granularity
+/// dependency: a step's outputs depend on all of its inputs). With an
+/// index the closure is the union of the consumers' descendant rows or
+/// labels, which the kernel gathers member by member, once each.
 pub fn dependents_of(
     run: &WorkflowRun,
     vr: &ViewRun,
-    d: DataId,
-) -> Result<Option<Vec<DataId>>, QueryError> {
-    dependents_of_deadline(run, vr, d, &mut Deadline::unlimited()).map_err(corrupt_only)
-}
-
-/// [`dependents_of`] under an execution budget: the forward BFS and the
-/// collection loop poll `deadline` per visited node.
-pub fn dependents_of_deadline(
-    run: &WorkflowRun,
-    vr: &ViewRun,
+    reach: Reach,
     d: DataId,
     deadline: &mut Deadline,
 ) -> Result<Option<Vec<DataId>>, QueryFailure> {
     let Some((start, _)) = visible_start(run, vr, d)? else {
         return Ok(None);
     };
-    let g = run.graph();
-    // d flows along out-edges of its producer that carry it; every node
-    // reachable from a consumer of d depends on d (step-granularity
-    // dependency: a step's outputs depend on all of its inputs).
-    let mut visited = BitSet::new(g.node_count());
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    for t in consumers(run, start, d) {
-        if visited.insert(t.index()) {
-            queue.push_back(t);
+    let consumers = consumers(run, start, d);
+    let (mut out, _) = match reach {
+        Reach::Bfs => {
+            let members = bfs(run, consumers, true, deadline)?;
+            project(run, vr, Side::Forward, members.iter(), None, deadline)?
         }
-    }
-    while let Some(n) = queue.pop_front() {
-        deadline.tick()?;
-        for s in g.successors(n) {
-            if visited.insert(s.index()) {
-                queue.push_back(s);
-            }
+        Reach::Bitset(index) => {
+            let members = consumers.flat_map(|t| index.descendants(t).iter());
+            project(run, vr, Side::Forward, members, None, deadline)?
         }
-    }
-    collect_dependents(run, vr, visited.iter(), d, deadline).map(Some)
+        Reach::Labels(labels) => {
+            let members = consumers.flat_map(|t| labels.descendants_of(t));
+            project(run, vr, Side::Forward, members, None, deadline)?
+        }
+    };
+    out.retain(|&x| x != d);
+    Ok(Some(out))
 }
 
 /// The consumers of `d`, produced by `start`: the targets of the
@@ -727,65 +709,6 @@ fn consumers(run: &WorkflowRun, start: NodeId, d: DataId) -> impl Iterator<Item 
     g.out_edges(start)
         .filter(move |&e| g.edge(e).binary_search(&d).is_ok())
         .map(|e| g.target(e))
-}
-
-/// [`dependents_of`] answered from a prebuilt per-run index: the forward
-/// closure is the union of the descendant rows of `d`'s consumers, which
-/// the kernel gathers row by row.
-pub fn dependents_of_indexed(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    index: &ProvenanceIndex,
-    d: DataId,
-) -> Result<Option<Vec<DataId>>, QueryError> {
-    dependents_of_indexed_deadline(run, vr, index, d, &mut Deadline::unlimited())
-        .map_err(corrupt_only)
-}
-
-/// [`dependents_of_indexed`] under an execution budget; the collection
-/// loop polls `deadline` per closure member.
-pub fn dependents_of_indexed_deadline(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    index: &ProvenanceIndex,
-    d: DataId,
-    deadline: &mut Deadline,
-) -> Result<Option<Vec<DataId>>, QueryFailure> {
-    let Some((start, _)) = visible_start(run, vr, d)? else {
-        return Ok(None);
-    };
-    let members = consumers(run, start, d).flat_map(|t| index.descendants(t).iter());
-    collect_dependents(run, vr, members, d, deadline).map(Some)
-}
-
-/// [`dependents_of`] answered from a prebuilt [`LabelIndex`]: the forward
-/// closure is the union of the descendant labels of `d`'s consumers, each
-/// enumerated through the post-order permutation; the kernel gathers a
-/// node the labels share once.
-pub fn dependents_of_labeled(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    labels: &LabelIndex,
-    d: DataId,
-) -> Result<Option<Vec<DataId>>, QueryError> {
-    dependents_of_labeled_deadline(run, vr, labels, d, &mut Deadline::unlimited())
-        .map_err(corrupt_only)
-}
-
-/// [`dependents_of_labeled`] under an execution budget; the collection
-/// loop polls `deadline` per closure member.
-pub fn dependents_of_labeled_deadline(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    labels: &LabelIndex,
-    d: DataId,
-    deadline: &mut Deadline,
-) -> Result<Option<Vec<DataId>>, QueryFailure> {
-    let Some((start, _)) = visible_start(run, vr, d)? else {
-        return Ok(None);
-    };
-    let members = consumers(run, start, d).flat_map(|t| labels.descendants_of(t));
-    collect_dependents(run, vr, members, d, deadline).map(Some)
 }
 
 /// Reference implementation of [`dependents_of`] — the original
@@ -831,22 +754,6 @@ pub fn dependents_of_bfs(
     Ok(Some(out))
 }
 
-/// The visible data produced by the steps of the forward closure
-/// `members`, excluding `d`: [`project`] on the members' out-edges. Only
-/// steps have out-edges in a forward closure (the input node has no
-/// in-edges, the output node no out-edges).
-fn collect_dependents(
-    run: &WorkflowRun,
-    vr: &ViewRun,
-    members: impl IntoIterator<Item = usize>,
-    d: DataId,
-    deadline: &mut Deadline,
-) -> Result<Vec<DataId>, QueryFailure> {
-    let (mut out, _) = project(run, vr, Side::Forward, members, None, deadline)?;
-    out.retain(|&x| x != d);
-    Ok(out)
-}
-
 /// The data set passed between two (possibly virtual) executions — the
 /// prototype's "clicking on an edge between two steps" interaction
 /// (Section IV). `from`/`to` may also be the special `input`/`output`
@@ -870,6 +777,25 @@ pub fn data_between(
 mod tests {
     use super::*;
     use zoom_model::{RunBuilder, SpecBuilder, UserView, WorkflowRun, WorkflowSpec};
+
+    /// [`deep_provenance`] by BFS, without a deadline.
+    fn deep(
+        r: &WorkflowRun,
+        vr: &ViewRun,
+        d: DataId,
+    ) -> Result<Option<ProvenanceResult>, QueryFailure> {
+        deep_provenance(r, vr, Reach::Bfs, d, &mut Deadline::unlimited())
+    }
+
+    /// [`dependents_of`] from `reach`, without a deadline.
+    fn deps(
+        r: &WorkflowRun,
+        vr: &ViewRun,
+        reach: Reach,
+        d: DataId,
+    ) -> Result<Option<Vec<DataId>>, QueryFailure> {
+        dependents_of(r, vr, reach, d, &mut Deadline::unlimited())
+    }
 
     /// input -> A -> B -> C -> output, A also feeds C directly.
     fn setup() -> (WorkflowSpec, WorkflowRun) {
@@ -905,7 +831,7 @@ mod tests {
     fn deep_provenance_at_admin_level() {
         let (s, r) = setup();
         let vr = ViewRun::new(&r, &UserView::admin(&s));
-        let res = deep_provenance(&r, &vr, DataId(5)).unwrap().unwrap();
+        let res = deep(&r, &vr, DataId(5)).unwrap().unwrap();
         assert_eq!(res.target, DataId(5));
         // All data d1..d5, all three steps.
         assert_eq!(res.data_ids(), (1..=5).map(DataId).collect::<Vec<_>>());
@@ -932,7 +858,7 @@ mod tests {
     fn deep_provenance_of_intermediate() {
         let (s, r) = setup();
         let vr = ViewRun::new(&r, &UserView::admin(&s));
-        let res = deep_provenance(&r, &vr, DataId(3)).unwrap().unwrap();
+        let res = deep(&r, &vr, DataId(3)).unwrap().unwrap();
         assert_eq!(res.data_ids(), vec![DataId(1), DataId(2), DataId(3)]);
         assert_eq!(res.execs, vec![StepId(1), StepId(2)]);
     }
@@ -942,8 +868,8 @@ mod tests {
         let (s, r) = setup();
         let vr = ViewRun::new(&r, &UserView::black_box(&s));
         // Intermediates are invisible.
-        assert!(deep_provenance(&r, &vr, DataId(3)).unwrap().is_none());
-        let res = deep_provenance(&r, &vr, DataId(5)).unwrap().unwrap();
+        assert!(deep(&r, &vr, DataId(3)).unwrap().is_none());
+        let res = deep(&r, &vr, DataId(5)).unwrap().unwrap();
         assert_eq!(res.data_ids(), vec![DataId(1), DataId(5)]);
         assert_eq!(res.execs.len(), 1);
     }
@@ -972,19 +898,22 @@ mod tests {
         let vr = ViewRun::new(&r, &UserView::admin(&s));
         // Everything downstream of d2: d3 (from S2) and d5 (from S3).
         assert_eq!(
-            dependents_of(&r, &vr, DataId(2)).unwrap().unwrap(),
+            deps(&r, &vr, Reach::Bfs, DataId(2)).unwrap().unwrap(),
             vec![DataId(3), DataId(5)]
         );
         // d4 feeds only S3.
         assert_eq!(
-            dependents_of(&r, &vr, DataId(4)).unwrap().unwrap(),
+            deps(&r, &vr, Reach::Bfs, DataId(4)).unwrap().unwrap(),
             vec![DataId(5)]
         );
         // The final output has no dependents.
-        assert_eq!(dependents_of(&r, &vr, DataId(5)).unwrap().unwrap(), vec![]);
+        assert_eq!(
+            deps(&r, &vr, Reach::Bfs, DataId(5)).unwrap().unwrap(),
+            vec![]
+        );
         // d1 feeds everything.
         assert_eq!(
-            dependents_of(&r, &vr, DataId(1)).unwrap().unwrap(),
+            deps(&r, &vr, Reach::Bfs, DataId(1)).unwrap().unwrap(),
             vec![DataId(2), DataId(3), DataId(4), DataId(5)]
         );
     }
@@ -1044,8 +973,11 @@ mod tests {
 
         // Querying the 3-step run through the 1-step view-run reaches
         // steps 2 and 3, which have no execution in `vr`.
-        let err = deep_provenance(&r, &vr, DataId(5)).unwrap_err();
-        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
+        let err = deep(&r, &vr, DataId(5)).unwrap_err();
+        assert!(matches!(
+            err,
+            QueryFailure::Corrupt(QueryError::StepWithoutExec { .. })
+        ));
         let err = deep_provenance_bfs(&r, &vr, DataId(5)).unwrap_err();
         assert!(matches!(err, QueryError::StepWithoutExec { .. }));
         let index = crate::index::ProvenanceIndex::build(&r).unwrap();
@@ -1061,8 +993,11 @@ mod tests {
     fn mismatched_view_run_refuses_plain_dependents() {
         let (_, r) = setup();
         let vr = foreign_view_run();
-        let err = dependents_of(&r, &vr, DataId(2)).unwrap_err();
-        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
+        let err = deps(&r, &vr, Reach::Bfs, DataId(2)).unwrap_err();
+        assert!(matches!(
+            err,
+            QueryFailure::Corrupt(QueryError::StepWithoutExec { .. })
+        ));
         let err = dependents_of_bfs(&r, &vr, DataId(2)).unwrap_err();
         assert!(matches!(err, QueryError::StepWithoutExec { .. }));
     }
@@ -1071,16 +1006,22 @@ mod tests {
     fn mismatched_view_run_refuses_bitset_indexed_dependents() {
         let (_, r) = setup();
         let index = crate::index::ProvenanceIndex::build(&r).unwrap();
-        let err = dependents_of_indexed(&r, &foreign_view_run(), &index, DataId(2)).unwrap_err();
-        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
+        let err = deps(&r, &foreign_view_run(), Reach::Bitset(&index), DataId(2)).unwrap_err();
+        assert!(matches!(
+            err,
+            QueryFailure::Corrupt(QueryError::StepWithoutExec { .. })
+        ));
     }
 
     #[test]
     fn mismatched_view_run_refuses_label_indexed_dependents() {
         let (_, r) = setup();
         let labels = LabelIndex::build(&r).unwrap();
-        let err = dependents_of_labeled(&r, &foreign_view_run(), &labels, DataId(2)).unwrap_err();
-        assert!(matches!(err, QueryError::StepWithoutExec { .. }));
+        let err = deps(&r, &foreign_view_run(), Reach::Labels(&labels), DataId(2)).unwrap_err();
+        assert!(matches!(
+            err,
+            QueryFailure::Corrupt(QueryError::StepWithoutExec { .. })
+        ));
     }
 
     #[test]
@@ -1095,7 +1036,7 @@ mod tests {
         // The 3-step run is smaller than one stride, so loop until a tick
         // lands on the stride boundary.
         for _ in 0..crate::resilience::CHECK_STRIDE {
-            match deep_provenance_deadline(&r, &vr, DataId(5), &mut dead) {
+            match deep_provenance(&r, &vr, Reach::Bfs, DataId(5), &mut dead) {
                 Err(QueryFailure::Interrupted(Interrupt::DeadlineExceeded)) => {
                     interrupted = true;
                     break;
@@ -1113,7 +1054,7 @@ mod tests {
         let mut saw_cancel = false;
         for _ in 0..crate::resilience::CHECK_STRIDE {
             if let Err(QueryFailure::Interrupted(Interrupt::Cancelled)) =
-                deep_provenance_deadline(&r, &vr, DataId(5), &mut cancelled)
+                deep_provenance(&r, &vr, Reach::Bfs, DataId(5), &mut cancelled)
             {
                 saw_cancel = true;
                 break;
@@ -1121,24 +1062,27 @@ mod tests {
         }
         assert!(saw_cancel);
 
-        // Unlimited deadlines leave every form's answer unchanged.
-        assert_eq!(
-            deep_provenance_deadline(&r, &vr, DataId(5), &mut Deadline::unlimited())
-                .unwrap()
-                .unwrap(),
-            deep_provenance(&r, &vr, DataId(5)).unwrap().unwrap()
-        );
-        assert_eq!(
-            dependents_of_deadline(&r, &vr, DataId(2), &mut Deadline::unlimited()).unwrap(),
-            dependents_of(&r, &vr, DataId(2)).unwrap()
-        );
+        // Every reach answers alike under an unlimited deadline.
+        let index = ProvenanceIndex::build(&r).unwrap();
+        let labels = LabelIndex::build(&r).unwrap();
+        for reach in [Reach::Bitset(&index), Reach::Labels(&labels)] {
+            let mut unlimited = Deadline::unlimited();
+            assert_eq!(
+                deep_provenance(&r, &vr, reach, DataId(5), &mut unlimited).unwrap(),
+                deep(&r, &vr, DataId(5)).unwrap()
+            );
+            assert_eq!(
+                deps(&r, &vr, reach, DataId(2)).unwrap(),
+                deps(&r, &vr, Reach::Bfs, DataId(2)).unwrap()
+            );
+        }
     }
 
     #[test]
     fn deep_provenance_of_user_input_is_trivial() {
         let (s, r) = setup();
         let vr = ViewRun::new(&r, &UserView::admin(&s));
-        let res = deep_provenance(&r, &vr, DataId(1)).unwrap().unwrap();
+        let res = deep(&r, &vr, DataId(1)).unwrap().unwrap();
         assert_eq!(res.tuples(), 1);
         assert!(res.execs.is_empty());
         assert_eq!(res.rows[0].producer, None);

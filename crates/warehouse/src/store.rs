@@ -14,7 +14,8 @@ use crate::labels::LabelIndex;
 use crate::metrics::{
     Counter, IndexMetrics, MetricsRegistry, MetricsSnapshot, QueryKind, ViewClass,
 };
-use crate::query::{self, ImmediateProvenance, ProvenanceResult, QueryError, QueryFailure};
+use crate::op::{typed, Answer, Cx, Op};
+use crate::query::{self, ImmediateProvenance, ProvenanceResult, QueryError, QueryFailure, Reach};
 use crate::resilience::{AdmissionControl, CancelToken, Deadline, Interrupt};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
 use crate::stream::{PushOutcome, RunIngestor, SealCommit, StreamCommit, StreamError};
@@ -455,10 +456,12 @@ impl Warehouse {
         *slot = CancelToken::new();
     }
 
-    /// The deadline a facade query started right now runs under: the
-    /// default budget (if any) plus the current cancel token.
-    pub fn current_deadline(&self) -> Deadline {
-        let base = match self.default_deadline() {
+    /// The deadline a read by `cx` runs under: its budget, else the
+    /// default budget (unlimited when neither is set), always with the
+    /// current cancel token, so [`Warehouse::cancel_queries`] reaches
+    /// every read, budgeted or not.
+    pub fn deadline(&self, cx: &Cx) -> Deadline {
+        let base = match cx.budget.or_else(|| self.default_deadline()) {
             Some(budget) => Deadline::after(budget),
             None => Deadline::unlimited(),
         };
@@ -827,8 +830,9 @@ impl Warehouse {
     // Querying (the "User" arrows of Figure 8)
     // ------------------------------------------------------------------
 
-    /// The materialized view-run for `(run, view)` (cached).
-    pub fn view_run(&self, run_id: RunId, view_id: ViewId) -> Result<Arc<ViewRun>> {
+    /// The run and the view of a `(run, view)` pair, which must belong to
+    /// one specification.
+    fn pair(&self, run_id: RunId, view_id: ViewId) -> Result<(&WorkflowRun, &UserView)> {
         let run_row = self
             .runs
             .get(&run_id)
@@ -843,86 +847,56 @@ impl Warehouse {
                 got: format!("{}", view_row.spec),
             });
         }
-        Ok(self.cache.get_or_build((run_id, view_id), || {
-            ViewRun::new(&run_row.run, &view_row.view)
-        }))
+        Ok((&run_row.run, &view_row.view))
+    }
+
+    /// The materialized view-run for `(run, view)` (cached).
+    pub fn view_run(&self, run_id: RunId, view_id: ViewId) -> Result<Arc<ViewRun>> {
+        let (run, view) = self.pair(run_id, view_id)?;
+        Ok(self
+            .cache
+            .get_or_build((run_id, view_id), || ViewRun::new(run, view)))
     }
 
     /// Materializes the view-run *without* consulting or filling the cache —
     /// the "rebuild every time" baseline strategy for the ablation bench.
     pub fn view_run_uncached(&self, run_id: RunId, view_id: ViewId) -> Result<BoundViewRun<'_>> {
-        let run_row = self
-            .runs
-            .get(&run_id)
-            .ok_or(WarehouseError::RunNotFound(run_id))?;
-        let view_row = self
-            .views
-            .get(&view_id)
-            .ok_or(WarehouseError::ViewNotFound(view_id))?;
-        if run_row.spec != view_row.spec {
-            return Err(WarehouseError::SpecMismatch {
-                expected: format!("{}", run_row.spec),
-                got: format!("{}", view_row.spec),
-            });
-        }
+        let (run, view) = self.pair(run_id, view_id)?;
         Ok(BoundViewRun {
-            run: &run_row.run,
-            view_run: ViewRun::new(&run_row.run, &view_row.view),
+            run,
+            view_run: ViewRun::new(run, view),
         })
     }
 
     /// The base-closure provenance index for `run` (cached, view-independent;
     /// built on first use, shared by every view of the run).
     pub fn provenance_index(&self, run_id: RunId) -> Result<Arc<ProvenanceIndex>> {
-        self.provenance_index_deadline(run_id, &mut Deadline::unlimited())
-    }
-
-    /// [`Warehouse::provenance_index`] under an execution budget: a cold
-    /// build polls `deadline` per node, so one adversarially large run
-    /// cannot pin the querying thread unbounded while its index
-    /// materializes. An interrupted build caches nothing.
-    pub fn provenance_index_deadline(
-        &self,
-        run_id: RunId,
-        deadline: &mut Deadline,
-    ) -> Result<Arc<ProvenanceIndex>> {
-        let run_row = self
-            .runs
-            .get(&run_id)
-            .ok_or(WarehouseError::RunNotFound(run_id))?;
-        self.index
-            .get_or_build(run_id, || {
-                ProvenanceIndex::build_deadline(&run_row.run, deadline)
-            })
-            .map_err(|e| match e {
-                IndexBuildError::Cycle => WarehouseError::Model(ModelError::RunHasCycle),
-                IndexBuildError::Interrupted(i) => self.interrupt_error(i),
-            })
+        let build = ProvenanceIndex::build_deadline;
+        self.index_of(&self.index, run_id, &mut Deadline::unlimited(), build)
     }
 
     /// The interval-label reachability index for `run` (cached,
     /// view-independent, built on first use — the labels-backend analog
     /// of [`Warehouse::provenance_index`]).
     pub fn label_index(&self, run_id: RunId) -> Result<Arc<LabelIndex>> {
-        self.label_index_deadline(run_id, &mut Deadline::unlimited())
+        let build = LabelIndex::build_deadline;
+        self.index_of(&self.labels, run_id, &mut Deadline::unlimited(), build)
     }
 
-    /// [`Warehouse::label_index`] under an execution budget: both label
-    /// passes poll `deadline` per node. An interrupted build caches
-    /// nothing.
-    pub fn label_index_deadline(
+    /// `run`'s index in `cache`, built on a miss. A cold build polls
+    /// `deadline` per node, so one adversarially large run cannot pin the
+    /// querying thread unbounded while its index materializes; an
+    /// interrupted build caches nothing.
+    fn index_of<T>(
         &self,
+        cache: &RunKeyedCache<T>,
         run_id: RunId,
         deadline: &mut Deadline,
-    ) -> Result<Arc<LabelIndex>> {
-        let run_row = self
-            .runs
-            .get(&run_id)
-            .ok_or(WarehouseError::RunNotFound(run_id))?;
-        self.labels
-            .get_or_build(run_id, || {
-                LabelIndex::build_deadline(&run_row.run, deadline)
-            })
+        build: fn(&WorkflowRun, &mut Deadline) -> std::result::Result<T, IndexBuildError>,
+    ) -> Result<Arc<T>> {
+        let run = self.run(run_id)?;
+        cache
+            .get_or_build(run_id, || build(run, deadline))
             .map_err(|e| match e {
                 IndexBuildError::Cycle => WarehouseError::Model(ModelError::RunHasCycle),
                 IndexBuildError::Interrupted(i) => self.interrupt_error(i),
@@ -969,105 +943,128 @@ impl Warehouse {
         }
     }
 
-    /// Records one finished facade query: errors bump the error counter;
-    /// successes land in the per-(kind, view class) histogram and, past
-    /// the threshold, the slow-query log.
-    fn record_query(
+    /// Answers a read op by `cx` through a shared borrow: the one read
+    /// path below every facade. A deep, immediate, dependents or
+    /// data-between query builds its deadline ([`Warehouse::deadline`]),
+    /// is admitted, and is timed into the query metrics, its slow-log
+    /// entry naming `cx.tenant`; a batch takes one admission slot for all
+    /// of its queries ([`Warehouse::deep_provenance_many`]); final outputs
+    /// and visible data are plain table reads. Write ops need
+    /// [`Store::apply`](crate::op::Store::apply) and answer
+    /// [`WarehouseError::ReadOnly`] here.
+    pub fn read(&self, cx: &Cx, op: &Op) -> Result<Answer> {
+        Ok(match *op {
+            Op::DeepProvenance(r, v, d) => {
+                Answer::Provenance(self.query(cx, QueryKind::Deep, (r, v, Some(d)), |dl| {
+                    self.reach(r, v, d, dl, query::deep_provenance)
+                })?)
+            }
+            Op::ImmediateProvenance(r, v, d) => {
+                Answer::Immediate(self.query(cx, QueryKind::Immediate, (r, v, Some(d)), |_| {
+                    self.immediate(r, v, d)
+                })?)
+            }
+            Op::DependentsOf(r, v, d) => Answer::Data(self.query(
+                cx,
+                QueryKind::Dependents,
+                (r, v, Some(d)),
+                |dl| self.reach(r, v, d, dl, query::dependents_of),
+            )?),
+            Op::DataBetween(r, v, from, to) => {
+                Answer::Data(self.query(cx, QueryKind::Between, (r, v, None), |_| {
+                    self.between(r, v, from, to)
+                })?)
+            }
+            Op::FinalOutputs(r) => Answer::Data(self.run(r)?.final_outputs()),
+            Op::VisibleData(r, v) => Answer::Data(self.view_run(r, v)?.visible_data(self.run(r)?)),
+            Op::Batch(ref queries) => Answer::Batch(self.deep_provenance_many(cx, queries)),
+            Op::RegisterSpec(_)
+            | Op::RegisterView(..)
+            | Op::LoadLog(..)
+            | Op::BeginStream(_)
+            | Op::PushEvent(..)
+            | Op::SealStream(_)
+            | Op::BuildView(..)
+            | Op::AdminView(_) => return Err(WarehouseError::ReadOnly(op.name())),
+        })
+    }
+
+    /// One query by `cx` against `target`: its deadline is built (which
+    /// starts its budget), then it is admitted and timed.
+    fn query<T>(
         &self,
+        cx: &Cx,
         kind: QueryKind,
-        run: RunId,
-        view: ViewId,
-        data: Option<DataId>,
-        started: Instant,
-        failed: bool,
-    ) {
-        if failed {
-            self.metrics.add(Counter::QueryErrors, 1);
-            return;
-        }
-        let (class, name) = self.query_context(view);
-        self.metrics.record_query(
-            kind,
-            class,
-            run,
-            view,
-            name,
-            data.map(|d| d.0),
-            started.elapsed().as_nanos() as u64,
-        );
-    }
-
-    /// Deep provenance of `data` in `run` as seen through `view`.
-    ///
-    /// Answered from the per-run base-closure index: the first query on a
-    /// run builds the index, every later query — at *any* view level —
-    /// projects a precomputed closure row.
-    pub fn deep_provenance(
-        &self,
-        run_id: RunId,
-        view_id: ViewId,
-        data: DataId,
-    ) -> Result<ProvenanceResult> {
-        self.deep_provenance_with_deadline(run_id, view_id, data, &mut self.current_deadline())
-    }
-
-    /// [`Warehouse::deep_provenance`] under an explicit per-call deadline
-    /// (overriding the store default). Subject to admission control like
-    /// every facade query.
-    pub fn deep_provenance_with_deadline(
-        &self,
-        run_id: RunId,
-        view_id: ViewId,
-        data: DataId,
-        deadline: &mut Deadline,
-    ) -> Result<ProvenanceResult> {
+        target: (RunId, ViewId, Option<DataId>),
+        answer: impl FnOnce(&mut Deadline) -> Result<T>,
+    ) -> Result<T> {
+        let mut deadline = self.deadline(cx);
         let _permit = self.admit()?;
-        self.deep_provenance_recorded(run_id, view_id, data, deadline)
+        self.timed(cx, kind, target, &mut deadline, answer)
     }
 
-    /// The timed-and-recorded query body, *without* admission — the batch
-    /// path runs many of these under one batch-level permit.
-    fn deep_provenance_recorded(
+    /// Runs `answer` under `deadline` and records it, without admission —
+    /// the batch path runs many of these under one batch-level permit.
+    /// Errors bump the error counter; successes land in the per-(kind,
+    /// view class) histogram and, past the threshold, the slow-query log
+    /// under `cx`'s tenant.
+    fn timed<T>(
         &self,
-        run_id: RunId,
-        view_id: ViewId,
-        data: DataId,
+        cx: &Cx,
+        kind: QueryKind,
+        (run, view, data): (RunId, ViewId, Option<DataId>),
         deadline: &mut Deadline,
-    ) -> Result<ProvenanceResult> {
+        answer: impl FnOnce(&mut Deadline) -> Result<T>,
+    ) -> Result<T> {
         let started = Instant::now();
-        let res = self.deep_provenance_inner(run_id, view_id, data, deadline);
-        self.record_query(
-            QueryKind::Deep,
-            run_id,
-            view_id,
-            Some(data),
-            started,
-            res.is_err(),
-        );
+        let res = answer(deadline);
+        if res.is_err() {
+            self.metrics.add(Counter::QueryErrors, 1);
+        } else {
+            let (class, name) = self.query_context(view);
+            self.metrics.record_query(
+                kind,
+                class,
+                run,
+                view,
+                name,
+                data.map(|d| d.0),
+                started.elapsed().as_nanos() as u64,
+                cx.tenant,
+            );
+        }
         res
     }
 
-    fn deep_provenance_inner(
+    /// A closure query — deep provenance or dependents — of `data` in
+    /// `run` through `view`: `kernel` over the run's [`Reach`], which
+    /// [`Warehouse::backend_for`] picks (a cold index builds under
+    /// `deadline`).
+    fn reach<T>(
         &self,
         run_id: RunId,
         view_id: ViewId,
         data: DataId,
         deadline: &mut Deadline,
-    ) -> Result<ProvenanceResult> {
+        kernel: query::Kernel<T>,
+    ) -> Result<T> {
         let vr = self.view_run(run_id, view_id)?;
         let run = self.run(run_id)?;
-        let res = match self.backend_for(run.graph().node_count()) {
+        let (labels, index);
+        let reach = match self.backend_for(run.graph().node_count()) {
             IndexBackend::Labels => {
-                let labels = self.label_index_deadline(run_id, deadline)?;
-                query::deep_provenance_labeled_deadline(run, &vr, &labels, data, deadline)
+                let build = LabelIndex::build_deadline;
+                labels = self.index_of(&self.labels, run_id, deadline, build)?;
+                Reach::Labels(&labels)
             }
             IndexBackend::Bitset => {
-                let index = self.provenance_index_deadline(run_id, deadline)?;
-                query::deep_provenance_indexed_deadline(run, &vr, &index, data, deadline)
+                let build = ProvenanceIndex::build_deadline;
+                index = self.index_of(&self.index, run_id, deadline, build)?;
+                Reach::Bitset(&index)
             }
-            IndexBackend::Bfs => query::deep_provenance_deadline(run, &vr, data, deadline),
+            IndexBackend::Bfs => Reach::Bfs,
         };
-        match res {
+        match kernel(run, &vr, reach, data, deadline) {
             Ok(Some(r)) => Ok(r),
             Ok(None) => Err(self.invisible_or_missing(run_id, view_id, data)),
             Err(QueryFailure::Corrupt(e)) => Err(WarehouseError::CorruptViewRun(e)),
@@ -1075,7 +1072,21 @@ impl Warehouse {
         }
     }
 
-    /// Deep provenance of many `(run, view, data)` triples at once.
+    /// Deep provenance of `data` in `run` as seen through `view`, as the
+    /// embedder. Answered from the per-run base-closure index: the first
+    /// query on a run builds the index, every later query — at *any* view
+    /// level — projects a precomputed closure row.
+    pub fn deep_provenance(
+        &self,
+        run_id: RunId,
+        view_id: ViewId,
+        data: DataId,
+    ) -> Result<ProvenanceResult> {
+        typed(self.read(&Cx::ADMIN, &Op::DeepProvenance(run_id, view_id, data)))
+    }
+
+    /// Deep provenance of many `(run, view, data)` triples at once, by
+    /// `cx`.
     ///
     /// Independent queries fan out across a capped worker pool pulling
     /// from an atomic-index work queue — no fixed chunking, so one
@@ -1083,7 +1094,7 @@ impl Warehouse {
     /// (work-stealing by construction). Results come back in input order.
     /// The view-run and index caches are concurrent, so queries sharing a
     /// run or a view pair deduplicate work naturally — one thread builds,
-    /// the rest hit.
+    /// the rest hit. Every worker records its queries under `cx`'s tenant.
     ///
     /// The whole batch consumes **one** admission slot: sub-queries never
     /// re-enter admission (a batch nesting into the queue it fills would
@@ -1091,11 +1102,13 @@ impl Warehouse {
     /// [`WarehouseError::Overloaded`].
     pub fn deep_provenance_many(
         &self,
+        cx: &Cx,
         queries: &[(RunId, ViewId, DataId)],
     ) -> Vec<Result<ProvenanceResult>> {
         if queries.is_empty() {
             return Vec::new();
         }
+        let base_deadline = self.deadline(cx);
         let _permit = match self.admit() {
             Ok(p) => p,
             Err(_) => {
@@ -1115,39 +1128,33 @@ impl Warehouse {
             .unwrap_or(1)
             .min(queries.len())
             .min(cap);
-        let base_deadline = self.current_deadline();
+        let deep = |(r, v, d): (RunId, ViewId, DataId), deadline: &mut Deadline| {
+            self.timed(cx, QueryKind::Deep, (r, v, Some(d)), deadline, |dl| {
+                self.reach(r, v, d, dl, query::deep_provenance)
+            })
+        };
         if workers <= 1 {
             let mut deadline = base_deadline;
-            return queries
-                .iter()
-                .map(|&(r, v, d)| self.deep_provenance_recorded(r, v, d, &mut deadline))
-                .collect();
+            return queries.iter().map(|&q| deep(q, &mut deadline)).collect();
         }
         // Work-stealing fan-out: workers pull the next unclaimed input
         // index; a heavy query occupies one worker while the rest drain
         // the remainder. Each worker tags results with their input index
         // so the merge restores input order exactly.
         let next = AtomicUsize::new(0);
-        // Slow-log attribution: the tenant tag is thread-local, so the
-        // submitting thread's tag must be re-established inside every
-        // scoped worker or batch slow queries would record untagged.
-        let tenant = crate::metrics::current_tenant();
         crossbeam::thread::scope(|s| {
-            let next = &next;
-            let base_deadline = &base_deadline;
-            let tenant = &tenant;
+            let (next, base_deadline, deep) = (&next, &base_deadline, &deep);
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(move |_| {
-                        let _tag = crate::metrics::tag_tenant_shared(tenant.clone());
                         let mut deadline = base_deadline.clone();
                         let mut out: Vec<(usize, Result<ProvenanceResult>)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(r, v, d)) = queries.get(i) else {
+                            let Some(&q) = queries.get(i) else {
                                 break;
                             };
-                            out.push((i, self.deep_provenance_recorded(r, v, d, &mut deadline)));
+                            out.push((i, deep(q, &mut deadline)));
                         }
                         out
                     })
@@ -1180,33 +1187,17 @@ impl Warehouse {
     }
 
     /// Immediate provenance of `data` in `run` as seen through `view`, with
-    /// user-input metadata resolved from the run.
+    /// user-input metadata resolved from the run, as the embedder.
     pub fn immediate_provenance(
         &self,
         run_id: RunId,
         view_id: ViewId,
         data: DataId,
     ) -> Result<ImmediateAnswer> {
-        let _permit = self.admit()?;
-        let started = Instant::now();
-        let res = self.immediate_provenance_inner(run_id, view_id, data);
-        self.record_query(
-            QueryKind::Immediate,
-            run_id,
-            view_id,
-            Some(data),
-            started,
-            res.is_err(),
-        );
-        res
+        typed(self.read(&Cx::ADMIN, &Op::ImmediateProvenance(run_id, view_id, data)))
     }
 
-    fn immediate_provenance_inner(
-        &self,
-        run_id: RunId,
-        view_id: ViewId,
-        data: DataId,
-    ) -> Result<ImmediateAnswer> {
+    fn immediate(&self, run_id: RunId, view_id: ViewId, data: DataId) -> Result<ImmediateAnswer> {
         let vr = self.view_run(run_id, view_id)?;
         let run = self.run(run_id)?;
         match query::immediate_provenance(run, &vr, data) {
@@ -1234,93 +1225,21 @@ impl Warehouse {
         }
     }
 
-    /// The canned forward query: data objects that have `data` in their
-    /// provenance, at this view level.
+    /// The canned forward query, as the embedder: data objects that have
+    /// `data` in their provenance, at this view level.
     pub fn dependents_of(
         &self,
         run_id: RunId,
         view_id: ViewId,
         data: DataId,
     ) -> Result<Vec<DataId>> {
-        self.dependents_of_with_deadline(run_id, view_id, data, &mut self.current_deadline())
-    }
-
-    /// [`Warehouse::dependents_of`] under an explicit per-call deadline
-    /// (overriding the store default).
-    pub fn dependents_of_with_deadline(
-        &self,
-        run_id: RunId,
-        view_id: ViewId,
-        data: DataId,
-        deadline: &mut Deadline,
-    ) -> Result<Vec<DataId>> {
-        let _permit = self.admit()?;
-        let started = Instant::now();
-        let res = self.dependents_of_inner(run_id, view_id, data, deadline);
-        self.record_query(
-            QueryKind::Dependents,
-            run_id,
-            view_id,
-            Some(data),
-            started,
-            res.is_err(),
-        );
-        res
-    }
-
-    fn dependents_of_inner(
-        &self,
-        run_id: RunId,
-        view_id: ViewId,
-        data: DataId,
-        deadline: &mut Deadline,
-    ) -> Result<Vec<DataId>> {
-        let vr = self.view_run(run_id, view_id)?;
-        let run = self.run(run_id)?;
-        let res = match self.backend_for(run.graph().node_count()) {
-            IndexBackend::Labels => {
-                let labels = self.label_index_deadline(run_id, deadline)?;
-                query::dependents_of_labeled_deadline(run, &vr, &labels, data, deadline)
-            }
-            IndexBackend::Bitset => {
-                let index = self.provenance_index_deadline(run_id, deadline)?;
-                query::dependents_of_indexed_deadline(run, &vr, &index, data, deadline)
-            }
-            IndexBackend::Bfs => query::dependents_of_deadline(run, &vr, data, deadline),
-        };
-        match res {
-            Ok(Some(v)) => Ok(v),
-            Ok(None) => Err(self.invisible_or_missing(run_id, view_id, data)),
-            Err(QueryFailure::Corrupt(e)) => Err(WarehouseError::CorruptViewRun(e)),
-            Err(QueryFailure::Interrupted(i)) => Err(self.interrupt_error(i)),
-        }
+        typed(self.read(&Cx::ADMIN, &Op::DependentsOf(run_id, view_id, data)))
     }
 
     /// The data set passed between two executions at this view level — the
     /// prototype's edge-click interaction. `None` endpoints denote the
     /// run's input/output nodes.
-    pub fn data_between(
-        &self,
-        run_id: RunId,
-        view_id: ViewId,
-        from: Option<zoom_model::StepId>,
-        to: Option<zoom_model::StepId>,
-    ) -> Result<Vec<DataId>> {
-        let _permit = self.admit()?;
-        let started = Instant::now();
-        let res = self.data_between_inner(run_id, view_id, from, to);
-        self.record_query(
-            QueryKind::Between,
-            run_id,
-            view_id,
-            None,
-            started,
-            res.is_err(),
-        );
-        res
-    }
-
-    fn data_between_inner(
+    fn between(
         &self,
         run_id: RunId,
         view_id: ViewId,
@@ -1812,25 +1731,21 @@ mod tests {
         let admin = w.register_view(sid, UserView::admin(&s)).unwrap();
         let rid = w.load_run(sid, run(&s)).unwrap();
 
+        let between = |from, to| {
+            typed::<Vec<DataId>>(w.read(&Cx::ADMIN, &Op::DataBetween(rid, admin, from, to)))
+        };
         // Known executions answer normally.
         assert_eq!(
-            w.data_between(rid, admin, Some(StepId(1)), Some(StepId(2)))
-                .unwrap(),
+            between(Some(StepId(1)), Some(StepId(2))).unwrap(),
             vec![DataId(2)]
         );
         // Unknown endpoint surfaces as ExecNotFound naming the culprit,
         // not the old bogus DataNotFound(d0).
-        match w
-            .data_between(rid, admin, Some(StepId(1)), Some(StepId(42)))
-            .unwrap_err()
-        {
+        match between(Some(StepId(1)), Some(StepId(42))).unwrap_err() {
             WarehouseError::ExecNotFound(s) => assert_eq!(s, StepId(42)),
             e => panic!("unexpected {e}"),
         }
-        match w
-            .data_between(rid, admin, Some(StepId(99)), None)
-            .unwrap_err()
-        {
+        match between(Some(StepId(99)), None).unwrap_err() {
             WarehouseError::ExecNotFound(s) => assert_eq!(s, StepId(99)),
             e => panic!("unexpected {e}"),
         }
@@ -1902,7 +1817,7 @@ mod tests {
             (rid, bb, DataId(2)),          // hidden
             (RunId(42), admin, DataId(1)), // unknown run
         ];
-        let batch = w.deep_provenance_many(&queries);
+        let batch = w.deep_provenance_many(&Cx::ADMIN, &queries);
         assert_eq!(batch.len(), queries.len());
         for (res, &(r, v, d)) in batch.iter().zip(&queries) {
             match (res, w.deep_provenance(r, v, d)) {
@@ -1911,7 +1826,7 @@ mod tests {
                 (a, b) => panic!("batch {a:?} vs serial {b:?}"),
             }
         }
-        assert!(w.deep_provenance_many(&[]).is_empty());
+        assert!(w.deep_provenance_many(&Cx::ADMIN, &[]).is_empty());
     }
 
     #[test]
@@ -1937,7 +1852,7 @@ mod tests {
             })
             .collect();
         let expected = w.deep_provenance(rid, admin, DataId(3)).unwrap();
-        let batch = w.deep_provenance_many(&queries);
+        let batch = w.deep_provenance_many(&Cx::ADMIN, &queries);
         assert_eq!(batch.len(), queries.len());
         for (i, res) in batch.iter().enumerate() {
             if i % 2 == 0 {

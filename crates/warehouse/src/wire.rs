@@ -37,7 +37,7 @@ use crate::durable::{fsck_with, DurableError, DurableOptions, DurableWarehouse, 
 use crate::io::{RealFs, StorageIo};
 use crate::journal::crc32;
 use crate::metrics::{Counter, MetricsSnapshot, SlowQuery};
-use crate::op::{typed, Answer, Op, Store};
+use crate::op::{typed, Answer, Cx, Op, Store};
 use crate::query::ProvenanceResult;
 use crate::resilience::{AdmissionControl, AdmissionPermit, HealthReport, ShardState};
 use crate::schema::{RunId, SpecId, ViewId, WarehouseStats};
@@ -903,13 +903,15 @@ impl ShardRouter {
         Ok(Answer::Run(global))
     }
 
-    /// Applies one op: specs and views are registered on every shard
-    /// (the same id everywhere), view building finds or registers the
-    /// built view atomically, loads allocate the next global run id, and
-    /// run-addressed ops run on the owning shard at its local run id.
-    /// Batches are grouped by owning shard, each group fanning out
-    /// through that shard's batch path, and answer in input order.
-    pub fn apply(&self, op: &Op) -> WhResult<Answer> {
+    /// Applies one op by `cx`: specs and views are registered on every
+    /// shard (the same id everywhere), view building finds or registers
+    /// the built view atomically, loads allocate the next global run id,
+    /// and run-addressed ops run on the owning shard at its local run id,
+    /// through that shard's [`Warehouse::read`] with `cx`. Batches are
+    /// grouped by owning shard, each group fanning out through that
+    /// shard's batch path, and answer in input order. Policies are not
+    /// enforced here: the daemon gates each op before it calls this.
+    pub fn apply(&self, cx: &Cx, op: &Op) -> WhResult<Answer> {
         match op {
             Op::RegisterSpec(_) | Op::RegisterView(..) => {
                 let _reg = lock(&self.registration);
@@ -926,14 +928,14 @@ impl ShardRouter {
             Op::SealStream(run) => self.with_run_mut(*run, |b, local| {
                 b.store().stream_seal(local).map(|()| Answer::Sealed)
             }),
-            Op::Batch(queries) => Ok(Answer::Batch(self.query_batch(queries))),
+            Op::Batch(queries) => Ok(Answer::Batch(self.query_batch(cx, queries))),
             Op::DeepProvenance(run, ..)
             | Op::ImmediateProvenance(run, ..)
             | Op::DependentsOf(run, ..)
             | Op::DataBetween(run, ..)
             | Op::FinalOutputs(run)
             | Op::VisibleData(run, _) => self.with_run(*run, |b, local| {
-                b.warehouse().read(&op.retarget(local, None))
+                b.warehouse().read(cx, &op.retarget(local, None))
             }),
         }
     }
@@ -1054,7 +1056,11 @@ impl ShardRouter {
     }
 
     /// Batched deep provenance (see [`ShardRouter::apply`]).
-    fn query_batch(&self, queries: &[(RunId, ViewId, DataId)]) -> Vec<WhResult<ProvenanceResult>> {
+    fn query_batch(
+        &self,
+        cx: &Cx,
+        queries: &[(RunId, ViewId, DataId)],
+    ) -> Vec<WhResult<ProvenanceResult>> {
         let mut slots: Vec<Option<WhResult<ProvenanceResult>>> =
             (0..queries.len()).map(|_| None).collect();
         // Group indices per shard, translating run ids; unknown runs
@@ -1074,7 +1080,7 @@ impl ShardRouter {
             let triples: Vec<(RunId, ViewId, DataId)> = group.iter().map(|(_, t)| *t).collect();
             let answers = lock(&self.shards[sh])
                 .warehouse()
-                .deep_provenance_many(&triples);
+                .deep_provenance_many(cx, &triples);
             for ((i, _), ans) in group.into_iter().zip(answers) {
                 slots[i] = Some(ans);
             }
@@ -1385,31 +1391,31 @@ mod tests {
     /// Typed sugar over [`ShardRouter::apply`] for the tests below.
     impl ShardRouter {
         fn register_spec(&self, s: &WorkflowSpec) -> WhResult<SpecId> {
-            typed(self.apply(&Op::RegisterSpec(s.clone())))
+            typed(self.apply(&Cx::ADMIN, &Op::RegisterSpec(s.clone())))
         }
         fn register_view(&self, spec: SpecId, v: &UserView) -> WhResult<ViewId> {
-            typed(self.apply(&Op::RegisterView(spec, v.clone())))
+            typed(self.apply(&Cx::ADMIN, &Op::RegisterView(spec, v.clone())))
         }
         fn load_log(&self, spec: SpecId, log: &EventLog) -> WhResult<RunId> {
-            typed(self.apply(&Op::LoadLog(spec, log.clone())))
+            typed(self.apply(&Cx::ADMIN, &Op::LoadLog(spec, log.clone())))
         }
         fn begin_stream(&self, spec: SpecId) -> WhResult<RunId> {
-            typed(self.apply(&Op::BeginStream(spec)))
+            typed(self.apply(&Cx::ADMIN, &Op::BeginStream(spec)))
         }
         fn stream_push(&self, run: RunId, ev: &LogEvent) -> WhResult<PushOutcome> {
-            typed(self.apply(&Op::PushEvent(run, ev.clone())))
+            typed(self.apply(&Cx::ADMIN, &Op::PushEvent(run, ev.clone())))
         }
         fn stream_seal(&self, run: RunId) -> WhResult<()> {
-            typed(self.apply(&Op::SealStream(run)))
+            typed(self.apply(&Cx::ADMIN, &Op::SealStream(run)))
         }
         fn deep_provenance(&self, r: RunId, v: ViewId, d: DataId) -> WhResult<ProvenanceResult> {
-            typed(self.apply(&Op::DeepProvenance(r, v, d)))
+            typed(self.apply(&Cx::ADMIN, &Op::DeepProvenance(r, v, d)))
         }
         fn final_outputs(&self, run: RunId) -> WhResult<Vec<DataId>> {
-            typed(self.apply(&Op::FinalOutputs(run)))
+            typed(self.apply(&Cx::ADMIN, &Op::FinalOutputs(run)))
         }
         fn visible_data(&self, run: RunId, view: ViewId) -> WhResult<Vec<DataId>> {
-            typed(self.apply(&Op::VisibleData(run, view)))
+            typed(self.apply(&Cx::ADMIN, &Op::VisibleData(run, view)))
         }
     }
 
@@ -1570,7 +1576,7 @@ mod tests {
             .map(|i| (RunId(i), vid_r, DataId(3)))
             .chain([(RunId(99), vid_r, DataId(3))])
             .collect();
-        let batch = router.query_batch(&triples);
+        let batch = router.query_batch(&Cx::ADMIN, &triples);
         assert_eq!(batch.len(), 9);
         for ans in &batch[..8] {
             assert!(ans.is_ok());

@@ -2,8 +2,10 @@
 //! projection makes at most [`DEEP_BUDGET`] heap allocations and a
 //! dependents collection at most [`DEPENDENTS_BUDGET`], whether the
 //! closure comes from the bitset index or the label index, whatever the
-//! view. A counting global allocator tallies the allocations of the
-//! calling thread, so this check lives in a test binary of its own.
+//! view. A warm deep read through a tenant's privacy gate allocates
+//! exactly as often as the same read at the effective view without one.
+//! A counting global allocator tallies the allocations of the calling
+//! thread, so this check lives in a test binary of its own.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -14,8 +16,8 @@ use zoom_gen::{generate_run, generate_spec, RunGenConfig, RunKind, SpecGenConfig
 use zoom_graph::NodeId;
 use zoom_model::{CompositeModule, UserView, ViewRun, WorkflowRun};
 use zoom_warehouse::{
-    deep_provenance_indexed, deep_provenance_labeled, dependents_of_indexed, dependents_of_labeled,
-    LabelIndex, ProvenanceIndex,
+    deep_provenance_indexed, deep_provenance_labeled, dependents_of, Cx, Deadline, LabelIndex,
+    MutRegistrar, Op, PolicyTable, ProvenanceIndex, Reach, VisibilityPolicy, Warehouse,
 };
 
 /// The most heap allocations one deep projection may make: its scratch
@@ -84,8 +86,24 @@ fn check(run: &WorkflowRun, view: &UserView, worst: &mut Worst) {
             allocations(|| drop(deep_provenance_labeled(run, &vr, &labels, d))),
         ];
         let dependents = [
-            allocations(|| drop(dependents_of_indexed(run, &vr, &index, d))),
-            allocations(|| drop(dependents_of_labeled(run, &vr, &labels, d))),
+            allocations(|| {
+                drop(dependents_of(
+                    run,
+                    &vr,
+                    Reach::Bitset(&index),
+                    d,
+                    &mut Deadline::unlimited(),
+                ))
+            }),
+            allocations(|| {
+                drop(dependents_of(
+                    run,
+                    &vr,
+                    Reach::Labels(&labels),
+                    d,
+                    &mut Deadline::unlimited(),
+                ))
+            }),
         ];
         for (form, n) in ["bitset", "label"].iter().zip(deep) {
             assert!(
@@ -145,4 +163,61 @@ fn projections_stay_within_the_allocation_budget() {
         "projection allocations, worst case: deep {}, dependents {}",
         worst.deep, worst.dependents
     );
+}
+
+/// A restricted tenant's warm deep read, gated by its policy, allocates as
+/// often as the admin's read at the effective view it is substituted to:
+/// the gate's cache lookups are keyed by the tenant's name and allocate
+/// nothing.
+#[test]
+fn a_gated_deep_read_allocates_as_often_as_the_ungated_one() {
+    let mut rng = StdRng::seed_from_u64(20);
+    let spec = generate_spec(
+        "gated",
+        &SpecGenConfig::new(WorkflowClass::Loop, 12),
+        &mut rng,
+    );
+    let run = generate_run(&spec, &RunGenConfig::for_kind(RunKind::Medium), &mut rng)
+        .expect("generated runs are valid");
+    let hidden = spec.label(spec.module_ids().nth(1).expect("12 modules"));
+    let policy = VisibilityPolicy {
+        hidden_modules: vec![hidden.to_string()],
+        ..VisibilityPolicy::default()
+    };
+    let mut wh = Warehouse::new();
+    let sid = wh.register_spec(spec.clone()).expect("registers");
+    let admin = wh
+        .register_view(sid, UserView::admin(&spec))
+        .expect("registers");
+    let rid = wh.load_run(sid, run.clone()).expect("loads");
+    let table = PolicyTable::new();
+    {
+        let reg = MutRegistrar::new(&mut wh);
+        table
+            .install("restricted", Some(policy), &reg)
+            .expect("satisfiable");
+        table.compile_all(&reg).expect("compiles");
+    }
+    // A slow-log entry would copy the tenant's name; keep the log closed.
+    wh.metrics_registry().set_slow_threshold_nanos(u64::MAX);
+    let gate = table.gate("restricted", &wh);
+    let effective = gate.view(rid, admin).expect("restricted, not denied");
+    assert_ne!(effective, admin, "the policy substitutes a coarser view");
+    let cx = Cx::tenant("restricted");
+    let gated = |d| gate.apply(&Op::DeepProvenance(rid, admin, d), |op| wh.read(&cx, op));
+    let ungated = |d| wh.read(&Cx::ADMIN, &Op::DeepProvenance(rid, effective, d));
+    let vr = ViewRun::new(&run, wh.view(effective).expect("registered"));
+    let mut checked = 0;
+    for d in vr.visible_data(&run).into_iter().step_by(7) {
+        // Warm both paths: the view-run, the index and the gate's caches.
+        let want = format!("{:?}", ungated(d));
+        assert_eq!(format!("{:?}", gated(d)), want);
+        let (g, u) = (
+            allocations(|| drop(gated(d))),
+            allocations(|| drop(ungated(d))),
+        );
+        assert_eq!(g, u, "deep read of {d}: gated {g} allocations, ungated {u}");
+        checked += 1;
+    }
+    assert!(checked > 0);
 }

@@ -12,7 +12,7 @@
 //! cargo run --example provenance_challenge
 //! ```
 
-use zoom::core::CannedQuery;
+use zoom::core::{CannedQuery, Cx};
 use zoom::model::DataId;
 use zoom::Zoom;
 use zoom_gen::library::{provenance_challenge, provenance_challenge_run};
@@ -84,12 +84,12 @@ fn main() {
     // Challenge-style forward query: everything affected by the second
     // anatomy image (d3).
     let q = CannedQuery::parse("dependents d3").expect("parses");
-    let ans = zoom.read(&q.op(rid, admin)).expect("answers");
+    let ans = zoom.read(&Cx::ADMIN, &q.op(rid, admin)).expect("answers");
     println!("\neverything derived from anatomy image d3:\n  {ans}");
 
     // Edge inspection: what flowed from Softmean's execution to the first
     // slicer at the admin level? (S9 is the softmean step.)
     let q = CannedQuery::parse("between S9 S10").expect("parses");
-    let ans = zoom.read(&q.op(rid, admin)).expect("answers");
+    let ans = zoom.read(&Cx::ADMIN, &q.op(rid, admin)).expect("answers");
     println!("\ndata from softmean (S9) to the first slicer (S10):\n  {ans}");
 }

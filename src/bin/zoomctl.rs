@@ -35,7 +35,7 @@ macro_rules! out_raw {
     }};
 }
 use zoom::core::{
-    Answer, CannedQuery, Op, PushOutcome, ReplayOptions, RunId, SpecId, TraceRecorder,
+    Answer, CannedQuery, Cx, Op, PushOutcome, ReplayOptions, RunId, SpecId, TraceRecorder,
     TraceReplayer, TraceTarget, ViewId, VisibilityPolicy,
 };
 use zoom::model::{DataId, LogEvent, StepId, Timestamp, UserView};
@@ -457,7 +457,9 @@ fn query(
     let rid = resolve_run(&zoom, sid, run_index)?;
     let vid = resolve_view(&zoom, sid, view_name)?;
     let q = CannedQuery::parse(text).map_err(|e| e.to_string())?;
-    let answer = zoom.read(&q.op(rid, vid)).map_err(|e| e.to_string())?;
+    let answer = zoom
+        .read(&Cx::ADMIN, &q.op(rid, vid))
+        .map_err(|e| e.to_string())?;
     out!("{answer}");
     Ok(())
 }
@@ -595,7 +597,7 @@ fn repl(path: &Path, name: &str, run_index: &str) -> Result<(), String> {
                 }
             }
             _ => match CannedQuery::parse(line) {
-                Ok(q) => match zoom.read(&q.op(rid, current)) {
+                Ok(q) => match zoom.read(&Cx::ADMIN, &q.op(rid, current)) {
                     Ok(a) => out!("{a}"),
                     Err(e) => out!("{e}"),
                 },

@@ -18,10 +18,10 @@ use std::time::{Duration, Instant};
 use zoom::model::{RunBuilder, SpecBuilder, UserView, WorkflowRun, WorkflowSpec};
 use zoom::warehouse::io::FaultFs;
 use zoom::warehouse::{
-    BreakerState, DurableError, DurableOptions, DurableWarehouse, RetryPolicy, Warehouse,
-    WarehouseError,
+    typed, BreakerState, Cx, DurableError, DurableOptions, DurableWarehouse, IndexBackend, Op,
+    ProvenanceResult, RetryPolicy, Warehouse, WarehouseError,
 };
-use zoom::{DataId, Zoom};
+use zoom::{DataId, QuerySession, Zoom};
 use zoom_gen::{generate_run, generate_spec, RunGenConfig, SpecGenConfig, WorkflowClass};
 
 fn tempdir(name: &str) -> PathBuf {
@@ -239,9 +239,9 @@ fn deadlines_bound_pathological_queries() {
     // Deterministic: an expired budget must interrupt, promptly.
     z.warehouse().clear_cache();
     let t0 = Instant::now();
-    let err = z
-        .deep_provenance_within(rid, vid, target, Duration::ZERO)
-        .unwrap_err();
+    let op = Op::DeepProvenance(rid, vid, target);
+    let err =
+        typed::<ProvenanceResult>(z.read(&Cx::ADMIN.within(Duration::ZERO), &op)).unwrap_err();
     assert!(
         matches!(err, WarehouseError::DeadlineExceeded),
         "expected DeadlineExceeded, got {err:?}"
@@ -259,7 +259,7 @@ fn deadlines_bound_pathological_queries() {
     let budget = (unbounded / 4).max(Duration::from_micros(100));
     z.warehouse().clear_cache();
     let t0 = Instant::now();
-    let res = z.deep_provenance_within(rid, vid, target, budget);
+    let res = typed::<ProvenanceResult>(z.read(&Cx::ADMIN.within(budget), &op));
     let elapsed = t0.elapsed();
     match res {
         Err(WarehouseError::DeadlineExceeded) => {
@@ -284,6 +284,50 @@ fn deadlines_bound_pathological_queries() {
     ));
     z.set_default_deadline(None);
     assert!(z.deep_provenance(rid, vid, target).is_ok());
+}
+
+/// `cancel_queries` reaches a query with a budget of its own: a budgeted
+/// read and a budgeted `QuerySession` query, each cancelled while it waits
+/// for admission with its deadline already built, unwind with `Cancelled`
+/// like default-deadline queries. The per-query BFS over the pathological
+/// run passes many deadline checks, so the raised token is seen.
+#[test]
+fn cancel_reaches_budgeted_reads_and_sessions() {
+    /// Runs `query` on a second thread while this one holds the only
+    /// admission slot, cancels once the query is queued, then frees the
+    /// slot; the query must unwind with `Cancelled`.
+    fn cancelled_while_queued(
+        z: &Zoom,
+        query: impl Fn() -> zoom::warehouse::Result<ProvenanceResult> + Send,
+    ) {
+        let admission = z.warehouse().admission();
+        let permit = admission.admit().expect("the only slot is free");
+        let res = std::thread::scope(|s| {
+            let waiter = s.spawn(query);
+            while admission.load() < 2 {
+                std::thread::yield_now();
+            }
+            z.cancel_queries();
+            drop(permit);
+            waiter.join().expect("the query thread finishes")
+        });
+        let res = res.map(|r| r.tuples());
+        assert!(matches!(res, Err(WarehouseError::Cancelled)), "{res:?}");
+    }
+
+    let (mut z, rid, vid, target) = pathological_zoom();
+    z.set_admission_limits(1, 1);
+    z.set_index_backend(Some(IndexBackend::Bfs));
+    let budget = Duration::from_secs(60);
+    let cx = Cx::ADMIN.within(budget);
+    let op = Op::DeepProvenance(rid, vid, target);
+    cancelled_while_queued(&z, || typed(z.read(&cx, &op)));
+    cancelled_while_queued(&z, || {
+        let mut sess = QuerySession::new(&z, rid, vid);
+        sess.set_deadline(Some(budget));
+        sess.focus_data(target)
+    });
+    assert_eq!(z.metrics().resilience.cancelled, 2);
 }
 
 /// Admission control sheds deterministically when the store is saturated,
@@ -448,9 +492,7 @@ fn replayed_trace_survives_transient_faults_without_divergence() {
 #[test]
 fn seeded_fault_schedule_reproduces_router_outcomes_and_loses_no_acks() {
     use zoom::model::EventLog;
-    use zoom::warehouse::{
-        typed, ChaosDriver, FaultSchedule, Op, RunId, ShardRouter, ShardState, StorageIo,
-    };
+    use zoom::warehouse::{ChaosDriver, FaultSchedule, RunId, ShardRouter, ShardState, StorageIo};
 
     const SHARDS: usize = 2;
     const OPS: u64 = 40;
@@ -477,7 +519,7 @@ fn seeded_fault_schedule_reproduces_router_outcomes_and_loses_no_acks() {
         let router = ShardRouter::open_durable_with(&dir, SHARDS, twitchy(), &dyn_ios).unwrap();
         let s = spec("chaos-schedule");
         let log = EventLog::from_run(&run(&s), &s);
-        let sid = typed(router.apply(&Op::RegisterSpec(s.clone()))).unwrap();
+        let sid = typed(router.apply(&Cx::ADMIN, &Op::RegisterSpec(s.clone()))).unwrap();
         let load = Op::LoadLog(sid, log);
 
         let schedule = FaultSchedule::generate(seed, SHARDS, OPS, 3);
@@ -488,7 +530,7 @@ fn seeded_fault_schedule_reproduces_router_outcomes_and_loses_no_acks() {
             driver.tick();
             // Outcome classes only — durability error renderings embed
             // the (per-episode) directory path.
-            match typed::<RunId>(router.apply(&load)) {
+            match typed::<RunId>(router.apply(&Cx::ADMIN, &load)) {
                 Ok(rid) => {
                     acked += 1;
                     trace.push(format!("ok:{}", rid.0));

@@ -7,7 +7,7 @@
 //! against it digest-for-digest and lets `zoomctl --connect` reuse every
 //! local code path.
 
-use zoom::core::{Answer, CannedQuery, Daemon, DaemonConfig, Op, RemoteZoom, Zoom};
+use zoom::core::{Answer, CannedQuery, Cx, Daemon, DaemonConfig, Op, RemoteZoom, Zoom};
 use zoom::model::{DataId, EventLog};
 use zoom::warehouse::{ReplayOptions, TraceReplayer};
 use zoom_gen::library::{figure2_run, phylogenomic};
@@ -57,7 +57,7 @@ fn remote_answers_match_local_facade() {
         assert_eq!(local.execs, remote.execs);
 
         let op = Op::ImmediateProvenance(rid_l, vid_l, d);
-        let li = format!("{:?}", zoom.read(&op).unwrap());
+        let li = format!("{:?}", zoom.read(&Cx::ADMIN, &op).unwrap());
         assert_eq!(li, format!("{:?}", rz.apply(&op).unwrap()));
     }
     for op in [
@@ -67,7 +67,7 @@ fn remote_answers_match_local_facade() {
         Op::DataBetween(rid_l, good_l, None, None),
     ] {
         // Debug forms: data lists must agree in order, not just as sets.
-        let local = format!("{:?}", zoom.read(&op).unwrap());
+        let local = format!("{:?}", zoom.read(&Cx::ADMIN, &op).unwrap());
         assert_eq!(local, format!("{:?}", rz.apply(&op).unwrap()), "{op:?}");
     }
 

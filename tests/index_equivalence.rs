@@ -17,8 +17,8 @@ use zoom::graph::{reachable_set, Digraph, Direction, NodeId};
 use zoom::model::{DataId, UserView, ViewRun, WorkflowRun, WorkflowSpec};
 use zoom::warehouse::{
     deep_provenance, deep_provenance_bfs, deep_provenance_indexed, deep_provenance_labeled,
-    dependents_of, dependents_of_bfs, dependents_of_indexed, dependents_of_labeled, Deadline,
-    LabelIndex, ProvenanceIndex, UpdateOutcome,
+    dependents_of, dependents_of_bfs, Deadline, LabelIndex, ProvenanceIndex, QueryFailure, Reach,
+    UpdateOutcome,
 };
 use zoom_gen::{
     generate_run, generate_spec, scatter_data_ids, RunGenConfig, SpecGenConfig, WorkflowClass,
@@ -72,18 +72,25 @@ fn assert_equivalent(
 ) {
     let data = run.all_data();
     for &d in data.iter().step_by((data.len() / 25).max(1)) {
-        let plain = deep_provenance(run, vr, d);
+        let plain = deep_provenance(run, vr, Reach::Bfs, d, &mut Deadline::unlimited());
         let indexed = deep_provenance_indexed(run, vr, index, d);
         let labeled = deep_provenance_labeled(run, vr, labels, d);
         let oracle = deep_provenance_bfs(run, vr, d);
         assert_eq!(indexed, oracle, "indexed deep provenance of {d} diverges");
         assert_eq!(labeled, oracle, "labeled deep provenance of {d} diverges");
+        let oracle = oracle.map_err(QueryFailure::from);
         assert_eq!(plain, oracle, "plain deep provenance of {d} diverges");
 
-        let plain = dependents_of(run, vr, d);
-        let indexed = dependents_of_indexed(run, vr, index, d);
-        let labeled = dependents_of_labeled(run, vr, labels, d);
-        let oracle = dependents_of_bfs(run, vr, d);
+        let plain = dependents_of(run, vr, Reach::Bfs, d, &mut Deadline::unlimited());
+        let indexed = dependents_of(run, vr, Reach::Bitset(index), d, &mut Deadline::unlimited());
+        let labeled = dependents_of(
+            run,
+            vr,
+            Reach::Labels(labels),
+            d,
+            &mut Deadline::unlimited(),
+        );
+        let oracle = dependents_of_bfs(run, vr, d).map_err(QueryFailure::from);
         assert_eq!(indexed, oracle, "indexed dependents of {d} diverge");
         assert_eq!(labeled, oracle, "labeled dependents of {d} diverge");
         assert_eq!(plain, oracle, "plain dependents of {d} diverge");
@@ -175,13 +182,13 @@ proptest! {
         let vr = ViewRun::new(&run, &UserView::black_box(&spec));
         for &d in run.all_data().iter().take(40) {
             let visible = vr.is_visible(&run, d);
-            prop_assert_eq!(deep_provenance(&run, &vr, d).unwrap().is_some(), visible);
+            prop_assert_eq!(deep_provenance(&run, &vr, Reach::Bfs, d, &mut Deadline::unlimited()).unwrap().is_some(), visible);
             prop_assert_eq!(deep_provenance_indexed(&run, &vr, &index, d).unwrap().is_some(), visible);
             prop_assert_eq!(deep_provenance_labeled(&run, &vr, &labels, d).unwrap().is_some(), visible);
             prop_assert_eq!(deep_provenance_bfs(&run, &vr, d).unwrap().is_some(), visible);
-            prop_assert_eq!(dependents_of(&run, &vr, d).unwrap().is_some(), visible);
-            prop_assert_eq!(dependents_of_indexed(&run, &vr, &index, d).unwrap().is_some(), visible);
-            prop_assert_eq!(dependents_of_labeled(&run, &vr, &labels, d).unwrap().is_some(), visible);
+            prop_assert_eq!(dependents_of(&run, &vr, Reach::Bfs, d, &mut Deadline::unlimited()).unwrap().is_some(), visible);
+            prop_assert_eq!(dependents_of(&run, &vr, Reach::Bitset(&index), d, &mut Deadline::unlimited()).unwrap().is_some(), visible);
+            prop_assert_eq!(dependents_of(&run, &vr, Reach::Labels(&labels), d, &mut Deadline::unlimited()).unwrap().is_some(), visible);
             prop_assert_eq!(dependents_of_bfs(&run, &vr, d).unwrap().is_some(), visible);
         }
     }

@@ -10,7 +10,7 @@ use zoom::gen::deep_chain;
 use zoom::graph::NodeId;
 use zoom::model::{UserView, ViewRun};
 use zoom::warehouse::{
-    deep_provenance_labeled, dependents_of_labeled, Deadline, LabelIndex, UpdateOutcome,
+    deep_provenance_labeled, dependents_of, Deadline, LabelIndex, Reach, UpdateOutcome,
 };
 
 const RELEASE: bool = !cfg!(debug_assertions);
@@ -82,9 +82,15 @@ fn label_index_scales_to_deep_chains() {
 
     // Forward provenance from the first user input reaches the whole chain.
     let first = run.all_data()[0];
-    let dependents = dependents_of_labeled(&run, &vr, &labels, first)
-        .unwrap()
-        .expect("visible");
+    let dependents = dependents_of(
+        &run,
+        &vr,
+        Reach::Labels(&labels),
+        first,
+        &mut Deadline::unlimited(),
+    )
+    .unwrap()
+    .expect("visible");
     assert!(
         dependents.len() >= steps,
         "forward closure misses the chain"

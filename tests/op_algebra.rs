@@ -4,7 +4,7 @@
 //! like its typed calls (policy refresh included).
 
 use std::collections::BTreeSet;
-use zoom::core::{Daemon, DaemonConfig, Op, RemoteZoom, Zoom};
+use zoom::core::{Cx, Daemon, DaemonConfig, Op, RemoteZoom, Zoom};
 use zoom::model::{
     DataId, EventLog, LogEvent, RunBuilder, SpecBuilder, StepId, Timestamp, UserView, WorkflowSpec,
 };
@@ -187,7 +187,7 @@ fn restricted_transcript(z: &Zoom, run: RunId, view: ViewId) -> String {
             .map_err(|e| e.to_string())
     );
     for op in reads(&[run], &[view], &[1, 2, 3, 4]) {
-        let line = match z.apply_as(tenant, &op) {
+        let line = match z.read(&Cx::tenant(tenant), &op) {
             Ok(a) => format!("{a:?}"),
             Err(e) => format!("err:{e}"),
         };
@@ -223,7 +223,7 @@ fn trace_ops_refresh_policies_like_typed_calls() {
     }
 
     // Tenants read: a write op on the tenant path is refused unapplied.
-    let write = typed.apply_as("restricted", &Op::BeginStream(sid));
+    let write = typed.read(&Cx::tenant("restricted"), &Op::BeginStream(sid));
     assert!(
         matches!(write, Err(WarehouseError::ReadOnly(_))),
         "{write:?}"

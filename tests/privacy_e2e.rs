@@ -4,9 +4,9 @@
 //! leak cross-tenant query context, and policy administration itself is
 //! admin-gated.
 
-use zoom::core::{Daemon, DaemonConfig, Op, RemoteZoom, Zoom};
+use zoom::core::{Answer, Cx, Daemon, DaemonConfig, Op, RemoteZoom, Zoom};
 use zoom::model::{DataId, EventLog};
-use zoom::warehouse::VisibilityPolicy;
+use zoom::warehouse::{SlowQuery, VisibilityPolicy};
 use zoom_gen::library::{figure2_run, phylogenomic};
 
 fn spawn(shards: usize, admin_token: Option<&str>) -> Daemon {
@@ -294,4 +294,55 @@ fn view_registration_returns_the_effective_view() {
         .deep_provenance_as("alice", lrid, lvid, finals[0])
         .unwrap();
     assert_eq!(lres.rows, res.rows);
+}
+
+/// A restricted tenant's batch fans out to worker threads, and every
+/// slow-log entry its queries leave names that tenant: on the facade
+/// (two batch workers) and through a two-shard daemon (its default
+/// worker cap). No entry is left untagged.
+#[test]
+fn batch_slow_log_entries_carry_the_tenant_across_workers() {
+    let spec = phylogenomic();
+    let run = figure2_run(&spec);
+    let policy = VisibilityPolicy {
+        hidden_modules: vec!["M5".to_string()],
+        hidden_workflows: vec![],
+    };
+    let data: Vec<DataId> = run.all_data().into_iter().step_by(40).collect();
+    let batch = |rid, vid| Op::Batch(data.iter().map(|&d| (rid, vid, d)).collect());
+    let all_tagged = |log: &[SlowQuery], answered: usize| {
+        assert_eq!(log.len(), answered, "one entry per answered query");
+        assert!(
+            log.iter()
+                .all(|q| q.tenant.as_deref() == Some("restricted")),
+            "{:?}",
+            log.iter().map(|q| &q.tenant).collect::<Vec<_>>()
+        );
+    };
+
+    let mut z = Zoom::new();
+    let sid = z.register_workflow(spec.clone()).unwrap();
+    let vid = z.admin_view(sid).unwrap();
+    let rid = z.load_run(sid, run.clone()).unwrap();
+    z.set_policy("restricted", Some(policy.clone())).unwrap();
+    z.set_slow_query_threshold_nanos(0);
+    z.set_max_batch_workers(2);
+    let Answer::Batch(slots) = z.read(&Cx::tenant("restricted"), &batch(rid, vid)).unwrap() else {
+        panic!("a batch answers a batch");
+    };
+    let answered = slots.iter().filter(|s| s.is_ok()).count();
+    assert!(answered >= 2, "{slots:?}");
+    all_tagged(&z.slow_queries(), answered);
+
+    let daemon = spawn(2, None);
+    let mut ctl = RemoteZoom::connect(daemon.addr(), "ctl").unwrap();
+    let (_, vid, rid) = load_demo(&mut ctl);
+    ctl.set_policy("restricted", Some(policy), None).unwrap();
+    ctl.slow_queries_admin(Some(0), None).unwrap();
+    let mut restricted = RemoteZoom::connect(daemon.addr(), "restricted").unwrap();
+    let Answer::Batch(remote) = restricted.apply(&batch(rid, vid)).unwrap() else {
+        panic!("a batch answers a batch");
+    };
+    assert_eq!(remote.iter().filter(|s| s.is_ok()).count(), answered);
+    all_tagged(&ctl.slow_queries_admin(None, None).unwrap(), answered);
 }

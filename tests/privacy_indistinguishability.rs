@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use std::fmt::{Debug, Display, Write as _};
 use std::time::Duration;
-use zoom::core::{Answer, Daemon, DaemonConfig, Op, QuerySession, RemoteZoom, Zoom};
+use zoom::core::{Answer, Cx, Daemon, DaemonConfig, Op, QuerySession, RemoteZoom, Zoom};
 use zoom::model::{DataId, SpecBuilder, UserView, WorkflowRun, WorkflowSpec};
 use zoom::warehouse::{typed, RunId, ViewId, VisibilityPolicy, WarehouseError};
 use zoom_graph::NodeId;
@@ -133,7 +133,7 @@ fn line<E: Debug + Display>(t: &mut String, op: &Op, r: Result<Answer<E>, E>) {
 fn local_transcript(zoom: &Zoom, tenant: &str, run: RunId, view: ViewId, probes: &[u64]) -> String {
     let mut t = String::new();
     for op in matrix(run, view, probes) {
-        line(&mut t, &op, zoom.apply_as(tenant, &op));
+        line(&mut t, &op, zoom.read(&Cx::tenant(tenant), &op));
     }
     t
 }
@@ -282,7 +282,7 @@ proptest! {
         prop_assert_eq!(hidden_err.replace("1000", "D"), absent_err.replace("4242", "D"));
     }
 
-    /// Facade ≡ daemon: the local `Zoom::apply_as` and the daemon answer
+    /// Facade ≡ daemon: the local `Zoom::read` and the daemon answer
     /// every tenant's full query matrix — batch included — with the same
     /// bytes, for a restricted tenant (substitution and concealment), a
     /// tenant whose policy hides the whole workflow (denial), and an
@@ -375,7 +375,8 @@ fn substitution_matches_direct_privacy_view_query() {
     let pv_id = zoom
         .private_view(sid, &["M2"])
         .expect("satisfiable: 5 modules");
-    let visible: Vec<DataId> = typed(zoom.apply_as("alice", &Op::VisibleData(rid, admin))).unwrap();
+    let visible: Vec<DataId> =
+        typed(zoom.read(&Cx::tenant("alice"), &Op::VisibleData(rid, admin))).unwrap();
     for d in visible {
         let as_alice = zoom.deep_provenance_as("alice", rid, admin, d).unwrap();
         let direct = zoom.deep_provenance(rid, pv_id, d).unwrap();

@@ -81,7 +81,7 @@ proptest! {
         let vr = ViewRun::new(&run, &UserView::admin(&spec));
         let mut memo = HashMap::new();
         for &d in run.all_data().iter().take(40) {
-            let got: BTreeSet<DataId> = zoom::warehouse::deep_provenance(&run, &vr, d)
+            let got: BTreeSet<DataId> = zoom::warehouse::deep_provenance(&run, &vr, zoom::warehouse::Reach::Bfs, d, &mut zoom::warehouse::Deadline::unlimited())
                 .expect("run is well-formed")
                 .expect("all data visible under UAdmin")
                 .data_ids()
@@ -114,7 +114,13 @@ proptest! {
         prop_assume!(!run.final_outputs().is_empty());
         let target = run.final_outputs()[0];
         let size = |v: &UserView| {
-            zoom::warehouse::deep_provenance(&run, &ViewRun::new(&run, v), target)
+            zoom::warehouse::deep_provenance(
+                &run,
+                &ViewRun::new(&run, v),
+                zoom::warehouse::Reach::Bfs,
+                target,
+                &mut zoom::warehouse::Deadline::unlimited(),
+            )
                 .expect("run is well-formed")
                 .expect("final outputs visible at every level")
                 .tuples()
@@ -146,14 +152,14 @@ proptest! {
         let data = run.all_data();
         // Sample pairs to keep the quadratic check bounded.
         for &d in data.iter().step_by((data.len() / 12).max(1)) {
-            let deps = zoom::warehouse::dependents_of(&run, &vr, d)
+            let deps = zoom::warehouse::dependents_of(&run, &vr, zoom::warehouse::Reach::Bfs, d, &mut zoom::warehouse::Deadline::unlimited())
                 .unwrap()
                 .expect("visible");
             for &x in data.iter().step_by((data.len() / 12).max(1)) {
                 if x == d {
                     continue;
                 }
-                let prov_x: Vec<DataId> = zoom::warehouse::deep_provenance(&run, &vr, x)
+                let prov_x: Vec<DataId> = zoom::warehouse::deep_provenance(&run, &vr, zoom::warehouse::Reach::Bfs, x, &mut zoom::warehouse::Deadline::unlimited())
                     .expect("run is well-formed")
                     .expect("visible")
                     .data_ids();
@@ -232,13 +238,13 @@ proptest! {
         let vr_admin = ViewRun::new(&run, &UserView::admin(&spec));
         prop_assume!(!run.final_outputs().is_empty());
         let target = run.final_outputs()[0];
-        let admin: BTreeSet<DataId> = zoom::warehouse::deep_provenance(&run, &vr_admin, target)
+        let admin: BTreeSet<DataId> = zoom::warehouse::deep_provenance(&run, &vr_admin, zoom::warehouse::Reach::Bfs, target, &mut zoom::warehouse::Deadline::unlimited())
             .expect("run is well-formed")
             .expect("visible")
             .data_ids()
             .into_iter()
             .collect();
-        let at_view: BTreeSet<DataId> = zoom::warehouse::deep_provenance(&run, &vr, target)
+        let at_view: BTreeSet<DataId> = zoom::warehouse::deep_provenance(&run, &vr, zoom::warehouse::Reach::Bfs, target, &mut zoom::warehouse::Deadline::unlimited())
             .expect("run is well-formed")
             .expect("final output visible")
             .data_ids()
@@ -267,10 +273,10 @@ proptest! {
         let admin = UserView::admin(&spec);
         let (va, vb) = (ViewRun::new(&run, &admin), ViewRun::new(&back, &admin));
         for &d in run.final_outputs().iter().take(3) {
-            let a = zoom::warehouse::deep_provenance(&run, &va, d)
+            let a = zoom::warehouse::deep_provenance(&run, &va, zoom::warehouse::Reach::Bfs, d, &mut zoom::warehouse::Deadline::unlimited())
                 .expect("well-formed")
                 .expect("visible");
-            let b = zoom::warehouse::deep_provenance(&back, &vb, d)
+            let b = zoom::warehouse::deep_provenance(&back, &vb, zoom::warehouse::Reach::Bfs, d, &mut zoom::warehouse::Deadline::unlimited())
                 .expect("well-formed")
                 .expect("visible");
             prop_assert_eq!(a.rows, b.rows);

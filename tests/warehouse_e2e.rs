@@ -59,9 +59,15 @@ fn cache_is_transparent() {
         .expect("valid");
     let target = corpus.zoom.final_outputs(rid).expect("loaded")[0];
     let run = corpus.zoom.warehouse().run(rid).expect("loaded");
-    let uncached = zoom::warehouse::deep_provenance(run, &vr, target)
-        .expect("well-formed")
-        .expect("visible");
+    let uncached = zoom::warehouse::deep_provenance(
+        run,
+        &vr,
+        zoom::warehouse::Reach::Bfs,
+        target,
+        &mut zoom::warehouse::Deadline::unlimited(),
+    )
+    .expect("well-formed")
+    .expect("visible");
     assert_eq!(cached.rows, uncached.rows);
     assert_eq!(cached.execs, uncached.execs);
 
@@ -276,11 +282,10 @@ fn data_between_agrees_with_view_run_edges() {
     for ((s, t), mut data) in labels {
         let from = vr.exec_at(s).map(|x| x.id);
         let to = vr.exec_at(t).map(|x| x.id);
-        let got = corpus
-            .zoom
-            .warehouse()
-            .data_between(rid, w.bio, from, to)
-            .expect("valid endpoints");
+        let op = zoom::core::Op::DataBetween(rid, w.bio, from, to);
+        let got: Vec<DataId> =
+            zoom::warehouse::typed(corpus.zoom.read(&zoom::core::Cx::ADMIN, &op))
+                .expect("valid endpoints");
         data.sort();
         data.dedup();
         assert_eq!(got, data);
