@@ -1,6 +1,7 @@
 //! Criterion bench for the base-closure provenance index: indexed deep
-//! provenance vs. the whole-graph-scan reference path, index construction
-//! cost, and batch fan-out vs. serial execution of the same query set.
+//! provenance vs. the whole-graph-scan reference path, and batch fan-out
+//! vs. serial execution of the same query set. Index construction on
+//! corpus runs is `perfbench`'s `index.build_us`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -134,21 +135,6 @@ fn bench_large_loop_run(c: &mut Criterion) {
     group.finish();
 }
 
-/// One-time index construction cost (the price of the first query per run).
-fn bench_index_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("provenance_index_build");
-    for kind in RunKind::ALL {
-        let (run, _) = loop_run(kind);
-        group.throughput(Throughput::Elements(run.graph().node_count() as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{kind:?}")),
-            &run,
-            |b, run| b.iter(|| black_box(ProvenanceIndex::build(run))),
-        );
-    }
-    group.finish();
-}
-
 /// Batch fan-out vs. a serial loop over the same `(run, view, data)` set.
 fn bench_batch_vs_serial(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(42);
@@ -204,7 +190,6 @@ criterion_group!(
     benches,
     bench_indexed_vs_bfs,
     bench_large_loop_run,
-    bench_index_build,
     bench_batch_vs_serial
 );
 criterion_main!(benches);

@@ -1,6 +1,7 @@
-//! Criterion bench for warehouse mechanics: run ingestion (direct and via
-//! event logs), snapshot persistence, and the codec — the operational side
-//! of "managing provenance".
+//! Criterion bench for warehouse ingestion: loading runs directly and via
+//! event logs — the operational side of "managing provenance". Run
+//! encoding and decoding, and snapshot save and load, are `perfbench`'s
+//! (`durable.checkpoint_ms`, `persist.snapshot_load_s` in `ingest_recover`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -53,53 +54,5 @@ fn bench_ingestion(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let (_, run) = spec_and_run(RunKind::Large);
-    let bytes = zoom_warehouse::codec::to_bytes(&run).expect("encodes");
-    let mut group = c.benchmark_group("codec");
-    group.throughput(Throughput::Bytes(bytes.len() as u64));
-    group.bench_function("encode_large_run", |b| {
-        b.iter(|| black_box(zoom_warehouse::codec::to_bytes(&run).expect("encodes")))
-    });
-    group.bench_function("decode_large_run", |b| {
-        b.iter(|| {
-            black_box(zoom_warehouse::codec::from_bytes::<WorkflowRun>(&bytes).expect("decodes"))
-        })
-    });
-    group.finish();
-}
-
-fn bench_snapshot(c: &mut Criterion) {
-    // A small lab: 5 workflows x 3 runs.
-    let mut rng = StdRng::seed_from_u64(6);
-    let mut zoom = Zoom::new();
-    for i in 0..5 {
-        let spec = generate_spec(
-            &format!("snap-{i}"),
-            &SpecGenConfig::new(WorkflowClass::Parallel, 15),
-            &mut rng,
-        );
-        let sid = zoom.register_workflow(spec.clone()).expect("fresh");
-        zoom.admin_view(sid).expect("admin");
-        for _ in 0..3 {
-            let run = generate_run(&spec, &RunGenConfig::for_kind(RunKind::Medium), &mut rng)
-                .expect("valid");
-            zoom.load_run(sid, run).expect("loads");
-        }
-    }
-    let mut path = std::env::temp_dir();
-    path.push(format!("zoom-bench-snapshot-{}", std::process::id()));
-    let mut group = c.benchmark_group("snapshot");
-    group.bench_function("save", |b| {
-        b.iter(|| zoom.save(&path).expect("saves"));
-    });
-    zoom.save(&path).expect("saves");
-    group.bench_function("load", |b| {
-        b.iter(|| black_box(Zoom::load(&path).expect("loads")));
-    });
-    group.finish();
-    std::fs::remove_file(&path).ok();
-}
-
-criterion_group!(benches, bench_ingestion, bench_codec, bench_snapshot);
+criterion_group!(benches, bench_ingestion);
 criterion_main!(benches);

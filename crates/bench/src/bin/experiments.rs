@@ -2,13 +2,11 @@
 //!
 //! ```sh
 //! experiments [all|table1|table2|scalability|optimality|fig10|response_time|view_switch|fig11|
-//!              index_speedup|index_scaling|replay_throughput|daemon_throughput|shard_recovery]
-//!              [--scale paper|quick] [--seed N]
+//!              index_scaling|open_problem] [--scale paper|quick] [--seed N]
 //! ```
 //!
-//! `index_scaling`, `replay_throughput`, `daemon_throughput`, and
-//! `shard_recovery` additionally write (or append to) the
-//! `BENCH_<date>.json` scorecard in the current directory.
+//! `index_scaling` additionally writes the `BENCH_<date>.json` scorecard
+//! in the current directory.
 
 use zoom_bench::experiments::*;
 use zoom_bench::{build_corpus, Scale};
@@ -43,14 +41,7 @@ fn main() {
 
     let needs_corpus = matches!(
         which.as_str(),
-        "all"
-            | "table1"
-            | "table2"
-            | "fig10"
-            | "response_time"
-            | "view_switch"
-            | "fig11"
-            | "index_speedup"
+        "all" | "table1" | "table2" | "fig10" | "response_time" | "view_switch" | "fig11"
     );
     let mut corpus = needs_corpus.then(|| {
         eprintln!("building corpus (scale {scale:?}, seed {seed})...");
@@ -114,54 +105,14 @@ fn main() {
             "fig11",
             fig11::report(corpus.as_ref().expect("corpus built"), scale, seed),
         ),
-        "index_speedup" => section(
-            "index_speedup",
-            index_speedup::report(corpus.as_ref().expect("corpus built"), scale),
-        ),
         "index_scaling" => {
-            let entries = index_speedup::scaling(scale);
-            section("index_scaling", index_speedup::scaling_report(&entries));
-            let date = index_speedup::today_stamp();
+            let entries = index_scaling::scaling(scale);
+            section("index_scaling", index_scaling::scaling_report(&entries));
+            let date = index_scaling::today_stamp();
             let path = format!("BENCH_{date}.json");
-            let json = index_speedup::scaling_json(&entries, scale, &date);
+            let json = index_scaling::scaling_json(&entries, scale, &date);
             match std::fs::write(&path, &json) {
                 Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        "replay_throughput" => {
-            section("replay_throughput", replay::report(scale, seed));
-            let date = index_speedup::today_stamp();
-            let path = format!("BENCH_{date}.json");
-            let b = replay::run(scale, seed);
-            let obj = replay::scorecard_json(&b, scale, &date);
-            let existing = std::fs::read_to_string(&path).unwrap_or_default();
-            match std::fs::write(&path, replay::append_scorecard(&existing, &obj)) {
-                Ok(()) => eprintln!("appended to {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        "daemon_throughput" => {
-            section("daemon_throughput", daemon::report(scale, seed));
-            let date = index_speedup::today_stamp();
-            let path = format!("BENCH_{date}.json");
-            let b = daemon::run(scale, seed);
-            let obj = daemon::scorecard_json(&b, scale, &date);
-            let existing = std::fs::read_to_string(&path).unwrap_or_default();
-            match std::fs::write(&path, replay::append_scorecard(&existing, &obj)) {
-                Ok(()) => eprintln!("appended to {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        "shard_recovery" => {
-            section("shard_recovery", recovery::report(scale, seed));
-            let date = index_speedup::today_stamp();
-            let path = format!("BENCH_{date}.json");
-            let b = recovery::run(scale, seed);
-            let obj = recovery::scorecard_json(&b, scale, &date);
-            let existing = std::fs::read_to_string(&path).unwrap_or_default();
-            match std::fs::write(&path, replay::append_scorecard(&existing, &obj)) {
-                Ok(()) => eprintln!("appended to {path}"),
                 Err(e) => eprintln!("could not write {path}: {e}"),
             }
         }
@@ -178,11 +129,7 @@ fn main() {
             "response_time",
             "view_switch",
             "fig11",
-            "index_speedup",
             "index_scaling",
-            "replay_throughput",
-            "daemon_throughput",
-            "shard_recovery",
             "open_problem",
         ] {
             run_one(name, &mut corpus);

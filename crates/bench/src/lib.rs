@@ -11,13 +11,16 @@
 //!   [`experiments::table1`], [`experiments::table2`],
 //!   [`experiments::scalability`], [`experiments::optimality`],
 //!   [`experiments::fig10`], [`experiments::response`],
-//!   [`experiments::switching`], [`experiments::fig11`],
-//!   [`experiments::index_speedup`] (BFS vs. bitset base-closure index vs.
-//!   interval labels, including the adversarial-shape scaling sweep behind
-//!   the `BENCH_<date>.json` scorecard), [`experiments::replay`] (the
-//!   trace capture/replay throughput load generator, the scorecard's
-//!   second entry), plus the beyond-the-paper
+//!   [`experiments::switching`], [`experiments::fig11`], plus the
+//!   beyond-the-paper [`experiments::index_scaling`] (BFS vs. bitset
+//!   base-closure index vs. interval labels on adversarial shapes to 1M
+//!   steps, the `BENCH_<date>.json` scorecard) and
 //!   [`experiments::open_problem`] gap study.
+//!
+//! End-to-end latency and throughput of the query, wire, view-switch and
+//! ingest/recovery paths are `perfbench`'s (see `BENCHMARK.json`); the
+//! benches under `benches/` hold the paper's microbenchmarks and the paired
+//! overhead gates.
 //!
 //! The `experiments` binary drives them:
 //!
@@ -27,14 +30,11 @@
 
 pub mod experiments {
     //! One module per reproduced table/figure.
-    pub mod daemon;
     pub mod fig10;
     pub mod fig11;
-    pub mod index_speedup;
+    pub mod index_scaling;
     pub mod open_problem;
     pub mod optimality;
-    pub mod recovery;
-    pub mod replay;
     pub mod response;
     pub mod scalability;
     pub mod switching;

@@ -7,8 +7,8 @@
 //! a single in-process warehouse would, and renders errors with the same
 //! `Display` strings, a recorded trace replays against a fresh daemon
 //! digest-for-digest — `RemoteZoom` implements [`TraceTarget`], so
-//! `zoomctl replay --connect` and the `daemon_throughput` bench drive the
-//! daemon with the identical golden artifact the in-process path uses.
+//! `zoomctl replay --connect` and `tests/daemon_e2e.rs` drive the daemon
+//! with the identical golden artifact the in-process path uses.
 
 use serde::Serialize;
 use std::fmt;

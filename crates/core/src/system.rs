@@ -103,23 +103,21 @@ impl Zoom {
         }
     }
 
-    /// Rebuilds a durable backing in place: fsck the directory, replay
-    /// manifest + snapshot + journal into a fresh [`DurableWarehouse`]
-    /// (fresh breaker, fresh retry state), prove the disk writable with a
-    /// checkpoint, and swap the fresh store in. This is the single-system
-    /// analog of the shard router's online repair — the recovery path an
-    /// operator reaches for after replacing a sick disk under a live
-    /// `Zoom`. Returns `None` (and does nothing) for in-memory systems;
-    /// on any failure the existing backing is left untouched.
+    /// Rebuilds a durable backing in place with
+    /// [`DurableWarehouse::rebuild`] (fsck, replay into a fresh store with
+    /// a fresh breaker and retry state but this one's runtime settings,
+    /// checkpoint as a write probe) and swaps the fresh store in. This is
+    /// the single-system analog of the shard router's online repair — the
+    /// recovery path an operator reaches for after replacing a sick disk
+    /// under a live `Zoom`. Returns `None` (and does nothing) for
+    /// in-memory systems; on any failure the existing backing is left
+    /// untouched.
     pub fn repair(&mut self) -> std::result::Result<Option<FsckReport>, DurableError> {
         let Backing::Durable(dw) = &self.backing else {
             return Ok(None);
         };
-        let (io, dir, options) = (dw.io(), dw.dir().to_path_buf(), dw.options());
-        let report = zoom_warehouse::durable::fsck_with(&*io, &dir)?;
-        let mut fresh = DurableWarehouse::open_with(io, &dir, options)?;
-        // Recovery alone is read-only; only a write proves the disk back.
-        fresh.checkpoint()?;
+        let (report, fresh) =
+            DurableWarehouse::rebuild(dw.io(), dw.dir(), dw.options(), dw.warehouse().settings())?;
         self.backing = Backing::Durable(Box::new(fresh));
         Ok(Some(report))
     }
@@ -484,6 +482,7 @@ impl TraceTarget for Zoom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use zoom_model::{RunBuilder, SpecBuilder, StepId};
 
     fn spec() -> WorkflowSpec {
@@ -554,6 +553,47 @@ mod tests {
             zoom_warehouse::ImmediateAnswer::Produced { exec, .. } => assert_eq!(exec, StepId(2)),
             o => panic!("unexpected {o:?}"),
         }
+    }
+
+    #[test]
+    fn repair_keeps_the_runtime_settings() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("zoom-core-repair-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut z = Zoom::open_durable(&dir).unwrap();
+        let s = spec();
+        let sid = z.register_workflow(s.clone()).unwrap();
+        z.load_run(sid, run(&s)).unwrap();
+
+        z.set_slow_query_threshold_nanos(0);
+        z.set_default_deadline(Some(std::time::Duration::from_millis(250)));
+        z.set_admission_limits(3, 5);
+        z.set_index_backend(Some(IndexBackend::Labels));
+        z.set_labels_threshold(77);
+        z.set_max_batch_workers(2);
+        z.warehouse().set_view_run_cache_capacity(9);
+        let admission = Arc::clone(z.warehouse().admission());
+
+        assert!(z.repair().unwrap().is_some(), "durable systems repair");
+        let wh = z.warehouse();
+        assert_eq!(wh.metrics_registry().slow_threshold_nanos(), 0);
+        assert_eq!(
+            wh.default_deadline(),
+            Some(std::time::Duration::from_millis(250))
+        );
+        assert_eq!(
+            (wh.admission().max_in_flight(), wh.admission().max_queue()),
+            (3, 5)
+        );
+        assert!(
+            Arc::ptr_eq(wh.admission(), &admission),
+            "permits held against the old store still count"
+        );
+        assert_eq!(wh.index_backend(), Some(IndexBackend::Labels));
+        assert_eq!(wh.labels_threshold(), 77);
+        assert_eq!(wh.max_batch_workers(), 2);
+        assert_eq!(wh.view_run_cache_capacity(), 9);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! edges force exception intervals), and a wide fan-out stresses the
 //! spanning-forest construction with maximal branching. These generators
 //! build such runs at controlled sizes — up to a million steps — so the
-//! `index_speedup` experiment and the `label_scaling` smoke test can
+//! `index_scaling` experiment and the `label_scaling` smoke test can
 //! compare BFS, bitset, and label backends on the shapes that separate
 //! them.
 //!

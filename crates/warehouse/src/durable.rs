@@ -31,7 +31,7 @@ use crate::metrics::{Counter, Hist, MetricsRegistry};
 use crate::persist::{self, PersistError};
 use crate::resilience::{CircuitBreaker, HealthReport, RetryPolicy};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
-use crate::store::{Warehouse, WarehouseError};
+use crate::store::{Settings, Warehouse, WarehouseError};
 use crate::stream::{PushOutcome, StreamError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -645,6 +645,30 @@ impl DurableWarehouse {
                 },
             )
         })
+    }
+
+    /// Rebuilds the store in `dir` for an online repair: fsck the
+    /// directory, replay manifest + snapshot + journal into a fresh store
+    /// on the same `io` (fresh breaker, retry state and metrics counters),
+    /// give it the old store's `settings`, and checkpoint it as a write
+    /// probe — recovery alone may need no writes, and a repair must not
+    /// declare a dead disk healthy. The caller swaps the fresh store in.
+    pub fn rebuild(
+        io: Arc<dyn StorageIo>,
+        dir: &Path,
+        options: DurableOptions,
+        settings: Settings,
+    ) -> Result<(FsckReport, Self), DurableError> {
+        let report = fsck_with(&*io, dir)?;
+        let mut fresh = Self::open_with(io, dir, options)?;
+        fresh.set_settings(settings);
+        fresh.checkpoint()?;
+        Ok((report, fresh))
+    }
+
+    /// Takes over runtime `settings` captured from another store.
+    pub(crate) fn set_settings(&mut self, settings: Settings) {
+        self.inner.set_settings(settings);
     }
 
     /// Read access to the recovered/live warehouse.

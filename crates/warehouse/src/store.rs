@@ -371,6 +371,24 @@ pub struct Warehouse {
     max_batch_workers: AtomicUsize,
 }
 
+/// A warehouse's runtime settings: what an operator tunes on a live store,
+/// none of it journaled. [`Warehouse::settings`] captures them so a repair
+/// can hand them to the store it rebuilds ([`DurableWarehouse::rebuild`]);
+/// the admission controller is shared, not copied, so permits held against
+/// the old store still count.
+///
+/// [`DurableWarehouse::rebuild`]: crate::durable::DurableWarehouse::rebuild
+#[derive(Clone, Debug)]
+pub struct Settings {
+    slow_threshold_nanos: u64,
+    default_deadline_nanos: u64,
+    admission: Arc<AdmissionControl>,
+    index_backend: u8,
+    labels_threshold: usize,
+    max_batch_workers: usize,
+    view_run_cache_capacity: usize,
+}
+
 /// Default admission bound: plenty for an embedded store while still
 /// giving a saturated deployment a shed point instead of a pile-up.
 pub const DEFAULT_MAX_IN_FLIGHT: usize = 64;
@@ -472,6 +490,36 @@ impl Warehouse {
     /// (hardware parallelism).
     pub fn set_max_batch_workers(&self, workers: usize) {
         self.max_batch_workers.store(workers, Ordering::Relaxed);
+    }
+
+    /// The batch fan-out worker cap; 0 means hardware parallelism.
+    pub fn max_batch_workers(&self) -> usize {
+        self.max_batch_workers.load(Ordering::Relaxed)
+    }
+
+    /// This store's runtime settings (see [`Settings`]).
+    pub fn settings(&self) -> Settings {
+        Settings {
+            slow_threshold_nanos: self.metrics.slow_threshold_nanos(),
+            default_deadline_nanos: self.default_deadline_nanos.load(Ordering::Relaxed),
+            admission: Arc::clone(&self.admission),
+            index_backend: self.index_backend.load(Ordering::Relaxed),
+            labels_threshold: self.labels_threshold(),
+            max_batch_workers: self.max_batch_workers(),
+            view_run_cache_capacity: self.view_run_cache_capacity(),
+        }
+    }
+
+    /// Takes over `settings`, captured from another store.
+    pub(crate) fn set_settings(&mut self, settings: Settings) {
+        self.metrics
+            .set_slow_threshold_nanos(settings.slow_threshold_nanos);
+        self.default_deadline_nanos = AtomicU64::new(settings.default_deadline_nanos);
+        self.admission = settings.admission;
+        self.index_backend = AtomicU8::new(settings.index_backend);
+        self.labels_threshold = AtomicUsize::new(settings.labels_threshold);
+        self.max_batch_workers = AtomicUsize::new(settings.max_batch_workers);
+        self.cache.set_capacity(settings.view_run_cache_capacity);
     }
 
     // ------------------------------------------------------------------
@@ -1369,6 +1417,11 @@ impl Warehouse {
     /// Caps the view-run cache at `capacity` entries (0 = unbounded).
     pub fn set_view_run_cache_capacity(&self, capacity: usize) {
         self.cache.set_capacity(capacity);
+    }
+
+    /// The view-run cache's entry cap (0 = unbounded).
+    pub fn view_run_cache_capacity(&self) -> usize {
+        self.cache.capacity()
     }
 
     /// `(hits, misses)` of the view-run cache.

@@ -33,7 +33,7 @@
 //! refused.
 
 use crate::codec::{self, CodecError};
-use crate::durable::{fsck_with, DurableError, DurableOptions, DurableWarehouse, FsckReport};
+use crate::durable::{DurableError, DurableOptions, DurableWarehouse, FsckReport};
 use crate::io::{RealFs, StorageIo};
 use crate::journal::crc32;
 use crate::metrics::{Counter, MetricsSnapshot, SlowQuery};
@@ -1186,19 +1186,22 @@ impl ShardRouter {
     ///    passed its state check before step 1 has finished and the disk
     ///    image is stable — no later writer can start against the old
     ///    backing;
-    /// 3. fsck the shard's directory and re-open a fresh
-    ///    [`DurableWarehouse`] from it on the *same* storage backend,
-    ///    both without holding the backing lock (reads keep answering
-    ///    from the old in-memory image throughout);
-    /// 4. checkpoint the fresh store as a write probe — a repair must
-    ///    not declare a still-broken disk healthy just because replaying
-    ///    the journal needed no writes;
-    /// 5. swap the fresh store in under the backing lock (atomic from
+    /// 3. rebuild the shard with [`DurableWarehouse::rebuild`] without
+    ///    holding the backing lock (reads keep answering from the old
+    ///    in-memory image throughout): fsck its directory, re-open a
+    ///    fresh store on the *same* storage backend carrying the runtime
+    ///    [`Settings`](crate::store::Settings) captured at the barrier,
+    ///    and checkpoint it as a write probe — a repair must not declare
+    ///    a still-broken disk healthy just because replaying the journal
+    ///    needed no writes;
+    /// 4. swap the fresh store in under the backing lock (atomic from
     ///    every other thread's point of view) and mark the shard
     ///    `Healthy`.
     ///
-    /// On any failure the shard returns to `Quarantined` and the error is
-    /// surfaced; the old backing keeps serving reads either way. Memory
+    /// The swap carries the settings over again, so one changed during
+    /// the rebuild is kept. On any failure the shard returns to
+    /// `Quarantined` and the error is surfaced; the old backing keeps
+    /// serving reads either way. Memory
     /// shards have no disk to rebuild from, so their "repair" just
     /// re-admits them to the write path.
     pub fn repair_shard(&self, sh: usize) -> Result<RepairOutcome, DurableError> {
@@ -1227,10 +1230,15 @@ impl ShardRouter {
             let guard = lock(&self.shards[sh]);
             match &*guard {
                 ShardBacking::Memory(_) => None,
-                ShardBacking::Durable(dw) => Some((dw.io(), dw.dir().to_path_buf(), dw.options())),
+                ShardBacking::Durable(dw) => Some((
+                    dw.io(),
+                    dw.dir().to_path_buf(),
+                    dw.options(),
+                    dw.warehouse().settings(),
+                )),
             }
         };
-        let Some((io, dir, options)) = source else {
+        let Some((io, dir, options, settings)) = source else {
             // In-memory shard: nothing on disk to verify or replay.
             let nanos = started.elapsed().as_nanos() as u64;
             let mut sup = lock(&self.supervision[sh]);
@@ -1243,17 +1251,14 @@ impl ShardRouter {
                 nanos,
             });
         };
-        let rebuilt = fsck_with(&*io, &dir).and_then(|report| {
-            let mut fresh = DurableWarehouse::open_with(Arc::clone(&io), &dir, options)?;
-            // Write probe: recovery alone may need no writes at all, and
-            // a repair must not declare a dead disk healthy.
-            fresh.checkpoint()?;
-            Ok((report, fresh))
-        });
+        let rebuilt = DurableWarehouse::rebuild(io, &dir, options, settings);
         match rebuilt {
-            Ok((report, fresh)) => {
+            Ok((report, mut fresh)) => {
                 {
                     let mut guard = lock(&self.shards[sh]);
+                    // A setting changed while the shard rebuilt reached
+                    // only the old store: carry the settings again.
+                    fresh.set_settings(guard.warehouse().settings());
                     *guard = ShardBacking::Durable(Box::new(fresh));
                 }
                 let nanos = started.elapsed().as_nanos() as u64;
@@ -1878,6 +1883,33 @@ mod tests {
         let health = router.health();
         assert_eq!(health[1].repairs, 1);
         assert!(health[1].last_repair_nanos > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_setting_changed_during_a_repair_survives_the_swap() {
+        let dir = std::env::temp_dir().join(format!("zoomd-resettle-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let slow = Arc::new(crate::io::FaultFs::counting());
+        let ios: Vec<Arc<dyn StorageIo>> = vec![Arc::new(RealFs), slow.clone()];
+        let router =
+            ShardRouter::open_durable_with(&dir, 2, DurableOptions::default(), &ios).unwrap();
+        router.register_spec(&spec("resettle")).unwrap();
+
+        // Every write of shard 1 now sleeps, so its repair sits in the
+        // rebuild's write probe; a write op counted after the repair
+        // started proves it is past the barrier that captured settings.
+        slow.set_write_latency(std::time::Duration::from_millis(100));
+        let writes = slow.ops();
+        std::thread::scope(|s| {
+            let repair = s.spawn(|| router.repair_shard(1));
+            while slow.ops() == writes {
+                std::thread::yield_now();
+            }
+            router.set_slow_query_threshold_nanos(0);
+            repair.join().unwrap().unwrap();
+        });
+        assert_eq!(router.metrics()[1].slow_query_threshold_nanos, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

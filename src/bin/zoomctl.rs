@@ -907,8 +907,9 @@ fn record_demo(trace: &Path) -> Result<(), String> {
         Op::RegisterView(SpecId(0), UserView::black_box(&spec)),
     );
     // Run 0: batch load. Run 1: the same log streamed, with deep-provenance
-    // probes interleaved (some of which answer, some of which reject — both
-    // digests are part of the recording).
+    // probes interleaved. Each probes the datum of the event just pushed,
+    // which has not reached the committed prefix yet, so every one rejects;
+    // rejections are recorded digests too.
     rec.record(&mut zoom, Op::LoadLog(SpecId(0), log.clone()));
     rec.record(&mut zoom, Op::BeginStream(SpecId(0)));
     for (i, ev) in log.events.iter().enumerate() {

@@ -316,6 +316,49 @@ fn quarantined_shard_answers_typed_unavailable_and_repairs_digest_clean() {
 }
 
 #[test]
+fn repaired_shard_keeps_the_slow_log_threshold_set_over_the_wire() {
+    const SHARDS: usize = 2;
+    let dir = tempdir("settings");
+    let config = DaemonConfig {
+        shards: SHARDS,
+        dir: Some(dir.clone()),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::spawn("127.0.0.1:0", config).unwrap();
+    let mut rz = RemoteZoom::connect(daemon.addr(), "settings").unwrap();
+    let spec = phylogenomic();
+    let run = figure2_run(&spec);
+    let log = EventLog::from_run(&run, &spec);
+    let probe = run.final_outputs()[0];
+    let sid = rz.register_workflow(spec).unwrap();
+    let vid = rz.admin_view(sid).unwrap();
+    let mapper = ShardRouter::in_memory(SHARDS);
+    let on_shard_1 = loop {
+        let rid = rz.load_log(sid, &log).unwrap();
+        if mapper.shard_of(rid) == 1 {
+            break rid;
+        }
+    };
+
+    // Capture every query, then rebuild shard 1 from its directory.
+    rz.slow_queries(Some(0)).unwrap();
+    daemon.repair_shard(1).unwrap();
+
+    // The repaired shard still captures a query far below the default
+    // 10 ms threshold.
+    rz.deep_provenance(on_shard_1, vid, probe).unwrap();
+    let captured = rz.slow_queries(None).unwrap();
+    assert!(
+        captured.iter().any(|q| q.run == on_shard_1),
+        "the repair reset shard 1's slow-log threshold: {captured:?}"
+    );
+
+    drop(rz);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn daemon_restart_mid_stream_resumes_via_the_reconnecting_client() {
     let dir = tempdir("restart");
     let spec = phylogenomic();
