@@ -134,7 +134,10 @@ pub fn load_with(io: &dyn StorageIo, path: &Path) -> Result<Warehouse, PersistEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zoom_model::{DataId, RunBuilder, SpecBuilder, UserView};
+    use crate::journal::{self, JournalRecord};
+    use std::collections::BTreeMap;
+    use zoom_graph::{Digraph, EdgeId, NodeId};
+    use zoom_model::{DataId, RunBuilder, RunNode, SpecBuilder, StepId, UserInputMeta, UserView};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -254,6 +257,130 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(load(&path), Err(PersistError::Invalid(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A run's encoded fields, in the run's own encoding order, with its
+    /// tables as ordered maps: decoding a run's bytes into this and
+    /// encoding it back gives the same bytes, so a test can doctor what
+    /// no constructor would build.
+    #[derive(Serialize, Deserialize)]
+    struct RawRun {
+        spec_name: String,
+        graph: Digraph<RunNode, Vec<DataId>>,
+        node_of_step: BTreeMap<StepId, NodeId>,
+        producer: BTreeMap<DataId, NodeId>,
+        user_input_meta: BTreeMap<DataId, UserInputMeta>,
+        params: BTreeMap<StepId, BTreeMap<String, String>>,
+    }
+
+    /// The error text a doctored run gets from `validate`, through a
+    /// snapshot load and through a journal `Run` record. Each case pins
+    /// the exact error, including which one wins when a run has two
+    /// faults.
+    #[test]
+    fn doctored_producer_tables_fail_with_the_pinned_errors() {
+        let w = populated();
+        let (specs, views, runs) = w.export_rows();
+        let (rid, base) = (runs[0].0, runs[0].1.clone());
+        let bytes = codec::to_bytes(&base.run).unwrap();
+        let raw: RawRun = codec::from_bytes(&bytes).unwrap();
+        assert_eq!(codec::to_bytes(&raw).unwrap(), bytes, "RawRun mirrors runs");
+        // Nodes: 0 input, 2 S1, 3 S2. Edges: 0 input -[d1]-> S1,
+        // 1 S1 -[d2]-> S2, 2 S2 -[d3]-> output.
+        fn node(i: usize) -> NodeId {
+            NodeId::from_index(i)
+        }
+        fn edge(i: usize) -> EdgeId {
+            EdgeId::from_index(i)
+        }
+        let mismatch = "run does not match specification";
+        let sync = format!("{mismatch}: producer index out of sync with edges");
+        let twice = "data object d2 produced by two steps: S0 and S0".to_string();
+        let unsorted =
+            |e: &str| format!("{mismatch}: data on run edge {e} is not sorted and deduplicated");
+        type Case = (&'static str, fn(&mut RawRun), String);
+        let cases: [Case; 7] = [
+            (
+                "missing datum",
+                |r| {
+                    r.producer.remove(&DataId(2));
+                },
+                sync.clone(),
+            ),
+            (
+                "extra datum",
+                |r| {
+                    r.producer.insert(DataId(99), node(2));
+                },
+                sync.clone(),
+            ),
+            (
+                "wrong producer",
+                |r| {
+                    r.producer.insert(DataId(2), node(0));
+                },
+                sync,
+            ),
+            (
+                "two sources",
+                |r| r.graph.edge_mut(edge(2)).insert(0, DataId(2)),
+                twice.clone(),
+            ),
+            (
+                "unsorted edge",
+                |r| r.graph.edge_mut(edge(0)).push(DataId(0)),
+                unsorted("input -> S1"),
+            ),
+            (
+                "wrong producer, then an unsorted edge",
+                |r| {
+                    r.producer.insert(DataId(1), node(3));
+                    r.graph.edge_mut(edge(1)).push(DataId(0));
+                },
+                unsorted("S1 -> S2"),
+            ),
+            (
+                "wrong producer, then two sources",
+                |r| {
+                    r.producer.insert(DataId(1), node(3));
+                    r.graph.edge_mut(edge(2)).insert(0, DataId(2));
+                },
+                twice,
+            ),
+        ];
+        for (case, doctor, error) in cases {
+            let mut raw: RawRun = codec::from_bytes(&bytes).unwrap();
+            doctor(&mut raw);
+            let run = codec::from_bytes(&codec::to_bytes(&raw).unwrap()).unwrap();
+            let row = RunRow {
+                spec: base.spec,
+                run,
+            };
+
+            let snap = Snapshot {
+                specs: specs.clone(),
+                views: views.clone(),
+                runs: vec![(rid, row.clone())],
+            };
+            let path = temp_path("doctored-producers");
+            let mut file = MAGIC.to_vec();
+            file.extend_from_slice(&codec::to_bytes(&snap).unwrap());
+            std::fs::write(&path, &file).unwrap();
+            let Err(err) = load(&path) else {
+                panic!("{case}: loaded")
+            };
+            std::fs::remove_file(&path).ok();
+            let want = format!("snapshot contains invalid data: {error}");
+            assert_eq!(err.to_string(), want, "{case}");
+
+            let mut w = Warehouse::from_rows(specs.clone(), views.clone(), Vec::new());
+            let frame = journal::encode_frame(&JournalRecord::Run(rid, Box::new(row))).unwrap();
+            let Err(err) = journal::replay_body(&mut w, &frame, true) else {
+                panic!("{case}: replayed")
+            };
+            let want = format!("warehouse error: model error: {error}");
+            assert_eq!(err.to_string(), want, "{case}");
+        }
     }
 
     #[test]
