@@ -13,7 +13,8 @@ use crate::ids::{DataId, StepId, Timestamp};
 use crate::run::{RunBuilder, WorkflowRun};
 use crate::spec::WorkflowSpec;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use zoom_graph::fxhash::FxHashMap;
 
 /// One event in a workflow-system log.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -210,10 +211,10 @@ impl EventLog {
         }
 
         let mut rb = RunBuilder::new(spec);
-        let mut writer: HashMap<DataId, StepId> = HashMap::new();
+        let mut writer: FxHashMap<DataId, StepId> = FxHashMap::default();
         // BTreeMaps keep edge insertion deterministic.
         let mut reads: BTreeMap<StepId, Vec<DataId>> = BTreeMap::new();
-        let mut user_meta: HashMap<DataId, (String, Timestamp)> = HashMap::new();
+        let mut user_meta: FxHashMap<DataId, (String, Timestamp)> = FxHashMap::default();
         let mut finals: Vec<DataId> = Vec::new();
         let mut steps_seen: Vec<StepId> = Vec::new();
         // Applied after the scan so Param events may precede StepStarted in

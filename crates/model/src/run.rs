@@ -12,9 +12,10 @@ use crate::ids::{DataId, StepId, Timestamp};
 use crate::spec::WorkflowSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use zoom_graph::algo::paths::all_nodes_on_paths;
 use zoom_graph::algo::topo::is_acyclic;
+use zoom_graph::fxhash::FxHashMap;
 use zoom_graph::{radix_sort_by_key, BitSet, Digraph, EdgeId, NodeId};
 
 /// Metadata recorded when a data object is input by the user rather than
@@ -77,15 +78,15 @@ pub struct StepAppend {
 pub struct WorkflowRun {
     spec_name: String,
     graph: Digraph<RunNode, Vec<DataId>>,
-    node_of_step: HashMap<StepId, NodeId>,
+    node_of_step: FxHashMap<StepId, NodeId>,
     /// For every data object: the run-graph node that produced it (the input
     /// node for user-provided data).
-    producer: HashMap<DataId, NodeId>,
-    user_input_meta: HashMap<DataId, UserInputMeta>,
+    producer: FxHashMap<DataId, NodeId>,
+    user_input_meta: FxHashMap<DataId, UserInputMeta>,
     /// Parameters passed to each step ("what data objects and parameters
     /// were input to that step", Section II). Sparse: steps without
     /// parameters have no entry.
-    params: HashMap<StepId, BTreeMap<String, String>>,
+    params: FxHashMap<StepId, BTreeMap<String, String>>,
     /// Edge-data slot offsets: the data of edge `e` occupy slots
     /// `edge_slot[e]..edge_slot[e + 1]`, one per (edge, datum) reference.
     /// Derived from `graph`: never serialized, rebuilt on decode, and only
@@ -102,10 +103,10 @@ pub struct WorkflowRun {
 struct RunFields {
     spec_name: String,
     graph: Digraph<RunNode, Vec<DataId>>,
-    node_of_step: HashMap<StepId, NodeId>,
-    producer: HashMap<DataId, NodeId>,
-    user_input_meta: HashMap<DataId, UserInputMeta>,
-    params: HashMap<StepId, BTreeMap<String, String>>,
+    node_of_step: FxHashMap<StepId, NodeId>,
+    producer: FxHashMap<DataId, NodeId>,
+    user_input_meta: FxHashMap<DataId, UserInputMeta>,
+    params: FxHashMap<StepId, BTreeMap<String, String>>,
 }
 
 impl Serialize for WorkflowRun {
@@ -144,9 +145,10 @@ impl<'de> Deserialize<'de> for WorkflowRun {
     }
 }
 
-/// A `HashMap` encoded in key order, in the map layout it would have
-/// anyway: equal runs encode to equal bytes, and decoding is unchanged.
-struct KeyOrder<'a, K, V>(&'a HashMap<K, V>);
+/// A hash map encoded in key order, in the map layout it would have
+/// anyway: equal runs encode to equal bytes, whatever the hasher, and
+/// decoding is unchanged.
+struct KeyOrder<'a, K, V>(&'a FxHashMap<K, V>);
 
 /// An integer map key, ordered as its [`RadixKey::radix`] value.
 trait RadixKey: Copy {
@@ -467,10 +469,10 @@ impl WorkflowRun {
         WorkflowRun {
             spec_name: spec.name().to_string(),
             graph,
-            node_of_step: HashMap::new(),
-            producer: HashMap::new(),
-            user_input_meta: HashMap::new(),
-            params: HashMap::new(),
+            node_of_step: FxHashMap::default(),
+            producer: FxHashMap::default(),
+            user_input_meta: FxHashMap::default(),
+            params: FxHashMap::default(),
             edge_slot: vec![0],
             canonical: BitSet::new(0),
         }
@@ -688,36 +690,18 @@ impl WorkflowRun {
                 _ => return Err(ModelError::UnknownStep(sid.0)),
             }
         }
-        // Producers: unique and consistent with edge labels.
-        let mut producer_check: HashMap<DataId, NodeId> = HashMap::new();
-        for (e, src, _, data) in self.graph.edges() {
-            // Slot lookups binary-search edge data, so it must be strictly
-            // sorted, as every constructor leaves it.
-            if !data.windows(2).all(|w| w[0] < w[1]) {
-                return Err(ModelError::SpecMismatch(format!(
-                    "data on run edge {} -> {} is not sorted and deduplicated",
-                    self.graph.node(src),
-                    self.graph.node(self.graph.target(e))
-                )));
-            }
-            for &d in self.graph.edge(e) {
-                if let Some(&prev) = producer_check.get(&d) {
-                    if prev != src {
-                        return Err(ModelError::DataProducedTwice {
-                            data: d.0,
-                            first: 0,
-                            second: 0,
-                        });
-                    }
-                } else {
-                    producer_check.insert(d, src);
-                }
+        // Producers: unique and consistent with edge labels. Every slot's
+        // datum must name the slot's edge source as its producer; then the
+        // distinct data are exactly the canonical slots, so the table has
+        // no entry beyond them if it has as many entries.
+        for (_, src, tgt, data) in self.graph.edges() {
+            self.check_sorted(src, tgt, data)?;
+            if data.iter().any(|d| self.producer.get(d) != Some(&src)) {
+                return Err(self.producer_error());
             }
         }
-        if producer_check != self.producer {
-            return Err(ModelError::SpecMismatch(
-                "producer index out of sync with edges".to_string(),
-            ));
+        if self.producer.len() != self.canonical.count() {
+            return Err(producer_out_of_sync());
         }
         // Spec conformance of every edge.
         for (_, src, tgt, _) in self.graph.edges() {
@@ -741,6 +725,44 @@ impl WorkflowRun {
             }
         }
         Ok(())
+    }
+
+    /// Checks that the data on run edge `src -> tgt` are strictly sorted:
+    /// slot lookups binary-search edge data, and every constructor leaves
+    /// it so.
+    fn check_sorted(&self, src: NodeId, tgt: NodeId, data: &[DataId]) -> Result<()> {
+        if data.windows(2).all(|w| w[0] < w[1]) {
+            return Ok(());
+        }
+        Err(ModelError::SpecMismatch(format!(
+            "data on run edge {} -> {} is not sorted and deduplicated",
+            self.graph.node(src),
+            self.graph.node(tgt)
+        )))
+    }
+
+    /// The error [`WorkflowRun::validate`] reports once some slot's datum
+    /// names another producer than the slot's edge source: the first
+    /// fault in edge order, as a producer table rebuilt from the edges
+    /// finds it. Cold: only failing runs come here, so it may hash.
+    #[cold]
+    fn producer_error(&self) -> ModelError {
+        let mut seen: FxHashMap<DataId, NodeId> = FxHashMap::default();
+        for (_, src, tgt, data) in self.graph.edges() {
+            if let Err(e) = self.check_sorted(src, tgt, data) {
+                return e;
+            }
+            for &d in data {
+                if *seen.entry(d).or_insert(src) != src {
+                    return ModelError::DataProducedTwice {
+                        data: d.0,
+                        first: 0,
+                        second: 0,
+                    };
+                }
+            }
+        }
+        producer_out_of_sync()
     }
 
     /// The parameters recorded for a step (empty map if none).
@@ -778,6 +800,11 @@ impl WorkflowRun {
     }
 }
 
+/// The error for a producer table that disagrees with the run's edges.
+fn producer_out_of_sync() -> ModelError {
+    ModelError::SpecMismatch("producer index out of sync with edges".to_string())
+}
+
 /// Formats a sorted data-id list compactly, e.g. `d1..d100` or `d410`.
 pub fn format_data_range(data: &[DataId]) -> String {
     if data.is_empty() {
@@ -813,12 +840,12 @@ pub fn format_data_range(data: &[DataId]) -> String {
 pub struct RunBuilder<'a> {
     spec: &'a WorkflowSpec,
     graph: Digraph<RunNode, Vec<DataId>>,
-    node_of_step: HashMap<StepId, NodeId>,
+    node_of_step: FxHashMap<StepId, NodeId>,
     next_step: u32,
     default_user: String,
     clock: Timestamp,
-    user_input_meta: HashMap<DataId, UserInputMeta>,
-    params: HashMap<StepId, BTreeMap<String, String>>,
+    user_input_meta: FxHashMap<DataId, UserInputMeta>,
+    params: FxHashMap<StepId, BTreeMap<String, String>>,
     deferred: Vec<ModelError>,
 }
 
@@ -831,12 +858,12 @@ impl<'a> RunBuilder<'a> {
         RunBuilder {
             spec,
             graph,
-            node_of_step: HashMap::new(),
+            node_of_step: FxHashMap::default(),
             next_step: 1,
             default_user: "user".to_string(),
             clock: Timestamp(0),
-            user_input_meta: HashMap::new(),
-            params: HashMap::new(),
+            user_input_meta: FxHashMap::default(),
+            params: FxHashMap::default(),
             deferred: Vec::new(),
         }
     }
@@ -1026,7 +1053,7 @@ impl<'a> RunBuilder<'a> {
         let edge_slot = slot_table(&graph);
         let mut canonical =
             BitSet::full(*edge_slot.last().expect("the table starts at 0") as usize);
-        let mut producer: HashMap<DataId, NodeId> = HashMap::new();
+        let mut producer: FxHashMap<DataId, NodeId> = FxHashMap::default();
         let mut slot = 0;
         for (e, src, _, _) in graph.edges() {
             for &d in graph.edge(e) {
