@@ -5,9 +5,11 @@
 //! (data ids, step ids, node ids, row numbers). SipHash — the standard
 //! library default — is overkill for those keys and measurably slower;
 //! this is the FxHash algorithm used by rustc (multiply-xor over machine
-//! words). HashDoS is not a concern: keys come from our own generators and
-//! logs, not from adversarial input. Implemented here because
-//! `rustc-hash` is not among the crates available to this workspace.
+//! words). It is not flood-resistant, and some keys are chosen by clients:
+//! the data and step ids of a run or stream a `zoomd` client loads key its
+//! run tables (DESIGN.md §10 weighs that exposure). Implemented here
+//! because `rustc-hash` is not among the crates available to this
+//! workspace.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
