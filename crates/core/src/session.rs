@@ -54,11 +54,12 @@ impl<'a> QuerySession<'a> {
     }
 
     /// Sets (or clears) this session's per-query time budget; `None`
-    /// defers to the system default. Queries that exceed it return
+    /// means unlimited. Queries that exceed it return
     /// [`zoom_warehouse::WarehouseError::DeadlineExceeded`] instead of
     /// running unboundedly — an interactive session would rather re-ask
-    /// at a coarser view than hang — and `Zoom::cancel_queries` reaches
-    /// them like any other query.
+    /// at a coarser view than hang — and
+    /// [`Warehouse::cancel_queries`](zoom_warehouse::Warehouse::cancel_queries)
+    /// reaches them like any other query.
     pub fn set_deadline(&mut self, budget: Option<Duration>) {
         self.cx.budget = budget;
     }
@@ -96,7 +97,8 @@ impl<'a> QuerySession<'a> {
 
     /// Switches the current view and re-answers the focused question
     /// (Section V's view-granularity interactivity experiment). Returns the
-    /// new answer; data hidden by the new view surfaces as an error.
+    /// new answer; data hidden by the new view surfaces as an error. An
+    /// unfocused session focuses the run's final output first.
     pub fn switch_view(&mut self, view: ViewId) -> Result<ProvenanceResult> {
         let start = std::time::Instant::now();
         self.view = view;
@@ -110,11 +112,13 @@ impl<'a> QuerySession<'a> {
         res
     }
 
-    /// Re-runs the focused deep-provenance query, timing it.
+    /// Re-runs the focused deep-provenance query, timing it. An unfocused
+    /// session focuses the run's final output first, as
+    /// [`QuerySession::focus_final_output`] does.
     pub fn query(&mut self) -> Result<ProvenanceResult> {
-        let data = self
-            .focus
-            .ok_or(zoom_warehouse::WarehouseError::DataNotFound(DataId(0)))?;
+        let Some(data) = self.focus else {
+            return self.focus_final_output();
+        };
         let start = std::time::Instant::now();
         let op = Op::DeepProvenance(self.run, self.view, data);
         let res = typed(self.zoom.read(&self.cx, &op));
@@ -133,6 +137,8 @@ mod tests {
     use super::*;
     use zoom_model::{RunBuilder, SpecBuilder};
 
+    /// A two-step run d0 → F → d1 → R → d2. Its input is d0, a valid
+    /// client id.
     fn system() -> (Zoom, RunId, ViewId, ViewId) {
         let mut b = SpecBuilder::new("sess");
         b.formatting("F");
@@ -146,9 +152,9 @@ mod tests {
         let mut rb = RunBuilder::new(&s);
         let s1 = rb.step(s.module("F").unwrap());
         let s2 = rb.step(s.module("R").unwrap());
-        rb.input_edge(s1, [1])
-            .data_edge(s1, s2, [2])
-            .output_edge(s2, [3]);
+        rb.input_edge(s1, [0])
+            .data_edge(s1, s2, [1])
+            .output_edge(s2, [2]);
         let rid = z.load_run(sid, rb.build().unwrap()).unwrap();
         (z, rid, admin, bb)
     }
@@ -160,7 +166,7 @@ mod tests {
         assert!(sess.focus().is_none());
         let res = sess.focus_final_output().unwrap();
         assert_eq!(res.tuples(), 3);
-        assert_eq!(sess.focus(), Some(DataId(3)));
+        assert_eq!(sess.focus(), Some(DataId(2)));
 
         let res = sess.switch_view(bb).unwrap();
         assert_eq!(res.tuples(), 2);
@@ -187,15 +193,25 @@ mod tests {
     fn hidden_focus_surfaces_error_on_switch() {
         let (z, rid, admin, bb) = system();
         let mut sess = QuerySession::new(&z, rid, admin);
-        sess.focus_data(DataId(2)).unwrap();
+        sess.focus_data(DataId(1)).unwrap();
         assert!(sess.switch_view(bb).is_err());
     }
 
+    /// An unfocused session answers for the final output, not for a
+    /// made-up d0, which this run really has.
     #[test]
-    fn query_without_focus_errors() {
-        let (z, rid, admin, _) = system();
+    fn unfocused_session_focuses_the_final_output() {
+        let (z, rid, admin, bb) = system();
+        let final_output = z.deep_provenance_of_final_output(rid, admin).unwrap();
+
         let mut sess = QuerySession::new(&z, rid, admin);
-        assert!(sess.query().is_err());
+        assert_eq!(sess.query().unwrap(), final_output);
+        assert_eq!(sess.focus(), Some(DataId(2)));
         assert_eq!(sess.run(), rid);
+
+        let mut sess = QuerySession::new(&z, rid, admin);
+        assert_eq!(sess.switch_view(bb).unwrap().tuples(), 2);
+        assert_eq!(sess.focus(), Some(DataId(2)));
+        assert_eq!(sess.view(), bb);
     }
 }

@@ -8,19 +8,10 @@ use zoom_warehouse::metrics::MetricsRegistry;
 use zoom_warehouse::persist::PersistError;
 use zoom_warehouse::privacy::{Gate, MutRegistrar, PolicyTable};
 use zoom_warehouse::{
-    trace, typed, Answer, Cx, DurableError, DurableOptions, DurableWarehouse, FsckReport,
-    HealthReport, IndexBackend, MetricsSnapshot, Op, ProvenanceResult, Result, RunId, SlowQuery,
-    SpecId, Store, TraceTarget, ViewId, VisibilityPolicy, Warehouse, WarehouseError,
-    WarehouseStats,
+    trace, typed, Answer, Backing, Cx, DurableError, DurableOptions, DurableWarehouse, FsckReport,
+    HealthReport, MetricsSnapshot, Op, ProvenanceResult, Result, RunId, SlowQuery, SpecId,
+    TraceTarget, ViewId, VisibilityPolicy, Warehouse, WarehouseError, WarehouseStats,
 };
-
-/// The storage behind a [`Zoom`] system: a plain in-memory warehouse or a
-/// crash-safe [`DurableWarehouse`] directory.
-#[derive(Debug)]
-enum Backing {
-    Memory(Box<Warehouse>),
-    Durable(Box<DurableWarehouse>),
-}
 
 /// The ZOOM system: registration, view building, execution loading, and
 /// provenance querying behind one API.
@@ -41,18 +32,6 @@ impl Default for Zoom {
         Zoom {
             backing: Backing::Memory(Box::new(Warehouse::new())),
             policies: PolicyTable::new(),
-        }
-    }
-}
-
-impl Backing {
-    /// The store ops are applied to (journaled when durable). The policy
-    /// compiler registers privacy views here directly: going through
-    /// `Zoom::apply` would start a policy refresh from inside one.
-    fn store(&mut self) -> &mut dyn Store {
-        match self {
-            Backing::Memory(w) => w.as_mut(),
-            Backing::Durable(dw) => dw.as_mut(),
         }
     }
 }
@@ -87,20 +66,14 @@ impl Zoom {
 
     /// Whether this system is backed by a durable directory.
     pub fn is_durable(&self) -> bool {
-        matches!(self.backing, Backing::Durable(_))
+        self.health().durable
     }
 
     /// Forces a compaction of the durable store (snapshot, fresh journal,
     /// atomic manifest swing). Returns `false` (and does nothing) for
     /// in-memory systems.
     pub fn checkpoint(&mut self) -> Result<bool> {
-        match &mut self.backing {
-            Backing::Memory(_) => Ok(false),
-            Backing::Durable(dw) => {
-                dw.checkpoint().map_err(WarehouseError::from)?;
-                Ok(true)
-            }
-        }
+        self.backing.checkpoint()
     }
 
     /// Rebuilds a durable backing in place with
@@ -125,10 +98,7 @@ impl Zoom {
     /// Warehouse statistics; durable systems fill in the journal and
     /// compaction counters.
     pub fn stats(&self) -> WarehouseStats {
-        match &self.backing {
-            Backing::Memory(w) => w.stats(),
-            Backing::Durable(dw) => dw.stats(),
-        }
+        self.backing.stats()
     }
 
     /// A full observability snapshot: the [`WarehouseStats`] table
@@ -159,24 +129,7 @@ impl Zoom {
     /// state, and the lifetime resilience counters. In-memory systems are
     /// always healthy and writable; durable systems report the breaker.
     pub fn health(&self) -> HealthReport {
-        match &self.backing {
-            Backing::Memory(_) => HealthReport::in_memory(),
-            Backing::Durable(dw) => dw.health(),
-        }
-    }
-
-    /// Sets the default per-query time budget. `None` removes the limit.
-    /// Queries exceeding the budget return
-    /// [`WarehouseError::DeadlineExceeded`].
-    pub fn set_default_deadline(&self, budget: Option<std::time::Duration>) {
-        self.warehouse().set_default_deadline(budget);
-    }
-
-    /// Cancels every in-flight query cooperatively: each returns
-    /// [`WarehouseError::Cancelled`] at its next deadline check. Queries
-    /// issued after this call run normally.
-    pub fn cancel_queries(&self) {
-        self.warehouse().cancel_queries();
+        self.backing.health()
     }
 
     /// Bounds concurrent facade queries (admission control). Queries past
@@ -189,47 +142,9 @@ impl Zoom {
         }
     }
 
-    /// Caps worker threads used by batch query fan-out (0 = hardware
-    /// parallelism).
-    pub fn set_max_batch_workers(&self, workers: usize) {
-        self.warehouse().set_max_batch_workers(workers);
-    }
-
-    /// Forces every provenance query onto one reachability backend
-    /// (`IndexBackend::{Labels, Bitset, Bfs}`); `None` restores the
-    /// automatic node-count policy.
-    pub fn set_index_backend(&self, backend: Option<IndexBackend>) {
-        self.warehouse().set_index_backend(backend);
-    }
-
-    /// The forced reachability backend, or `None` under the automatic
-    /// policy.
-    pub fn index_backend(&self) -> Option<IndexBackend> {
-        self.warehouse().index_backend()
-    }
-
-    /// Sets the run size (graph nodes) at which the automatic policy
-    /// switches from bitset rows to interval labels.
-    pub fn set_labels_threshold(&self, nodes: usize) {
-        self.warehouse().set_labels_threshold(nodes);
-    }
-
     /// Read access to the underlying warehouse.
     pub fn warehouse(&self) -> &Warehouse {
-        match &self.backing {
-            Backing::Memory(w) => w,
-            Backing::Durable(dw) => dw.warehouse(),
-        }
-    }
-
-    /// Mutable access to the underlying warehouse, for bulk operations
-    /// that bypass the durability layer. `None` when the system is
-    /// durable: direct mutation would diverge memory from disk.
-    pub fn warehouse_mut(&mut self) -> Option<&mut Warehouse> {
-        match &mut self.backing {
-            Backing::Memory(w) => Some(w),
-            Backing::Durable(_) => None,
-        }
+        self.backing.warehouse()
     }
 
     // ------------------------------------------------------------------
@@ -397,20 +312,6 @@ impl Zoom {
     }
 
     // ------------------------------------------------------------------
-    // Streaming ingestion
-    // ------------------------------------------------------------------
-
-    /// Number of live (unsealed) streams.
-    pub fn active_streams(&self) -> usize {
-        self.warehouse().active_streams()
-    }
-
-    /// Whether `run` is a live stream.
-    pub fn is_streaming(&self, run: RunId) -> bool {
-        self.warehouse().is_streaming(run)
-    }
-
-    // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
@@ -484,6 +385,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use zoom_model::{RunBuilder, SpecBuilder, StepId};
+    use zoom_warehouse::IndexBackend;
 
     fn spec() -> WorkflowSpec {
         let mut b = SpecBuilder::new("sys");
@@ -566,21 +468,13 @@ mod tests {
         z.load_run(sid, run(&s)).unwrap();
 
         z.set_slow_query_threshold_nanos(0);
-        z.set_default_deadline(Some(std::time::Duration::from_millis(250)));
         z.set_admission_limits(3, 5);
-        z.set_index_backend(Some(IndexBackend::Labels));
-        z.set_labels_threshold(77);
-        z.set_max_batch_workers(2);
-        z.warehouse().set_view_run_cache_capacity(9);
+        z.warehouse().set_index_backend(Some(IndexBackend::Labels));
         let admission = Arc::clone(z.warehouse().admission());
 
         assert!(z.repair().unwrap().is_some(), "durable systems repair");
         let wh = z.warehouse();
         assert_eq!(wh.metrics_registry().slow_threshold_nanos(), 0);
-        assert_eq!(
-            wh.default_deadline(),
-            Some(std::time::Duration::from_millis(250))
-        );
         assert_eq!(
             (wh.admission().max_in_flight(), wh.admission().max_queue()),
             (3, 5)
@@ -590,9 +484,6 @@ mod tests {
             "permits held against the old store still count"
         );
         assert_eq!(wh.index_backend(), Some(IndexBackend::Labels));
-        assert_eq!(wh.labels_threshold(), 77);
-        assert_eq!(wh.max_batch_workers(), 2);
-        assert_eq!(wh.view_run_cache_capacity(), 9);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -606,7 +497,6 @@ mod tests {
         let (sid, vid, rid) = {
             let mut z = Zoom::open_durable(&dir).unwrap();
             assert!(z.is_durable());
-            assert!(z.warehouse_mut().is_none(), "durable denies raw mutation");
             let sid = z.register_workflow(s.clone()).unwrap();
             let vid = z.build_view(sid, &["R"]).unwrap();
             let rid = z.load_run(sid, run(&s)).unwrap();
@@ -711,10 +601,10 @@ mod tests {
         let res = z.deep_provenance(rid, admin, DataId(2)).unwrap();
         assert_eq!(res.tuples(), 2);
         assert!(z.deep_provenance(rid, admin, DataId(3)).is_err());
-        assert!(z.is_streaming(rid));
+        assert!(z.warehouse().is_streaming(rid));
         z.apply(&Op::SealStream(rid)).unwrap();
-        assert!(!z.is_streaming(rid));
-        assert_eq!(z.active_streams(), 0);
+        assert!(!z.warehouse().is_streaming(rid));
+        assert_eq!(z.warehouse().active_streams(), 0);
         let res = z.deep_provenance_of_final_output(rid, admin).unwrap();
         assert_eq!(res.tuples(), 3);
         let m = z.metrics();
@@ -759,7 +649,6 @@ mod tests {
         let mut z = Zoom::new();
         assert!(!z.is_durable());
         assert!(!z.checkpoint().unwrap());
-        assert!(z.warehouse_mut().is_some());
         assert_eq!(z.stats().epoch, 0);
     }
 

@@ -25,7 +25,7 @@ use crate::schema::{RunId, ViewId};
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use zoom_graph::fxhash::FxHashMap;
@@ -146,21 +146,13 @@ pub struct ViewRunCache {
     evictions: AtomicU64,
     build_nanos: AtomicU64,
     tick: AtomicU64,
-    capacity: AtomicUsize,
+    /// Entry cap, fixed at construction (0 = unbounded).
+    capacity: usize,
 }
 
 impl Default for ViewRunCache {
     fn default() -> Self {
-        ViewRunCache {
-            map: RwLock::new(Entries::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            race_lost_builds: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            build_nanos: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            capacity: AtomicUsize::new(DEFAULT_VIEW_RUN_CAPACITY),
-        }
+        Self::with_capacity(DEFAULT_VIEW_RUN_CAPACITY)
     }
 }
 
@@ -172,20 +164,16 @@ impl ViewRunCache {
 
     /// An empty cache capped at `capacity` entries (0 = unbounded).
     pub fn with_capacity(capacity: usize) -> Self {
-        let c = Self::default();
-        c.capacity.store(capacity, Ordering::Relaxed);
-        c
-    }
-
-    /// Sets the entry cap (0 = unbounded). Takes effect on the next
-    /// insert; existing entries are not evicted eagerly.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-    }
-
-    /// The current entry cap (0 = unbounded).
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        ViewRunCache {
+            map: RwLock::new(Entries::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            race_lost_builds: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            build_nanos: AtomicU64::new(0),
+            tick: AtomicU64::new(0),
+            capacity,
+        }
     }
 
     #[inline]
@@ -228,8 +216,7 @@ impl ViewRunCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.build_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let cap = self.capacity.load(Ordering::Relaxed);
-        let victims = if cap > 0 && map.len >= cap {
+        let victims = if self.capacity > 0 && map.len >= self.capacity {
             self.evict_locked(&mut map, run_id)
         } else {
             Vec::new()
@@ -556,13 +543,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 100);
         assert_eq!(cache.metrics().evictions, 0);
-        cache.set_capacity(10);
-        assert_eq!(cache.capacity(), 10);
-        // Next insert enforces the (new) cap: run 1 is the LRU run and not
-        // the incoming run, so all 100 of its entries are shed at once.
-        cache.get_or_build((RunId(2), ViewId(1)), a_view_run);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.metrics().evictions, 100);
     }
 
     /// The LRU-run rule over a flat `(run, view) → last use` map: on a miss

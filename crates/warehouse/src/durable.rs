@@ -28,6 +28,7 @@
 use crate::io::{RealFs, StorageIo};
 use crate::journal::{self, JournalError, JournalRecord, ReplayOutcome};
 use crate::metrics::{Counter, Hist, MetricsRegistry};
+use crate::op::Store;
 use crate::persist::{self, PersistError};
 use crate::resilience::{CircuitBreaker, HealthReport, RetryPolicy};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
@@ -755,6 +756,76 @@ impl DurableWarehouse {
             quarantines: registry.get(Counter::Quarantines),
             repairs: registry.get(Counter::Repairs),
             last_repair_nanos: 0,
+        }
+    }
+}
+
+/// The storage behind a facade: a plain in-memory warehouse or a
+/// crash-safe [`DurableWarehouse`] directory. The `Zoom` facade holds one,
+/// and so does each shard of a [`ShardRouter`](crate::wire::ShardRouter).
+#[derive(Debug)]
+pub enum Backing {
+    /// In-memory warehouse.
+    Memory(Box<Warehouse>),
+    /// Durable warehouse directory.
+    Durable(Box<DurableWarehouse>),
+}
+
+impl Backing {
+    /// The tables reads are answered from.
+    #[inline]
+    pub fn warehouse(&self) -> &Warehouse {
+        match self {
+            Backing::Memory(w) => w,
+            Backing::Durable(dw) => dw.warehouse(),
+        }
+    }
+
+    /// The store ops are applied to (journaled when durable).
+    pub fn store(&mut self) -> &mut dyn Store {
+        match self {
+            Backing::Memory(w) => w.as_mut(),
+            Backing::Durable(dw) => dw.as_mut(),
+        }
+    }
+
+    /// Warehouse statistics; a durable store fills in the journal and
+    /// compaction counters.
+    pub fn stats(&self) -> WarehouseStats {
+        match self {
+            Backing::Memory(w) => w.stats(),
+            Backing::Durable(dw) => dw.stats(),
+        }
+    }
+
+    /// Write availability, breaker state and the resilience counters. An
+    /// in-memory store is always healthy and writable.
+    pub fn health(&self) -> HealthReport {
+        match self {
+            Backing::Memory(_) => HealthReport::in_memory(),
+            Backing::Durable(dw) => dw.health(),
+        }
+    }
+
+    /// Whether the write breaker has a durable store in degraded
+    /// read-only mode; never for an in-memory store.
+    pub fn degraded(&self) -> bool {
+        match self {
+            Backing::Memory(_) => false,
+            Backing::Durable(dw) => dw.degraded(),
+        }
+    }
+
+    /// Compacts a durable store ([`DurableWarehouse::checkpoint`]) and
+    /// returns `true`; an in-memory store has nothing to compact and
+    /// returns `false`.
+    pub fn checkpoint(&mut self) -> Result<bool, WarehouseError> {
+        match self {
+            Backing::Memory(_) => Ok(false),
+            Backing::Durable(dw) => {
+                dw.checkpoint()?;
+                Ok(true)
+            }
         }
     }
 }

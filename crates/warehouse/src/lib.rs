@@ -77,7 +77,7 @@ pub mod wire;
 
 pub use cache::ViewRunCache;
 pub use chaos::{ChaosDriver, FaultAction, FaultEvent, FaultSchedule, SplitMix64};
-pub use durable::{fsck, DurableError, DurableOptions, DurableWarehouse, FsckReport};
+pub use durable::{fsck, Backing, DurableError, DurableOptions, DurableWarehouse, FsckReport};
 pub use index::{IndexBuildError, ProvenanceIndex, ProvenanceIndexCache, RunKeyedCache};
 pub use io::{FaultFs, RealFs, StorageIo};
 pub use journal::JournalError;
@@ -111,6 +111,6 @@ pub use trace::{
     ReplayOptions, ReplayReport, TraceError, TraceHeader, TraceRecorder, TraceReplayer, TraceTarget,
 };
 pub use wire::{
-    BatchItem, RepairOutcome, Request, Response, ShardBacking, ShardRouter, TenantQuotaTable,
-    TenantQuotas, WireError, DEFAULT_RETRY_AFTER_MS, MAX_FRAME_BYTES,
+    BatchItem, RepairOutcome, Request, Response, ShardRouter, TenantQuotaTable, TenantQuotas,
+    WireError, DEFAULT_RETRY_AFTER_MS, MAX_FRAME_BYTES,
 };

@@ -22,9 +22,9 @@ use crate::stream::{PushOutcome, RunIngestor, SealCommit, StreamCommit, StreamEr
 use crate::table::Table;
 use parking_lot::RwLock;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use zoom_graph::fxhash::FxHashMap;
 use zoom_model::{
     DataId, EventLog, LogEvent, ModelError, UserInputMeta, UserView, ViewRun, WorkflowRun,
@@ -227,8 +227,8 @@ pub(crate) type ExportedRows = (
 
 /// Which reachability strategy answers deep/forward provenance.
 ///
-/// The default policy is *automatic*: runs at or above the labels
-/// threshold (see [`Warehouse::set_labels_threshold`]) use [`Labels`]
+/// The default policy is *automatic*: runs at or above
+/// [`DEFAULT_LABELS_THRESHOLD`] graph nodes use [`Labels`]
 /// (`O(n · avg_labels)` memory), smaller runs use [`Bitset`] (fastest
 /// constant factors, `O(n²/64)` memory). [`Bfs`] runs a per-query
 /// traversal with no index at all — the always-correct fallback and the
@@ -281,11 +281,11 @@ impl fmt::Display for IndexBackend {
     }
 }
 
-/// Runs with at least this many graph nodes default to the labels
-/// backend; below it the bitset rows are small enough that their better
-/// constant factors win. At 4096 nodes the bitset pair costs ~4 MiB per
-/// run and doubles per doubling of n — labels stay near two intervals
-/// per node on workflow shapes.
+/// Runs with at least this many graph nodes use the labels backend under
+/// the automatic policy; below it the bitset rows are small enough that
+/// their better constant factors win. At 4096 nodes the bitset pair costs
+/// ~4 MiB per run and doubles per doubling of n — labels stay near two
+/// intervals per node on workflow shapes.
 pub const DEFAULT_LABELS_THRESHOLD: usize = 4096;
 
 /// A view-run together with the stored run it was materialized from: what
@@ -356,37 +356,28 @@ pub struct Warehouse {
     labels: RunKeyedCache<LabelIndex>,
     /// Forced backend (`IndexBackend::to_u8`); 0 means automatic.
     index_backend: AtomicU8,
-    /// Node count at which the automatic policy switches to labels.
-    labels_threshold: AtomicUsize,
     metrics: MetricsRegistry,
     /// Bounds concurrent facade queries; past the bound + queue, sheds
     /// with [`WarehouseError::Overloaded`].
     admission: Arc<AdmissionControl>,
-    /// Default per-query deadline in nanoseconds; 0 means unlimited.
-    default_deadline_nanos: AtomicU64,
     /// The token in-flight queries poll; [`Warehouse::cancel_queries`]
     /// raises it and installs a fresh one for later queries.
     cancel: RwLock<CancelToken>,
-    /// Cap on batch fan-out worker threads; 0 means "hardware parallelism".
-    max_batch_workers: AtomicUsize,
 }
 
-/// A warehouse's runtime settings: what an operator tunes on a live store,
-/// none of it journaled. [`Warehouse::settings`] captures them so a repair
-/// can hand them to the store it rebuilds ([`DurableWarehouse::rebuild`]);
-/// the admission controller is shared, not copied, so permits held against
-/// the old store still count.
+/// A warehouse's runtime settings: the slow-query threshold, the admission
+/// limits and the forced index backend, none of it journaled.
+/// [`Warehouse::settings`] captures them so a repair can hand them to the
+/// store it rebuilds ([`DurableWarehouse::rebuild`]); the admission
+/// controller is shared, not copied, so permits held against the old
+/// store still count.
 ///
 /// [`DurableWarehouse::rebuild`]: crate::durable::DurableWarehouse::rebuild
 #[derive(Clone, Debug)]
 pub struct Settings {
     slow_threshold_nanos: u64,
-    default_deadline_nanos: u64,
     admission: Arc<AdmissionControl>,
     index_backend: u8,
-    labels_threshold: usize,
-    max_batch_workers: usize,
-    view_run_cache_capacity: usize,
 }
 
 /// Default admission bound: plenty for an embedded store while still
@@ -413,15 +404,12 @@ impl Default for Warehouse {
             index: ProvenanceIndexCache::default(),
             labels: RunKeyedCache::default(),
             index_backend: AtomicU8::new(0),
-            labels_threshold: AtomicUsize::new(DEFAULT_LABELS_THRESHOLD),
             metrics: MetricsRegistry::default(),
             admission: Arc::new(AdmissionControl::new(
                 DEFAULT_MAX_IN_FLIGHT,
                 DEFAULT_MAX_QUEUE,
             )),
-            default_deadline_nanos: AtomicU64::new(0),
             cancel: RwLock::new(CancelToken::new()),
-            max_batch_workers: AtomicUsize::new(0),
         }
     }
 }
@@ -450,21 +438,6 @@ impl Warehouse {
         &self.admission
     }
 
-    /// Sets the default per-query deadline; `None` (the initial state)
-    /// means unlimited. Applies to queries started after the call.
-    pub fn set_default_deadline(&self, budget: Option<Duration>) {
-        let nanos = budget.map_or(0, |d| d.as_nanos().clamp(1, u64::MAX as u128) as u64);
-        self.default_deadline_nanos.store(nanos, Ordering::Relaxed);
-    }
-
-    /// The default per-query deadline, if one is configured.
-    pub fn default_deadline(&self) -> Option<Duration> {
-        match self.default_deadline_nanos.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(Duration::from_nanos(n)),
-        }
-    }
-
     /// Cancels every in-flight query (they unwind with
     /// [`WarehouseError::Cancelled`] at their next stride check) and
     /// installs a fresh token for queries started afterwards.
@@ -474,39 +447,23 @@ impl Warehouse {
         *slot = CancelToken::new();
     }
 
-    /// The deadline a read by `cx` runs under: its budget, else the
-    /// default budget (unlimited when neither is set), always with the
-    /// current cancel token, so [`Warehouse::cancel_queries`] reaches
-    /// every read, budgeted or not.
+    /// The deadline a read by `cx` runs under: its budget, or unlimited
+    /// when it has none, always with the current cancel token, so
+    /// [`Warehouse::cancel_queries`] reaches every read, budgeted or not.
     pub fn deadline(&self, cx: &Cx) -> Deadline {
-        let base = match cx.budget.or_else(|| self.default_deadline()) {
+        let base = match cx.budget {
             Some(budget) => Deadline::after(budget),
             None => Deadline::unlimited(),
         };
         base.with_token(self.cancel.read().clone())
     }
 
-    /// Caps the batch fan-out worker count; 0 restores the default
-    /// (hardware parallelism).
-    pub fn set_max_batch_workers(&self, workers: usize) {
-        self.max_batch_workers.store(workers, Ordering::Relaxed);
-    }
-
-    /// The batch fan-out worker cap; 0 means hardware parallelism.
-    pub fn max_batch_workers(&self) -> usize {
-        self.max_batch_workers.load(Ordering::Relaxed)
-    }
-
     /// This store's runtime settings (see [`Settings`]).
     pub fn settings(&self) -> Settings {
         Settings {
             slow_threshold_nanos: self.metrics.slow_threshold_nanos(),
-            default_deadline_nanos: self.default_deadline_nanos.load(Ordering::Relaxed),
             admission: Arc::clone(&self.admission),
             index_backend: self.index_backend.load(Ordering::Relaxed),
-            labels_threshold: self.labels_threshold(),
-            max_batch_workers: self.max_batch_workers(),
-            view_run_cache_capacity: self.view_run_cache_capacity(),
         }
     }
 
@@ -514,12 +471,8 @@ impl Warehouse {
     pub(crate) fn set_settings(&mut self, settings: Settings) {
         self.metrics
             .set_slow_threshold_nanos(settings.slow_threshold_nanos);
-        self.default_deadline_nanos = AtomicU64::new(settings.default_deadline_nanos);
         self.admission = settings.admission;
         self.index_backend = AtomicU8::new(settings.index_backend);
-        self.labels_threshold = AtomicUsize::new(settings.labels_threshold);
-        self.max_batch_workers = AtomicUsize::new(settings.max_batch_workers);
-        self.cache.set_capacity(settings.view_run_cache_capacity);
     }
 
     // ------------------------------------------------------------------
@@ -539,28 +492,16 @@ impl Warehouse {
         IndexBackend::from_u8(self.index_backend.load(Ordering::Relaxed))
     }
 
-    /// Sets the node count at which the automatic policy prefers labels
-    /// over bitset rows (see [`DEFAULT_LABELS_THRESHOLD`]).
-    pub fn set_labels_threshold(&self, nodes: usize) {
-        self.labels_threshold.store(nodes, Ordering::Relaxed);
-    }
-
-    /// The automatic policy's labels threshold.
-    pub fn labels_threshold(&self) -> usize {
-        self.labels_threshold.load(Ordering::Relaxed)
-    }
-
     /// The backend a query over a run of `node_count` graph nodes uses
     /// right now: the forced backend if set, otherwise labels at or above
-    /// the threshold and bitset below it.
+    /// [`DEFAULT_LABELS_THRESHOLD`] and bitset below it.
     pub fn backend_for(&self, node_count: usize) -> IndexBackend {
-        self.index_backend().unwrap_or_else(|| {
-            if node_count >= self.labels_threshold() {
+        self.index_backend()
+            .unwrap_or(if node_count >= DEFAULT_LABELS_THRESHOLD {
                 IndexBackend::Labels
             } else {
                 IndexBackend::Bitset
-            }
-        })
+            })
     }
 
     /// Human-readable backend policy for the observability surface:
@@ -1167,15 +1108,10 @@ impl Warehouse {
             }
         };
         self.metrics.record_batch(queries.len());
-        let cap = match self.max_batch_workers.load(Ordering::Relaxed) {
-            0 => usize::MAX,
-            n => n,
-        };
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(queries.len())
-            .min(cap);
+            .min(queries.len());
         let deep = |(r, v, d): (RunId, ViewId, DataId), deadline: &mut Deadline| {
             self.timed(cx, QueryKind::Deep, (r, v, Some(d)), deadline, |dl| {
                 self.reach(r, v, d, dl, query::deep_provenance)
@@ -1414,16 +1350,6 @@ impl Warehouse {
         }
     }
 
-    /// Caps the view-run cache at `capacity` entries (0 = unbounded).
-    pub fn set_view_run_cache_capacity(&self, capacity: usize) {
-        self.cache.set_capacity(capacity);
-    }
-
-    /// The view-run cache's entry cap (0 = unbounded).
-    pub fn view_run_cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
     /// `(hits, misses)` of the view-run cache.
     pub fn cache_counters(&self) -> (u64, u64) {
         self.cache.counters()
@@ -1601,14 +1527,22 @@ mod tests {
         // threshold, so the bitset backend answers.
         assert_eq!(w.index_backend(), None);
         assert_eq!(w.backend_for(4), IndexBackend::Bitset);
+        assert_eq!(
+            w.backend_for(DEFAULT_LABELS_THRESHOLD - 1),
+            IndexBackend::Bitset
+        );
+        assert_eq!(
+            w.backend_for(DEFAULT_LABELS_THRESHOLD),
+            IndexBackend::Labels
+        );
         assert_eq!(w.backend_policy(), "auto");
         let baseline = w.deep_provenance(rid, admin, DataId(3)).unwrap();
         let dep_baseline = w.dependents_of(rid, admin, DataId(1)).unwrap();
         assert_eq!(w.index_counters().1, 1, "bitset index built once");
         assert_eq!(w.label_index_counters(), (0, 0), "labels untouched");
 
-        // Dropping the threshold flips the same run onto labels.
-        w.set_labels_threshold(1);
+        // Forcing labels flips the same run onto the label index.
+        w.set_index_backend(Some(IndexBackend::Labels));
         assert_eq!(w.backend_for(4), IndexBackend::Labels);
         assert_eq!(w.deep_provenance(rid, admin, DataId(3)).unwrap(), baseline);
         assert_eq!(
@@ -1889,7 +1823,6 @@ mod tests {
         let sid = w.register_spec(s.clone()).unwrap();
         let admin = w.register_view(sid, UserView::admin(&s)).unwrap();
         let rid = w.load_run(sid, run(&s)).unwrap();
-        w.set_max_batch_workers(4);
 
         // Alternate instant failures (unknown run) with real deep queries
         // on a batch much larger than the worker pool, so fast workers

@@ -33,11 +33,11 @@
 //! refused.
 
 use crate::codec::{self, CodecError};
-use crate::durable::{DurableError, DurableOptions, DurableWarehouse, FsckReport};
+use crate::durable::{Backing, DurableError, DurableOptions, DurableWarehouse, FsckReport};
 use crate::io::{RealFs, StorageIo};
 use crate::journal::crc32;
 use crate::metrics::{Counter, MetricsSnapshot, SlowQuery};
-use crate::op::{typed, Answer, Cx, Op, Store};
+use crate::op::{typed, Answer, Cx, Op};
 use crate::query::ProvenanceResult;
 use crate::resilience::{AdmissionControl, AdmissionPermit, HealthReport, ShardState};
 use crate::schema::{RunId, SpecId, ViewId, WarehouseStats};
@@ -545,47 +545,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One shard's storage: plain in-memory, or crash-safe durable.
-#[derive(Debug)]
-pub enum ShardBacking {
-    /// In-memory warehouse.
-    Memory(Box<Warehouse>),
-    /// Durable warehouse directory.
-    Durable(Box<DurableWarehouse>),
-}
-
-impl ShardBacking {
-    /// The underlying query warehouse.
-    pub fn warehouse(&self) -> &Warehouse {
-        match self {
-            ShardBacking::Memory(w) => w,
-            ShardBacking::Durable(dw) => dw.warehouse(),
-        }
-    }
-
-    /// This shard's store, for applying ops.
-    fn store(&mut self) -> &mut dyn Store {
-        match self {
-            ShardBacking::Memory(w) => w.as_mut(),
-            ShardBacking::Durable(dw) => dw.as_mut(),
-        }
-    }
-
-    fn stats(&self) -> WarehouseStats {
-        match self {
-            ShardBacking::Memory(w) => w.stats(),
-            ShardBacking::Durable(dw) => dw.stats(),
-        }
-    }
-
-    fn health(&self) -> HealthReport {
-        match self {
-            ShardBacking::Memory(_) => HealthReport::in_memory(),
-            ShardBacking::Durable(dw) => dw.health(),
-        }
-    }
-}
-
 /// Supervisor bookkeeping for one shard (DESIGN.md §17). Guarded by its
 /// own mutex so state checks never contend with the (long-held) backing
 /// lock; the supervision lock is a leaf — it is only ever taken last and
@@ -628,7 +587,7 @@ pub struct RepairOutcome {
 /// spec/view/run id sequences identical to a single warehouse's.
 #[derive(Debug)]
 pub struct ShardRouter {
-    shards: Vec<Mutex<ShardBacking>>,
+    shards: Vec<Mutex<Backing>>,
     /// Per-shard supervisor state, same order as `shards` (DESIGN.md §17).
     supervision: Vec<Mutex<Supervision>>,
     /// Serializes spec/view broadcasts across shards. Registration locks
@@ -661,7 +620,7 @@ impl ShardRouter {
         let shards = shards.max(1);
         ShardRouter {
             shards: (0..shards)
-                .map(|_| Mutex::new(ShardBacking::Memory(Box::new(Warehouse::new()))))
+                .map(|_| Mutex::new(Backing::Memory(Box::new(Warehouse::new()))))
                 .collect(),
             supervision: (0..shards)
                 .map(|_| Mutex::new(Supervision::new()))
@@ -744,7 +703,7 @@ impl ShardRouter {
                 Some(io) => Arc::clone(io),
                 None => Arc::new(RealFs),
             };
-            backings.push(Mutex::new(ShardBacking::Durable(Box::new(
+            backings.push(Mutex::new(Backing::Durable(Box::new(
                 DurableWarehouse::open_with(io, &sub, options)?,
             ))));
         }
@@ -819,7 +778,7 @@ impl ShardRouter {
     fn with_run<R>(
         &self,
         run: RunId,
-        f: impl FnOnce(&ShardBacking, RunId) -> WhResult<R>,
+        f: impl FnOnce(&Backing, RunId) -> WhResult<R>,
     ) -> WhResult<R> {
         let (sh, local) = self.resolve(run)?;
         let guard = lock(&self.shards[sh]);
@@ -833,7 +792,7 @@ impl ShardRouter {
     /// lock as a barrier after changing the state and before reading the
     /// disk. `Degraded` still passes — the breaker stays the authority
     /// for fail-fast rejections so error renderings match PR 5's.
-    fn write_allowed(&self, sh: usize, backing: &ShardBacking) -> WhResult<()> {
+    fn write_allowed(&self, sh: usize, backing: &Backing) -> WhResult<()> {
         let state = lock(&self.supervision[sh]).state;
         if state.accepts_writes() {
             Ok(())
@@ -853,11 +812,8 @@ impl ShardRouter {
     /// shard whose breaker is open is marked `Degraded`, and one whose
     /// breaker closed again (checkpoint probe) returns to `Healthy`.
     /// Quarantined/rebuilding shards are left to the repair path.
-    fn note_write_outcome(&self, sh: usize, backing: &ShardBacking) {
-        let degraded = match backing {
-            ShardBacking::Memory(_) => false,
-            ShardBacking::Durable(dw) => dw.degraded(),
-        };
+    fn note_write_outcome(&self, sh: usize, backing: &Backing) {
+        let degraded = backing.degraded();
         let mut sup = lock(&self.supervision[sh]);
         match (sup.state, degraded) {
             (ShardState::Healthy, true) => sup.state = ShardState::Degraded,
@@ -869,7 +825,7 @@ impl ShardRouter {
     fn with_run_mut<R>(
         &self,
         run: RunId,
-        f: impl FnOnce(&mut ShardBacking, RunId) -> WhResult<R>,
+        f: impl FnOnce(&mut Backing, RunId) -> WhResult<R>,
     ) -> WhResult<R> {
         let (sh, local) = self.resolve(run)?;
         let mut guard = lock(&self.shards[sh]);
@@ -1047,7 +1003,7 @@ impl ShardRouter {
     pub fn abort_stream(&self, run: RunId) {
         if let Ok((sh, local)) = self.resolve(run) {
             let mut guard = lock(&self.shards[sh]);
-            if let ShardBacking::Memory(w) = &mut *guard {
+            if let Backing::Memory(w) = &mut *guard {
                 if w.is_streaming(local) {
                     w.rollback_stream(local);
                 }
@@ -1229,8 +1185,8 @@ impl ShardRouter {
         let source = {
             let guard = lock(&self.shards[sh]);
             match &*guard {
-                ShardBacking::Memory(_) => None,
-                ShardBacking::Durable(dw) => Some((
+                Backing::Memory(_) => None,
+                Backing::Durable(dw) => Some((
                     dw.io(),
                     dw.dir().to_path_buf(),
                     dw.options(),
@@ -1259,7 +1215,7 @@ impl ShardRouter {
                     // A setting changed while the shard rebuilt reached
                     // only the old store: carry the settings again.
                     fresh.set_settings(guard.warehouse().settings());
-                    *guard = ShardBacking::Durable(Box::new(fresh));
+                    *guard = Backing::Durable(Box::new(fresh));
                 }
                 let nanos = started.elapsed().as_nanos() as u64;
                 {
@@ -1332,9 +1288,7 @@ impl ShardRouter {
             if !lock(&self.supervision[i]).state.accepts_writes() {
                 continue;
             }
-            if let ShardBacking::Durable(dw) = &mut *guard {
-                dw.checkpoint().map_err(WarehouseError::from)?;
-            }
+            guard.checkpoint()?;
         }
         Ok(())
     }
@@ -1391,6 +1345,7 @@ impl crate::privacy::ViewRegistry for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::IndexBackend;
     use zoom_model::{EventLog, LogEvent, RunBuilder, SpecBuilder};
 
     /// Typed sugar over [`ShardRouter::apply`] for the tests below.
@@ -1907,9 +1862,24 @@ mod tests {
                 std::thread::yield_now();
             }
             router.set_slow_query_threshold_nanos(0);
+            {
+                let mut guard = lock(&router.shards[1]);
+                guard.warehouse().set_index_backend(Some(IndexBackend::Bfs));
+                if let Backing::Durable(dw) = &mut *guard {
+                    dw.set_admission_limits(3, 5);
+                }
+            }
             repair.join().unwrap().unwrap();
         });
         assert_eq!(router.metrics()[1].slow_query_threshold_nanos, 0);
+        let guard = lock(&router.shards[1]);
+        let wh = guard.warehouse();
+        assert_eq!(wh.index_backend(), Some(IndexBackend::Bfs));
+        assert_eq!(
+            (wh.admission().max_in_flight(), wh.admission().max_queue()),
+            (3, 5)
+        );
+        drop(guard);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -292,7 +292,7 @@ fn stats(path: &Path, json: bool) -> Result<(), String> {
     out!(
         "index        : {} (labels at >= {} nodes)",
         zoom.warehouse().backend_policy(),
-        zoom.warehouse().labels_threshold()
+        zoom::warehouse::DEFAULT_LABELS_THRESHOLD
     );
     Ok(())
 }

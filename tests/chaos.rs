@@ -273,23 +273,12 @@ fn deadlines_bound_pathological_queries() {
         Ok(r) => assert_eq!(r.tuples(), full.tuples()),
         Err(other) => panic!("unexpected error: {other:?}"),
     }
-
-    // The default-deadline knob routes every facade query through the
-    // same bound.
-    z.set_default_deadline(Some(Duration::ZERO));
-    z.warehouse().clear_cache();
-    assert!(matches!(
-        z.deep_provenance(rid, vid, target),
-        Err(WarehouseError::DeadlineExceeded)
-    ));
-    z.set_default_deadline(None);
-    assert!(z.deep_provenance(rid, vid, target).is_ok());
 }
 
 /// `cancel_queries` reaches a query with a budget of its own: a budgeted
 /// read and a budgeted `QuerySession` query, each cancelled while it waits
 /// for admission with its deadline already built, unwind with `Cancelled`
-/// like default-deadline queries. The per-query BFS over the pathological
+/// like unbudgeted queries. The per-query BFS over the pathological
 /// run passes many deadline checks, so the raised token is seen.
 #[test]
 fn cancel_reaches_budgeted_reads_and_sessions() {
@@ -307,7 +296,7 @@ fn cancel_reaches_budgeted_reads_and_sessions() {
             while admission.load() < 2 {
                 std::thread::yield_now();
             }
-            z.cancel_queries();
+            z.warehouse().cancel_queries();
             drop(permit);
             waiter.join().expect("the query thread finishes")
         });
@@ -317,7 +306,7 @@ fn cancel_reaches_budgeted_reads_and_sessions() {
 
     let (mut z, rid, vid, target) = pathological_zoom();
     z.set_admission_limits(1, 1);
-    z.set_index_backend(Some(IndexBackend::Bfs));
+    z.warehouse().set_index_backend(Some(IndexBackend::Bfs));
     let budget = Duration::from_secs(60);
     let cx = Cx::ADMIN.within(budget);
     let op = Op::DeepProvenance(rid, vid, target);

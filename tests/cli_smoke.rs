@@ -35,6 +35,10 @@ fn demo_inspect_query_render() {
 
     let out = run_ok(zoomctl().args(["stats", snap_s]));
     assert!(out.contains("data objects : 447"), "{out}");
+    assert!(
+        out.contains("index        : auto (labels at >= 4096 nodes)"),
+        "{out}"
+    );
 
     let out = run_ok(zoomctl().args(["specs", snap_s]));
     assert!(out.contains("phylogenomic"), "{out}");

@@ -297,9 +297,9 @@ fn view_registration_returns_the_effective_view() {
 }
 
 /// A restricted tenant's batch fans out to worker threads, and every
-/// slow-log entry its queries leave names that tenant: on the facade
-/// (two batch workers) and through a two-shard daemon (its default
-/// worker cap). No entry is left untagged.
+/// slow-log entry its queries leave names that tenant: on the facade and
+/// through a two-shard daemon, each with one worker per available CPU.
+/// No entry is left untagged.
 #[test]
 fn batch_slow_log_entries_carry_the_tenant_across_workers() {
     let spec = phylogenomic();
@@ -326,7 +326,6 @@ fn batch_slow_log_entries_carry_the_tenant_across_workers() {
     let rid = z.load_run(sid, run.clone()).unwrap();
     z.set_policy("restricted", Some(policy.clone())).unwrap();
     z.set_slow_query_threshold_nanos(0);
-    z.set_max_batch_workers(2);
     let Answer::Batch(slots) = z.read(&Cx::tenant("restricted"), &batch(rid, vid)).unwrap() else {
         panic!("a batch answers a batch");
     };
