@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use zoom_graph::fxhash::FxHashMap;
 use zoom_warehouse::wire::{self, Request, Response, ShardRouter};
 use zoom_warehouse::{
-    codec, Cx, DurableOptions, Op, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
+    codec, Cx, DurableOptions, Result as WhResult, ShardState, StorageIo, TenantQuotaTable,
     TenantQuotas,
 };
 
@@ -483,18 +483,13 @@ fn dispatch(state: &Arc<ServerState>, conn: &mut ConnState, req: &Request) -> Re
 
     // A panic inside one request must answer *that* request with an
     // error, not take the connection thread (and every later request on
-    // it) down.
-    match catch_unwind(AssertUnwindSafe(|| execute(state, conn, req))) {
-        Ok(resp) => resp,
-        Err(_) => {
-            if let Request::Data(Op::PushEvent(run, _) | Op::SealStream(run)) = req {
-                state.router.abort_stream(*run);
-            }
-            Response::Error {
-                message: "internal error: request aborted".to_string(),
-            }
+    // it) down. A panicked push or seal leaves its stream open on every
+    // shard kind; the client can resume or seal it.
+    catch_unwind(AssertUnwindSafe(|| execute(state, conn, req))).unwrap_or_else(|_| {
+        Response::Error {
+            message: "internal error: request aborted".to_string(),
         }
-    }
+    })
 }
 
 /// The shared admin rule: the configured token when one exists, else

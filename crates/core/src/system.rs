@@ -308,7 +308,10 @@ impl Zoom {
 
     /// Ingests a workflow-system event log (journaled when durable).
     pub fn load_log(&mut self, spec: SpecId, log: &EventLog) -> Result<RunId> {
-        self.backing.store().load_log(spec, log)
+        match &mut self.backing {
+            Backing::Memory(w) => w.load_log(spec, log),
+            Backing::Durable(dw) => Ok(dw.load_log(spec, log)?),
+        }
     }
 
     // ------------------------------------------------------------------

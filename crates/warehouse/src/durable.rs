@@ -12,27 +12,29 @@
 //! <dir>/wal-000007.zoomwj   journal tail of mutations since that snapshot
 //! ```
 //!
-//! `open` recovers snapshot-then-tail; every mutation appends to the tail
-//! (with rollback of the in-memory change if the append fails); when the
-//! tail outgrows [`DurableOptions::compact_threshold_bytes`], the store
-//! compacts: write `snap-{e+1}`, start an empty `wal-{e+1}`, fsync both,
-//! atomically swing `MANIFEST` to the new generation, then best-effort
-//! remove the old one. A crash at *any* point leaves either the old
-//! generation (manifest not yet swung) or the new one (swung) fully
-//! intact; leftovers of the other are strays, cleaned on the next open.
+//! `open` recovers snapshot-then-tail; every write is accepted, appended
+//! to the tail, and only then committed to memory, so a failed append
+//! leaves nothing to undo. When the tail outgrows
+//! [`DurableOptions::compact_threshold_bytes`], the store compacts: write
+//! `snap-{e+1}`, start an empty `wal-{e+1}`, fsync both, atomically swing
+//! `MANIFEST` to the new generation, then best-effort remove the old one.
+//! A crash at *any* point leaves either the old generation (manifest not
+//! yet swung) or the new one (swung) fully intact; leftovers of the other
+//! are strays, cleaned on the next open.
 //!
-//! Replay is id-checked: each journaled record carries the id it was
-//! assigned, and replay over the recovered snapshot must assign the same
-//! id — the proof that the tail really continues that snapshot.
+//! Replay takes the live path and is id-checked: each journaled record
+//! carries the id it was assigned, and accepting it again over the
+//! recovered snapshot must assign the same id — the proof that the tail
+//! really continues that snapshot.
 
 use crate::io::{RealFs, StorageIo};
-use crate::journal::{self, JournalError, JournalRecord, ReplayOutcome};
+use crate::journal::{self, JournalError, ReplayOutcome};
 use crate::metrics::{Counter, Hist, MetricsRegistry};
-use crate::op::Store;
+use crate::op::{expect_answer, Answer, Store};
 use crate::persist::{self, PersistError};
 use crate::resilience::{CircuitBreaker, HealthReport, RetryPolicy};
-use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
-use crate::store::{Settings, Warehouse, WarehouseError};
+use crate::schema::{RunId, SpecId, ViewId, WarehouseStats};
+use crate::store::{Accepted, Settings, Warehouse, WarehouseError, Write};
 use crate::stream::{PushOutcome, StreamError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -123,12 +125,6 @@ impl From<DurableError> for WarehouseError {
     }
 }
 
-impl From<zoom_model::ModelError> for DurableError {
-    fn from(e: zoom_model::ModelError) -> Self {
-        DurableError::Warehouse(WarehouseError::Model(e))
-    }
-}
-
 /// Tuning knobs for [`DurableWarehouse`].
 #[derive(Clone, Copy, Debug)]
 pub struct DurableOptions {
@@ -193,6 +189,31 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest, DurableError> {
         return Err(DurableError::BadManifest("crc mismatch".into()));
     }
     crate::codec::from_bytes(payload).map_err(|e| DurableError::Persist(e.into()))
+}
+
+/// Recovers the generation `manifest` names: its snapshot, then its
+/// journal tail replayed over it. Returns the warehouse, what replay
+/// found, and the length of the journal body; the body past `valid_end`
+/// is a torn tail.
+fn recover(
+    io: &dyn StorageIo,
+    dir: &Path,
+    manifest: &Manifest,
+) -> Result<(Warehouse, ReplayOutcome, usize), DurableError> {
+    let mut w = match &manifest.snapshot {
+        Some(name) => persist::load_with(io, &dir.join(name))?,
+        None => Warehouse::new(),
+    };
+    let bytes = io.read(&dir.join(&manifest.journal))?;
+    let Some(body) = bytes.strip_prefix(&journal::MAGIC[..]) else {
+        return Err(DurableError::BadManifest(format!(
+            "journal `{}` has a bad header",
+            manifest.journal
+        )));
+    };
+    // The tail continues the snapshot: replayed ids must match.
+    let outcome = journal::replay_body(&mut w, body)?;
+    Ok((w, outcome, body.len()))
 }
 
 /// Runs one durable IO step under `retry`, retrying transient filesystem
@@ -352,24 +373,11 @@ impl DurableWarehouse {
         }
 
         let manifest = decode_manifest(&io.read(&manifest_path)?)?;
-        let mut inner = match &manifest.snapshot {
-            Some(name) => persist::load_with(&*io, &dir.join(name))?,
-            None => Warehouse::new(),
-        };
-        let wal_path = dir.join(&manifest.journal);
-        let bytes = io.read(&wal_path)?;
-        if bytes.len() < journal::MAGIC.len() || &bytes[..journal::MAGIC.len()] != journal::MAGIC {
-            return Err(DurableError::BadManifest(format!(
-                "journal `{}` has a bad header",
-                manifest.journal
-            )));
-        }
-        let body = &bytes[journal::MAGIC.len()..];
-        // The tail continues the snapshot: replayed ids must match.
-        let ReplayOutcome { records, valid_end } = journal::replay_body(&mut inner, body, true)?;
-        let keep = (journal::MAGIC.len() + valid_end) as u64;
-        if keep < bytes.len() as u64 {
-            io.set_len(&wal_path, keep)?;
+        let (inner, ReplayOutcome { records, valid_end }, body_len) =
+            recover(&*io, dir, &manifest)?;
+        if valid_end < body_len {
+            let keep = (journal::MAGIC.len() + valid_end) as u64;
+            io.set_len(&dir.join(&manifest.journal), keep)?;
         }
         let mut dw = DurableWarehouse {
             io,
@@ -408,9 +416,8 @@ impl DurableWarehouse {
         }
     }
 
-    /// Rejects the mutation up front when the breaker is open: degraded
-    /// read-only mode fails writes fast, before the in-memory mutation,
-    /// so there is nothing to roll back.
+    /// Rejects the write up front when the breaker is open: degraded
+    /// read-only mode fails writes fast, before they are even accepted.
     fn check_writable(&mut self) -> Result<(), DurableError> {
         if self.breaker.is_open() {
             self.inner
@@ -421,7 +428,7 @@ impl DurableWarehouse {
         Ok(())
     }
 
-    fn append(&mut self, rec: &JournalRecord) -> Result<(), DurableError> {
+    fn append(&mut self, rec: &Accepted) -> Result<(), DurableError> {
         let frame = journal::encode_frame(rec)?;
         let started = std::time::Instant::now();
         let path = self.dir.join(&self.journal);
@@ -464,93 +471,65 @@ impl DurableWarehouse {
         }
     }
 
-    /// Registers a specification, durably. On append failure the in-memory
-    /// registration is rolled back so memory never diverges from disk.
+    /// Registers a specification, durably.
     pub fn register_spec(&mut self, spec: WorkflowSpec) -> Result<SpecId, DurableError> {
-        self.check_writable()?;
-        let row = SpecRow { spec };
-        let id = self.inner.register_spec(row.spec.clone())?;
-        if let Err(e) = self.append(&JournalRecord::Spec(id, row)) {
-            self.inner.rollback_spec(id);
-            return Err(e);
-        }
-        self.maybe_compact();
-        Ok(id)
+        self.put(Write::Spec(spec)).map(expect_answer)
     }
 
-    /// Registers a view, durably (rolled back on a failed append).
+    /// Registers a view, durably.
     pub fn register_view(&mut self, spec: SpecId, view: UserView) -> Result<ViewId, DurableError> {
-        self.check_writable()?;
-        let id = self.inner.register_view(spec, view.clone())?;
-        if let Err(e) = self.append(&JournalRecord::View(id, ViewRow { spec, view })) {
-            self.inner.rollback_view(id);
-            return Err(e);
-        }
-        self.maybe_compact();
-        Ok(id)
+        self.put(Write::View(spec, view)).map(expect_answer)
     }
 
-    /// Loads a run, durably (rolled back on a failed append).
+    /// Loads a run, durably.
     pub fn load_run(&mut self, spec: SpecId, run: WorkflowRun) -> Result<RunId, DurableError> {
-        self.check_writable()?;
-        let id = self.inner.load_run(spec, run.clone())?;
-        if let Err(e) = self.append(&JournalRecord::Run(id, Box::new(RunRow { spec, run }))) {
-            self.inner.rollback_run(id);
-            return Err(e);
-        }
-        self.maybe_compact();
-        Ok(id)
+        self.put(Write::Run(spec, run)).map(expect_answer)
     }
 
     /// Ingests an event log, durably (journals the reconstructed run).
     pub fn load_log(&mut self, spec: SpecId, log: &EventLog) -> Result<RunId, DurableError> {
-        let run = log.to_run(self.inner.spec(spec)?)?;
-        self.load_run(spec, run)
+        self.put(Write::Log(spec, log)).map(expect_answer)
     }
 
-    /// Opens a streaming run, durably (rolled back on a failed append).
+    /// Opens a streaming run, durably.
     ///
     /// While any stream is live, auto-compaction is deferred and explicit
     /// checkpoints are rejected: a snapshot carries only committed rows,
     /// so the journal tail from `StreamBegin` onward *is* the stream's
     /// durable state.
     pub fn begin_stream(&mut self, spec: SpecId) -> Result<RunId, DurableError> {
-        self.check_writable()?;
-        let id = self.inner.begin_stream(spec)?;
-        if let Err(e) = self.append(&JournalRecord::StreamBegin(id, spec)) {
-            self.inner.rollback_stream(id);
-            return Err(e);
-        }
-        Ok(id)
+        self.put(Write::Begin(spec)).map(expect_answer)
     }
 
-    /// Pushes one streaming event, durably. The order is
-    /// validate-then-journal-then-apply: `stream_accept` is read-only,
-    /// so a failed append changes nothing and needs no rollback, and by
-    /// the time memory moves the event is already on disk — an
-    /// acknowledged event survives any crash.
+    /// Pushes one streaming event, durably: an acknowledged event is on
+    /// disk before memory moves, so it survives any crash.
     pub fn stream_push(
         &mut self,
         run: RunId,
         event: &LogEvent,
     ) -> Result<PushOutcome, DurableError> {
-        self.check_writable()?;
-        let commit = self.inner.stream_accept(run, event)?;
-        self.append(&JournalRecord::StreamEvent(run, event.clone()))?;
-        Ok(self.inner.stream_apply(run, commit))
+        self.put(Write::Push(run, event)).map(expect_answer)
     }
 
-    /// Seals a streaming run, durably (same accept/journal/apply order as
-    /// [`DurableWarehouse::stream_push`]). Sealing the last live stream
+    /// Seals a streaming run, durably. Sealing the last live stream
     /// re-enables compaction, which may trigger immediately if the tail
     /// outgrew the threshold during the stream.
     pub fn stream_seal(&mut self, run: RunId) -> Result<(), DurableError> {
+        self.put(Write::Seal(run)).map(expect_answer)
+    }
+
+    /// The one durable write sequence: refuse when degraded, accept
+    /// (read-only), journal the accepted write, commit it, then compact
+    /// if the tail outgrew its threshold. The record is encoded from the
+    /// accepted write before its rows move into the tables, and a failed
+    /// append leaves memory as it was.
+    pub(crate) fn put(&mut self, write: Write<'_>) -> Result<Answer, DurableError> {
         self.check_writable()?;
-        let commit = self.inner.stream_seal_check(run)?;
-        self.append(&JournalRecord::StreamSeal(run))?;
-        self.inner.stream_seal_apply(run, commit);
+        let accepted = self.inner.accept(write)?;
+        self.append(&accepted)?;
+        let answer = self.inner.commit(accepted);
         self.maybe_compact();
-        Ok(())
+        Ok(answer)
     }
 
     /// Compacts now: snapshot the full state as epoch `e+1`, start an
@@ -888,19 +867,7 @@ pub fn fsck(dir: &Path) -> Result<FsckReport, DurableError> {
 /// [`fsck`] on an explicit storage backend.
 pub fn fsck_with(io: &dyn StorageIo, dir: &Path) -> Result<FsckReport, DurableError> {
     let manifest = decode_manifest(&io.read(&dir.join(MANIFEST))?)?;
-    let mut w = match &manifest.snapshot {
-        Some(name) => persist::load_with(io, &dir.join(name))?,
-        None => Warehouse::new(),
-    };
-    let bytes = io.read(&dir.join(&manifest.journal))?;
-    if bytes.len() < journal::MAGIC.len() || &bytes[..journal::MAGIC.len()] != journal::MAGIC {
-        return Err(DurableError::BadManifest(format!(
-            "journal `{}` has a bad header",
-            manifest.journal
-        )));
-    }
-    let body = &bytes[journal::MAGIC.len()..];
-    let outcome = journal::replay_body(&mut w, body, true)?;
+    let (w, outcome, body_len) = recover(io, dir, &manifest)?;
     let mut strays = Vec::new();
     if let Ok(names) = io.list_dir(dir) {
         for name in names {
@@ -924,7 +891,7 @@ pub fn fsck_with(io: &dyn StorageIo, dir: &Path) -> Result<FsckReport, DurableEr
         views: stats.views,
         runs: stats.runs,
         journal_records: outcome.records,
-        torn_bytes: (body.len() - outcome.valid_end) as u64,
+        torn_bytes: (body_len - outcome.valid_end) as u64,
         strays,
     })
 }
@@ -933,6 +900,8 @@ pub fn fsck_with(io: &dyn StorageIo, dir: &Path) -> Result<FsckReport, DurableEr
 mod tests {
     use super::*;
     use crate::io::FaultFs;
+    use crate::journal::JournalRecord;
+    use crate::schema::SpecRow;
     use zoom_model::{DataId, RunBuilder, SpecBuilder};
 
     fn tempdir(name: &str) -> PathBuf {
@@ -1140,6 +1109,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `spec()` with its label index cleared, as crafted bytes deliver it.
+    fn doctored_spec() -> WorkflowSpec {
+        use std::collections::BTreeMap;
+        let s = spec();
+        let bytes = crate::codec::to_bytes(&s).unwrap();
+        let labels: BTreeMap<_, _> = ["A", "B"].map(|l| (l, s.module(l).unwrap())).into();
+        let tail = crate::codec::to_bytes(&labels).unwrap();
+        assert!(bytes.ends_with(&tail), "the label index is the last field");
+        let mut doctored = bytes[..bytes.len() - tail.len()].to_vec();
+        doctored.extend_from_slice(&0u64.to_le_bytes()); // an empty map
+        crate::codec::from_bytes(&doctored).unwrap()
+    }
+
+    #[test]
+    fn doctored_spec_is_refused_live_as_on_replay() {
+        let dir = tempdir("doctored-spec");
+        let mut dw = DurableWarehouse::open(&dir).unwrap();
+        let live = dw.register_spec(doctored_spec()).unwrap_err();
+        assert_eq!(dw.stats().journal_records, 0, "nothing journaled");
+        drop(dw);
+        DurableWarehouse::open(&dir).unwrap();
+        // Replay refuses a journaled copy with the same words.
+        let record = JournalRecord::Spec(
+            SpecId(0),
+            SpecRow {
+                spec: doctored_spec(),
+            },
+        );
+        let frame = journal::encode_frame(&record).unwrap();
+        RealFs.append(&dir.join(wal_name(0)), &frame).unwrap();
+        let replayed = DurableWarehouse::open(&dir).unwrap_err();
+        assert_eq!(live.to_string(), replayed.to_string());
+        assert!(
+            live.to_string().contains("label index out of sync"),
+            "{live}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn doctored_journal_id_rejected() {
         let dir = tempdir("doctored");
@@ -1196,31 +1204,57 @@ mod tests {
     }
 
     #[test]
-    fn failed_append_rolls_back_memory() {
-        let dir = tempdir("rollback");
+    fn failed_append_leaves_memory_unchanged() {
+        use crate::op::{Op, Store};
         let s = spec();
-        // Count the ops an open costs, then allow exactly those: the first
-        // mutation's append is the op that fails.
-        let counting = Arc::new(FaultFs::counting());
-        DurableWarehouse::open_with(counting.clone(), &dir, DurableOptions::default()).unwrap();
-        let budget = counting.ops();
-        std::fs::remove_dir_all(&dir).ok();
+        let log = EventLog::from_run(&run(&s), &s);
+        let (sid, rid) = (SpecId(0), RunId(0));
+        // A stream's whole life; each case first applies a prefix of it.
+        let mut life = vec![Op::RegisterSpec(s.clone()), Op::BeginStream(sid)];
+        life.extend(log.events.iter().map(|ev| Op::PushEvent(rid, ev.clone())));
+        let cases = [
+            ("spec", 0, life[0].clone()),
+            ("view", 1, Op::RegisterView(sid, UserView::admin(&s))),
+            ("log", 1, Op::LoadLog(sid, log.clone())),
+            ("push", 2, life[2].clone()),
+            ("seal", life.len(), Op::SealStream(rid)),
+            ("begin-stream", 1, life[1].clone()),
+        ];
+        for (kind, prefix, write) in cases {
+            let setup = &life[..prefix];
+            let dir = tempdir(&format!("failed-append-{kind}"));
+            let fs = Arc::new(FaultFs::counting());
+            let mut dw =
+                DurableWarehouse::open_with(fs.clone(), &dir, DurableOptions::default()).unwrap();
+            let mut twin = Warehouse::new();
+            for op in setup {
+                dw.apply(op).unwrap();
+                twin.apply(op).unwrap();
+            }
+            let stats = dw.stats();
+            let stream = dw.warehouse().metrics().stream;
 
-        let faulty = Arc::new(FaultFs::fail_after(budget, 0));
-        let mut dw =
-            DurableWarehouse::open_with(faulty.clone(), &dir, DurableOptions::default()).unwrap();
-        assert!(!faulty.tripped());
-        let err = dw.register_spec(s.clone()).unwrap_err();
-        assert!(matches!(err, DurableError::Io(_)), "got {err}");
-        assert!(faulty.tripped());
-        // Memory rolled back: the spec is not visible.
-        assert_eq!(dw.warehouse().stats().specs, 0);
-        assert_eq!(dw.stats().journal_records, 0);
-        assert!(dw.warehouse().spec_by_name("d").is_none());
-        // And the directory still opens clean (nothing was committed).
-        let dw = DurableWarehouse::open(&dir).unwrap();
-        assert_eq!(dw.warehouse().stats().specs, 0);
-        std::fs::remove_dir_all(&dir).ok();
+            // The write's append fails once, permanently (not retried).
+            fs.arm_failures(1, false);
+            let err = dw.apply(&write).unwrap_err();
+            assert!(
+                matches!(&err, WarehouseError::Durability(e) if matches!(**e, DurableError::Io(_))),
+                "{kind}: {err}"
+            );
+            assert_eq!(dw.stats(), stats, "{kind}: stats");
+            assert_eq!(dw.stats().journal_records, setup.len() as u64, "{kind}");
+            assert_eq!(dw.warehouse().metrics().stream, stream, "{kind}: stream");
+
+            // The next successful write gets what it would have got.
+            let want = twin.apply(&write).unwrap().canonical();
+            assert_eq!(dw.apply(&write).unwrap().canonical(), want, "{kind}");
+            let after = dw.stats();
+            drop(dw);
+            // And the directory reopens to the same state.
+            let dw = DurableWarehouse::open(&dir).unwrap();
+            assert_eq!(dw.stats(), after, "{kind}: reopened");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

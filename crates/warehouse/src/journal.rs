@@ -4,9 +4,10 @@
 //! Snapshots ([`crate::persist`]) rewrite the whole warehouse; a laboratory
 //! ingesting runs "about twice a week" per workflow wants every
 //! registration and load to be durable *as it happens*. The durable store
-//! appends one length-prefixed, checksummed record per mutation
+//! appends one length-prefixed, checksummed record per accepted write
 //! (`encode_frame`) and, on open, replays the records into the warehouse
-//! the snapshot restored (`replay_body`). A torn final record (crash
+//! the snapshot restored (`replay_body`), through the same accept and
+//! commit steps a live write takes. A torn final record (crash
 //! mid-append) is detected via CRC and dropped; corruption in the middle
 //! of the file is reported as an error.
 //!
@@ -15,7 +16,7 @@
 
 use crate::codec::{self, CodecError};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow};
-use crate::store::{Warehouse, WarehouseError};
+use crate::store::{Warehouse, WarehouseError, Write};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use zoom_model::LogEvent;
@@ -77,8 +78,8 @@ impl From<WarehouseError> for JournalError {
     }
 }
 
-/// One durable mutation, as [`crate::durable`] journals it behind its
-/// manifest.
+/// One durable write with the id it got, as replay decodes it. A durable
+/// store appends the accepted write itself, which encodes as these bytes.
 #[derive(Serialize, Deserialize)]
 pub(crate) enum JournalRecord {
     /// A registered specification.
@@ -93,8 +94,8 @@ pub(crate) enum JournalRecord {
     /// A streaming run was opened against a spec.
     StreamBegin(RunId, SpecId),
     /// One accepted streaming event. Journaled event-at-a-time — not
-    /// batched — so every acknowledged event is durable before `apply`
-    /// mutates memory, and recovery replays exactly the acknowledged
+    /// batched — so every acknowledged event is durable before its commit
+    /// changes memory, and recovery replays exactly the acknowledged
     /// prefix.
     StreamEvent(RunId, LogEvent),
     /// A streaming run was sealed into a complete run.
@@ -102,7 +103,7 @@ pub(crate) enum JournalRecord {
 }
 
 /// Encodes one record as a wire frame: `[len][crc][payload]`.
-pub(crate) fn encode_frame(rec: &JournalRecord) -> Result<Vec<u8>, JournalError> {
+pub(crate) fn encode_frame(rec: &impl Serialize) -> Result<Vec<u8>, JournalError> {
     let payload = codec::to_bytes(rec)?;
     let mut frame = Vec::with_capacity(8 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -123,14 +124,10 @@ pub(crate) struct ReplayOutcome {
 /// Replays a journal body (everything after the magic header) into `w`.
 ///
 /// A torn final record is dropped; corruption before the end is an error.
-/// With `check_ids`, every record's stored id must equal the id replay
-/// assigns — the guarantee that the journal really is a continuation of
-/// `w`'s current state.
-pub(crate) fn replay_body(
-    w: &mut Warehouse,
-    body: &[u8],
-    check_ids: bool,
-) -> Result<ReplayOutcome, JournalError> {
+/// Every record's stored id must equal the id replay assigns — the
+/// guarantee that the journal really is a continuation of `w`'s current
+/// state.
+pub(crate) fn replay_body(w: &mut Warehouse, body: &[u8]) -> Result<ReplayOutcome, JournalError> {
     let mut offset = 0usize;
     let mut records = 0usize;
     let mut valid_end = 0usize;
@@ -152,7 +149,7 @@ pub(crate) fn replay_body(
             return Err(JournalError::Corrupt { record: records });
         }
         let rec: JournalRecord = codec::from_bytes(payload)?;
-        apply(w, rec, check_ids)?;
+        apply(w, rec)?;
         records += 1;
         offset = start + len;
         valid_end = offset;
@@ -217,50 +214,33 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-fn check_id(
-    check: bool,
-    expected: impl fmt::Display,
-    got: impl fmt::Display,
-) -> Result<(), JournalError> {
-    let (expected, got) = (expected.to_string(), got.to_string());
-    if check && expected != got {
-        return Err(JournalError::IdMismatch { expected, got });
-    }
-    Ok(())
-}
-
-fn apply(w: &mut Warehouse, rec: JournalRecord, check_ids: bool) -> Result<(), JournalError> {
-    match rec {
-        JournalRecord::Spec(id, row) => {
-            // Journal bytes bypass the builders; re-validate.
-            row.spec.validate().map_err(WarehouseError::Model)?;
-            let got = w.register_spec(row.spec)?;
-            check_id(check_ids, id, got)?;
-        }
-        JournalRecord::View(id, row) => {
-            // `register_view` re-validates the partition against the spec.
-            let got = w.register_view(row.spec, row.view)?;
-            check_id(check_ids, id, got)?;
-        }
+/// Replays one record as a live write: accept, check the id, commit.
+fn apply(w: &mut Warehouse, rec: JournalRecord) -> Result<(), JournalError> {
+    let event;
+    let (id, write) = match rec {
+        JournalRecord::Spec(id, row) => (id.0, Write::Spec(row.spec)),
+        JournalRecord::View(id, row) => (id.0, Write::View(row.spec, row.view)),
         JournalRecord::Run(id, row) => {
+            // Live runs come from the builders; these are decoded bytes.
             let RunRow { spec, run } = *row;
             run.validate(w.spec(spec)?).map_err(WarehouseError::Model)?;
-            let got = w.load_run(spec, run)?;
-            check_id(check_ids, id, got)?;
+            (id.0, Write::Run(spec, run))
         }
-        JournalRecord::StreamBegin(id, spec) => {
-            let got = w.begin_stream(spec)?;
-            check_id(check_ids, id, got)?;
-        }
+        JournalRecord::StreamBegin(id, spec) => (id.0, Write::Begin(spec)),
         JournalRecord::StreamEvent(run, ev) => {
-            // The event was validated before it was journaled; replaying
-            // it through the same accept path re-validates for free.
-            w.stream_push(run, &ev)?;
+            event = ev;
+            (run.0, Write::Push(run, &event))
         }
-        JournalRecord::StreamSeal(run) => {
-            w.stream_seal(run)?;
-        }
+        JournalRecord::StreamSeal(run) => (run.0, Write::Seal(run)),
+    };
+    let accepted = w.accept(write)?;
+    if accepted.id() != id {
+        return Err(JournalError::IdMismatch {
+            expected: accepted.show_id(id),
+            got: accepted.show_id(accepted.id()),
+        });
     }
+    w.commit(accepted);
     Ok(())
 }
 

@@ -21,7 +21,7 @@
 use crate::durable::DurableWarehouse;
 use crate::query::ProvenanceResult;
 use crate::schema::{RunId, SpecId, ViewId};
-use crate::store::{ImmediateAnswer, Result, Warehouse, WarehouseError};
+use crate::store::{ImmediateAnswer, Result, Warehouse, WarehouseError, Write};
 use crate::stream::PushOutcome;
 use serde::{Deserialize, Serialize};
 use std::fmt::{self, Display};
@@ -277,7 +277,12 @@ impl FromAnswer for () {
 /// The typed value inside an in-process answer. An in-process backend
 /// answers each op with the variant the op names, so a mismatch is a bug.
 pub fn typed<T: FromAnswer>(res: Result<Answer>) -> Result<T> {
-    res.map(|a| T::from_answer(a).expect("an in-process answer matches its op"))
+    res.map(expect_answer)
+}
+
+/// The typed value inside an in-process answer (see [`typed`]).
+pub(crate) fn expect_answer<T: FromAnswer>(answer: Answer) -> T {
+    T::from_answer(answer).expect("an in-process answer matches its op")
 }
 
 fn join<T: Display>(items: impl IntoIterator<Item = T>, sep: &str) -> String {
@@ -407,51 +412,42 @@ impl<E: Display> Display for Answer<E> {
 }
 
 /// An in-process store — [`Warehouse`] or [`DurableWarehouse`]: the
-/// tables reads are answered from and the six writes, which a durable
-/// store journals before it acknowledges them. [`Store::apply`] and
+/// tables reads are answered from and one write path, which a durable
+/// store journals before it acknowledges a write. [`Store::apply`] and
 /// [`Store::register_view_if_absent`] are written once over these for
 /// both stores; warehouse-level rejections render the same from either.
 pub trait Store {
     /// The tables reads are answered from.
     fn tables(&self) -> &Warehouse;
-    /// Registers a workflow specification.
-    fn register_spec(&mut self, spec: WorkflowSpec) -> Result<SpecId>;
-    /// Registers a user view of a specification.
-    fn register_view(&mut self, spec: SpecId, view: UserView) -> Result<ViewId>;
-    /// Loads a complete event log as a new run.
-    fn load_log(&mut self, spec: SpecId, log: &EventLog) -> Result<RunId>;
-    /// Opens a streaming run.
-    fn begin_stream(&mut self, spec: SpecId) -> Result<RunId>;
-    /// Pushes one event into an open stream.
-    fn stream_push(&mut self, run: RunId, event: &LogEvent) -> Result<PushOutcome>;
-    /// Seals an open stream.
-    fn stream_seal(&mut self, run: RunId) -> Result<()>;
+    /// Applies a table write: `RegisterSpec`, `RegisterView`, `LoadLog`,
+    /// `BeginStream`, `PushEvent` or `SealStream`. Any other op is
+    /// answered as [`Store::apply`] answers it.
+    fn write(&mut self, op: &Op) -> Result<Answer>;
 
     /// Registers `view`, or returns the id of the view already registered
     /// under `spec` with the same name without registering.
     fn register_view_if_absent(&mut self, spec: SpecId, view: UserView) -> Result<ViewId> {
         match self.tables().find_view(spec, view.name()) {
             Some(id) => Ok(id),
-            None => self.register_view(spec, view),
+            None => typed(self.write(&Op::RegisterView(spec, view))),
         }
     }
 
-    /// Applies any op as the embedder: writes through the methods above,
-    /// reads through [`Warehouse::read`] on the tables.
+    /// Applies any op as the embedder: table writes through
+    /// [`Store::write`], view building through
+    /// [`Store::register_view_if_absent`], reads through
+    /// [`Warehouse::read`] on the tables.
     fn apply(&mut self, op: &Op) -> Result<Answer> {
-        Ok(match op {
-            Op::RegisterSpec(spec) => Answer::Spec(self.register_spec(spec.clone())?),
-            Op::RegisterView(spec, view) => Answer::View(self.register_view(*spec, view.clone())?),
+        match op {
+            Op::RegisterSpec(_)
+            | Op::RegisterView(..)
+            | Op::LoadLog(..)
+            | Op::BeginStream(_)
+            | Op::PushEvent(..)
+            | Op::SealStream(_) => self.write(op),
             Op::BuildView(spec, _) | Op::AdminView(spec) => {
                 let view = op.derived_view(self.tables().spec(*spec)?)?;
-                Answer::View(self.register_view_if_absent(*spec, view)?)
-            }
-            Op::LoadLog(spec, log) => Answer::Run(self.load_log(*spec, log)?),
-            Op::BeginStream(spec) => Answer::Run(self.begin_stream(*spec)?),
-            Op::PushEvent(run, ev) => Answer::Push(self.stream_push(*run, ev)?),
-            Op::SealStream(run) => {
-                self.stream_seal(*run)?;
-                Answer::Sealed
+                Ok(Answer::View(self.register_view_if_absent(*spec, view)?))
             }
             Op::DeepProvenance(..)
             | Op::ImmediateProvenance(..)
@@ -459,8 +455,8 @@ pub trait Store {
             | Op::DataBetween(..)
             | Op::FinalOutputs(_)
             | Op::VisibleData(..)
-            | Op::Batch(_) => return self.tables().read(&Cx::ADMIN, op),
-        })
+            | Op::Batch(_) => self.tables().read(&Cx::ADMIN, op),
+        }
     }
 }
 
@@ -468,23 +464,11 @@ impl Store for Warehouse {
     fn tables(&self) -> &Warehouse {
         self
     }
-    fn register_spec(&mut self, spec: WorkflowSpec) -> Result<SpecId> {
-        Warehouse::register_spec(self, spec)
-    }
-    fn register_view(&mut self, spec: SpecId, view: UserView) -> Result<ViewId> {
-        Warehouse::register_view(self, spec, view)
-    }
-    fn load_log(&mut self, spec: SpecId, log: &EventLog) -> Result<RunId> {
-        Warehouse::load_log(self, spec, log)
-    }
-    fn begin_stream(&mut self, spec: SpecId) -> Result<RunId> {
-        Warehouse::begin_stream(self, spec)
-    }
-    fn stream_push(&mut self, run: RunId, event: &LogEvent) -> Result<PushOutcome> {
-        Warehouse::stream_push(self, run, event)
-    }
-    fn stream_seal(&mut self, run: RunId) -> Result<()> {
-        Warehouse::stream_seal(self, run)
+    fn write(&mut self, op: &Op) -> Result<Answer> {
+        match Write::of(op) {
+            Some(write) => self.put(write),
+            None => self.apply(op),
+        }
     }
 }
 
@@ -493,22 +477,10 @@ impl Store for DurableWarehouse {
     fn tables(&self) -> &Warehouse {
         self.warehouse()
     }
-    fn register_spec(&mut self, spec: WorkflowSpec) -> Result<SpecId> {
-        Ok(DurableWarehouse::register_spec(self, spec)?)
-    }
-    fn register_view(&mut self, spec: SpecId, view: UserView) -> Result<ViewId> {
-        Ok(DurableWarehouse::register_view(self, spec, view)?)
-    }
-    fn load_log(&mut self, spec: SpecId, log: &EventLog) -> Result<RunId> {
-        Ok(DurableWarehouse::load_log(self, spec, log)?)
-    }
-    fn begin_stream(&mut self, spec: SpecId) -> Result<RunId> {
-        Ok(DurableWarehouse::begin_stream(self, spec)?)
-    }
-    fn stream_push(&mut self, run: RunId, event: &LogEvent) -> Result<PushOutcome> {
-        Ok(DurableWarehouse::stream_push(self, run, event)?)
-    }
-    fn stream_seal(&mut self, run: RunId) -> Result<()> {
-        Ok(DurableWarehouse::stream_seal(self, run)?)
+    fn write(&mut self, op: &Op) -> Result<Answer> {
+        match Write::of(op) {
+            Some(write) => Ok(self.put(write)?),
+            None => self.apply(op),
+        }
     }
 }

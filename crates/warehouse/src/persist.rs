@@ -375,7 +375,7 @@ mod tests {
 
             let mut w = Warehouse::from_rows(specs.clone(), views.clone(), Vec::new());
             let frame = journal::encode_frame(&JournalRecord::Run(rid, Box::new(row))).unwrap();
-            let Err(err) = journal::replay_body(&mut w, &frame, true) else {
+            let Err(err) = journal::replay_body(&mut w, &frame) else {
                 panic!("{case}: replayed")
             };
             let want = format!("warehouse error: model error: {error}");

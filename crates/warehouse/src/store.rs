@@ -69,8 +69,8 @@ pub enum WarehouseError {
     /// materialize (hand-loaded or corrupted state). The query is refused
     /// instead of aborting the process.
     CorruptViewRun(QueryError),
-    /// Journaling the mutation to durable storage failed; the in-memory
-    /// change was rolled back.
+    /// Journaling the mutation to durable storage failed; memory is
+    /// unchanged.
     Durability(Box<crate::durable::DurableError>),
     /// The query's deadline passed mid-traversal; the traversal unwound
     /// cooperatively instead of running unbounded.
@@ -224,6 +224,94 @@ pub(crate) type ExportedRows = (
     Vec<(ViewId, ViewRow)>,
     Vec<(RunId, RunRow)>,
 );
+
+/// One write to the tables, as [`Warehouse::accept`] takes it.
+pub(crate) enum Write<'a> {
+    /// Register a specification.
+    Spec(WorkflowSpec),
+    /// Register a view of a specification.
+    View(SpecId, UserView),
+    /// Load a run of a specification.
+    Run(SpecId, WorkflowRun),
+    /// Load the run an event log records.
+    Log(SpecId, &'a EventLog),
+    /// Open a stream of a specification.
+    Begin(SpecId),
+    /// Push one event into an open stream.
+    Push(RunId, &'a LogEvent),
+    /// Seal an open stream.
+    Seal(RunId),
+}
+
+impl<'a> Write<'a> {
+    /// The table write `op` asks for; `None` for reads and view building.
+    pub(crate) fn of(op: &'a Op) -> Option<Self> {
+        Some(match op {
+            Op::RegisterSpec(spec) => Write::Spec(spec.clone()),
+            Op::RegisterView(spec, view) => Write::View(*spec, view.clone()),
+            Op::LoadLog(spec, log) => Write::Log(*spec, log),
+            Op::BeginStream(spec) => Write::Begin(*spec),
+            Op::PushEvent(run, ev) => Write::Push(*run, ev),
+            Op::SealStream(run) => Write::Seal(*run),
+            Op::DeepProvenance(..)
+            | Op::ImmediateProvenance(..)
+            | Op::DependentsOf(..)
+            | Op::DataBetween(..)
+            | Op::FinalOutputs(_)
+            | Op::VisibleData(..)
+            | Op::Batch(_)
+            | Op::BuildView(..)
+            | Op::AdminView(_) => return None,
+        })
+    }
+}
+
+/// A write [`Warehouse::accept`] checked, with the id it gets and, for a
+/// stream event or seal, what it commits. A durable store journals it as
+/// it is: the variants and fields encode exactly as the `JournalRecord`
+/// replay decodes (a [`StreamCommit`] encodes as its event, a
+/// [`SealCommit`] as nothing).
+#[derive(serde::Serialize)]
+pub(crate) enum Accepted {
+    /// A specification and its id.
+    Spec(SpecId, SpecRow),
+    /// A view and its id.
+    View(ViewId, ViewRow),
+    /// A run and its id.
+    Run(RunId, RunRow),
+    /// The id of a stream's run, and the stream's specification.
+    StreamBegin(RunId, SpecId),
+    /// An event of the stream of a run.
+    StreamEvent(RunId, StreamCommit),
+    /// The seal of the stream of a run.
+    StreamSeal(RunId, SealCommit),
+}
+
+impl Accepted {
+    /// The id this write gets; a stream event or seal names its run.
+    pub(crate) fn id(&self) -> u32 {
+        match self {
+            Accepted::Spec(id, _) => id.0,
+            Accepted::View(id, _) => id.0,
+            Accepted::Run(id, _)
+            | Accepted::StreamBegin(id, _)
+            | Accepted::StreamEvent(id, _)
+            | Accepted::StreamSeal(id, _) => id.0,
+        }
+    }
+
+    /// `id` rendered as an id of this write's kind.
+    pub(crate) fn show_id(&self, id: u32) -> String {
+        match self {
+            Accepted::Spec(..) => SpecId(id).to_string(),
+            Accepted::View(..) => ViewId(id).to_string(),
+            Accepted::Run(..)
+            | Accepted::StreamBegin(..)
+            | Accepted::StreamEvent(..)
+            | Accepted::StreamSeal(..) => RunId(id).to_string(),
+        }
+    }
+}
 
 /// Which reachability strategy answers deep/forward provenance.
 ///
@@ -513,22 +601,19 @@ impl Warehouse {
     }
 
     // ------------------------------------------------------------------
-    // Registration (the "System designer" and "Workflow system" arrows of
-    // Figure 8).
+    // Writes (the "System designer" and "Workflow system" arrows of
+    // Figure 8). Every write is accepted, then committed: `accept` checks
+    // it without changing anything and works out its id, and `commit`
+    // applies it and cannot fail. A durable store journals the accepted
+    // write between the two, and journal replay takes the same two steps,
+    // so memory never holds a write the journal lacks.
     // ------------------------------------------------------------------
 
-    /// Registers a workflow specification. Names must be unique.
+    /// Registers a workflow specification. Names must be unique, and the
+    /// specification must pass [`WorkflowSpec::validate`]: one decoded
+    /// from the wire has bypassed the builders.
     pub fn register_spec(&mut self, spec: WorkflowSpec) -> Result<SpecId> {
-        if self.spec_by_name.contains_key(spec.name()) {
-            return Err(WarehouseError::DuplicateSpecName(spec.name().to_string()));
-        }
-        let id = SpecId(self.next_spec);
-        self.next_spec += 1;
-        self.spec_by_name.insert(spec.name().to_string(), id);
-        self.specs
-            .insert(id, SpecRow { spec })
-            .map_err(|_| WarehouseError::DuplicateSpecName(format!("{id}")))?;
-        Ok(id)
+        typed(self.put(Write::Spec(spec)))
     }
 
     /// Registers a user view of a registered specification. The view must
@@ -536,65 +621,21 @@ impl Warehouse {
     /// alone (e.g. a view built against a stale spec of the same name) is
     /// not enough.
     pub fn register_view(&mut self, spec_id: SpecId, view: UserView) -> Result<ViewId> {
-        let spec = self.spec(spec_id)?;
-        if spec.name() != view.spec_name() {
-            return Err(WarehouseError::SpecMismatch {
-                expected: spec.name().to_string(),
-                got: view.spec_name().to_string(),
-            });
-        }
-        view.validate(spec).map_err(WarehouseError::Model)?;
-        let id = ViewId(self.next_view);
-        self.next_view += 1;
-        self.views
-            .insert(
-                id,
-                ViewRow {
-                    spec: spec_id,
-                    view,
-                },
-            )
-            .expect("fresh view id");
-        self.views_by_spec.entry(spec_id).or_default().push(id);
-        Ok(id)
+        typed(self.put(Write::View(spec_id, view)))
     }
 
-    /// Loads a validated run of a registered specification.
+    /// Loads a run of a registered specification. The run is taken as
+    /// built (`RunBuilder` and [`EventLog::to_run`] validate); only its
+    /// specification and acyclicity are checked here.
     pub fn load_run(&mut self, spec_id: SpecId, run: WorkflowRun) -> Result<RunId> {
-        let spec = self.spec(spec_id)?;
-        if spec.name() != run.spec_name() {
-            return Err(WarehouseError::SpecMismatch {
-                expected: spec.name().to_string(),
-                got: run.spec_name().to_string(),
-            });
-        }
-        // Builders and validators reject cycles, but a hand-deserialized
-        // run (corrupted snapshot, crafted bytes) can smuggle one past
-        // them; rejecting here means a bad run can never reach the index
-        // builder — and a bad durable log can never crash `open()`.
-        if !zoom_graph::algo::topo::is_acyclic(run.graph()) {
-            return Err(WarehouseError::Model(ModelError::RunHasCycle));
-        }
-        let id = RunId(self.next_run);
-        self.next_run += 1;
-        self.runs
-            .insert(id, RunRow { spec: spec_id, run })
-            .expect("fresh run id");
-        self.runs_by_spec.entry(spec_id).or_default().push(id);
-        Ok(id)
+        typed(self.put(Write::Run(spec_id, run)))
     }
 
     /// Reconstructs a run from a workflow-system event log and loads it —
     /// the ingestion path real deployments use (Figure 8's "Logs" arrow).
     pub fn load_log(&mut self, spec_id: SpecId, log: &EventLog) -> Result<RunId> {
-        let spec = self.spec(spec_id)?;
-        let run = log.to_run(spec)?;
-        self.load_run(spec_id, run)
+        typed(self.put(Write::Log(spec_id, log)))
     }
-
-    // ------------------------------------------------------------------
-    // Streaming ingestion (ROADMAP item 3: provenance queryable mid-run)
-    // ------------------------------------------------------------------
 
     /// Opens a streaming ingestion of `spec_id`: allocates a run whose
     /// committed prefix grows with every applied event and is immediately
@@ -602,41 +643,169 @@ impl Warehouse {
     /// [`Warehouse::stream_push`]; [`Warehouse::stream_seal`] completes
     /// the run.
     pub fn begin_stream(&mut self, spec_id: SpecId) -> Result<RunId> {
-        let spec = self.spec(spec_id)?;
-        let run = WorkflowRun::empty_prefix(spec);
-        let id = RunId(self.next_run);
-        self.next_run += 1;
-        self.runs
-            .insert(id, RunRow { spec: spec_id, run })
-            .expect("fresh run id");
-        self.runs_by_spec.entry(spec_id).or_default().push(id);
-        self.streams.insert(id, RunIngestor::new());
-        self.metrics.add(Counter::StreamsStarted, 1);
-        Ok(id)
+        typed(self.put(Write::Begin(spec_id)))
     }
 
-    /// Read-only validation of one stream event: a typed rejection, or a
-    /// [`StreamCommit`] that [`Warehouse::stream_apply`] is then guaranteed
-    /// to apply without failing. The durable wrapper journals the event
-    /// between the two calls, so nothing unjournaled ever mutates state.
-    pub fn stream_accept(&self, run_id: RunId, event: &LogEvent) -> Result<StreamCommit> {
-        let ing = self.live_stream(run_id)?;
-        let spec_id = self.run_spec(run_id)?;
-        let spec = self.spec(spec_id)?;
-        let res = ing.accept(spec, event);
-        if res.is_err() {
+    /// Validates and applies one stream event: commits any newly completed
+    /// steps into the prefix run and maintains every derived structure —
+    /// view-run cache rows for the run are invalidated, the bitset closure
+    /// is dropped (it has no incremental form), and a cached label index
+    /// is *extended in place* via `LabelIndex::update_to` (commit order
+    /// makes every append a pure extension). A rejected event changes
+    /// nothing.
+    pub fn stream_push(&mut self, run_id: RunId, event: &LogEvent) -> Result<PushOutcome> {
+        typed(self.put(Write::Push(run_id, event)))
+    }
+
+    /// Seals a stream once every step committed and at least one final
+    /// output is recorded: connects the final outputs to the run's output
+    /// node (the prefix becomes a complete run) and retires the ingestor —
+    /// the run now behaves exactly like a batch-loaded one.
+    pub fn stream_seal(&mut self, run_id: RunId) -> Result<()> {
+        typed(self.put(Write::Seal(run_id)))
+    }
+
+    /// Accepts `write` and commits it: the whole in-memory write path.
+    pub(crate) fn put(&mut self, write: Write<'_>) -> Result<Answer> {
+        let accepted = self.accept(write)?;
+        Ok(self.commit(accepted))
+    }
+
+    /// Checks `write` against the tables without changing them: a typed
+    /// rejection, or the write with the id it gets, which
+    /// [`Warehouse::commit`] applies without failing.
+    pub(crate) fn accept(&self, write: Write<'_>) -> Result<Accepted> {
+        Ok(match write {
+            Write::Spec(spec) => {
+                if self.spec_by_name.contains_key(spec.name()) {
+                    return Err(WarehouseError::DuplicateSpecName(spec.name().to_string()));
+                }
+                spec.validate()?;
+                Accepted::Spec(SpecId(self.next_spec), SpecRow { spec })
+            }
+            Write::View(spec_id, view) => {
+                let spec = self.spec(spec_id)?;
+                if spec.name() != view.spec_name() {
+                    return Err(WarehouseError::SpecMismatch {
+                        expected: spec.name().to_string(),
+                        got: view.spec_name().to_string(),
+                    });
+                }
+                view.validate(spec)?;
+                let row = ViewRow {
+                    spec: spec_id,
+                    view,
+                };
+                Accepted::View(ViewId(self.next_view), row)
+            }
+            Write::Log(spec_id, log) => {
+                let run = log.to_run(self.spec(spec_id)?)?;
+                return self.accept(Write::Run(spec_id, run));
+            }
+            Write::Run(spec_id, run) => {
+                let spec = self.spec(spec_id)?;
+                if spec.name() != run.spec_name() {
+                    return Err(WarehouseError::SpecMismatch {
+                        expected: spec.name().to_string(),
+                        got: run.spec_name().to_string(),
+                    });
+                }
+                // Builders and validators reject cycles, but a hand-deserialized
+                // run (corrupted snapshot, crafted bytes) can smuggle one past
+                // them; rejecting here means a bad run can never reach the index
+                // builder — and a bad durable log can never crash `open()`.
+                if !zoom_graph::algo::topo::is_acyclic(run.graph()) {
+                    return Err(WarehouseError::Model(ModelError::RunHasCycle));
+                }
+                let row = RunRow { spec: spec_id, run };
+                Accepted::Run(RunId(self.next_run), row)
+            }
+            Write::Begin(spec_id) => {
+                self.spec(spec_id)?;
+                Accepted::StreamBegin(RunId(self.next_run), spec_id)
+            }
+            Write::Push(run_id, event) => {
+                let ing = self.live_stream(run_id)?;
+                let spec = self.spec(self.run_spec(run_id)?)?;
+                Accepted::StreamEvent(run_id, self.counted(ing.accept(spec, event))?)
+            }
+            Write::Seal(run_id) => {
+                let commit = self.counted(self.live_stream(run_id)?.seal_check())?;
+                Accepted::StreamSeal(run_id, commit)
+            }
+        })
+    }
+
+    /// A stream event's or seal's verdict, counting a rejection.
+    fn counted<T>(&self, verdict: std::result::Result<T, StreamError>) -> Result<T> {
+        if verdict.is_err() {
             self.metrics.add(Counter::StreamEventsRejected, 1);
         }
-        Ok(res?)
+        Ok(verdict?)
     }
 
-    /// Applies a validated event: commits any newly completed steps into
-    /// the prefix run and maintains every derived structure — view-run
-    /// cache rows for the run are invalidated, the bitset closure is
-    /// dropped (it has no incremental form), and a cached label index is
-    /// *extended in place* via `LabelIndex::update_to` (commit order makes
-    /// every append a pure extension).
-    pub fn stream_apply(&mut self, run_id: RunId, commit: StreamCommit) -> PushOutcome {
+    /// Applies a write [`Warehouse::accept`] checked; it cannot fail. The
+    /// write must be the last one accepted: its id is the next free one.
+    pub(crate) fn commit(&mut self, accepted: Accepted) -> Answer {
+        match accepted {
+            Accepted::Spec(id, row) => {
+                self.next_spec = id.0 + 1;
+                self.spec_by_name.insert(row.spec.name().to_string(), id);
+                self.specs
+                    .insert(id, row)
+                    .expect("accepted spec id is free");
+                Answer::Spec(id)
+            }
+            Accepted::View(id, row) => {
+                self.next_view = id.0 + 1;
+                self.views_by_spec.entry(row.spec).or_default().push(id);
+                self.views
+                    .insert(id, row)
+                    .expect("accepted view id is free");
+                Answer::View(id)
+            }
+            Accepted::Run(id, row) => {
+                self.insert_run(id, row);
+                Answer::Run(id)
+            }
+            Accepted::StreamBegin(id, spec) => {
+                let run = WorkflowRun::empty_prefix(self.spec(spec).expect("accepted spec"));
+                self.insert_run(id, RunRow { spec, run });
+                self.streams.insert(id, RunIngestor::new());
+                self.metrics.add(Counter::StreamsStarted, 1);
+                Answer::Run(id)
+            }
+            Accepted::StreamEvent(run_id, commit) => {
+                let (ing, spec, run) = self.live_parts(run_id);
+                let outcome = ing.apply(spec, run, commit);
+                self.metrics.add(Counter::StreamEvents, 1);
+                if let PushOutcome::Committed(steps) = &outcome {
+                    self.metrics
+                        .add(Counter::StepsCommitted, steps.len() as u64);
+                    self.refresh_run_indexes(run_id);
+                }
+                Answer::Push(outcome)
+            }
+            Accepted::StreamSeal(run_id, commit) => {
+                let (ing, spec, run) = self.live_parts(run_id);
+                ing.apply_seal(spec, run, commit);
+                self.streams.remove(&run_id);
+                self.metrics.add(Counter::StreamsSealed, 1);
+                self.refresh_run_indexes(run_id);
+                Answer::Sealed
+            }
+        }
+    }
+
+    fn insert_run(&mut self, id: RunId, row: RunRow) {
+        self.next_run = id.0 + 1;
+        self.runs_by_spec.entry(row.spec).or_default().push(id);
+        self.runs.insert(id, row).expect("accepted run id is free");
+    }
+
+    /// A live stream's ingestor, specification and prefix run, borrowed
+    /// apart for a commit.
+    fn live_parts(&mut self, run_id: RunId) -> (&mut RunIngestor, &WorkflowSpec, &mut WorkflowRun) {
         let row = self.runs.get_mut(&run_id).expect("stream run exists");
         let spec = &self
             .specs
@@ -644,55 +813,7 @@ impl Warehouse {
             .expect("stream run's spec exists")
             .spec;
         let ing = self.streams.get_mut(&run_id).expect("stream is live");
-        let outcome = ing.apply(spec, &mut row.run, commit);
-        self.metrics.add(Counter::StreamEvents, 1);
-        if let PushOutcome::Committed(steps) = &outcome {
-            self.metrics
-                .add(Counter::StepsCommitted, steps.len() as u64);
-            self.refresh_run_indexes(run_id);
-        }
-        outcome
-    }
-
-    /// Validates + applies one stream event (the in-memory push path; the
-    /// durable wrapper journals between the two halves).
-    pub fn stream_push(&mut self, run_id: RunId, event: &LogEvent) -> Result<PushOutcome> {
-        let commit = self.stream_accept(run_id, event)?;
-        Ok(self.stream_apply(run_id, commit))
-    }
-
-    /// Read-only seal validation: every step committed and at least one
-    /// final output recorded.
-    pub fn stream_seal_check(&self, run_id: RunId) -> Result<SealCommit> {
-        let ing = self.live_stream(run_id)?;
-        let res = ing.seal_check();
-        if res.is_err() {
-            self.metrics.add(Counter::StreamEventsRejected, 1);
-        }
-        Ok(res?)
-    }
-
-    /// Applies a validated seal: connects final outputs to the run's
-    /// output node (the prefix becomes a complete run) and retires the
-    /// ingestor — the run now behaves exactly like a batch-loaded one.
-    pub fn stream_seal_apply(&mut self, run_id: RunId, commit: SealCommit) {
-        let row = self.runs.get_mut(&run_id).expect("stream run exists");
-        let spec = &self
-            .specs
-            .get(&row.spec)
-            .expect("stream run's spec exists")
-            .spec;
-        let mut ing = self.streams.remove(&run_id).expect("stream is live");
-        ing.apply_seal(spec, &mut row.run, commit);
-        self.metrics.add(Counter::StreamsSealed, 1);
-        self.refresh_run_indexes(run_id);
-    }
-
-    /// Validates + applies a seal (in-memory path).
-    pub fn stream_seal(&mut self, run_id: RunId) -> Result<()> {
-        let commit = self.stream_seal_check(run_id)?;
-        self.stream_seal_apply(run_id, commit);
-        Ok(())
+        (ing, spec, &mut row.run)
     }
 
     /// Number of live (unsealed) streams.
@@ -1365,54 +1486,6 @@ impl Warehouse {
         self.labels.counters()
     }
 
-    // ------------------------------------------------------------------
-    // Rollback (durability support)
-    //
-    // When a journal append fails after the in-memory mutation succeeded,
-    // the durable stores undo the mutation so memory never claims state
-    // the disk does not have. Only the most recent mutation of each kind
-    // can be rolled back (ids are assigned sequentially and the failed
-    // mutation is by construction the newest).
-    // ------------------------------------------------------------------
-
-    /// Undoes the most recent [`Warehouse::register_spec`].
-    pub(crate) fn rollback_spec(&mut self, id: SpecId) {
-        if let Some(row) = self.specs.remove_last(&id) {
-            self.spec_by_name.remove(row.spec.name());
-            self.next_spec = id.0;
-        }
-    }
-
-    /// Undoes the most recent [`Warehouse::register_view`].
-    pub(crate) fn rollback_view(&mut self, id: ViewId) {
-        if let Some(row) = self.views.remove_last(&id) {
-            if let Some(v) = self.views_by_spec.get_mut(&row.spec) {
-                v.retain(|&x| x != id);
-            }
-            self.next_view = id.0;
-        }
-    }
-
-    /// Undoes the most recent [`Warehouse::load_run`], evicting any cache
-    /// rows keyed by the now-dead run id (which the next load will reuse).
-    pub(crate) fn rollback_run(&mut self, id: RunId) {
-        if let Some(row) = self.runs.remove_last(&id) {
-            if let Some(v) = self.runs_by_spec.get_mut(&row.spec) {
-                v.retain(|&x| x != id);
-            }
-            self.next_run = id.0;
-            self.cache.invalidate_run(id);
-            self.index.invalidate_run(id);
-            self.labels.invalidate_run(id);
-        }
-    }
-
-    /// Undoes the most recent [`Warehouse::begin_stream`].
-    pub(crate) fn rollback_stream(&mut self, id: RunId) {
-        self.streams.remove(&id);
-        self.rollback_run(id);
-    }
-
     /// Iterates over all rows (persistence support).
     pub(crate) fn export_rows(&self) -> ExportedRows {
         let mut specs: Vec<(SpecId, SpecRow)> =
@@ -1754,37 +1827,6 @@ mod tests {
             w.register_view(sid, UserView::admin(&stale)).unwrap_err(),
             WarehouseError::Model(_)
         ));
-    }
-
-    #[test]
-    fn rollbacks_undo_the_latest_mutation() {
-        let mut w = Warehouse::new();
-        let s = spec();
-        let sid = w.register_spec(s.clone()).unwrap();
-        let vid = w.register_view(sid, UserView::admin(&s)).unwrap();
-        let rid = w.load_run(sid, run(&s)).unwrap();
-        // Warm the caches so run rollback must evict them.
-        w.deep_provenance(rid, vid, DataId(3)).unwrap();
-        assert_eq!(w.stats().cached_indexes, 1);
-
-        w.rollback_run(rid);
-        assert_eq!(w.stats().runs, 0);
-        assert!(w.runs_of_spec(sid).is_empty());
-        assert_eq!(w.stats().cached_view_runs, 0);
-        assert_eq!(w.stats().cached_indexes, 0);
-
-        w.rollback_view(vid);
-        assert_eq!(w.stats().views, 0);
-        assert_eq!(w.find_view(sid, "UAdmin"), None);
-
-        w.rollback_spec(sid);
-        assert_eq!(w.stats().specs, 0);
-        assert_eq!(w.spec_by_name("wh-spec"), None);
-
-        // Ids are reusable: the replayed sequence assigns the same ids.
-        assert_eq!(w.register_spec(s.clone()).unwrap(), sid);
-        assert_eq!(w.register_view(sid, UserView::admin(&s)).unwrap(), vid);
-        assert_eq!(w.load_run(sid, run(&s)).unwrap(), rid);
     }
 
     #[test]

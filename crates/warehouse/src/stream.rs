@@ -10,10 +10,10 @@
 //! (`WorkflowRun::append_step`) the moment they — and every step producing
 //! their inputs — have finished.
 //!
-//! The accept/apply split mirrors the durable write path: [`RunIngestor::accept`]
+//! The accept/apply split is the warehouse's write protocol: [`RunIngestor::accept`]
 //! is read-only validation that either rejects the event with a typed
 //! [`StreamError`] or yields a [`StreamCommit`]; the caller may then journal
-//! the event, after which [`RunIngestor::apply`] is infallible. An event is
+//! the commit, after which [`RunIngestor::apply`] is infallible. An event is
 //! therefore never journaled unless it will apply, and never applied
 //! half-way.
 //!
@@ -155,6 +155,14 @@ impl StreamCommit {
     }
 }
 
+/// A commit is journaled as the event it applies; replay accepts the
+/// event again to rebuild the commit.
+impl serde::Serialize for StreamCommit {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        serde::Serialize::serialize(&self.event, s)
+    }
+}
+
 /// What applying one event did to the committed prefix.
 #[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PushOutcome {
@@ -171,6 +179,14 @@ pub enum PushOutcome {
 #[derive(Clone, Debug)]
 pub struct SealCommit {
     finals: Vec<(StepId, Vec<DataId>)>,
+}
+
+/// A seal is journaled as its run id alone, so its commit encodes as
+/// nothing; replay checks the seal again to rebuild it.
+impl serde::Serialize for SealCommit {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.serialize_unit()
+    }
 }
 
 /// Incremental event-log-to-run reconstruction for one stream.

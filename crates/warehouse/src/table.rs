@@ -68,20 +68,6 @@ impl<K: Eq + Hash + Clone, Row> Table<K, Row> {
         self.pk.contains_key(key)
     }
 
-    /// Removes the row under `key` **iff** it occupies the last slot (the
-    /// most recent insert) — the only removal the append-only arena can
-    /// perform without invalidating other slots. Supports rolling back a
-    /// mutation whose journal append failed. Returns `None` if `key` is
-    /// absent or not the most recent insert.
-    pub fn remove_last(&mut self, key: &K) -> Option<Row> {
-        let &slot = self.pk.get(key)?;
-        if slot + 1 != self.rows.len() {
-            return None;
-        }
-        self.pk.remove(key);
-        self.rows.pop()
-    }
-
     /// The row at a slot returned by [`Table::insert`].
     pub fn row(&self, slot: usize) -> &Row {
         &self.rows[slot]
@@ -163,21 +149,6 @@ mod tests {
         let back = t.insert(1, "y".into()).unwrap_err();
         assert_eq!(back, "y");
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn remove_last_only_pops_the_newest_row() {
-        let mut t: Table<u32, String> = Table::new();
-        t.insert(1, "a".into()).unwrap();
-        t.insert(2, "b".into()).unwrap();
-        assert_eq!(t.remove_last(&1), None); // not the last slot
-        assert_eq!(t.remove_last(&9), None); // absent
-        assert_eq!(t.remove_last(&2), Some("b".to_string()));
-        assert_eq!(t.len(), 1);
-        assert!(!t.contains(&2));
-        // The slot is reusable after the pop.
-        t.insert(3, "c".into()).unwrap();
-        assert_eq!(t.get(&3), Some(&"c".to_string()));
     }
 
     #[test]

@@ -878,12 +878,9 @@ impl ShardRouter {
                 self.register_view_if_absent(*spec, &view).map(Answer::View)
             }
             Op::LoadLog(..) | Op::BeginStream(_) => self.load_into_shard(op),
-            Op::PushEvent(run, ev) => self.with_run_mut(*run, |b, local| {
-                b.store().stream_push(local, ev).map(Answer::Push)
-            }),
-            Op::SealStream(run) => self.with_run_mut(*run, |b, local| {
-                b.store().stream_seal(local).map(|()| Answer::Sealed)
-            }),
+            Op::PushEvent(run, _) | Op::SealStream(run) => {
+                self.with_run_mut(*run, |b, local| b.store().write(&op.retarget(local, None)))
+            }
             Op::Batch(queries) => Ok(Answer::Batch(self.query_batch(cx, queries))),
             Op::DeepProvenance(run, ..)
             | Op::ImmediateProvenance(run, ..)
@@ -993,22 +990,6 @@ impl ShardRouter {
                 members[sh].contains(&local.0).then_some(RunId(g))
             })
             .collect()
-    }
-
-    /// Tears down a stream whose ingest died mid-push (e.g. a
-    /// panicked request): rolls the committed prefix back out of the
-    /// owning in-memory shard so readers never see a half-applied run.
-    /// Durable shards keep the stream open (their journal is consistent;
-    /// the client can resume or seal).
-    pub fn abort_stream(&self, run: RunId) {
-        if let Ok((sh, local)) = self.resolve(run) {
-            let mut guard = lock(&self.shards[sh]);
-            if let Backing::Memory(w) = &mut *guard {
-                if w.is_streaming(local) {
-                    w.rollback_stream(local);
-                }
-            }
-        }
     }
 
     /// Batched deep provenance (see [`ShardRouter::apply`]).

@@ -10,15 +10,19 @@
 //!    A codec error inside a valid frame keeps the connection alive.
 //! 3. None of it is visible to other tenants: their in-flight queries
 //!    keep completing while the daemon absorbs garbage.
+//!
+//! Well-framed but doctored payloads are refused with the error journal
+//! replay would give them, before anything is journaled.
 
+use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
-use zoom::core::{Daemon, DaemonConfig, RemoteZoom};
-use zoom::model::EventLog;
+use zoom::core::{Daemon, DaemonConfig, RemoteError, RemoteZoom};
+use zoom::model::{EventLog, SpecBuilder, WorkflowSpec};
 use zoom::warehouse::journal::crc32;
 use zoom::warehouse::wire::{read_message, write_frame};
-use zoom::warehouse::{Request, Response};
+use zoom::warehouse::{codec, fsck, Request, Response, SpecId, WarehouseError};
 use zoom_gen::library::{figure2_run, phylogenomic};
 
 fn spawn(shards: usize) -> Daemon {
@@ -235,4 +239,52 @@ fn hostile_traffic_does_not_disturb_other_tenants() {
     }
     attacker.join().expect("attacker thread survived");
     assert_daemon_serves(&daemon);
+}
+
+/// A one-module spec whose label index was cleared in its encoded bytes,
+/// as a hostile client can send it.
+fn doctored_spec() -> WorkflowSpec {
+    let mut b = SpecBuilder::new("doctored");
+    b.analysis("A");
+    b.from_input("A").to_output("A");
+    let spec = b.build().unwrap();
+    let bytes = codec::to_bytes(&spec).unwrap();
+    let tail = codec::to_bytes(&BTreeMap::from([("A", spec.module("A").unwrap())])).unwrap();
+    assert!(bytes.ends_with(&tail), "the label index is the last field");
+    let mut doctored = bytes[..bytes.len() - tail.len()].to_vec();
+    doctored.extend_from_slice(&0u64.to_le_bytes()); // an empty map
+    codec::from_bytes(&doctored).unwrap()
+}
+
+#[test]
+fn doctored_spec_is_refused_and_the_durable_daemon_restarts() {
+    let dir = std::env::temp_dir().join(format!("zoomd-doctored-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || DaemonConfig {
+        shards: 2,
+        dir: Some(dir.clone()),
+        ..DaemonConfig::default()
+    };
+    let doctored = doctored_spec();
+    // What journal replay says about this spec.
+    let replayed = WarehouseError::Model(doctored.validate().unwrap_err()).to_string();
+    {
+        let daemon = Daemon::spawn("127.0.0.1:0", config()).unwrap();
+        let mut mallory = RemoteZoom::connect(daemon.addr(), "mallory").unwrap();
+        match mallory.register_workflow(doctored) {
+            Err(RemoteError::Server(message)) => assert_eq!(message, replayed),
+            other => panic!("the doctored spec answered {other:?}"),
+        }
+    }
+    // Nothing was journaled, and the daemon restarts on the directory.
+    for shard in 0..2 {
+        let report = fsck(&dir.join(format!("shard-{shard}"))).unwrap();
+        assert_eq!(report.journal_records, 0, "shard {shard}");
+    }
+    let daemon = Daemon::spawn("127.0.0.1:0", config()).unwrap();
+    let mut honest = RemoteZoom::connect(daemon.addr(), "honest").unwrap();
+    assert_eq!(honest.register_workflow(phylogenomic()).unwrap(), SpecId(0));
+    drop(honest);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
 }
