@@ -8,9 +8,9 @@ use zoom_warehouse::metrics::MetricsRegistry;
 use zoom_warehouse::persist::PersistError;
 use zoom_warehouse::privacy::{Gate, MutRegistrar, PolicyTable};
 use zoom_warehouse::{
-    trace, typed, Answer, Backing, Cx, DurableError, DurableOptions, DurableWarehouse, FsckReport,
-    HealthReport, MetricsSnapshot, Op, ProvenanceResult, Result, RunId, SlowQuery, SpecId,
-    TraceTarget, ViewId, VisibilityPolicy, Warehouse, WarehouseError, WarehouseStats,
+    trace, typed, Answer, Backing, Cx, DurableError, DurableWarehouse, FsckReport, HealthReport,
+    MetricsSnapshot, Op, ProvenanceResult, Result, RunId, SlowQuery, SpecId, TraceTarget, ViewId,
+    VisibilityPolicy, Warehouse, WarehouseError, WarehouseStats,
 };
 
 /// The ZOOM system: registration, view building, execution loading, and
@@ -49,17 +49,6 @@ impl Zoom {
     pub fn open_durable(dir: &Path) -> std::result::Result<Self, DurableError> {
         Ok(Zoom {
             backing: Backing::Durable(Box::new(DurableWarehouse::open(dir)?)),
-            policies: PolicyTable::new(),
-        })
-    }
-
-    /// [`Zoom::open_durable`] with explicit durability options.
-    pub fn open_durable_opts(
-        dir: &Path,
-        options: DurableOptions,
-    ) -> std::result::Result<Self, DurableError> {
-        Ok(Zoom {
-            backing: Backing::Durable(Box::new(DurableWarehouse::open_opts(dir, options)?)),
             policies: PolicyTable::new(),
         })
     }

@@ -36,8 +36,9 @@ pub enum JournalError {
         /// Index of the corrupt record.
         record: usize,
     },
-    /// A journaled id does not match the id replay assigned — the journal
-    /// was written against a different base state (or doctored).
+    /// A recorded id does not match the id restoring it assigned: the
+    /// records were written against a different base state (or doctored).
+    /// A snapshot's rows are checked the same way.
     IdMismatch {
         /// The id stored in the record.
         expected: String,
@@ -57,7 +58,7 @@ impl fmt::Display for JournalError {
             JournalError::IdMismatch { expected, got } => {
                 write!(
                     f,
-                    "journal replay id mismatch: record says {expected}, replay assigned {got}"
+                    "id mismatch: record says {expected}, restore assigned {got}"
                 )
             }
         }
@@ -149,7 +150,7 @@ pub(crate) fn replay_body(w: &mut Warehouse, body: &[u8]) -> Result<ReplayOutcom
             return Err(JournalError::Corrupt { record: records });
         }
         let rec: JournalRecord = codec::from_bytes(payload)?;
-        apply(w, rec)?;
+        restore(w, rec)?;
         records += 1;
         offset = start + len;
         valid_end = offset;
@@ -214,18 +215,15 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// Replays one record as a live write: accept, check the id, commit.
-fn apply(w: &mut Warehouse, rec: JournalRecord) -> Result<(), JournalError> {
+/// Restores one recorded write, a journal record or a snapshot row, as a
+/// live write: accept, check the id, commit. The id check is what makes
+/// the records a continuation of `w`: a repeated or skipped id fails.
+pub(crate) fn restore(w: &mut Warehouse, rec: JournalRecord) -> Result<(), JournalError> {
     let event;
     let (id, write) = match rec {
         JournalRecord::Spec(id, row) => (id.0, Write::Spec(row.spec)),
         JournalRecord::View(id, row) => (id.0, Write::View(row.spec, row.view)),
-        JournalRecord::Run(id, row) => {
-            // Live runs come from the builders; these are decoded bytes.
-            let RunRow { spec, run } = *row;
-            run.validate(w.spec(spec)?).map_err(WarehouseError::Model)?;
-            (id.0, Write::Run(spec, run))
-        }
+        JournalRecord::Run(id, row) => (id.0, Write::StoredRun(row.spec, row.run)),
         JournalRecord::StreamBegin(id, spec) => (id.0, Write::Begin(spec)),
         JournalRecord::StreamEvent(run, ev) => {
             event = ev;

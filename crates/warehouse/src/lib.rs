@@ -11,8 +11,8 @@
 //! embedded analog of the paper's temp-table strategy that made view
 //! switches ≈13 ms.
 //!
-//! * [`table`] — typed append-only tables with primary/secondary indexes;
-//! * [`schema`] — warehouse ids and row types;
+//! * [`schema`] — warehouse ids and row types (a row's id is its position
+//!   in its table);
 //! * [`query`] — recursive provenance queries over view-runs (the
 //!   `CONNECT BY` analog);
 //! * [`cache`] — the materialized view-run cache;
@@ -71,7 +71,6 @@ pub mod resilience;
 pub mod schema;
 pub mod store;
 pub mod stream;
-pub mod table;
 pub mod trace;
 pub mod wire;
 

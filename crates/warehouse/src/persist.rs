@@ -3,18 +3,21 @@
 //!
 //! The whole warehouse (specs, views, runs) serializes to a single snapshot
 //! file through the [`crate::codec`] binary format, with a magic header and
-//! format version for forward safety. Caches are not persisted; they are
-//! rebuilt lazily after load.
+//! format version for forward safety. Loading restores the decoded rows in
+//! id order through the path journal replay takes (`journal::restore`:
+//! accept, id check, commit), so a snapshot is checked exactly as a
+//! journal is: every spec, view and run is validated, and a repeated or
+//! skipped id, a duplicate spec name or an unknown spec id fails the load.
+//! Caches are not persisted; they are rebuilt lazily after load.
 
 use crate::codec::{self, CodecError};
 use crate::io::{RealFs, StorageIo};
+use crate::journal::{self, JournalError, JournalRecord};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow};
-use crate::store::Warehouse;
+use crate::store::{Warehouse, WarehouseError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
-use zoom_graph::fxhash::FxHashMap;
-use zoom_model::{ModelError, WorkflowSpec};
 
 /// Magic bytes identifying a warehouse snapshot.
 pub const MAGIC: &[u8; 8] = b"ZOOMWH\x00\x01";
@@ -30,6 +33,9 @@ pub enum PersistError {
     BadHeader,
     /// The snapshot decoded but contains structurally invalid model data.
     Invalid(zoom_model::ModelError),
+    /// A row does not continue the rows before it: a repeated or skipped
+    /// id, a second spec of one name, or a row of an unknown spec.
+    Rows(JournalError),
 }
 
 impl fmt::Display for PersistError {
@@ -39,6 +45,7 @@ impl fmt::Display for PersistError {
             PersistError::Codec(e) => write!(f, "codec error: {e}"),
             PersistError::BadHeader => write!(f, "not a warehouse snapshot (bad header)"),
             PersistError::Invalid(e) => write!(f, "snapshot contains invalid data: {e}"),
+            PersistError::Rows(e) => write!(f, "snapshot rows do not restore: {e}"),
         }
     }
 }
@@ -57,11 +64,31 @@ impl From<CodecError> for PersistError {
     }
 }
 
+impl From<JournalError> for PersistError {
+    fn from(e: JournalError) -> Self {
+        match e {
+            JournalError::Warehouse(WarehouseError::Model(e)) => PersistError::Invalid(e),
+            e => PersistError::Rows(e),
+        }
+    }
+}
+
+/// The snapshot body: every row with its id, in id order. Saving encodes
+/// borrowed rows (`S = &SpecRow`, ...), loading decodes owned ones; both
+/// have the same bytes.
 #[derive(Serialize, Deserialize)]
-struct Snapshot {
-    specs: Vec<(SpecId, SpecRow)>,
-    views: Vec<(ViewId, ViewRow)>,
-    runs: Vec<(RunId, RunRow)>,
+struct Snapshot<S, V, R> {
+    specs: Vec<(SpecId, S)>,
+    views: Vec<(ViewId, V)>,
+    runs: Vec<(RunId, R)>,
+}
+
+/// A decoded snapshot body.
+type Rows = Snapshot<SpecRow, ViewRow, RunRow>;
+
+/// `rows` paired with their ids, which are their positions.
+fn numbered<I, R>(rows: &[R], id: fn(u32) -> I) -> Vec<(I, &R)> {
+    (0u32..).map(id).zip(rows).collect()
 }
 
 /// Saves the warehouse to `path`, atomically and durably: the snapshot is
@@ -78,8 +105,12 @@ pub fn save_with(
     warehouse: &Warehouse,
     path: &Path,
 ) -> Result<(), PersistError> {
-    let (specs, views, runs) = warehouse.export_rows();
-    let snap = Snapshot { specs, views, runs };
+    let (specs, views, runs) = warehouse.rows();
+    let snap = Snapshot {
+        specs: numbered(specs, SpecId),
+        views: numbered(views, ViewId),
+        runs: numbered(runs, RunId),
+    };
     let body = codec::to_bytes(&snap)?;
     let mut bytes = Vec::with_capacity(MAGIC.len() + body.len());
     bytes.extend_from_slice(MAGIC);
@@ -105,36 +136,24 @@ pub fn load_with(io: &dyn StorageIo, path: &Path) -> Result<Warehouse, PersistEr
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(PersistError::BadHeader);
     }
-    let snap: Snapshot = codec::from_bytes(&bytes[MAGIC.len()..])?;
-    // Deserialization bypasses the builders, so re-validate the structural
-    // invariants before trusting the data.
-    let mut spec_of: FxHashMap<SpecId, &WorkflowSpec> = FxHashMap::default();
-    for (id, row) in &snap.specs {
-        row.spec.validate().map_err(PersistError::Invalid)?;
-        spec_of.insert(*id, &row.spec);
+    let Snapshot { specs, views, runs }: Rows = codec::from_bytes(&bytes[MAGIC.len()..])?;
+    let mut w = Warehouse::new();
+    for (id, row) in specs {
+        journal::restore(&mut w, JournalRecord::Spec(id, row))?;
     }
-    let resolve = |id: SpecId| -> Result<&WorkflowSpec, PersistError> {
-        spec_of.get(&id).copied().ok_or_else(|| {
-            PersistError::Invalid(ModelError::SpecMismatch(format!("{id} not in snapshot")))
-        })
-    };
-    for (_, row) in &snap.views {
-        row.view
-            .validate(resolve(row.spec)?)
-            .map_err(PersistError::Invalid)?;
+    for (id, row) in views {
+        journal::restore(&mut w, JournalRecord::View(id, row))?;
     }
-    for (_, row) in &snap.runs {
-        row.run
-            .validate(resolve(row.spec)?)
-            .map_err(PersistError::Invalid)?;
+    for (id, row) in runs {
+        journal::restore(&mut w, JournalRecord::Run(id, Box::new(row)))?;
     }
-    Ok(Warehouse::from_rows(snap.specs, snap.views, snap.runs))
+    Ok(w)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{self, JournalRecord};
+    use crate::durable::{fsck, DurableWarehouse};
     use std::collections::BTreeMap;
     use zoom_graph::{Digraph, EdgeId, NodeId};
     use zoom_model::{DataId, RunBuilder, RunNode, SpecBuilder, StepId, UserInputMeta, UserView};
@@ -163,6 +182,26 @@ mod tests {
             .output_edge(s2, [3]);
         w.load_run(sid, rb.build().unwrap()).unwrap();
         w
+    }
+
+    /// `w`'s rows, owned, for a test to doctor.
+    fn rows_of(w: &Warehouse) -> Rows {
+        fn owned<I, R: Clone>(rows: &[R], id: fn(u32) -> I) -> Vec<(I, R)> {
+            (0u32..).map(id).zip(rows.iter().cloned()).collect()
+        }
+        let (specs, views, runs) = w.rows();
+        Snapshot {
+            specs: owned(specs, SpecId),
+            views: owned(views, ViewId),
+            runs: owned(runs, RunId),
+        }
+    }
+
+    /// Writes `rows` as a snapshot file at `path`.
+    fn write_rows(path: &Path, rows: &Rows) {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&codec::to_bytes(rows).unwrap());
+        std::fs::write(path, &bytes).unwrap();
     }
 
     #[test]
@@ -215,24 +254,18 @@ mod tests {
 
     #[test]
     fn structurally_invalid_snapshot_rejected() {
-        // Hand-craft a snapshot whose run graph has a cycle by bypassing
-        // the builder: serialize a valid warehouse, then corrupt the run by
-        // re-encoding a doctored snapshot. Easiest doctoring: swap the
-        // run's spec id to a nonexistent one (caught by the spec lookup).
-        let w = populated();
-        let (specs, views, mut runs) = w.export_rows();
-        runs[0].1.spec = crate::schema::SpecId(42);
-        let snap = Snapshot { specs, views, runs };
-        let body = codec::to_bytes(&snap).unwrap();
+        // A run row naming a spec the snapshot does not hold.
+        let mut rows = rows_of(&populated());
+        rows.runs[0].1.spec = SpecId(42);
         let path = temp_path("invalid");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load(&path),
-            Err(PersistError::BadHeader) | Err(PersistError::Invalid(_))
-        ));
+        write_rows(&path, &rows);
+        let Err(err) = load(&path) else {
+            panic!("loaded a run of an unknown spec")
+        };
+        assert_eq!(
+            err.to_string(),
+            "snapshot rows do not restore: warehouse error: spec#42 not found"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -241,20 +274,14 @@ mod tests {
         // A view that passes the registration-time name check but does not
         // partition the stored spec: built against a different spec that
         // shares the name. Such bytes must not reach query time.
-        let w = populated();
-        let (specs, mut views, runs) = w.export_rows();
+        let mut rows = rows_of(&populated());
         let mut b = SpecBuilder::new("persist-spec");
         b.analysis("A");
         b.from_input("A").to_output("A");
         let impostor_spec = b.build().unwrap();
-        views[0].1.view = UserView::admin(&impostor_spec);
-        let snap = Snapshot { specs, views, runs };
-        let body = codec::to_bytes(&snap).unwrap();
+        rows.views[0].1.view = UserView::admin(&impostor_spec);
         let path = temp_path("doctored-view");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&body);
-        std::fs::write(&path, &bytes).unwrap();
+        write_rows(&path, &rows);
         assert!(matches!(load(&path), Err(PersistError::Invalid(_))));
         std::fs::remove_file(&path).ok();
     }
@@ -279,9 +306,11 @@ mod tests {
     /// faults.
     #[test]
     fn doctored_producer_tables_fail_with_the_pinned_errors() {
-        let w = populated();
-        let (specs, views, runs) = w.export_rows();
-        let (rid, base) = (runs[0].0, runs[0].1.clone());
+        let mut rows = rows_of(&populated());
+        let (rid, base) = rows.runs.pop().unwrap();
+        // The snapshot rows without the run: what the journal continues.
+        let bare = temp_path("doctored-producers-bare");
+        write_rows(&bare, &rows);
         let bytes = codec::to_bytes(&base.run).unwrap();
         let raw: RawRun = codec::from_bytes(&bytes).unwrap();
         assert_eq!(codec::to_bytes(&raw).unwrap(), bytes, "RawRun mirrors runs");
@@ -357,15 +386,9 @@ mod tests {
                 run,
             };
 
-            let snap = Snapshot {
-                specs: specs.clone(),
-                views: views.clone(),
-                runs: vec![(rid, row.clone())],
-            };
+            rows.runs = vec![(rid, row.clone())];
             let path = temp_path("doctored-producers");
-            let mut file = MAGIC.to_vec();
-            file.extend_from_slice(&codec::to_bytes(&snap).unwrap());
-            std::fs::write(&path, &file).unwrap();
+            write_rows(&path, &rows);
             let Err(err) = load(&path) else {
                 panic!("{case}: loaded")
             };
@@ -373,7 +396,7 @@ mod tests {
             let want = format!("snapshot contains invalid data: {error}");
             assert_eq!(err.to_string(), want, "{case}");
 
-            let mut w = Warehouse::from_rows(specs.clone(), views.clone(), Vec::new());
+            let mut w = load(&bare).unwrap();
             let frame = journal::encode_frame(&JournalRecord::Run(rid, Box::new(row))).unwrap();
             let Err(err) = journal::replay_body(&mut w, &frame) else {
                 panic!("{case}: replayed")
@@ -381,6 +404,81 @@ mod tests {
             let want = format!("warehouse error: model error: {error}");
             assert_eq!(err.to_string(), want, "{case}");
         }
+        std::fs::remove_file(&bare).ok();
+    }
+
+    /// Rows that repeat or skip an id, or name a second spec of one name,
+    /// fail to restore with an error, never a panic: through [`load`], and
+    /// through a durable store whose snapshot holds them.
+    #[test]
+    fn rows_that_do_not_continue_fail_with_an_error() {
+        let mut b = SpecBuilder::new("other-spec");
+        b.analysis("X");
+        b.from_input("X").to_output("X");
+        let other = SpecRow {
+            spec: b.build().unwrap(),
+        };
+        let mismatch = |got: &str, assigned: &str| {
+            format!("id mismatch: record says {got}, restore assigned {assigned}")
+        };
+        let named_twice =
+            "warehouse error: a specification named `persist-spec` is already registered";
+        type Case = (&'static str, Box<dyn Fn(&mut Rows)>, String);
+        let cases: [Case; 6] = [
+            (
+                "spec row written twice",
+                Box::new(|r| r.specs.push(r.specs[0].clone())),
+                named_twice.to_string(),
+            ),
+            (
+                "repeated spec id, another name",
+                Box::new(move |r| r.specs.push((SpecId(0), other.clone()))),
+                mismatch("spec#0", "spec#1"),
+            ),
+            (
+                "repeated view id",
+                Box::new(|r| r.views.push(r.views[0].clone())),
+                mismatch("view#0", "view#2"),
+            ),
+            (
+                "repeated run id",
+                Box::new(|r| r.runs.push(r.runs[0].clone())),
+                mismatch("run#0", "run#1"),
+            ),
+            (
+                "gap in the run ids",
+                Box::new(|r| r.runs[0].0 = RunId(1)),
+                mismatch("run#1", "run#0"),
+            ),
+            (
+                "two specs, one name",
+                Box::new(|r| r.specs.push((SpecId(1), r.specs[0].1.clone()))),
+                named_twice.to_string(),
+            ),
+        ];
+        let dir = temp_path("rows-durable");
+        std::fs::remove_dir_all(&dir).ok();
+        DurableWarehouse::open(&dir).unwrap().checkpoint().unwrap();
+        let snap = dir.join(fsck(&dir).unwrap().snapshot.unwrap());
+        for (case, doctor, error) in cases {
+            let mut rows = rows_of(&populated());
+            doctor(&mut rows);
+            let want = format!("snapshot rows do not restore: {error}");
+            let path = temp_path("rows");
+            write_rows(&path, &rows);
+            let Err(err) = load(&path) else {
+                panic!("{case}: loaded")
+            };
+            std::fs::remove_file(&path).ok();
+            assert_eq!(err.to_string(), want, "{case}");
+
+            write_rows(&snap, &rows);
+            let Err(err) = DurableWarehouse::open(&dir) else {
+                panic!("{case}: opened")
+            };
+            assert_eq!(err.to_string(), format!("snapshot error: {want}"), "{case}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl ProvenanceResult {
         self.rows.len()
     }
 
-    /// Number of distinct data items in the answer.
-    pub fn data_items(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Number of executions in the answer.
     pub fn exec_count(&self) -> usize {
         self.execs.len()

@@ -19,7 +19,6 @@ use crate::query::{self, ImmediateProvenance, ProvenanceResult, QueryError, Quer
 use crate::resilience::{AdmissionControl, CancelToken, Deadline, Interrupt};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
 use crate::stream::{PushOutcome, RunIngestor, SealCommit, StreamCommit, StreamError};
-use crate::table::Table;
 use parking_lot::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -218,21 +217,16 @@ pub enum ImmediateAnswer {
     },
 }
 
-/// Every row of the warehouse, sorted by id (persistence support).
-pub(crate) type ExportedRows = (
-    Vec<(SpecId, SpecRow)>,
-    Vec<(ViewId, ViewRow)>,
-    Vec<(RunId, RunRow)>,
-);
-
 /// One write to the tables, as [`Warehouse::accept`] takes it.
 pub(crate) enum Write<'a> {
     /// Register a specification.
     Spec(WorkflowSpec),
     /// Register a view of a specification.
     View(SpecId, UserView),
-    /// Load a run of a specification.
+    /// Load a run of a specification, as its caller built it.
     Run(SpecId, WorkflowRun),
+    /// Load a run of a specification decoded from stored bytes.
+    StoredRun(SpecId, WorkflowRun),
     /// Load the run an event log records.
     Log(SpecId, &'a EventLog),
     /// Open a stream of a specification.
@@ -427,18 +421,18 @@ impl std::ops::Deref for BoundViewRun<'_> {
 /// ```
 #[derive(Debug)]
 pub struct Warehouse {
-    specs: Table<SpecId, SpecRow>,
+    /// The spec, view and run rows, each indexed by its id: ids are
+    /// handed out densely in commit order, so an id is its row's position.
+    specs: Vec<SpecRow>,
+    views: Vec<ViewRow>,
+    runs: Vec<RunRow>,
     spec_by_name: FxHashMap<String, SpecId>,
-    views: Table<ViewId, ViewRow>,
-    views_by_spec: FxHashMap<SpecId, Vec<ViewId>>,
-    runs: Table<RunId, RunRow>,
-    runs_by_spec: FxHashMap<SpecId, Vec<RunId>>,
+    /// Each spec's views and runs in id order, indexed by spec id.
+    views_by_spec: Vec<Vec<ViewId>>,
+    runs_by_spec: Vec<Vec<RunId>>,
     /// Live streaming ingestions, keyed by the prefix run they grow.
     /// Entries are removed on seal, so membership means "still streaming".
     streams: FxHashMap<RunId, RunIngestor>,
-    next_spec: u32,
-    next_view: u32,
-    next_run: u32,
     cache: ViewRunCache,
     index: ProvenanceIndexCache,
     labels: RunKeyedCache<LabelIndex>,
@@ -478,16 +472,13 @@ pub const DEFAULT_MAX_QUEUE: usize = 1024;
 impl Default for Warehouse {
     fn default() -> Self {
         Warehouse {
-            specs: Table::default(),
+            specs: Vec::new(),
+            views: Vec::new(),
+            runs: Vec::new(),
             spec_by_name: FxHashMap::default(),
-            views: Table::default(),
-            views_by_spec: FxHashMap::default(),
-            runs: Table::default(),
-            runs_by_spec: FxHashMap::default(),
+            views_by_spec: Vec::new(),
+            runs_by_spec: Vec::new(),
             streams: FxHashMap::default(),
-            next_spec: 0,
-            next_view: 0,
-            next_run: 0,
             cache: ViewRunCache::default(),
             index: ProvenanceIndexCache::default(),
             labels: RunKeyedCache::default(),
@@ -605,8 +596,9 @@ impl Warehouse {
     // Figure 8). Every write is accepted, then committed: `accept` checks
     // it without changing anything and works out its id, and `commit`
     // applies it and cannot fail. A durable store journals the accepted
-    // write between the two, and journal replay takes the same two steps,
-    // so memory never holds a write the journal lacks.
+    // write between the two, so memory never holds a write the journal
+    // lacks; snapshot load and journal replay take the same two steps
+    // (`journal::restore`).
     // ------------------------------------------------------------------
 
     /// Registers a workflow specification. Names must be unique, and the
@@ -681,7 +673,7 @@ impl Warehouse {
                     return Err(WarehouseError::DuplicateSpecName(spec.name().to_string()));
                 }
                 spec.validate()?;
-                Accepted::Spec(SpecId(self.next_spec), SpecRow { spec })
+                Accepted::Spec(SpecId(self.specs.len() as u32), SpecRow { spec })
             }
             Write::View(spec_id, view) => {
                 let spec = self.spec(spec_id)?;
@@ -696,11 +688,13 @@ impl Warehouse {
                     spec: spec_id,
                     view,
                 };
-                Accepted::View(ViewId(self.next_view), row)
+                Accepted::View(ViewId(self.views.len() as u32), row)
             }
+            // Each kind of run gets the check its source needs, once.
             Write::Log(spec_id, log) => {
+                // `to_run` builds through `RunBuilder`, which validates.
                 let run = log.to_run(self.spec(spec_id)?)?;
-                return self.accept(Write::Run(spec_id, run));
+                Accepted::Run(self.next_run(), RunRow { spec: spec_id, run })
             }
             Write::Run(spec_id, run) => {
                 let spec = self.spec(spec_id)?;
@@ -710,19 +704,22 @@ impl Warehouse {
                         got: run.spec_name().to_string(),
                     });
                 }
-                // Builders and validators reject cycles, but a hand-deserialized
-                // run (corrupted snapshot, crafted bytes) can smuggle one past
-                // them; rejecting here means a bad run can never reach the index
-                // builder — and a bad durable log can never crash `open()`.
+                // Builders reject cycles, but a caller can hand over a run
+                // that never went through one; rejecting here means a
+                // cyclic run can never reach the index builder.
                 if !zoom_graph::algo::topo::is_acyclic(run.graph()) {
                     return Err(WarehouseError::Model(ModelError::RunHasCycle));
                 }
-                let row = RunRow { spec: spec_id, run };
-                Accepted::Run(RunId(self.next_run), row)
+                Accepted::Run(self.next_run(), RunRow { spec: spec_id, run })
+            }
+            Write::StoredRun(spec_id, run) => {
+                // Decoded bytes bypass the builders: validate all of it.
+                run.validate(self.spec(spec_id)?)?;
+                Accepted::Run(self.next_run(), RunRow { spec: spec_id, run })
             }
             Write::Begin(spec_id) => {
                 self.spec(spec_id)?;
-                Accepted::StreamBegin(RunId(self.next_run), spec_id)
+                Accepted::StreamBegin(self.next_run(), spec_id)
             }
             Write::Push(run_id, event) => {
                 let ing = self.live_stream(run_id)?;
@@ -734,6 +731,11 @@ impl Warehouse {
                 Accepted::StreamSeal(run_id, commit)
             }
         })
+    }
+
+    /// The id the next accepted run gets.
+    fn next_run(&self) -> RunId {
+        RunId(self.runs.len() as u32)
     }
 
     /// A stream event's or seal's verdict, counting a rejection.
@@ -749,19 +751,15 @@ impl Warehouse {
     pub(crate) fn commit(&mut self, accepted: Accepted) -> Answer {
         match accepted {
             Accepted::Spec(id, row) => {
-                self.next_spec = id.0 + 1;
                 self.spec_by_name.insert(row.spec.name().to_string(), id);
-                self.specs
-                    .insert(id, row)
-                    .expect("accepted spec id is free");
+                self.specs.push(row);
+                self.views_by_spec.push(Vec::new());
+                self.runs_by_spec.push(Vec::new());
                 Answer::Spec(id)
             }
             Accepted::View(id, row) => {
-                self.next_view = id.0 + 1;
-                self.views_by_spec.entry(row.spec).or_default().push(id);
-                self.views
-                    .insert(id, row)
-                    .expect("accepted view id is free");
+                self.views_by_spec[row.spec.0 as usize].push(id);
+                self.views.push(row);
                 Answer::View(id)
             }
             Accepted::Run(id, row) => {
@@ -798,20 +796,15 @@ impl Warehouse {
     }
 
     fn insert_run(&mut self, id: RunId, row: RunRow) {
-        self.next_run = id.0 + 1;
-        self.runs_by_spec.entry(row.spec).or_default().push(id);
-        self.runs.insert(id, row).expect("accepted run id is free");
+        self.runs_by_spec[row.spec.0 as usize].push(id);
+        self.runs.push(row);
     }
 
     /// A live stream's ingestor, specification and prefix run, borrowed
     /// apart for a commit.
     fn live_parts(&mut self, run_id: RunId) -> (&mut RunIngestor, &WorkflowSpec, &mut WorkflowRun) {
-        let row = self.runs.get_mut(&run_id).expect("stream run exists");
-        let spec = &self
-            .specs
-            .get(&row.spec)
-            .expect("stream run's spec exists")
-            .spec;
+        let row = &mut self.runs[run_id.0 as usize];
+        let spec = &self.specs[row.spec.0 as usize].spec;
         let ing = self.streams.get_mut(&run_id).expect("stream is live");
         (ing, spec, &mut row.run)
     }
@@ -828,9 +821,7 @@ impl Warehouse {
 
     /// The ingestor of a live stream, or the typed error.
     fn live_stream(&self, run_id: RunId) -> Result<&RunIngestor> {
-        if !self.runs.contains(&run_id) {
-            return Err(WarehouseError::RunNotFound(run_id));
-        }
+        self.run(run_id)?;
         self.streams
             .get(&run_id)
             .ok_or(WarehouseError::Stream(StreamError::SealedStream))
@@ -844,7 +835,7 @@ impl Warehouse {
     fn refresh_run_indexes(&mut self, run_id: RunId) {
         self.cache.invalidate_run(run_id);
         self.index.invalidate_run(run_id);
-        let row = self.runs.get(&run_id).expect("stream run exists");
+        let row = &self.runs[run_id.0 as usize];
         let updated = self.labels.update_entry(run_id, |idx| {
             idx.update_to(row.run.graph(), &mut Deadline::unlimited())
         });
@@ -870,7 +861,7 @@ impl Warehouse {
     /// The specification under `id`.
     pub fn spec(&self, id: SpecId) -> Result<&WorkflowSpec> {
         self.specs
-            .get(&id)
+            .get(id.0 as usize)
             .map(|r| &r.spec)
             .ok_or(WarehouseError::SpecNotFound(id))
     }
@@ -882,50 +873,54 @@ impl Warehouse {
 
     /// The view under `id` (and the spec it belongs to).
     pub fn view(&self, id: ViewId) -> Result<&UserView> {
-        self.views
-            .get(&id)
-            .map(|r| &r.view)
-            .ok_or(WarehouseError::ViewNotFound(id))
+        self.view_row(id).map(|r| &r.view)
     }
 
     /// The spec a view belongs to.
     pub fn view_spec(&self, id: ViewId) -> Result<SpecId> {
-        self.views
-            .get(&id)
-            .map(|r| r.spec)
-            .ok_or(WarehouseError::ViewNotFound(id))
+        self.view_row(id).map(|r| r.spec)
     }
 
     /// The run under `id`.
     pub fn run(&self, id: RunId) -> Result<&WorkflowRun> {
-        self.runs
-            .get(&id)
-            .map(|r| &r.run)
-            .ok_or(WarehouseError::RunNotFound(id))
+        self.run_row(id).map(|r| &r.run)
     }
 
     /// The spec a run belongs to.
     pub fn run_spec(&self, id: RunId) -> Result<SpecId> {
+        self.run_row(id).map(|r| r.spec)
+    }
+
+    fn view_row(&self, id: ViewId) -> Result<&ViewRow> {
+        self.views
+            .get(id.0 as usize)
+            .ok_or(WarehouseError::ViewNotFound(id))
+    }
+
+    fn run_row(&self, id: RunId) -> Result<&RunRow> {
         self.runs
-            .get(&id)
-            .map(|r| r.spec)
+            .get(id.0 as usize)
             .ok_or(WarehouseError::RunNotFound(id))
     }
 
     /// Every registered specification id, in registration order (spec ids
     /// are allocated densely).
     pub fn spec_ids(&self) -> Vec<SpecId> {
-        (0..self.next_spec).map(SpecId).collect()
+        (0..self.specs.len() as u32).map(SpecId).collect()
     }
 
     /// The registered view ids of `spec`, in registration order.
     pub fn views_of_spec(&self, spec: SpecId) -> &[ViewId] {
-        self.views_by_spec.get(&spec).map_or(&[], Vec::as_slice)
+        self.views_by_spec
+            .get(spec.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
-    /// Runs loaded for a spec.
+    /// Runs loaded for a spec, in load order.
     pub fn runs_of_spec(&self, spec: SpecId) -> &[RunId] {
-        self.runs_by_spec.get(&spec).map_or(&[], Vec::as_slice)
+        self.runs_by_spec
+            .get(spec.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Finds a registered view of `spec` by view name.
@@ -933,7 +928,7 @@ impl Warehouse {
         self.views_of_spec(spec)
             .iter()
             .copied()
-            .find(|&v| self.views.get(&v).is_some_and(|r| r.view.name() == name))
+            .find(|&v| self.views[v.0 as usize].view.name() == name)
     }
 
     // ------------------------------------------------------------------
@@ -943,14 +938,8 @@ impl Warehouse {
     /// The run and the view of a `(run, view)` pair, which must belong to
     /// one specification.
     fn pair(&self, run_id: RunId, view_id: ViewId) -> Result<(&WorkflowRun, &UserView)> {
-        let run_row = self
-            .runs
-            .get(&run_id)
-            .ok_or(WarehouseError::RunNotFound(run_id))?;
-        let view_row = self
-            .views
-            .get(&view_id)
-            .ok_or(WarehouseError::ViewNotFound(view_id))?;
+        let run_row = self.run_row(run_id)?;
+        let view_row = self.view_row(view_id)?;
         if run_row.spec != view_row.spec {
             return Err(WarehouseError::SpecMismatch {
                 expected: format!("{}", run_row.spec),
@@ -1047,9 +1036,9 @@ impl Warehouse {
     /// `(view class, view name)` for query metrics; unknown views classify
     /// as custom (the query will error out anyway).
     fn query_context(&self, view_id: ViewId) -> (ViewClass, &str) {
-        match self.views.get(&view_id) {
-            Some(r) => (ViewClass::of_view_name(r.view.name()), r.view.name()),
-            None => (ViewClass::Custom, ""),
+        match self.view(view_id) {
+            Ok(v) => (ViewClass::of_view_name(v.name()), v.name()),
+            Err(_) => (ViewClass::Custom, ""),
         }
     }
 
@@ -1369,14 +1358,12 @@ impl Warehouse {
 
     fn invisible_or_missing(&self, run_id: RunId, view_id: ViewId, data: DataId) -> WarehouseError {
         let exists = self
-            .runs
-            .get(&run_id)
-            .is_some_and(|r| r.run.producer_of(data).is_some());
+            .run(run_id)
+            .is_ok_and(|run| run.producer_of(data).is_some());
         if exists {
             let view = self
-                .views
-                .get(&view_id)
-                .map_or_else(|| format!("{view_id}"), |r| r.view.name().to_string());
+                .view(view_id)
+                .map_or_else(|_| format!("{view_id}"), |v| v.name().to_string());
             WarehouseError::DataNotVisible { data, view }
         } else {
             WarehouseError::DataNotFound(data)
@@ -1393,8 +1380,8 @@ impl Warehouse {
             specs: self.specs.len(),
             views: self.views.len(),
             runs: self.runs.len(),
-            steps: self.runs.scan().map(|r| r.run.step_count()).sum(),
-            data_objects: self.runs.scan().map(|r| r.run.data_count()).sum(),
+            steps: self.runs.iter().map(|r| r.run.step_count()).sum(),
+            data_objects: self.runs.iter().map(|r| r.run.data_count()).sum(),
             cached_view_runs: self.cache.len(),
             cached_indexes: self.index.len(),
             index_hits: self.index.counters().0,
@@ -1486,43 +1473,9 @@ impl Warehouse {
         self.labels.counters()
     }
 
-    /// Iterates over all rows (persistence support).
-    pub(crate) fn export_rows(&self) -> ExportedRows {
-        let mut specs: Vec<(SpecId, SpecRow)> =
-            self.specs.entries().map(|(k, v)| (*k, v.clone())).collect();
-        specs.sort_by_key(|(k, _)| *k);
-        let mut views: Vec<(ViewId, ViewRow)> =
-            self.views.entries().map(|(k, v)| (*k, v.clone())).collect();
-        views.sort_by_key(|(k, _)| *k);
-        let mut runs: Vec<(RunId, RunRow)> =
-            self.runs.entries().map(|(k, v)| (*k, v.clone())).collect();
-        runs.sort_by_key(|(k, _)| *k);
-        (specs, views, runs)
-    }
-
-    /// Rebuilds a warehouse from exported rows (persistence support).
-    pub(crate) fn from_rows(
-        specs: Vec<(SpecId, SpecRow)>,
-        views: Vec<(ViewId, ViewRow)>,
-        runs: Vec<(RunId, RunRow)>,
-    ) -> Self {
-        let mut w = Warehouse::new();
-        for (id, row) in specs {
-            w.next_spec = w.next_spec.max(id.0 + 1);
-            w.spec_by_name.insert(row.spec.name().to_string(), id);
-            w.specs.insert(id, row).expect("unique spec ids");
-        }
-        for (id, row) in views {
-            w.next_view = w.next_view.max(id.0 + 1);
-            w.views_by_spec.entry(row.spec).or_default().push(id);
-            w.views.insert(id, row).expect("unique view ids");
-        }
-        for (id, row) in runs {
-            w.next_run = w.next_run.max(id.0 + 1);
-            w.runs_by_spec.entry(row.spec).or_default().push(id);
-            w.runs.insert(id, row).expect("unique run ids");
-        }
-        w
+    /// Every spec, view and run row, each at its id (persistence support).
+    pub(crate) fn rows(&self) -> (&[SpecRow], &[ViewRow], &[RunRow]) {
+        (&self.specs, &self.views, &self.runs)
     }
 }
 

@@ -217,8 +217,6 @@ pub struct RunIngestor {
     module_of: FxHashMap<StepId, zoom_graph::NodeId>,
     /// `Finalized` objects, in arrival order, deduplicated.
     finals: Vec<DataId>,
-    /// Events accepted (for stats).
-    events: u64,
     sealed: bool,
 }
 
@@ -226,11 +224,6 @@ impl RunIngestor {
     /// A fresh ingestor for an empty prefix run.
     pub fn new() -> Self {
         RunIngestor::default()
-    }
-
-    /// Number of events accepted so far.
-    pub fn event_count(&self) -> u64 {
-        self.events
     }
 
     /// Steps started but not yet committed (open + finished-waiting).
@@ -241,11 +234,6 @@ impl RunIngestor {
     /// Steps already in the committed prefix.
     pub fn committed_steps(&self) -> usize {
         self.committed.len()
-    }
-
-    /// Whether the stream has sealed.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
     }
 
     /// Validates `event` against the specification and the stream history.
@@ -343,7 +331,6 @@ impl RunIngestor {
     ) -> PushOutcome {
         let StreamCommit { event, commits } = commit;
         self.clock = event.time();
-        self.events += 1;
         match event {
             LogEvent::UserInput { data, user, time } => {
                 self.user_meta

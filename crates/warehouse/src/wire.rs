@@ -596,11 +596,13 @@ pub struct ShardRouter {
     /// sees B then A) and commit divergent ids before the mismatch check
     /// could catch it.
     registration: Mutex<()>,
-    /// Next global run id; held across the owning shard's mutation so a
-    /// failed load consumes no id (exactly like a single warehouse).
-    alloc: Mutex<u32>,
-    /// Global run id → (shard index, shard-local run id).
-    runs: RwLock<zoom_graph::fxhash::FxHashMap<u32, (usize, RunId)>>,
+    /// Serializes run-allocating ops; held across the owning shard's
+    /// mutation so a failed load consumes no global id (exactly like a
+    /// single warehouse).
+    loads: Mutex<()>,
+    /// (shard index, shard-local run id) of each global run id, indexed
+    /// by the global id: global ids are handed out densely.
+    runs: RwLock<Vec<(usize, RunId)>>,
     /// Per-tenant visibility policies (DESIGN.md §16). Enforcement runs
     /// *before* dispatch — the daemon rewrites a restricted tenant's
     /// query to its effective view, so the shards never need to know
@@ -617,18 +619,25 @@ const SHARD_MANIFEST: &str = "SHARDS";
 impl ShardRouter {
     /// N in-memory shards.
     pub fn in_memory(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardRouter {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Backing::Memory(Box::new(Warehouse::new()))))
+        Self::over(
+            (0..shards.max(1))
+                .map(|_| Backing::Memory(Box::new(Warehouse::new())))
                 .collect(),
-            supervision: (0..shards)
+        )
+    }
+
+    /// A router over `shards` that has routed no run yet.
+    fn over(shards: Vec<Backing>) -> Self {
+        ShardRouter {
+            supervision: shards
+                .iter()
                 .map(|_| Mutex::new(Supervision::new()))
                 .collect(),
+            shards: shards.into_iter().map(Mutex::new).collect(),
             registration: Mutex::new(()),
-            alloc: Mutex::new(0),
+            loads: Mutex::new(()),
             policies: crate::privacy::PolicyTable::new(),
-            runs: RwLock::new(zoom_graph::fxhash::FxHashMap::default()),
+            runs: RwLock::new(Vec::new()),
         }
     }
 
@@ -703,47 +712,33 @@ impl ShardRouter {
                 Some(io) => Arc::clone(io),
                 None => Arc::new(RealFs),
             };
-            backings.push(Mutex::new(Backing::Durable(Box::new(
-                DurableWarehouse::open_with(io, &sub, options)?,
-            ))));
+            backings.push(Backing::Durable(Box::new(DurableWarehouse::open_with(
+                io, &sub, options,
+            )?)));
         }
-        let router = ShardRouter {
-            shards: backings,
-            supervision: (0..n).map(|_| Mutex::new(Supervision::new())).collect(),
-            registration: Mutex::new(()),
-            alloc: Mutex::new(0),
-            policies: crate::privacy::PolicyTable::new(),
-            runs: RwLock::new(zoom_graph::fxhash::FxHashMap::default()),
-        };
+        let mut router = Self::over(backings);
         // Rebuild the global run map: global ids were handed out densely,
         // each one owned by `shard_of(id)`, and each shard assigned its
         // local ids densely in the same order — so walking global ids in
         // order and counting per-shard recovers the exact mapping.
-        let mut per_shard_next: Vec<u32> = vec![0; n];
         let shard_runs: Vec<usize> = router.shards.iter().map(|s| lock(s).stats().runs).collect();
+        let mut per_shard_next: Vec<u32> = vec![0; n];
         let total: usize = shard_runs.iter().sum();
-        {
-            let mut map = router.runs.write().unwrap_or_else(PoisonError::into_inner);
-            let mut next = lock(&router.alloc);
-            let mut assigned = 0usize;
-            while assigned < total {
-                let global = *next;
-                let sh = router.shard_of_raw(global);
-                if per_shard_next[sh] as usize >= shard_runs[sh] {
-                    // A hole would mean the stored shards disagree with
-                    // the allocation discipline; surface it as corruption
-                    // rather than looping forever.
-                    return Err(DurableError::BadManifest(format!(
-                        "shard {sh} has {} runs but global id {global} maps to it",
-                        shard_runs[sh]
-                    )));
-                }
-                map.insert(global, (sh, RunId(per_shard_next[sh])));
-                per_shard_next[sh] += 1;
-                *next += 1;
-                assigned += 1;
+        let mut map = Vec::with_capacity(total);
+        for global in 0..total as u32 {
+            let sh = router.shard_of_raw(global);
+            if per_shard_next[sh] as usize >= shard_runs[sh] {
+                // A hole would mean the stored shards disagree with the
+                // allocation discipline; surface it as corruption.
+                return Err(DurableError::BadManifest(format!(
+                    "shard {sh} has {} runs but global id {global} maps to it",
+                    shard_runs[sh]
+                )));
             }
+            map.push((sh, RunId(per_shard_next[sh])));
+            per_shard_next[sh] += 1;
         }
+        router.runs = RwLock::new(map);
         Ok(router)
     }
 
@@ -754,7 +749,10 @@ impl ShardRouter {
 
     /// Total runs routed so far.
     pub fn run_count(&self) -> u32 {
-        *lock(&self.alloc)
+        self.runs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u32
     }
 
     fn shard_of_raw(&self, global: u32) -> usize {
@@ -770,7 +768,7 @@ impl ShardRouter {
         self.runs
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .get(&run.0)
+            .get(run.0 as usize)
             .copied()
             .ok_or(WarehouseError::RunNotFound(run))
     }
@@ -838,8 +836,8 @@ impl ShardRouter {
     /// Applies a run-allocating op on the shard that owns the next global
     /// run id, and maps that id to the shard-local one it allocated.
     fn load_into_shard(&self, op: &Op) -> WhResult<Answer> {
-        let mut next = lock(&self.alloc);
-        let global = RunId(*next);
+        let _loads = lock(&self.loads);
+        let global = RunId(self.run_count());
         let sh = self.shard_of(global);
         let answer = {
             let mut guard = lock(&self.shards[sh]);
@@ -854,8 +852,7 @@ impl ShardRouter {
         self.runs
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(global.0, (sh, local));
-        *next += 1;
+            .push((sh, local));
         Ok(Answer::Run(global))
     }
 
@@ -963,32 +960,19 @@ impl ShardRouter {
         lock(&self.shards[0]).warehouse().spec_by_name(name)
     }
 
-    /// The global run ids belonging to `spec`, in load order (global ids
-    /// are allocated in load order, so walking them in order and testing
-    /// shard-local membership reconstructs the single-warehouse listing).
+    /// The global run ids belonging to `spec`, in load order: the global
+    /// ids whose shard-local run is one of its shard's runs of `spec`.
     pub fn runs_of_spec(&self, spec: SpecId) -> Vec<RunId> {
-        let members: Vec<std::collections::HashSet<u32>> = self
+        let members: Vec<Vec<RunId>> = self
             .shards
             .iter()
-            .map(|s| {
-                lock(s)
-                    .warehouse()
-                    .runs_of_spec(spec)
-                    .iter()
-                    .map(|r| r.0)
-                    .collect()
-            })
+            .map(|s| lock(s).warehouse().runs_of_spec(spec).to_vec())
             .collect();
-        // Take the alloc count before the run map: `load_into_shard`
-        // acquires alloc → runs, so acquiring runs → alloc here would be
-        // a lock-order inversion.
-        let total = self.run_count();
         let map = self.runs.read().unwrap_or_else(PoisonError::into_inner);
-        (0..total)
-            .filter_map(|g| {
-                let &(sh, local) = map.get(&g)?;
-                members[sh].contains(&local.0).then_some(RunId(g))
-            })
+        (0u32..)
+            .zip(map.iter())
+            .filter(|(_, (sh, local))| members[*sh].binary_search(local).is_ok())
+            .map(|(g, _)| RunId(g))
             .collect()
     }
 
