@@ -37,7 +37,7 @@ fn view_graph(run: &WorkflowRun, vr: &ViewRun) -> Digraph<ViewRunNode, Vec<DataI
     }
     let mut slot_of_pair: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
     let mut merged: Vec<(NodeId, NodeId, Vec<DataId>)> = Vec::new();
-    for (_, s, t, data) in rg.edges() {
+    for (e, s, t, _) in rg.edges() {
         let (vs, vt) = (vr.view_node(run, s), vr.view_node(run, t));
         if vs == vt {
             continue; // internal to a composite execution: hidden
@@ -46,7 +46,7 @@ fn view_graph(run: &WorkflowRun, vr: &ViewRun) -> Digraph<ViewRunNode, Vec<DataI
             merged.push((vs, vt, Vec::new()));
             merged.len() - 1
         });
-        merged[slot].2.extend_from_slice(data);
+        merged[slot].2.extend_from_slice(run.edge_data(e));
     }
     for (vs, vt, mut data) in merged {
         data.sort_unstable();

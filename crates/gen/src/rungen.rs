@@ -130,8 +130,8 @@ pub fn scatter_data_ids<R: Rng>(
     for (id, module) in run.steps() {
         rb.step_with_id(id, module);
     }
-    for (_, s, t, data) in g.edges() {
-        let data = data.iter().map(|d| scattered[d]);
+    for (e, s, t, _) in g.edges() {
+        let data = run.edge_data(e).iter().map(|d| scattered[d]);
         match (run.step_at(s), run.step_at(t)) {
             (Some((a, _)), Some((b, _))) => rb.data_edge(a, b, data),
             (None, Some((b, _))) => rb.input_edge(b, data),

@@ -6,17 +6,30 @@ use crate::digraph::{Digraph, NodeId};
 ///
 /// Parallel edges are handled correctly (each contributes to the in-degree).
 pub fn topological_sort<N, E>(graph: &Digraph<N, E>) -> Option<Vec<NodeId>> {
+    let mut order = Vec::with_capacity(graph.node_count());
+    kahn(graph, |v| order.push(v)).then_some(order)
+}
+
+/// Returns `true` if the graph has no directed cycle.
+pub fn is_acyclic<N, E>(graph: &Digraph<N, E>) -> bool {
+    kahn(graph, |_| {})
+}
+
+/// Kahn's algorithm: calls `visit` on the nodes in a topological order and
+/// returns whether every node was visited (the graph is acyclic). Two
+/// allocations, each sized to the node count.
+fn kahn<N, E>(graph: &Digraph<N, E>, mut visit: impl FnMut(NodeId)) -> bool {
     let n = graph.node_count();
-    let mut indeg: Vec<usize> = (0..n)
-        .map(|i| graph.in_degree(NodeId::from_index(i)))
-        .collect();
-    let mut queue: Vec<NodeId> = (0..n)
-        .map(NodeId::from_index)
-        .filter(|&v| indeg[v.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(n);
+    let mut indeg = vec![0u32; n];
+    for (_, _, t, _) in graph.edges() {
+        indeg[t.index()] += 1;
+    }
+    let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+    queue.extend(graph.node_ids().filter(|v| indeg[v.index()] == 0));
+    let mut visited = 0;
     while let Some(v) = queue.pop() {
-        order.push(v);
+        visit(v);
+        visited += 1;
         for w in graph.successors(v) {
             indeg[w.index()] -= 1;
             if indeg[w.index()] == 0 {
@@ -24,12 +37,7 @@ pub fn topological_sort<N, E>(graph: &Digraph<N, E>) -> Option<Vec<NodeId>> {
             }
         }
     }
-    (order.len() == n).then_some(order)
-}
-
-/// Returns `true` if the graph has no directed cycle.
-pub fn is_acyclic<N, E>(graph: &Digraph<N, E>) -> bool {
-    topological_sort(graph).is_some()
+    visited == n
 }
 
 /// Returns, for each node, its position in some topological order,

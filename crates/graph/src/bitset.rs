@@ -87,6 +87,25 @@ impl BitSet {
         !was
     }
 
+    /// Inserts every value in `range`, a block at a time.
+    ///
+    /// # Panics
+    /// Panics if `range.end > len()`.
+    pub fn insert_range(&mut self, range: std::ops::Range<usize>) {
+        assert!(
+            range.end <= self.len,
+            "BitSet::insert_range: {range:?} out of range {}",
+            self.len
+        );
+        let mut i = range.start;
+        while i < range.end {
+            let (block, bit) = (i / BITS, i % BITS);
+            let n = (BITS - bit).min(range.end - i);
+            self.blocks[block] |= (u64::MAX >> (BITS - n)) << bit;
+            i += n;
+        }
+    }
+
     /// Removes `i`; returns `true` if it was present.
     pub fn remove(&mut self, i: usize) -> bool {
         assert!(
@@ -214,6 +233,18 @@ impl Iterator for BitSetIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn insert_range_sets_exactly_the_range() {
+        for (start, end) in [(0, 0), (3, 9), (0, 64), (60, 130), (64, 128), (5, 200)] {
+            let mut s = BitSet::new(200);
+            s.insert_range(start..end);
+            assert_eq!(
+                s.iter().collect::<Vec<_>>(),
+                (start..end).collect::<Vec<_>>()
+            );
+        }
+    }
 
     #[test]
     fn insert_contains_remove() {

@@ -35,7 +35,8 @@ impl Bfs {
         dir: Direction,
     ) -> Self {
         let mut seen = BitSet::new(graph.node_count());
-        let mut queue = VecDeque::new();
+        // Each node enters the queue at most once.
+        let mut queue = VecDeque::with_capacity(graph.node_count());
         for r in roots {
             if seen.insert(r.index()) {
                 queue.push_back(r);
@@ -150,7 +151,7 @@ pub fn constrained_reachable_set<N, E>(
 ) -> BitSet {
     let mut reached = BitSet::new(graph.node_count());
     let mut expanded = BitSet::new(graph.node_count());
-    let mut queue = VecDeque::new();
+    let mut queue = VecDeque::with_capacity(graph.node_count());
     queue.push_back(root);
     expanded.insert(root.index());
     while let Some(n) = queue.pop_front() {

@@ -25,7 +25,7 @@ fn first_slots(run: &WorkflowRun) -> BitSet {
     let mut seen = HashSet::new();
     let mut first = BitSet::new(run.slot_count());
     for e in g.edge_ids() {
-        for (slot, d) in run.edge_slots(e).zip(g.edge(e)) {
+        for (slot, d) in run.edge_slots(e).zip(run.edge_data(e)) {
             if seen.insert(*d) {
                 first.insert(slot);
             }
@@ -122,7 +122,7 @@ fn streamed_prefixes_mark_each_datums_first_slot_and_equal_the_batch_run() {
         let g = run.graph();
         let order = topological_sort(g).expect("runs are acyclic");
         let step_of = |n| run.step_at(n).map(|(id, _)| id);
-        let data = |e| g.edge(e).iter().map(|d: &DataId| d.0).collect::<Vec<_>>();
+        let data = |e| run.edge_data(e).iter().map(|d| d.0).collect::<Vec<_>>();
 
         let mut rb = RunBuilder::new(&spec);
         for &n in &order {
@@ -143,7 +143,7 @@ fn streamed_prefixes_mark_each_datums_first_slot_and_equal_the_batch_run() {
         for e in g.in_edges(run.output()) {
             let p = step_of(g.source(e)).expect("steps produce final outputs");
             rb.output_edge(p, data(e));
-            finals.push((p, g.edge(e).clone()));
+            finals.push((p, run.edge_data(e).to_vec()));
         }
         let batch = rb.build().expect("the same edges make a valid run");
 
@@ -154,7 +154,7 @@ fn streamed_prefixes_mark_each_datums_first_slot_and_equal_the_batch_run() {
             };
             let inputs: Vec<(Option<StepId>, Vec<DataId>)> = g
                 .in_edges(n)
-                .map(|e| (step_of(g.source(e)), g.edge(e).clone()))
+                .map(|e| (step_of(g.source(e)), run.edge_data(e).to_vec()))
                 .collect();
             let user_meta = inputs
                 .iter()

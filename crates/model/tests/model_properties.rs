@@ -381,8 +381,8 @@ fn reference_view_run(run: &WorkflowRun, view: &UserView) -> Reference {
         between
             .entry((endpoint(s), endpoint(t)))
             .or_default()
-            .extend(g.edge(e));
-        for &d in g.edge(e) {
+            .extend(run.edge_data(e));
+        for &d in run.edge_data(e) {
             producer.insert(d, exec_of_node[s.index()]);
             if let Some(i) = exec_of_node[s.index()] {
                 io[i].1.push(d);

@@ -9,7 +9,8 @@ use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use zoom_gen::{
-    deep_chain, generate_run, generate_spec, RunGenConfig, RunKind, SpecGenConfig, WorkflowClass,
+    deep_chain, diamond_lattice, generate_run, generate_spec, RunGenConfig, RunKind, SpecGenConfig,
+    WorkflowClass,
 };
 use zoom_model::{WorkflowRun, WorkflowSpec};
 
@@ -85,12 +86,12 @@ fn validation_stays_within_the_allocation_budget() {
     }
 }
 
-/// The count does not grow with the data: a 10,000-step chain with
-/// 10,001 data stays within the same budget. (The count may grow with a
-/// run's width, as the breadth-first searches' queues do, but a wide run
-/// is not what a per-datum table would show.)
+/// The count does not grow with the run: a 10,000-step chain with 10,001
+/// data and a 1,000-step lattice 20 steps wide stay within the same
+/// budget, since the searches size their queues to the node count.
 #[test]
-fn the_budget_does_not_grow_with_the_data() {
-    let (spec, run) = deep_chain(10_000);
-    check(&spec, &run);
+fn the_budget_does_not_grow_with_the_run() {
+    for (spec, run) in [deep_chain(10_000), diamond_lattice(50, 20)] {
+        check(&spec, &run);
+    }
 }

@@ -155,8 +155,12 @@ mod tests {
     use super::*;
     use crate::durable::{fsck, DurableWarehouse};
     use std::collections::BTreeMap;
-    use zoom_graph::{Digraph, EdgeId, NodeId};
-    use zoom_model::{DataId, RunBuilder, RunNode, SpecBuilder, StepId, UserInputMeta, UserView};
+    use zoom_graph::digraph::{ADJACENCY_MISMATCH, ENDPOINT_OUT_OF_RANGE};
+    use zoom_graph::{EdgeId, NodeId};
+    use zoom_model::{
+        DataId, RunBuilder, RunNode, SpecBuilder, SpecNode, StepId, UserInputMeta, UserView,
+        WorkflowSpec,
+    };
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -286,6 +290,36 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A graph's encoded fields: its nodes with their adjacency lists,
+    /// and its edges.
+    #[derive(Serialize, Deserialize)]
+    struct RawGraph<N, E> {
+        nodes: Vec<RawNode<N>>,
+        edges: Vec<RawEdge<E>>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct RawNode<N> {
+        weight: N,
+        out_edges: Vec<EdgeId>,
+        in_edges: Vec<EdgeId>,
+    }
+
+    #[derive(Serialize, Deserialize)]
+    struct RawEdge<E> {
+        weight: E,
+        source: NodeId,
+        target: NodeId,
+    }
+
+    /// A spec's encoded fields, as [`RawRun`] mirrors a run's.
+    #[derive(Serialize, Deserialize)]
+    struct RawSpec {
+        name: String,
+        graph: RawGraph<SpecNode, ()>,
+        by_label: BTreeMap<String, NodeId>,
+    }
+
     /// A run's encoded fields, in the run's own encoding order, with its
     /// tables as ordered maps: decoding a run's bytes into this and
     /// encoding it back gives the same bytes, so a test can doctor what
@@ -293,7 +327,7 @@ mod tests {
     #[derive(Serialize, Deserialize)]
     struct RawRun {
         spec_name: String,
-        graph: Digraph<RunNode, Vec<DataId>>,
+        graph: RawGraph<RunNode, Vec<DataId>>,
         node_of_step: BTreeMap<StepId, NodeId>,
         producer: BTreeMap<DataId, NodeId>,
         user_input_meta: BTreeMap<DataId, UserInputMeta>,
@@ -319,16 +353,20 @@ mod tests {
         fn node(i: usize) -> NodeId {
             NodeId::from_index(i)
         }
-        fn edge(i: usize) -> EdgeId {
-            EdgeId::from_index(i)
-        }
         let mismatch = "run does not match specification";
         let sync = format!("{mismatch}: producer index out of sync with edges");
         let twice = "data object d2 produced by two steps: S0 and S0".to_string();
         let unsorted =
             |e: &str| format!("{mismatch}: data on run edge {e} is not sorted and deduplicated");
         type Case = (&'static str, fn(&mut RawRun), String);
-        let cases: [Case; 7] = [
+        let cases: [Case; 8] = [
+            (
+                "step at a node the run lacks",
+                |r| {
+                    r.node_of_step.insert(StepId(1), node(99));
+                },
+                "unknown step id S1".to_string(),
+            ),
             (
                 "missing datum",
                 |r| {
@@ -352,19 +390,19 @@ mod tests {
             ),
             (
                 "two sources",
-                |r| r.graph.edge_mut(edge(2)).insert(0, DataId(2)),
+                |r| r.graph.edges[2].weight.insert(0, DataId(2)),
                 twice.clone(),
             ),
             (
                 "unsorted edge",
-                |r| r.graph.edge_mut(edge(0)).push(DataId(0)),
+                |r| r.graph.edges[0].weight.push(DataId(0)),
                 unsorted("input -> S1"),
             ),
             (
                 "wrong producer, then an unsorted edge",
                 |r| {
                     r.producer.insert(DataId(1), node(3));
-                    r.graph.edge_mut(edge(1)).push(DataId(0));
+                    r.graph.edges[1].weight.push(DataId(0));
                 },
                 unsorted("S1 -> S2"),
             ),
@@ -372,7 +410,7 @@ mod tests {
                 "wrong producer, then two sources",
                 |r| {
                     r.producer.insert(DataId(1), node(3));
-                    r.graph.edge_mut(edge(2)).insert(0, DataId(2));
+                    r.graph.edges[2].weight.insert(0, DataId(2));
                 },
                 twice,
             ),
@@ -405,6 +443,118 @@ mod tests {
             assert_eq!(err.to_string(), want, "{case}");
         }
         std::fs::remove_file(&bare).ok();
+    }
+
+    /// `bytes` with its one occurrence of `from` replaced by `to`.
+    fn splice(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at: Vec<usize> = (0..=bytes.len() - from.len())
+            .filter(|&i| bytes[i..].starts_with(from))
+            .collect();
+        assert_eq!(at.len(), 1, "the spliced bytes occur once");
+        [&bytes[..at[0]], to, &bytes[at[0] + from.len()..]].concat()
+    }
+
+    /// A spec or a run whose encoded adjacency lists disagree with its
+    /// edge list, or whose edge names a node it lacks, fails to decode
+    /// with a pinned error, never a panic:
+    /// through a snapshot load and through a durable store whose snapshot
+    /// holds it. A doctored spec does not decode at all, so it cannot
+    /// reach `Warehouse::register_spec`.
+    #[test]
+    fn doctored_adjacency_lists_fail_with_the_pinned_error() {
+        let rows = rows_of(&populated());
+        let snapshot = codec::to_bytes(&rows).unwrap();
+        let spec = codec::to_bytes(&rows.specs[0].1.spec).unwrap();
+        let run = codec::to_bytes(&rows.runs[0].1.run).unwrap();
+        // Run nodes: 0 input, 1 output, 2 S1, 3 S2. Edges: 0 input -> S1,
+        // 1 S1 -> S2, 2 S2 -> output. Spec nodes: 0 input, 1 output,
+        // 2 A, 3 B, with the same three edges.
+        type Doctor<T> = fn(&mut T);
+        let run_cases: [(&str, Doctor<RawRun>, &str); 5] = [
+            (
+                "an out-list naming edge 9999",
+                |r| r.graph.nodes[2].out_edges.push(EdgeId::from_index(9999)),
+                ADJACENCY_MISMATCH,
+            ),
+            (
+                "an out-list missing its edge",
+                |r| r.graph.nodes[2].out_edges.clear(),
+                ADJACENCY_MISMATCH,
+            ),
+            (
+                "an in-list naming edge 9999",
+                |r| r.graph.nodes[3].in_edges.push(EdgeId::from_index(9999)),
+                ADJACENCY_MISMATCH,
+            ),
+            (
+                "an in-list naming another edge",
+                |r| r.graph.nodes[3].in_edges = vec![EdgeId::from_index(2)],
+                ADJACENCY_MISMATCH,
+            ),
+            (
+                "an edge into node 99",
+                |r| r.graph.edges[1].target = NodeId::from_index(99),
+                ENDPOINT_OUT_OF_RANGE,
+            ),
+        ];
+        let spec_cases: [(&str, Doctor<RawSpec>); 2] = [
+            ("an out-list naming edge 9999", |s| {
+                s.graph.nodes[0].out_edges.push(EdgeId::from_index(9999))
+            }),
+            ("an in-list missing its edge", |s| {
+                s.graph.nodes[1].in_edges.clear()
+            }),
+        ];
+        let mut doctored: Vec<(String, Vec<u8>, &str)> = Vec::new();
+        for (case, doctor, error) in run_cases {
+            let mut raw: RawRun = codec::from_bytes(&run).unwrap();
+            doctor(&mut raw);
+            let bytes = codec::to_bytes(&raw).unwrap();
+            let Err(err) = codec::from_bytes::<zoom_model::WorkflowRun>(&bytes) else {
+                panic!("run with {case}: decoded")
+            };
+            assert_eq!(err.to_string(), error, "run with {case}");
+            let body = splice(&snapshot, &run, &bytes);
+            doctored.push((format!("run with {case}"), body, error));
+        }
+        for (case, doctor) in spec_cases {
+            let mut raw: RawSpec = codec::from_bytes(&spec).unwrap();
+            assert_eq!(
+                codec::to_bytes(&raw).unwrap(),
+                spec,
+                "RawSpec mirrors specs"
+            );
+            doctor(&mut raw);
+            let bytes = codec::to_bytes(&raw).unwrap();
+            let Err(err) = codec::from_bytes::<WorkflowSpec>(&bytes) else {
+                panic!("spec with {case}: decoded")
+            };
+            assert_eq!(err.to_string(), ADJACENCY_MISMATCH, "spec with {case}");
+            let body = splice(&snapshot, &spec, &bytes);
+            doctored.push((format!("spec with {case}"), body, ADJACENCY_MISMATCH));
+        }
+        let dir = temp_path("adjacency-durable");
+        std::fs::remove_dir_all(&dir).ok();
+        DurableWarehouse::open(&dir).unwrap().checkpoint().unwrap();
+        let snap = dir.join(fsck(&dir).unwrap().snapshot.unwrap());
+        for (case, body, error) in doctored {
+            let want = format!("codec error: {error}");
+            let bytes = [&MAGIC[..], &body].concat();
+            let path = temp_path("adjacency");
+            std::fs::write(&path, &bytes).unwrap();
+            let Err(err) = load(&path) else {
+                panic!("{case}: loaded")
+            };
+            std::fs::remove_file(&path).ok();
+            assert_eq!(err.to_string(), want, "{case}");
+
+            std::fs::write(&snap, &bytes).unwrap();
+            let Err(err) = DurableWarehouse::open(&dir) else {
+                panic!("{case}: opened")
+            };
+            assert_eq!(err.to_string(), format!("snapshot error: {want}"), "{case}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Rows that repeat or skip an id, or name a second spec of one name,

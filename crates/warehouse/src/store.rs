@@ -1623,7 +1623,7 @@ mod tests {
         let rid = w.load_run(sid, run(&s)).unwrap();
         match w.immediate_provenance(rid, admin, DataId(1)).unwrap() {
             ImmediateAnswer::UserInput { meta } => {
-                assert_eq!(meta.unwrap().user, "alice");
+                assert_eq!(&*meta.unwrap().user, "alice");
             }
             o => panic!("unexpected {o:?}"),
         }

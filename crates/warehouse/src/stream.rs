@@ -333,9 +333,10 @@ impl RunIngestor {
         self.clock = event.time();
         match event {
             LogEvent::UserInput { data, user, time } => {
-                self.user_meta
-                    .entry(data)
-                    .or_insert(UserInputMeta { user, time });
+                self.user_meta.entry(data).or_insert(UserInputMeta {
+                    user: user.into(),
+                    time,
+                });
             }
             LogEvent::StepStarted { step, module, .. } => {
                 let m = spec
@@ -538,7 +539,7 @@ impl RunIngestor {
                 None => {
                     for &d in &ds {
                         let meta = self.user_meta.get(&d).cloned().unwrap_or(UserInputMeta {
-                            user: "user".to_string(),
+                            user: "user".into(),
                             time: self.clock,
                         });
                         user_meta.push((d, meta));
@@ -692,7 +693,7 @@ mod tests {
         h.run.validate(&h.spec).unwrap();
         assert_eq!(h.run.final_outputs(), vec![DataId(3)]);
         assert_eq!(
-            h.run.user_input_meta(DataId(1)).map(|m| m.user.as_str()),
+            h.run.user_input_meta(DataId(1)).map(|m| &*m.user),
             Some("joe")
         );
     }
@@ -899,9 +900,10 @@ mod tests {
         streamed.validate(&spec).unwrap();
         // The slot table grown by appends tiles the streamed edges' data.
         let mut next = 0;
-        for (e, _, _, data) in streamed.graph().edges() {
-            assert_eq!(streamed.edge_slots(e), next..next + data.len());
-            next += data.len();
+        for e in streamed.graph().edge_ids() {
+            let slots = streamed.edge_slots(e);
+            assert_eq!(slots.start, next);
+            next = slots.end;
         }
         assert_eq!(next, streamed.slot_count());
         assert_eq!(streamed.slot_count(), batch.slot_count());

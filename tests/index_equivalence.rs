@@ -276,7 +276,7 @@ fn kernel_path(
     marked.insert(d, vec![target]);
     for n in index.ancestors(start).iter() {
         for e in g.in_edges(NodeId::from_index(n)) {
-            for (slot, &x) in run.edge_slots(e).zip(g.edge(e)) {
+            for (slot, &x) in run.edge_slots(e).zip(run.edge_data(e)) {
                 if vr.visible_slots().contains(slot) {
                     marked.entry(x).or_default().push(slot);
                 }

@@ -197,8 +197,8 @@ proptest! {
             let mut expect_in: BTreeSet<DataId> = BTreeSet::new();
             let mut expect_out: BTreeSet<DataId> = BTreeSet::new();
             let g = run.graph();
-            for (e, s, t, data) in g.edges() {
-                let _ = e;
+            for (e, s, t, _) in g.edges() {
+                let data = run.edge_data(e);
                 let s_in = run.step_at(s).map(|(id, _)| members.contains(&id)).unwrap_or(false);
                 let t_in = run.step_at(t).map(|(id, _)| members.contains(&id)).unwrap_or(false);
                 if !s_in && t_in {

@@ -272,10 +272,10 @@ fn data_between_agrees_with_view_run_edges() {
         .expect("materializes");
     let run = corpus.zoom.warehouse().run(rid).expect("loaded");
     let mut labels: std::collections::BTreeMap<_, Vec<DataId>> = Default::default();
-    for (_, s, t, data) in run.graph().edges() {
+    for (e, s, t, _) in run.graph().edges() {
         let (vs, vt) = (vr.view_node(run, s), vr.view_node(run, t));
         if vs != vt {
-            labels.entry((vs, vt)).or_default().extend(data);
+            labels.entry((vs, vt)).or_default().extend(run.edge_data(e));
         }
     }
     let mut checked = 0;

@@ -18,11 +18,14 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
+use serde::{Deserialize, Serialize};
 use zoom::core::{Daemon, DaemonConfig, RemoteError, RemoteZoom};
-use zoom::model::{EventLog, SpecBuilder, WorkflowSpec};
+use zoom::graph::digraph::ADJACENCY_MISMATCH;
+use zoom::graph::{EdgeId, NodeId};
+use zoom::model::{EventLog, SpecBuilder, SpecNode, WorkflowSpec};
 use zoom::warehouse::journal::crc32;
 use zoom::warehouse::wire::{read_message, write_frame};
-use zoom::warehouse::{codec, fsck, Request, Response, SpecId, WarehouseError};
+use zoom::warehouse::{codec, fsck, Op, Request, Response, SpecId, WarehouseError};
 use zoom_gen::library::{figure2_run, phylogenomic};
 
 fn spawn(shards: usize) -> Daemon {
@@ -287,4 +290,58 @@ fn doctored_spec_is_refused_and_the_durable_daemon_restarts() {
     drop(honest);
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec's encoded fields, its graph's nodes with their adjacency lists:
+/// what a hostile client can put in a `RegisterSpec` request.
+#[derive(Serialize, Deserialize)]
+struct RawSpec {
+    name: String,
+    nodes: Vec<(SpecNode, Vec<EdgeId>, Vec<EdgeId>)>,
+    edges: Vec<((), NodeId, NodeId)>,
+    by_label: BTreeMap<String, NodeId>,
+}
+
+#[test]
+fn spec_with_doctored_adjacency_is_refused_and_the_daemon_serves() {
+    let daemon = spawn(2);
+    let spec = phylogenomic();
+    let bytes = codec::to_bytes(&spec).unwrap();
+    let mut doctored: RawSpec = codec::from_bytes(&bytes).unwrap();
+    assert_eq!(
+        codec::to_bytes(&doctored).unwrap(),
+        bytes,
+        "RawSpec mirrors specs"
+    );
+    // The input node's out-list names an edge the spec does not have.
+    doctored.nodes[0].1.push(EdgeId::from_index(9999));
+    let doctored = codec::to_bytes(&doctored).unwrap();
+    let request = codec::to_bytes(&Request::Data(Op::RegisterSpec(spec))).unwrap();
+    let at = request
+        .windows(bytes.len())
+        .position(|w| w == &bytes[..])
+        .expect("the request carries the spec's bytes");
+    let payload = [&request[..at], &doctored, &request[at + bytes.len()..]].concat();
+
+    let s = raw(&daemon);
+    let mut w = s.try_clone().unwrap();
+    write_frame(&mut w, &payload).unwrap();
+    w.flush().unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    match read_message::<Response>(&mut reader).unwrap() {
+        Some(Response::Error { message }) => {
+            assert!(message.contains(ADJACENCY_MISMATCH), "got: {message}");
+        }
+        other => panic!("expected the doctored spec refused, got {other:?}"),
+    }
+    // The same connection still serves, and nothing was registered.
+    zoom::warehouse::wire::write_message(&mut w, &Request::<Op>::Ping).unwrap();
+    w.flush().unwrap();
+    match read_message::<Response>(&mut reader).unwrap() {
+        Some(Response::Pong) => {}
+        other => panic!("connection should still serve, got {other:?}"),
+    }
+    assert_daemon_serves(&daemon);
+    let mut honest = RemoteZoom::connect(daemon.addr(), "honest").unwrap();
+    assert_eq!(honest.register_workflow(phylogenomic()).unwrap(), SpecId(0));
 }
