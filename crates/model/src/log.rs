@@ -13,6 +13,7 @@ use crate::ids::{DataId, StepId, Timestamp};
 use crate::run::{RunBuilder, WorkflowRun};
 use crate::spec::WorkflowSpec;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use zoom_graph::fxhash::FxHashMap;
 use zoom_graph::radix_sort_by_key;
 
@@ -214,7 +215,10 @@ impl EventLog {
         let mut writer: FxHashMap<DataId, StepId> = FxHashMap::default();
         // Every read as (reading step, datum), in log order.
         let mut reads: Vec<(StepId, DataId)> = Vec::new();
-        let mut user_meta: FxHashMap<DataId, (String, Timestamp)> = FxHashMap::default();
+        // User names are shared: consecutive inputs of one user hold one
+        // name, as a decoded run's do.
+        let mut user_meta: FxHashMap<DataId, (Arc<str>, Timestamp)> = FxHashMap::default();
+        let mut last_user: Option<Arc<str>> = None;
         let mut finals: Vec<DataId> = Vec::new();
         // Applied after the scan so Param events may precede StepStarted in
         // foreign logs.
@@ -246,7 +250,11 @@ impl EventLog {
                     }
                 }
                 LogEvent::UserInput { data, user, time } => {
-                    user_meta.insert(*data, (user.clone(), *time));
+                    let name = match &last_user {
+                        Some(last) if **last == **user => last.clone(),
+                        _ => last_user.insert(Arc::from(user.as_str())).clone(),
+                    };
+                    user_meta.insert(*data, (name, *time));
                 }
                 LogEvent::Param {
                     step, key, value, ..
@@ -307,7 +315,7 @@ impl EventLog {
                     rb.input_edge(step, ds.clone());
                     for d in ds {
                         if let Some((user, time)) = user_meta.get(&DataId(d)) {
-                            rb.input_meta(d, user.as_str(), *time);
+                            rb.input_meta(d, user.clone(), *time);
                         }
                     }
                 }
@@ -390,6 +398,16 @@ mod tests {
             .data_edge(s1, s2, [3, 4])
             .output_edge(s2, [5]);
         rb.build().unwrap()
+    }
+
+    #[test]
+    fn inputs_of_one_user_share_one_name() {
+        let s = spec();
+        let log = EventLog::from_run(&run(&s), &s);
+        let rebuilt = log.to_run(&s).unwrap();
+        let meta = |d| rebuilt.user_input_meta(DataId(d)).unwrap();
+        assert_eq!(&*meta(1).user, "joe");
+        assert!(Arc::ptr_eq(&meta(1).user, &meta(2).user));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! unsupported — which is fine for the `#[derive]`d model types the
 //! warehouse persists.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use serde::de::{self, DeserializeSeed, IntoDeserializer, Visitor};
 use serde::{ser, Deserialize, Serialize};
 use std::fmt;
@@ -49,11 +49,21 @@ impl de::Error for CodecError {
 
 /// Serializes `value` to bytes.
 pub fn to_bytes<T: Serialize>(value: &T) -> Result<Bytes, CodecError> {
+    let mut out = Vec::with_capacity(256);
+    encode_into(&mut out, value)?;
+    Ok(out.into())
+}
+
+/// Serializes `value` onto the end of `out`, so a caller can encode behind
+/// a header it has already written, without a second copy. On error `out`
+/// keeps what was written before the failing field.
+pub fn encode_into<T: Serialize + ?Sized>(out: &mut Vec<u8>, value: &T) -> Result<(), CodecError> {
     let mut ser = Encoder {
-        out: BytesMut::with_capacity(256),
+        out: std::mem::take(out),
     };
-    value.serialize(&mut ser)?;
-    Ok(ser.out.freeze())
+    let done = value.serialize(&mut ser);
+    *out = ser.out;
+    done
 }
 
 /// Deserializes a `T` from bytes (trailing bytes are an error).
@@ -67,7 +77,7 @@ pub fn from_bytes<'a, T: Deserialize<'a>>(bytes: &'a [u8]) -> Result<T, CodecErr
 }
 
 struct Encoder {
-    out: BytesMut,
+    out: Vec<u8>,
 }
 
 impl Encoder {

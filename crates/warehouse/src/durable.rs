@@ -35,7 +35,7 @@ use crate::persist::{self, PersistError};
 use crate::resilience::{CircuitBreaker, HealthReport, RetryPolicy};
 use crate::schema::{RunId, SpecId, ViewId, WarehouseStats};
 use crate::store::{Accepted, Settings, Warehouse, WarehouseError, Write};
-use crate::stream::{PushOutcome, StreamError};
+use crate::stream::PushOutcome;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -291,6 +291,8 @@ pub struct DurableWarehouse {
     epoch: u64,
     snapshot: Option<String>,
     journal: String,
+    /// `dir` joined with `journal`: where every write is appended.
+    journal_path: PathBuf,
     journal_bytes: u64,
     journal_records: u64,
     compactions: u64,
@@ -360,6 +362,7 @@ impl DurableWarehouse {
                 inner: Warehouse::new(),
                 epoch: 0,
                 snapshot: None,
+                journal_path: dir.join(&wal),
                 journal: wal,
                 journal_bytes: 0,
                 journal_records: 0,
@@ -385,6 +388,7 @@ impl DurableWarehouse {
             inner,
             epoch: manifest.epoch,
             snapshot: manifest.snapshot,
+            journal_path: dir.join(&manifest.journal),
             journal: manifest.journal,
             journal_bytes: valid_end as u64,
             journal_records: records as u64,
@@ -431,11 +435,10 @@ impl DurableWarehouse {
     fn append(&mut self, rec: &Accepted) -> Result<(), DurableError> {
         let frame = journal::encode_frame(rec)?;
         let started = std::time::Instant::now();
-        let path = self.dir.join(&self.journal);
         let registry = self.inner.metrics_registry();
         let outcome = self.options.retry.run(
             || registry.add(Counter::IoRetries, 1),
-            || self.io.append(&path, &frame),
+            || self.io.append(&self.journal_path, &frame),
         );
         match outcome {
             Ok(()) => {
@@ -456,13 +459,10 @@ impl DurableWarehouse {
 
     /// Compacts after a committed mutation if the tail outgrew the
     /// threshold. The mutation is already durable, so a failed compaction
-    /// is counted but never surfaced as the mutation's error. Deferred
-    /// while streams are active (see [`DurableWarehouse::checkpoint`]) —
-    /// the tail keeps growing and compaction resumes after the last seal.
+    /// is counted but never surfaced as the mutation's error. Live streams
+    /// ride along in the snapshot, so the tail a reopen replays stays
+    /// near the threshold however long a stream lives.
     fn maybe_compact(&mut self) {
-        if self.inner.active_streams() > 0 {
-            return;
-        }
         if self.options.auto_compact
             && self.journal_bytes > self.options.compact_threshold_bytes
             && self.checkpoint().is_err()
@@ -491,12 +491,10 @@ impl DurableWarehouse {
         self.put(Write::Log(spec, log)).map(expect_answer)
     }
 
-    /// Opens a streaming run, durably.
-    ///
-    /// While any stream is live, auto-compaction is deferred and explicit
-    /// checkpoints are rejected: a snapshot carries only committed rows,
-    /// so the journal tail from `StreamBegin` onward *is* the stream's
-    /// durable state.
+    /// Opens a streaming run, durably. The stream's events are journaled
+    /// one by one; a checkpoint, explicit or automatic, snapshots the
+    /// stream as it stands (its prefix run and its bookkeeping), and the
+    /// stream goes on over the new journal.
     pub fn begin_stream(&mut self, spec: SpecId) -> Result<RunId, DurableError> {
         self.put(Write::Begin(spec)).map(expect_answer)
     }
@@ -511,9 +509,8 @@ impl DurableWarehouse {
         self.put(Write::Push(run, event)).map(expect_answer)
     }
 
-    /// Seals a streaming run, durably. Sealing the last live stream
-    /// re-enables compaction, which may trigger immediately if the tail
-    /// outgrew the threshold during the stream.
+    /// Seals a streaming run, durably; the sealed run behaves like a
+    /// batch-loaded one from then on.
     pub fn stream_seal(&mut self, run: RunId) -> Result<(), DurableError> {
         self.put(Write::Seal(run)).map(expect_answer)
     }
@@ -549,16 +546,10 @@ impl DurableWarehouse {
     /// half-open probe: success rewrites the snapshot from memory — disk
     /// provably matches memory again — so the breaker closes and the store
     /// leaves degraded mode; failure re-opens it.
+    ///
+    /// Live streams do not hold a checkpoint up: the snapshot carries each
+    /// one's prefix run and bookkeeping, and a reopen resumes it there.
     pub fn checkpoint(&mut self) -> Result<(), DurableError> {
-        // A snapshot cannot carry mid-stream ingestor state; compacting
-        // now would strand every live stream's buffered events. Callers
-        // seal (or the streams finish) first.
-        let active = self.inner.active_streams();
-        if active > 0 {
-            return Err(DurableError::Warehouse(WarehouseError::Stream(
-                StreamError::ActiveStreams(active),
-            )));
-        }
         let started = std::time::Instant::now();
         let probing = self.breaker.is_open();
         if probing {
@@ -580,7 +571,7 @@ impl DurableWarehouse {
                 .add(Counter::BreakerRecoveries, 1);
         }
         // Committed. The old generation is now garbage.
-        let _ = self.io.remove_file(&self.dir.join(&self.journal));
+        let _ = self.io.remove_file(&self.journal_path);
         if let Some(old) = &self.snapshot {
             if *old != snap {
                 let _ = self.io.remove_file(&self.dir.join(old));
@@ -588,6 +579,7 @@ impl DurableWarehouse {
         }
         self.epoch = epoch;
         self.snapshot = Some(snap);
+        self.journal_path = self.dir.join(&wal);
         self.journal = wal;
         self.journal_bytes = 0;
         self.journal_records = 0;
@@ -901,6 +893,7 @@ mod tests {
     use super::*;
     use crate::io::FaultFs;
     use crate::journal::JournalRecord;
+    use crate::resilience::RetryPolicy;
     use crate::schema::SpecRow;
     use zoom_model::{DataId, RunBuilder, SpecBuilder};
 
@@ -1282,20 +1275,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The log of `run(&spec())`.
+    fn log() -> EventLog {
+        let s = spec();
+        EventLog::from_run(&run(&s), &s)
+    }
+
+    /// Pushes `events` into `dw` and its in-memory `twin`, asserting equal
+    /// outcomes.
+    fn push_both(dw: &mut DurableWarehouse, twin: &mut Warehouse, rid: RunId, events: &[LogEvent]) {
+        for ev in events {
+            let got = dw.stream_push(rid, ev).unwrap();
+            assert_eq!(got, twin.stream_push(rid, ev).unwrap(), "{ev:?}");
+        }
+    }
+
+    /// Seals `rid` in both stores and asserts the sealed runs encode alike
+    /// and answer alike.
+    fn seal_both(dw: &mut DurableWarehouse, twin: &mut Warehouse, rid: RunId) {
+        dw.stream_seal(rid).unwrap();
+        twin.stream_seal(rid).unwrap();
+        let (w, t) = (dw.warehouse(), twin);
+        let bytes = |w: &Warehouse| crate::codec::to_bytes(w.run(rid).unwrap()).unwrap();
+        assert_eq!(bytes(w), bytes(t));
+        let vid = t.find_view(SpecId(0), "UAdmin").unwrap();
+        assert_eq!(
+            w.deep_provenance(rid, vid, DataId(3)).unwrap(),
+            t.deep_provenance(rid, vid, DataId(3)).unwrap()
+        );
+    }
+
     #[test]
     fn stream_survives_mid_run_reopen() {
         let dir = tempdir("stream-reopen");
         let s = spec();
-        let (a, b) = (s.module("A").unwrap(), s.module("B").unwrap());
-        let log = {
-            let mut rb = RunBuilder::new(&s);
-            let s1 = rb.step(a);
-            let s2 = rb.step(b);
-            rb.input_edge(s1, [1])
-                .data_edge(s1, s2, [2])
-                .output_edge(s2, [3]);
-            EventLog::from_run(&rb.build().unwrap(), &s)
-        };
+        let log = log();
+        let mut twin = Warehouse::new();
         // Push only the first half of the log, then "crash".
         let half = log.events.len() / 2;
         let rid;
@@ -1303,35 +1318,139 @@ mod tests {
             let mut dw = DurableWarehouse::open(&dir).unwrap();
             let sid = dw.register_spec(s.clone()).unwrap();
             dw.register_view(sid, UserView::admin(&s)).unwrap();
+            twin.register_spec(s.clone()).unwrap();
+            twin.register_view(sid, UserView::admin(&s)).unwrap();
             rid = dw.begin_stream(sid).unwrap();
-            for ev in &log.events[..half] {
-                dw.stream_push(rid, ev).unwrap();
-            }
+            assert_eq!(twin.begin_stream(sid).unwrap(), rid);
+            push_both(&mut dw, &mut twin, rid, &log.events[..half]);
             assert!(dw.warehouse().is_streaming(rid));
         }
         // Recovery replays StreamBegin + the acknowledged events: the
-        // stream is still live and accepts the rest, then seals.
+        // stream is still live. Mid-stream, a checkpoint snapshots it.
         let mut dw = DurableWarehouse::open(&dir).unwrap();
         assert!(dw.warehouse().is_streaming(rid));
-        // Mid-stream, a checkpoint is refused.
-        match dw.checkpoint().unwrap_err() {
-            DurableError::Warehouse(WarehouseError::Stream(StreamError::ActiveStreams(1))) => {}
-            e => panic!("unexpected {e}"),
-        }
-        for ev in &log.events[half..] {
-            dw.stream_push(rid, ev).unwrap();
-        }
-        dw.stream_seal(rid).unwrap();
+        dw.checkpoint().unwrap();
+        assert_eq!((dw.epoch(), dw.stats().journal_records), (1, 0));
+        drop(dw);
+        // The reopen resumes the stream from the snapshot alone, and the
+        // rest of the log pushes and seals as in memory.
+        let mut dw = DurableWarehouse::open(&dir).unwrap();
+        assert!(dw.warehouse().is_streaming(rid));
+        assert_eq!(dw.stats().journal_records, 0);
+        push_both(&mut dw, &mut twin, rid, &log.events[half..]);
+        seal_both(&mut dw, &mut twin, rid);
         assert!(!dw.warehouse().is_streaming(rid));
-        // Sealed: checkpoint works again, and the run answers queries
-        // across one more reopen.
+        // The run answers queries across one more checkpoint and reopen.
         dw.checkpoint().unwrap();
         drop(dw);
         let dw = DurableWarehouse::open(&dir).unwrap();
         let w = dw.warehouse();
-        let sid = w.spec_by_name("d").unwrap();
-        let vid = w.find_view(sid, "UAdmin").unwrap();
+        let vid = w.find_view(SpecId(0), "UAdmin").unwrap();
         assert_eq!(w.deep_provenance(rid, vid, DataId(3)).unwrap().tuples(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store whose disk fails mid-stream degrades; once the disk heals,
+    /// its probe checkpoint succeeds with the stream still open, and the
+    /// stream pushes and seals as in memory.
+    #[test]
+    fn degraded_mid_stream_store_recovers_through_its_probe() {
+        let dir = tempdir("degraded-mid-stream");
+        let s = spec();
+        let log = log();
+        let fs = Arc::new(FaultFs::counting());
+        let options = DurableOptions {
+            retry: RetryPolicy::none(),
+            breaker_threshold: 3,
+            ..DurableOptions::default()
+        };
+        let mut dw = DurableWarehouse::open_with(fs.clone(), &dir, options).unwrap();
+        let mut twin = Warehouse::new();
+        let sid = dw.register_spec(s.clone()).unwrap();
+        dw.register_view(sid, UserView::admin(&s)).unwrap();
+        twin.register_spec(s.clone()).unwrap();
+        twin.register_view(sid, UserView::admin(&s)).unwrap();
+        let rid = dw.begin_stream(sid).unwrap();
+        twin.begin_stream(sid).unwrap();
+        push_both(&mut dw, &mut twin, rid, &log.events[..1]);
+        fs.arm_failures(u64::MAX, false);
+        for _ in 0..3 {
+            dw.stream_push(rid, &log.events[1]).unwrap_err();
+        }
+        assert!(dw.degraded());
+        assert!(dw.checkpoint().is_err(), "the probe fails on a sick disk");
+        assert!(dw.degraded());
+        fs.heal();
+        dw.checkpoint().unwrap();
+        assert!(!dw.degraded());
+        push_both(&mut dw, &mut twin, rid, &log.events[1..]);
+        seal_both(&mut dw, &mut twin, rid);
+        drop(dw);
+        let dw = DurableWarehouse::open(&dir).unwrap();
+        assert_eq!(dw.warehouse().stats().runs, 1);
+        assert!(!dw.warehouse().is_streaming(rid));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rebuild_succeeds_with_a_live_stream() {
+        let dir = tempdir("rebuild-live");
+        let s = spec();
+        let log = log();
+        let mut twin = Warehouse::new();
+        let mut dw = DurableWarehouse::open(&dir).unwrap();
+        let sid = dw.register_spec(s.clone()).unwrap();
+        dw.register_view(sid, UserView::admin(&s)).unwrap();
+        twin.register_spec(s.clone()).unwrap();
+        twin.register_view(sid, UserView::admin(&s)).unwrap();
+        let rid = dw.begin_stream(sid).unwrap();
+        twin.begin_stream(sid).unwrap();
+        let half = log.events.len() / 2;
+        push_both(&mut dw, &mut twin, rid, &log.events[..half]);
+        let (io, options, settings) = (dw.io(), dw.options(), dw.warehouse().settings());
+        drop(dw);
+        let (report, mut fresh) = DurableWarehouse::rebuild(io, &dir, options, settings).unwrap();
+        assert_eq!(report.runs, 1);
+        assert!(fresh.warehouse().is_streaming(rid));
+        push_both(&mut fresh, &mut twin, rid, &log.events[half..]);
+        seal_both(&mut fresh, &mut twin, rid);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// With some stream always open, the tail a reopen replays stays under
+    /// twice the compaction threshold.
+    #[test]
+    fn journal_tail_stays_bounded_while_a_stream_is_always_open() {
+        let dir = tempdir("bounded-tail");
+        let s = spec();
+        let log = log();
+        let threshold = 512;
+        let options = DurableOptions {
+            compact_threshold_bytes: threshold,
+            ..DurableOptions::default()
+        };
+        let mut dw = DurableWarehouse::open_opts(&dir, options).unwrap();
+        let sid = dw.register_spec(s.clone()).unwrap();
+        // Two overlapping streams, each begun before the last seals, so
+        // one is open at every moment.
+        let mut open = dw.begin_stream(sid).unwrap();
+        let mut max_tail = 0;
+        for _ in 0..40 {
+            let next = dw.begin_stream(sid).unwrap();
+            for ev in &log.events {
+                dw.stream_push(open, ev).unwrap();
+                max_tail = max_tail.max(dw.stats().journal_bytes);
+            }
+            dw.stream_seal(open).unwrap();
+            open = next;
+        }
+        assert!(dw.compactions() >= 10, "{}", dw.compactions());
+        assert!(max_tail < 2 * threshold, "tail reached {max_tail} bytes");
+        drop(dw);
+        let dw = DurableWarehouse::open(&dir).unwrap();
+        assert!(dw.stats().journal_bytes < 2 * threshold);
+        assert!(dw.warehouse().is_streaming(open));
+        assert_eq!(dw.warehouse().stats().runs, 41);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1345,17 +1464,7 @@ mod tests {
             let mut dw = DurableWarehouse::open(&dir).unwrap();
             let sid = dw.register_spec(s.clone()).unwrap();
             rid = dw.begin_stream(sid).unwrap();
-            let (a, b) = (s.module("A").unwrap(), s.module("B").unwrap());
-            let log = {
-                let mut rb = RunBuilder::new(&s);
-                let s1 = rb.step(a);
-                let s2 = rb.step(b);
-                rb.input_edge(s1, [1])
-                    .data_edge(s1, s2, [2])
-                    .output_edge(s2, [3]);
-                EventLog::from_run(&rb.build().unwrap(), &s)
-            };
-            for ev in &log.events {
+            for ev in &log().events {
                 dw.stream_push(rid, ev).unwrap();
                 acked += 1;
             }

@@ -17,6 +17,7 @@
 use crate::codec::{self, CodecError};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow};
 use crate::store::{Warehouse, WarehouseError, Write};
+use crate::stream::SavedStream;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use zoom_model::LogEvent;
@@ -101,15 +102,21 @@ pub(crate) enum JournalRecord {
     StreamEvent(RunId, LogEvent),
     /// A streaming run was sealed into a complete run.
     StreamSeal(RunId),
+    /// A live stream's bookkeeping, resumed over its prefix run. Only
+    /// snapshots hold these: a stream is journaled event by event.
+    StreamResume(RunId, Box<SavedStream>),
 }
 
-/// Encodes one record as a wire frame: `[len][crc][payload]`.
+/// Encodes one record as a wire frame: `[len][crc][payload]`. The
+/// payload is encoded in place behind a blank header, which is then
+/// filled in.
 pub(crate) fn encode_frame(rec: &impl Serialize) -> Result<Vec<u8>, JournalError> {
-    let payload = codec::to_bytes(rec)?;
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(256);
+    frame.extend_from_slice(&[0; 8]);
+    codec::encode_into(&mut frame, rec)?;
+    let (head, payload) = frame.split_at_mut(8);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(frame)
 }
 
@@ -230,6 +237,7 @@ pub(crate) fn restore(w: &mut Warehouse, rec: JournalRecord) -> Result<(), Journ
             (run.0, Write::Push(run, &event))
         }
         JournalRecord::StreamSeal(run) => (run.0, Write::Seal(run)),
+        JournalRecord::StreamResume(run, state) => (run.0, Write::Resume(run, state)),
     };
     let accepted = w.accept(write)?;
     if accepted.id() != id {

@@ -9,18 +9,29 @@
 //! journal is: every spec, view and run is validated, and a repeated or
 //! skipped id, a duplicate spec name or an unknown spec id fails the load.
 //! Caches are not persisted; they are rebuilt lazily after load.
+//!
+//! A live stream's prefix is a run row like any other. Its bookkeeping
+//! rides in a tagged section behind the rows, written only while a stream
+//! is live, and restored through the same path; a snapshot with no live
+//! stream has no section and the bytes it always had.
 
 use crate::codec::{self, CodecError};
 use crate::io::{RealFs, StorageIo};
 use crate::journal::{self, JournalError, JournalRecord};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow};
 use crate::store::{Warehouse, WarehouseError};
+use crate::stream::SavedStream;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
 /// Magic bytes identifying a warehouse snapshot.
 pub const MAGIC: &[u8; 8] = b"ZOOMWH\x00\x01";
+
+/// Magic bytes identifying a warehouse snapshot whose rows are followed
+/// by one or more tagged sections. A reader of such a snapshot requires a
+/// section, so no truncation of one loads as a snapshot without it.
+pub(crate) const MAGIC_SECTIONS: &[u8; 8] = b"ZOOMWH\x00\x02";
 
 /// Errors from snapshot save/load.
 #[derive(Debug)]
@@ -86,6 +97,21 @@ struct Snapshot<S, V, R> {
 /// A decoded snapshot body.
 type Rows = Snapshot<SpecRow, ViewRow, RunRow>;
 
+/// A snapshot body behind [`MAGIC_SECTIONS`]: the rows, then the sections.
+#[derive(Serialize, Deserialize)]
+struct Sectioned<S, V, R, X> {
+    rows: Snapshot<S, V, R>,
+    sections: Vec<Section<X>>,
+}
+
+/// One tagged section. New kinds go at the END: the codec encodes the tag
+/// as the variant's index.
+#[derive(Serialize, Deserialize)]
+enum Section<X> {
+    /// Every live stream's bookkeeping, in run-id order.
+    Streams(Vec<(RunId, X)>),
+}
+
 /// `rows` paired with their ids, which are their positions.
 fn numbered<I, R>(rows: &[R], id: fn(u32) -> I) -> Vec<(I, &R)> {
     (0u32..).map(id).zip(rows).collect()
@@ -106,15 +132,21 @@ pub fn save_with(
     path: &Path,
 ) -> Result<(), PersistError> {
     let (specs, views, runs) = warehouse.rows();
-    let snap = Snapshot {
+    let rows = Snapshot {
         specs: numbered(specs, SpecId),
         views: numbered(views, ViewId),
         runs: numbered(runs, RunId),
     };
-    let body = codec::to_bytes(&snap)?;
-    let mut bytes = Vec::with_capacity(MAGIC.len() + body.len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&body);
+    let streams = warehouse.live_streams();
+    let mut bytes = Vec::new();
+    if streams.is_empty() {
+        bytes.extend_from_slice(MAGIC);
+        codec::encode_into(&mut bytes, &rows)?;
+    } else {
+        bytes.extend_from_slice(MAGIC_SECTIONS);
+        let sections = vec![Section::Streams(streams)];
+        codec::encode_into(&mut bytes, &Sectioned { rows, sections })?;
+    }
     let tmp = crate::io::unique_temp_path(path);
     io.write(&tmp, &bytes)?;
     if let Err(e) = io.rename(&tmp, path) {
@@ -133,10 +165,19 @@ pub fn load(path: &Path) -> Result<Warehouse, PersistError> {
 /// [`load`] from an explicit storage backend.
 pub fn load_with(io: &dyn StorageIo, path: &Path) -> Result<Warehouse, PersistError> {
     let bytes = io.read(path)?;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(PersistError::BadHeader);
-    }
-    let Snapshot { specs, views, runs }: Rows = codec::from_bytes(&bytes[MAGIC.len()..])?;
+    let (magic, body) = bytes.split_at(MAGIC.len().min(bytes.len()));
+    let (Snapshot { specs, views, runs }, sections): (Rows, Vec<Section<SavedStream>>) =
+        if magic == MAGIC {
+            (codec::from_bytes(body)?, Vec::new())
+        } else if magic == MAGIC_SECTIONS {
+            let Sectioned { rows, sections } = codec::from_bytes(body)?;
+            if sections.is_empty() {
+                return Err(CodecError::Invalid("no section behind the rows").into());
+            }
+            (rows, sections)
+        } else {
+            return Err(PersistError::BadHeader);
+        };
     let mut w = Warehouse::new();
     for (id, row) in specs {
         journal::restore(&mut w, JournalRecord::Spec(id, row))?;
@@ -146,6 +187,11 @@ pub fn load_with(io: &dyn StorageIo, path: &Path) -> Result<Warehouse, PersistEr
     }
     for (id, row) in runs {
         journal::restore(&mut w, JournalRecord::Run(id, Box::new(row)))?;
+    }
+    for Section::Streams(streams) in sections {
+        for (id, state) in streams {
+            journal::restore(&mut w, JournalRecord::StreamResume(id, Box::new(state)))?;
+        }
     }
     Ok(w)
 }
@@ -158,8 +204,8 @@ mod tests {
     use zoom_graph::digraph::{ADJACENCY_MISMATCH, ENDPOINT_OUT_OF_RANGE};
     use zoom_graph::{EdgeId, NodeId};
     use zoom_model::{
-        DataId, RunBuilder, RunNode, SpecBuilder, SpecNode, StepId, UserInputMeta, UserView,
-        WorkflowSpec,
+        DataId, EventLog, LogEvent, RunBuilder, RunNode, SpecBuilder, SpecNode, StepId,
+        UserInputMeta, UserView, WorkflowSpec,
     };
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -656,5 +702,108 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         assert!(matches!(load(&path), Err(PersistError::Codec(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `populated()` plus two live streams of its spec, one pushed through
+    /// most of its run's log and one through a few events, with the events
+    /// each has left.
+    fn with_two_streams() -> (Warehouse, Vec<(RunId, Vec<LogEvent>)>) {
+        let mut w = populated();
+        let spec = w.spec(SpecId(0)).unwrap().clone();
+        let log = EventLog::from_run(w.run(RunId(0)).unwrap(), &spec);
+        let mut rest = Vec::new();
+        for cut in [log.events.len() - 2, 3] {
+            let rid = w.begin_stream(SpecId(0)).unwrap();
+            for ev in &log.events[..cut] {
+                w.stream_push(rid, ev).unwrap();
+            }
+            rest.push((rid, log.events[cut..].to_vec()));
+        }
+        (w, rest)
+    }
+
+    /// Pushes what is left of every stream and seals it; errors are
+    /// answers, only a panic fails.
+    fn finish(w: &mut Warehouse, rest: &[(RunId, Vec<LogEvent>)]) -> Vec<String> {
+        let mut answers = Vec::new();
+        for (rid, events) in rest {
+            for ev in events {
+                answers.push(format!("{:?}", w.stream_push(*rid, ev)));
+            }
+            answers.push(format!("{:?}", w.stream_seal(*rid)));
+        }
+        answers
+    }
+
+    #[test]
+    fn live_streams_ride_in_a_sectioned_snapshot() {
+        let path = temp_path("sectioned");
+        save(&populated(), &path).unwrap();
+        assert_eq!(&std::fs::read(&path).unwrap()[..8], MAGIC);
+        let (mut w, rest) = with_two_streams();
+        save(&w, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..8], MAGIC_SECTIONS);
+        let mut loaded = load(&path).unwrap();
+        assert_eq!(loaded.active_streams(), 2);
+        // Load then save writes the same bytes.
+        save(&loaded, &path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // Both streams go on as in the store that saved them.
+        assert_eq!(finish(&mut loaded, &rest), finish(&mut w, &rest));
+        for (rid, _) in &rest {
+            let run = |w: &Warehouse| codec::to_bytes(w.run(*rid).unwrap()).unwrap();
+            assert_eq!(run(&loaded), run(&w));
+        }
+        assert_eq!(loaded.active_streams(), 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Every truncation of a snapshot holding two live streams fails to
+    /// load, through `load` and through a durable open, without a panic.
+    /// A snapshot carries no checksum, so a changed byte can land where
+    /// any value is valid (a datum's id, a user's name); random changes
+    /// must fail typed or load a store that takes the rest of both
+    /// streams without a panic.
+    #[test]
+    fn truncated_or_changed_two_stream_snapshots_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let (w, rest) = with_two_streams();
+        let dir = temp_path("two-stream-dir");
+        std::fs::remove_dir_all(&dir).ok();
+        // A durable directory whose snapshot is `w`'s.
+        DurableWarehouse::open(&dir).unwrap().checkpoint().unwrap();
+        let snap = dir.join(fsck(&dir).unwrap().snapshot.unwrap());
+        save(&w, &snap).unwrap();
+        let full = std::fs::read(&snap).unwrap();
+        assert_eq!(DurableWarehouse::open(&dir).unwrap().stats().runs, 3);
+        assert_eq!(&full[..8], MAGIC_SECTIONS);
+        assert_eq!(load(&snap).unwrap().active_streams(), 2);
+        for cut in 0..full.len() {
+            std::fs::write(&snap, &full[..cut]).unwrap();
+            assert!(load(&snap).is_err(), "cut {cut} loaded");
+            assert!(DurableWarehouse::open(&dir).is_err(), "cut {cut} opened");
+        }
+        let mut rng = StdRng::seed_from_u64(27);
+        let (mut refused, mut loaded) = (0, 0);
+        for _ in 0..2000 {
+            let mut bytes = full.clone();
+            for _ in 0..rng.random_range(1..4usize) {
+                let at = rng.random_range(8..bytes.len());
+                bytes[at] ^= rng.random_range(1..=255u8);
+            }
+            std::fs::write(&snap, &bytes).unwrap();
+            match load(&snap) {
+                Ok(mut w) => {
+                    finish(&mut w, &rest);
+                    loaded += 1;
+                }
+                Err(_) => refused += 1,
+            }
+            let _ = DurableWarehouse::open(&dir);
+        }
+        assert!(refused > loaded, "{refused} refused, {loaded} loaded");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,7 +18,7 @@ use crate::op::{typed, Answer, Cx, Op};
 use crate::query::{self, ImmediateProvenance, ProvenanceResult, QueryError, QueryFailure, Reach};
 use crate::resilience::{AdmissionControl, CancelToken, Deadline, Interrupt};
 use crate::schema::{RunId, RunRow, SpecId, SpecRow, ViewId, ViewRow, WarehouseStats};
-use crate::stream::{PushOutcome, RunIngestor, SealCommit, StreamCommit, StreamError};
+use crate::stream::{PushOutcome, RunIngestor, SavedStream, SealCommit, StreamCommit, StreamError};
 use parking_lot::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -235,6 +235,8 @@ pub(crate) enum Write<'a> {
     Push(RunId, &'a LogEvent),
     /// Seal an open stream.
     Seal(RunId),
+    /// Resume a live stream a snapshot saved, over its restored prefix.
+    Resume(RunId, Box<SavedStream>),
 }
 
 impl<'a> Write<'a> {
@@ -279,6 +281,8 @@ pub(crate) enum Accepted {
     StreamEvent(RunId, StreamCommit),
     /// The seal of the stream of a run.
     StreamSeal(RunId, SealCommit),
+    /// A live stream resumed from a snapshot, with its checked ingestor.
+    StreamResume(RunId, Box<RunIngestor>),
 }
 
 impl Accepted {
@@ -290,7 +294,8 @@ impl Accepted {
             Accepted::Run(id, _)
             | Accepted::StreamBegin(id, _)
             | Accepted::StreamEvent(id, _)
-            | Accepted::StreamSeal(id, _) => id.0,
+            | Accepted::StreamSeal(id, _)
+            | Accepted::StreamResume(id, _) => id.0,
         }
     }
 
@@ -302,7 +307,8 @@ impl Accepted {
             Accepted::Run(..)
             | Accepted::StreamBegin(..)
             | Accepted::StreamEvent(..)
-            | Accepted::StreamSeal(..) => RunId(id).to_string(),
+            | Accepted::StreamSeal(..)
+            | Accepted::StreamResume(..) => RunId(id).to_string(),
         }
     }
 }
@@ -730,6 +736,15 @@ impl Warehouse {
                 let commit = self.counted(self.live_stream(run_id)?.seal_check())?;
                 Accepted::StreamSeal(run_id, commit)
             }
+            Write::Resume(run_id, state) => {
+                if self.streams.contains_key(&run_id) {
+                    return Err(StreamError::BadState("the stream is saved twice").into());
+                }
+                let run = self.run(run_id)?;
+                let spec = self.spec(self.run_spec(run_id)?)?;
+                let ing = RunIngestor::resume(*state, spec, run)?;
+                Accepted::StreamResume(run_id, Box::new(ing))
+            }
         })
     }
 
@@ -791,6 +806,10 @@ impl Warehouse {
                 self.metrics.add(Counter::StreamsSealed, 1);
                 self.refresh_run_indexes(run_id);
                 Answer::Sealed
+            }
+            Accepted::StreamResume(run_id, ing) => {
+                self.streams.insert(run_id, *ing);
+                Answer::Run(run_id)
             }
         }
     }
@@ -1476,6 +1495,11 @@ impl Warehouse {
     /// Every spec, view and run row, each at its id (persistence support).
     pub(crate) fn rows(&self) -> (&[SpecRow], &[ViewRow], &[RunRow]) {
         (&self.specs, &self.views, &self.runs)
+    }
+
+    /// Every live stream's ingestor, in run-id order (persistence support).
+    pub(crate) fn live_streams(&self) -> Vec<(RunId, &RunIngestor)> {
+        crate::stream::by_key(self.streams.iter().map(|(&id, ing)| (id, ing)))
     }
 }
 

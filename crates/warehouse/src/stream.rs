@@ -23,6 +23,7 @@
 //! contract `LabelIndex::append_node` needs to extend the interval index
 //! without a rebuild.
 
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use zoom_graph::fxhash::{FxHashMap, FxHashSet};
 use zoom_model::ids::{DataId, StepId, Timestamp};
@@ -79,9 +80,9 @@ pub enum StreamError {
     /// The stream was already sealed (or the operation requires a live
     /// stream on this run).
     SealedStream,
-    /// The operation requires all streams to be sealed first (e.g. a
-    /// checkpoint cannot snapshot in-flight ingestor state).
-    ActiveStreams(usize),
+    /// A snapshot's stream bookkeeping does not continue its prefix run:
+    /// the bytes were doctored, or written against another run.
+    BadState(&'static str),
 }
 
 impl std::fmt::Display for StreamError {
@@ -113,7 +114,9 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::NoFinalOutputs => write!(f, "cannot seal: no finalized outputs"),
             StreamError::SealedStream => write!(f, "stream already sealed"),
-            StreamError::ActiveStreams(n) => write!(f, "{n} stream(s) still active"),
+            StreamError::BadState(what) => {
+                write!(f, "stream state does not continue its run: {what}")
+            }
         }
     }
 }
@@ -121,8 +124,8 @@ impl std::fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// A step that has started but not yet finished.
-#[derive(Clone, Debug)]
-struct PendingStep {
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub(crate) struct PendingStep {
     module: zoom_graph::NodeId,
     reads: Vec<DataId>,
     params: BTreeMap<String, String>,
@@ -220,10 +223,195 @@ pub struct RunIngestor {
     sealed: bool,
 }
 
+/// A live stream's bookkeeping as a snapshot carries it beside the
+/// stream's prefix run, every table in key order. The prefix records
+/// neither the clock, the first reader of each user input nor the order
+/// finished steps registered with their producers, so replaying the
+/// uncommitted events alone would not rebuild the stream. What the prefix
+/// does record is derived from it: the committed steps and their modules,
+/// and how many producers each finished step waits on. Saving encodes
+/// borrowed tables (`M = &UserInputMeta`, ...), loading decodes owned
+/// ones; both have the same bytes.
+#[derive(Serialize, Deserialize)]
+pub(crate) struct StreamState<M, P, D> {
+    clock: Timestamp,
+    writers: Vec<(DataId, StepId)>,
+    user_meta: Vec<(DataId, M)>,
+    /// Data classified as user input, with the step that first read each.
+    user_reads: Vec<(DataId, StepId)>,
+    open: Vec<(StepId, P)>,
+    finished: Vec<(StepId, P)>,
+    /// Each uncommitted producer's waiting steps, in registration order.
+    dependents: Vec<(StepId, D)>,
+    finals: Vec<DataId>,
+}
+
+/// A decoded [`StreamState`].
+pub(crate) type SavedStream = StreamState<UserInputMeta, PendingStep, Vec<StepId>>;
+
+/// `entries` in key order.
+pub(crate) fn by_key<K: Ord + Copy, V>(entries: impl Iterator<Item = (K, V)>) -> Vec<(K, V)> {
+    let mut v: Vec<_> = entries.collect();
+    v.sort_unstable_by_key(|e| e.0);
+    v
+}
+
+/// Whether `entries` are in strictly increasing key order: decoded tables
+/// must be exactly as saved, with no key twice.
+fn strictly_by_key<K: Ord, V>(entries: &[(K, V)]) -> bool {
+    entries.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
+/// A snapshot encodes a live ingestor as its `StreamState`.
+impl Serialize for RunIngestor {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let copied = |m: &FxHashMap<DataId, StepId>| by_key(m.iter().map(|(&k, &v)| (k, v)));
+        StreamState {
+            clock: self.clock,
+            writers: copied(&self.writer),
+            user_meta: by_key(self.user_meta.iter().map(|(&k, v)| (k, v))),
+            user_reads: copied(&self.user_read),
+            open: by_key(self.open.iter().map(|(&k, p)| (k, p))),
+            finished: by_key(self.finished.iter().map(|(&k, f)| (k, &f.pending))),
+            dependents: by_key(self.dependents.iter().map(|(&k, d)| (k, d.as_slice()))),
+            finals: self.finals.clone(),
+        }
+        .serialize(s)
+    }
+}
+
 impl RunIngestor {
     /// A fresh ingestor for an empty prefix run.
     pub fn new() -> Self {
         RunIngestor::default()
+    }
+
+    /// The ingestor `state` describes, continuing the prefix `run` of
+    /// `spec`. Every invariant [`RunIngestor::apply`] and
+    /// [`RunIngestor::seal_check`] rely on is checked, so doctored bytes
+    /// are refused here and can never make a later event panic.
+    pub(crate) fn resume(
+        state: SavedStream,
+        spec: &WorkflowSpec,
+        run: &WorkflowRun,
+    ) -> Result<Self, StreamError> {
+        let bad = |what| Err(StreamError::BadState(what));
+        let StreamState {
+            clock,
+            writers,
+            user_meta,
+            user_reads,
+            open,
+            finished,
+            dependents,
+            finals,
+        } = state;
+        if !run.is_prefix() {
+            return bad("its run is sealed");
+        }
+        if !(strictly_by_key(&writers)
+            && strictly_by_key(&user_meta)
+            && strictly_by_key(&user_reads)
+            && strictly_by_key(&open)
+            && strictly_by_key(&finished)
+            && strictly_by_key(&dependents))
+        {
+            return bad("a table is not in key order");
+        }
+        let mut ing = RunIngestor {
+            clock,
+            ..RunIngestor::default()
+        };
+        // Started steps: the committed ones are the run's, the pending
+        // ones the state's, and no step is both.
+        for (step, module) in run.steps() {
+            ing.committed.insert(step);
+            ing.module_of.insert(step, module);
+        }
+        let modules = spec.graph().node_count();
+        for (step, p) in open.iter().chain(&finished) {
+            if p.module.index() >= modules || !spec.is_module(p.module) {
+                return bad("a pending step executes no module");
+            }
+            if ing.module_of.insert(*step, p.module).is_some() {
+                return bad("a step is started twice");
+            }
+        }
+        ing.writer = writers.into_iter().collect();
+        ing.user_read = user_reads.into_iter().collect();
+        if ing.writer.values().any(|s| !ing.module_of.contains_key(s)) {
+            return bad("a writer was never started");
+        }
+        if ing
+            .user_read
+            .iter()
+            .any(|(d, s)| ing.writer.contains_key(d) || !ing.module_of.contains_key(s))
+        {
+            return bad("a user input has a writer or an unstarted reader");
+        }
+        // Every datum the prefix holds came from its writer, or was read
+        // as a user input; so did every datum a pending step reads.
+        for (e, src, _, _) in run.graph().edges() {
+            let from = run.step_at(src).map(|(step, _)| step);
+            for d in run.edge_data(e) {
+                let agrees = match from {
+                    Some(step) => ing.writer.get(d) == Some(&step),
+                    None => ing.user_read.contains_key(d),
+                };
+                if !agrees {
+                    return bad("the run's data disagree with the writers");
+                }
+            }
+        }
+        let known = |d: &DataId| ing.writer.contains_key(d) || ing.user_read.contains_key(d);
+        if !open
+            .iter()
+            .chain(&finished)
+            .all(|(_, p)| p.reads.iter().all(known))
+        {
+            return bad("a pending step read a datum nobody wrote");
+        }
+        // A finished step waits on its uncommitted producers, and is
+        // listed once among the dependents of each.
+        let mut waits: FxHashSet<(StepId, StepId)> = FxHashSet::default();
+        for (step, pending) in finished {
+            let producers: FxHashSet<StepId> = pending
+                .reads
+                .iter()
+                .filter_map(|d| ing.writer.get(d))
+                .filter(|p| !ing.committed.contains(p))
+                .copied()
+                .collect();
+            if producers.is_empty() {
+                return bad("a finished step waits on no producer");
+            }
+            waits.extend(producers.iter().map(|&p| (p, step)));
+            let waiting = producers.len();
+            ing.finished.insert(step, FinishedStep { pending, waiting });
+        }
+        for (producer, steps) in dependents {
+            if steps.is_empty() || !steps.iter().all(|&s| waits.remove(&(producer, s))) {
+                return bad("the dependents disagree with the finished steps");
+            }
+            ing.dependents.insert(producer, steps);
+        }
+        if !waits.is_empty() {
+            return bad("the dependents disagree with the finished steps");
+        }
+        let mut seen = FxHashSet::default();
+        for d in &finals {
+            let feeds_output = ing
+                .writer
+                .get(d)
+                .is_some_and(|w| spec.graph().has_edge(ing.module_of[w], spec.output()));
+            if !feeds_output || !seen.insert(d) {
+                return bad("a final output is unwritten, repeated or not an output");
+            }
+        }
+        ing.open = open.into_iter().collect();
+        ing.user_meta = user_meta.into_iter().collect();
+        ing.finals = finals;
+        Ok(ing)
     }
 
     /// Steps started but not yet committed (open + finished-waiting).
@@ -926,6 +1114,203 @@ mod tests {
         assert_eq!(
             streamed.user_input_meta(DataId(1)).map(|m| m.user.clone()),
             batch.user_input_meta(DataId(1)).map(|m| m.user.clone())
+        );
+    }
+
+    /// Events of every kind, leaving the stream with a committed step,
+    /// two open steps, two finished steps waiting on one open producer
+    /// (the later-numbered one registered first), a final output and a
+    /// user input first read by an open step.
+    fn mid_stream() -> Harness {
+        let mut h = Harness::new();
+        let time = h.tick();
+        h.push(LogEvent::UserInput {
+            data: DataId(1),
+            user: "joe".into(),
+            time,
+        })
+        .unwrap();
+        h.started(1, "A").unwrap();
+        h.read(1, 1).unwrap();
+        h.wrote(1, 2).unwrap();
+        h.finished(1).unwrap();
+        h.started(2, "B").unwrap();
+        h.read(2, 2).unwrap();
+        h.wrote(2, 3).unwrap();
+        h.started(3, "A").unwrap();
+        h.read(3, 1).unwrap();
+        h.wrote(3, 4).unwrap();
+        h.wrote(3, 6).unwrap();
+        h.started(6, "B").unwrap();
+        h.read(6, 6).unwrap();
+        h.wrote(6, 7).unwrap();
+        assert_eq!(h.finished(6).unwrap(), PushOutcome::Buffered);
+        h.started(4, "B").unwrap();
+        h.read(4, 4).unwrap();
+        h.wrote(4, 5).unwrap();
+        assert_eq!(h.finished(4).unwrap(), PushOutcome::Buffered);
+        h.finalized(5).unwrap();
+        h.started(5, "A").unwrap();
+        h.read(5, 9).unwrap();
+        h
+    }
+
+    /// `h`'s ingestor and prefix run as a snapshot stores them.
+    fn saved(h: &Harness) -> (SavedStream, WorkflowRun) {
+        let state = crate::codec::to_bytes(&h.ing).unwrap();
+        let run = crate::codec::to_bytes(&h.run).unwrap();
+        (
+            crate::codec::from_bytes(&state).unwrap(),
+            crate::codec::from_bytes(&run).unwrap(),
+        )
+    }
+
+    /// Resuming a saved stream gives a stream that answers every later
+    /// event, valid or not, as the original does, and seals to the same
+    /// bytes.
+    #[test]
+    fn a_resumed_stream_continues_as_the_original() {
+        let mut live = mid_stream();
+        let (state, run) = saved(&live);
+        let ing = RunIngestor::resume(state, &live.spec, &run).unwrap();
+        let mut resumed = Harness {
+            spec: spec(),
+            run,
+            ing,
+            t: live.t,
+        };
+        let t = Timestamp(live.t);
+        let script = [
+            // Invalid: each error names bookkeeping the prefix lacks.
+            LogEvent::Wrote {
+                step: StepId(3),
+                data: DataId(9),
+                time: t,
+            },
+            LogEvent::Read {
+                step: StepId(3),
+                data: DataId(1),
+                time: Timestamp(0),
+            },
+            LogEvent::StepStarted {
+                step: StepId(1),
+                module: "A".into(),
+                time: t,
+            },
+            LogEvent::Read {
+                step: StepId(1),
+                data: DataId(1),
+                time: t,
+            },
+            LogEvent::StepFinished {
+                step: StepId(4),
+                time: t,
+            },
+            // Valid: step 3 commits, and steps 6 and 4 with it, in that order.
+            LogEvent::StepFinished {
+                step: StepId(3),
+                time: t,
+            },
+            LogEvent::Wrote {
+                step: StepId(5),
+                data: DataId(6),
+                time: t,
+            },
+            LogEvent::StepFinished {
+                step: StepId(5),
+                time: t,
+            },
+            LogEvent::StepFinished {
+                step: StepId(2),
+                time: t,
+            },
+            LogEvent::Finalized {
+                data: DataId(3),
+                time: t,
+            },
+        ];
+        for ev in &script {
+            let want = live.push(ev.clone()).map_err(|e| e.to_string());
+            assert_eq!(resumed.push(ev.clone()).map_err(|e| e.to_string()), want);
+        }
+        live.seal().unwrap();
+        resumed.seal().unwrap();
+        let bytes = |h: &Harness| crate::codec::to_bytes(&h.run).unwrap();
+        assert_eq!(bytes(&resumed), bytes(&live));
+    }
+
+    /// A change to a saved stream's bookkeeping.
+    type Doctoring = fn(&mut SavedStream);
+
+    /// Doctored bookkeeping is refused with a typed error, never a panic.
+    #[test]
+    fn doctored_stream_states_are_refused() {
+        let h = mid_stream();
+        let doctor = |f: Doctoring| {
+            let (mut state, run) = saved(&h);
+            f(&mut state);
+            match RunIngestor::resume(state, &h.spec, &run) {
+                Err(StreamError::BadState(what)) => what,
+                other => panic!("resumed a doctored state: {other:?}"),
+            }
+        };
+        let cases: [(Doctoring, &str); 9] = [
+            (|s| s.writers.swap(0, 1), "a table is not in key order"),
+            (
+                |s| s.writers.retain(|e| e.0 != DataId(2)),
+                "a pending step read a datum nobody wrote",
+            ),
+            (
+                |s| s.user_reads.retain(|e| e.0 != DataId(1)),
+                "the run's data disagree with the writers",
+            ),
+            (
+                |s| s.writers.push((DataId(50), StepId(99))),
+                "a writer was never started",
+            ),
+            (
+                |s| s.dependents.clear(),
+                "the dependents disagree with the finished steps",
+            ),
+            (
+                |s| s.dependents[0].1.push(StepId(4)),
+                "the dependents disagree with the finished steps",
+            ),
+            (
+                |s| s.finals.push(DataId(77)),
+                "a final output is unwritten, repeated or not an output",
+            ),
+            (
+                |s| {
+                    let step = s.open[0].1.clone();
+                    s.open.insert(0, (StepId(1), step));
+                },
+                "a step is started twice",
+            ),
+            (
+                |s| s.finished[0].1.module = zoom_graph::NodeId::from_index(0),
+                "a pending step executes no module",
+            ),
+        ];
+        for (f, want) in cases {
+            assert_eq!(doctor(f), want);
+        }
+        // A sealed run has no live stream to resume.
+        let (state, _) = saved(&h);
+        let mut done = Harness::new();
+        done.started(1, "A").unwrap();
+        done.read(1, 1).unwrap();
+        done.wrote(1, 2).unwrap();
+        done.finished(1).unwrap();
+        done.started(2, "B").unwrap();
+        done.read(2, 2).unwrap();
+        done.wrote(2, 3).unwrap();
+        done.finished(2).unwrap();
+        done.finalized(3).unwrap();
+        done.seal().unwrap();
+        assert_eq!(
+            RunIngestor::resume(state, &h.spec, &done.run).unwrap_err(),
+            StreamError::BadState("its run is sealed")
         );
     }
 }

@@ -15,9 +15,13 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
-use zoom_model::{RunBuilder, SpecBuilder, UserView, WorkflowRun, WorkflowSpec};
+use zoom_model::{
+    EventLog, LogEvent, RunBuilder, SpecBuilder, UserView, WorkflowRun, WorkflowSpec,
+};
 use zoom_warehouse::io::FaultFs;
-use zoom_warehouse::{durable, DurableOptions, DurableWarehouse, Warehouse};
+use zoom_warehouse::{
+    codec, durable, DurableOptions, DurableWarehouse, Op, RunId, Store, Warehouse,
+};
 
 fn tempdir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -55,13 +59,54 @@ fn run(s: &WorkflowSpec) -> WorkflowRun {
 }
 
 /// One workload mutation, replayable against a reference warehouse.
-/// Views and runs name their spec so the driver can resume mid-workload
-/// against a store that already holds earlier events.
+/// Views, runs and streams name their spec so `drive` can resume
+/// mid-workload against a store that already holds earlier events; a
+/// push or seal goes to the one live stream.
 #[derive(Clone)]
 enum Event {
     Spec(WorkflowSpec),
     View(&'static str, UserView),
     Run(&'static str, Box<WorkflowRun>),
+    Begin(&'static str),
+    Push(Box<LogEvent>),
+    Seal,
+}
+
+/// Applies `ev` to `w`, a durable store or the reference; `false` when
+/// it is refused. A run loads as its event log.
+fn apply(ev: &Event, w: &mut dyn Store) -> bool {
+    let spec = |w: &dyn Store, name: &str| w.tables().spec_by_name(name);
+    let op = match ev {
+        Event::Spec(s) => Op::RegisterSpec(s.clone()),
+        Event::View(name, v) => match spec(w, name) {
+            Some(sid) => Op::RegisterView(sid, v.clone()),
+            None => return false,
+        },
+        Event::Run(name, r) => match spec(w, name) {
+            Some(sid) => Op::LoadLog(sid, EventLog::from_run(r, w.tables().spec(sid).unwrap())),
+            None => return false,
+        },
+        Event::Begin(name) => match spec(w, name) {
+            Some(sid) => Op::BeginStream(sid),
+            None => return false,
+        },
+        Event::Push(e) => match live_stream(w.tables()) {
+            Some(rid) => Op::PushEvent(rid, (**e).clone()),
+            None => return false,
+        },
+        Event::Seal => match live_stream(w.tables()) {
+            Some(rid) => Op::SealStream(rid),
+            None => return false,
+        },
+    };
+    w.apply(&op).is_ok()
+}
+
+/// The workload's one live stream, if it has begun and not sealed.
+fn live_stream(w: &Warehouse) -> Option<RunId> {
+    (0..w.stats().runs as u32)
+        .map(RunId)
+        .find(|&r| w.is_streaming(r))
 }
 
 /// The fixed workload: two workflows, views, three runs.
@@ -79,29 +124,42 @@ fn workload() -> Vec<Event> {
     ]
 }
 
+/// `workload()` with streams in it: a stream of wf-one stays open across
+/// a run load, then seals; a stream of wf-two is left open at the end.
+fn streaming_workload() -> Vec<Event> {
+    let s1 = spec("wf-one", 3);
+    let s2 = spec("wf-two", 2);
+    let pushes = |s: &WorkflowSpec| -> Vec<Event> {
+        let log = EventLog::from_run(&run(s), s);
+        log.events
+            .into_iter()
+            .map(|e| Event::Push(Box::new(e)))
+            .collect()
+    };
+    let (one, two) = (pushes(&s1), pushes(&s2));
+    let mut events = vec![
+        Event::Spec(s1.clone()),
+        Event::View("wf-one", UserView::admin(&s1)),
+        Event::Begin("wf-one"),
+    ];
+    events.extend_from_slice(&one[..one.len() / 2]);
+    events.push(Event::Run("wf-one", Box::new(run(&s1))));
+    events.extend_from_slice(&one[one.len() / 2..]);
+    events.extend([
+        Event::Seal,
+        Event::Spec(s2.clone()),
+        Event::View("wf-two", UserView::admin(&s2)),
+        Event::Begin("wf-two"),
+    ]);
+    events.extend_from_slice(&two[..two.len() - 2]);
+    events
+}
+
 /// Applies the workload to a faulted store, returning how many events were
 /// acknowledged (every mutation after the first failure also fails, so the
 /// acknowledged set is a prefix).
 fn drive(dw: &mut DurableWarehouse, events: &[Event]) -> usize {
-    let mut committed = 0;
-    for ev in events {
-        let ok = match ev {
-            Event::Spec(s) => dw.register_spec(s.clone()).is_ok(),
-            Event::View(name, v) => dw
-                .warehouse()
-                .spec_by_name(name)
-                .is_some_and(|sid| dw.register_view(sid, v.clone()).is_ok()),
-            Event::Run(name, r) => dw
-                .warehouse()
-                .spec_by_name(name)
-                .is_some_and(|sid| dw.load_run(sid, (**r).clone()).is_ok()),
-        };
-        if !ok {
-            break;
-        }
-        committed += 1;
-    }
-    committed
+    events.iter().take_while(|ev| apply(ev, dw)).count()
 }
 
 /// The expected state after the first `committed` events: an in-memory
@@ -110,25 +168,14 @@ fn drive(dw: &mut DurableWarehouse, events: &[Event]) -> usize {
 fn reference(events: &[Event], committed: usize) -> Warehouse {
     let mut w = Warehouse::new();
     for ev in &events[..committed] {
-        match ev {
-            Event::Spec(s) => {
-                w.register_spec(s.clone()).unwrap();
-            }
-            Event::View(name, v) => {
-                let sid = w.spec_by_name(name).unwrap();
-                w.register_view(sid, v.clone()).unwrap();
-            }
-            Event::Run(name, r) => {
-                let sid = w.spec_by_name(name).unwrap();
-                w.load_run(sid, (**r).clone()).unwrap();
-            }
-        }
+        assert!(apply(ev, &mut w));
     }
     w
 }
 
-/// Recovered state must equal the reference exactly: same table sizes and
-/// the same deep-provenance answers for every run at its admin view.
+/// Recovered state must equal the reference exactly: same table sizes,
+/// the same live streams, the same bytes for every run and the same
+/// deep-provenance answers for every complete run at its admin view.
 fn assert_state_matches(recovered: &Warehouse, expected: &Warehouse) {
     let (rs, es) = (recovered.stats(), expected.stats());
     assert_eq!(
@@ -149,6 +196,16 @@ fn assert_state_matches(recovered: &Warehouse, expected: &Warehouse) {
         let runs = expected.runs_of_spec(sid).to_vec();
         assert_eq!(recovered.runs_of_spec(sid), &runs[..]);
         for rid in runs {
+            let bytes = |w: &Warehouse| codec::to_bytes(w.run(rid).unwrap()).unwrap();
+            assert_eq!(
+                bytes(recovered),
+                bytes(expected),
+                "{name}/{rid} bytes diverge"
+            );
+            assert_eq!(recovered.is_streaming(rid), expected.is_streaming(rid));
+            if expected.is_streaming(rid) {
+                continue;
+            }
             let out = expected.run(rid).unwrap().final_outputs()[0];
             let want = expected.deep_provenance(rid, vid, out).unwrap();
             let got = recovered.deep_provenance(rid, vid, out).unwrap();
@@ -159,20 +216,18 @@ fn assert_state_matches(recovered: &Warehouse, expected: &Warehouse) {
 
 /// Runs the full kill sweep for one option set: count ops fault-free, then
 /// kill at every op index with every torn-byte width.
-fn sweep(tag: &str, options: DurableOptions, torn_widths: &[usize]) {
-    let events = workload();
-
+fn sweep(tag: &str, events: &[Event], options: DurableOptions, torn_widths: &[usize]) {
     // Fault-free counting run: how many write-side ops does the full
     // workload cost, and what does full success look like?
     let dir = tempdir(&format!("{tag}-count"));
     let counting = Arc::new(FaultFs::counting());
     let mut dw = DurableWarehouse::open_with(counting.clone(), &dir, options).unwrap();
-    assert_eq!(drive(&mut dw, &events), events.len());
+    assert_eq!(drive(&mut dw, events), events.len());
     let total_ops = counting.ops();
     drop(dw);
     assert_state_matches(
         DurableWarehouse::open(&dir).unwrap().warehouse(),
-        &reference(&events, events.len()),
+        &reference(events, events.len()),
     );
     std::fs::remove_dir_all(&dir).ok();
 
@@ -182,7 +237,7 @@ fn sweep(tag: &str, options: DurableOptions, torn_widths: &[usize]) {
             let dir = tempdir(&format!("{tag}-k{k}-t{torn}"));
             let faulty = Arc::new(FaultFs::fail_after(k, torn));
             let committed = match DurableWarehouse::open_with(faulty.clone(), &dir, options) {
-                Ok(mut dw) => drive(&mut dw, &events),
+                Ok(mut dw) => drive(&mut dw, events),
                 // The store died while initializing: nothing was ever
                 // acknowledged.
                 Err(_) => 0,
@@ -192,7 +247,7 @@ fn sweep(tag: &str, options: DurableOptions, torn_widths: &[usize]) {
             // exactly the acknowledged prefix.
             let recovered = DurableWarehouse::open(&dir)
                 .unwrap_or_else(|e| panic!("k={k} torn={torn}: recovery failed: {e}"));
-            assert_state_matches(recovered.warehouse(), &reference(&events, committed));
+            assert_state_matches(recovered.warehouse(), &reference(events, committed));
             // And the directory is fully healthy afterwards: fsck is clean
             // and the next workload run goes through untouched.
             let report = durable::fsck(&dir)
@@ -206,7 +261,7 @@ fn sweep(tag: &str, options: DurableOptions, torn_widths: &[usize]) {
 
 #[test]
 fn kill_at_every_sync_point() {
-    sweep("plain", DurableOptions::default(), &[0, 1, 3]);
+    sweep("plain", &workload(), DurableOptions::default(), &[0, 1, 3]);
 }
 
 #[test]
@@ -219,7 +274,20 @@ fn kill_at_every_sync_point_while_compacting() {
         auto_compact: true,
         ..DurableOptions::default()
     };
-    sweep("compact", options, &[0, 3]);
+    sweep("compact", &workload(), options, &[0, 3]);
+}
+
+#[test]
+fn kill_at_every_sync_point_while_compacting_mid_stream() {
+    // Every mutation crosses a compaction, so most checkpoints are taken
+    // with a stream open: the sweep kills inside every step of a
+    // mid-stream checkpoint, and recovery resumes the stream it saved.
+    let options = DurableOptions {
+        compact_threshold_bytes: 32,
+        auto_compact: true,
+        ..DurableOptions::default()
+    };
+    sweep("compact-stream", &streaming_workload(), options, &[0, 3]);
 }
 
 /// Truncating the journal at every byte offset: `open` must never fail and
@@ -293,6 +361,26 @@ fn truncation_behind_a_snapshot() {
     assert_eq!(drive(&mut dw, &events[..4]), 4);
     dw.checkpoint().unwrap();
     assert_eq!(drive(&mut dw, &events[4..]), events.len() - 4);
+    drop(dw);
+    check_every_truncation(&dir, &events, events.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn truncation_behind_a_mid_stream_snapshot() {
+    // Checkpoint with a stream half pushed: its prefix and bookkeeping
+    // live in the snapshot, the rest of its events in the tail.
+    let events = streaming_workload();
+    let dir = tempdir("truncate-stream");
+    let options = DurableOptions {
+        auto_compact: false,
+        ..DurableOptions::default()
+    };
+    let mut dw = DurableWarehouse::open_opts(&dir, options).unwrap();
+    assert_eq!(drive(&mut dw, &events[..6]), 6);
+    assert_eq!(dw.warehouse().active_streams(), 1);
+    dw.checkpoint().unwrap();
+    assert_eq!(drive(&mut dw, &events[6..]), events.len() - 6);
     drop(dw);
     check_every_truncation(&dir, &events, events.len());
     std::fs::remove_dir_all(&dir).ok();

@@ -709,7 +709,7 @@ fn ingest(target: &Path, workflow: &str, rest: &[String]) -> Result<(), String> 
         );
     } else {
         if !sealed {
-            out!("note: snapshots persist only the committed prefix, not the open stream");
+            out!("note: the snapshot keeps run {rid} open, its prefix queryable");
         }
         zoom.save(target).map_err(|e| e.to_string())?;
         out!("snapshot updated: {}", target.display());

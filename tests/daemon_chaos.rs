@@ -316,6 +316,76 @@ fn quarantined_shard_answers_typed_unavailable_and_repairs_digest_clean() {
 }
 
 #[test]
+fn supervisor_repairs_a_shard_degraded_mid_stream_and_the_stream_seals() {
+    const SHARDS: usize = 2;
+    let dir = tempdir("mid-stream");
+    let (config, ios) = fault_config(&dir, SHARDS);
+    let daemon = Daemon::spawn("127.0.0.1:0", config).unwrap();
+    let spec = phylogenomic();
+    let run = figure2_run(&spec);
+    let log = EventLog::from_run(&run, &spec);
+    let writer_retry = RemoteRetry {
+        max_unavailable_retries: 0,
+        ..RemoteRetry::default()
+    };
+    let mut rz = RemoteZoom::connect_with(daemon.addr(), "streamer", writer_retry).unwrap();
+    let sid = rz.register_workflow(spec.clone()).unwrap();
+    let vid = rz.admin_view(sid).unwrap();
+    let streaming = rz.begin_stream(sid).unwrap();
+    let sick = ShardRouter::in_memory(SHARDS).shard_of(streaming);
+    let half = log.events.len() / 2;
+    for ev in &log.events[..half] {
+        rz.apply(&Op::PushEvent(streaming, ev.clone())).unwrap();
+    }
+
+    // The stream's disk fails: pushes are refused until the breaker trips
+    // and the supervisor quarantines the shard; repairs fail while the
+    // disk stays sick.
+    ios[sick].arm_failures(u64::MAX, false);
+    let push = Op::PushEvent(streaming, log.events[half].clone());
+    for _ in 0..2 {
+        rz.apply(&push).unwrap_err();
+    }
+    await_states(&daemon, "quarantine of the streaming shard", |s| {
+        !s[sick].accepts_writes()
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(!daemon.shard_states()[sick].accepts_writes());
+
+    // Healed, the supervisor's repair rebuilds the shard with the stream
+    // live, and the stream takes the rest of its events and seals.
+    ios[sick].heal();
+    await_states(&daemon, "repair of the streaming shard", |s| {
+        s.iter().all(|st| *st == ShardState::Healthy)
+    });
+    let mut committed = 0;
+    for ev in &log.events[half..] {
+        let pushed = rz.apply(&Op::PushEvent(streaming, ev.clone())).unwrap();
+        if let Answer::Push(zoom::warehouse::PushOutcome::Committed(steps)) = pushed {
+            committed += steps.len();
+        }
+    }
+    rz.apply(&Op::SealStream(streaming)).unwrap();
+    assert!(committed > 0);
+    assert_eq!(rz.final_outputs(streaming).unwrap(), run.final_outputs());
+    let mut oracle = Zoom::new();
+    let sid_o = oracle.register_workflow(spec.clone()).unwrap();
+    let vid_o = oracle.admin_view(sid_o).unwrap();
+    let loaded = oracle.load_log(sid_o, &log).unwrap();
+    for d in run.final_outputs() {
+        assert_eq!(
+            rz.deep_provenance(streaming, vid, d).unwrap().rows,
+            oracle.deep_provenance(loaded, vid_o, d).unwrap().rows
+        );
+    }
+    assert!(rz.health_per_shard().unwrap()[sick].repairs >= 1);
+
+    drop(rz);
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn repaired_shard_keeps_the_slow_log_threshold_set_over_the_wire() {
     const SHARDS: usize = 2;
     let dir = tempdir("settings");
